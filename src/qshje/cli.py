@@ -8,58 +8,30 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .config import ComponentConfig, RunConfig, load_config
-from .domain import SymmetryClass
 from .errors import ConfigError, QshjeError
-from .ode_engine import SolutionPair, analytic_axial, analytic_azimuthal, solve_pair
-from .reduced_action import (
-    ReducedActionComponent,
-    TotalReducedAction,
-    assemble_total,
-    build_component,
-)
+from .ode_engine import SolutionPair, solve_pair
+from .reduced_action import ReducedActionComponent, build_component
 from .residuals import (
+    SYMMETRY_TABLE,
     AssembledEquation,
     ComponentEquation,
+    TotalReducedAction,
+    assemble_total,
     assembled_equation_for,
     assembled_residual,
-    axial_equation,
-    azimuthal_equation,
-    cartesian_axis_equation,
     classical_limit_scan,
-    component_residual,
     component_weighted_sum,
-    cylindrical_radial_equation,
     make_report,
+    probe_axes,
     probe_axis_values,
     probe_lattice,
-    spherical_polar_equation,
-    spherical_radial_equation,
-    spin_terms,
 )
 from .tables import write_summary, write_table
-
-
-def component_equation_for(cfg: RunConfig, label: str) -> ComponentEquation:
-    qn, c = cfg.quantum_numbers, cfg.constants
-    if cfg.symmetry is SymmetryClass.CARTESIAN:
-        return cartesian_axis_equation(
-            cfg.axis_potentials[label], qn.axis_energies[label], c, label
-        )
-    if cfg.symmetry is SymmetryClass.SPHERICAL:
-        if label == "r":
-            return spherical_radial_equation(cfg.potential, qn.ell, qn.energy, c)
-        if label == "theta":
-            return spherical_polar_equation(qn.ell, qn.m_ell, c)
-        return azimuthal_equation(qn.m_ell, c)
-    if label == "rho":
-        return cylindrical_radial_equation(cfg.potential, qn.m_phi, qn.beta, qn.energy, c)
-    if label == "phi":
-        return azimuthal_equation(qn.m_phi, c)
-    return axial_equation(qn.beta, c)
 
 
 def build_pair(cfg: RunConfig, comp: ComponentConfig, equation: ComponentEquation) -> SolutionPair:
@@ -69,16 +41,13 @@ def build_pair(cfg: RunConfig, comp: ComponentConfig, equation: ComponentEquatio
             raise ConfigError(
                 f"components.{comp.label}.solve_energy: not applicable to an analytic pair"
             )
-        qn = cfg.quantum_numbers
-        if comp.label == "phi":
-            m = qn.m_ell if cfg.symmetry is SymmetryClass.SPHERICAL else qn.m_phi
-            return analytic_azimuthal(m, grid, cfg.constants)
-        if comp.label == "z" and cfg.symmetry is SymmetryClass.CYLINDRICAL:
-            return analytic_axial(qn.beta, grid, cfg.constants)
-        raise ConfigError(
-            f"components.{comp.label}.source: no analytic catalog for this coordinate; "
-            "use source: numeric"
-        )
+        analytic = SYMMETRY_TABLE[cfg.symmetry].analytic.get(comp.label)
+        if analytic is None:
+            raise ConfigError(
+                f"components.{comp.label}.source: no analytic catalog for this coordinate; "
+                "use source: numeric"
+            )
+        return analytic(cfg.quantum_numbers, grid, cfg.constants)
     problem = equation.problem
     if comp.solve_energy is not None:
         problem = replace(
@@ -108,11 +77,12 @@ class CaseBundle:
 def build_case(cfg: RunConfig) -> CaseBundle:
     components: dict[str, ReducedActionComponent] = {}
     equations: dict[str, ComponentEquation] = {}
+    constructors = SYMMETRY_TABLE[cfg.symmetry].equations
     for label in cfg.symmetry.coordinate_labels:
         if label not in cfg.components:
             continue
         comp_cfg = cfg.components[label]
-        eq = component_equation_for(cfg, label)
+        eq = constructors[label](cfg, cfg.quantum_numbers, cfg.constants)
         pair = build_pair(cfg, comp_cfg, eq)
         components[label] = build_component(
             label, pair, comp_cfg.mu, comp_cfg.nu, comp_cfg.phase
@@ -172,7 +142,7 @@ def cmd_solve(cfg: RunConfig, out_dir: str, fmt: str) -> int:
     return 0
 
 
-def cmd_verify(cfg: RunConfig, out_dir: str, fmt: str, tolerance: float, workers: int) -> int:
+def cmd_verify(cfg: RunConfig, out_dir: str, fmt: str, tolerance: float) -> int:
     case = build_case(cfg)
     os.makedirs(out_dir, exist_ok=True)
     summary: dict = {
@@ -181,10 +151,12 @@ def cmd_verify(cfg: RunConfig, out_dir: str, fmt: str, tolerance: float, workers
         "equations": {},
     }
     all_pass = True
+    residuals = {}
     for label in case.labels:
         comp = case.components[label]
         eq = case.equations[label]
         report = make_report(eq, comp)
+        residuals[label] = report.residual
         rows = zip(report.coords, report.residual, report.residual / report.scale_ref)
         write_table(
             os.path.join(out_dir, f"residual_{eq.name}"),
@@ -207,31 +179,15 @@ def cmd_verify(cfg: RunConfig, out_dir: str, fmt: str, tolerance: float, workers
 
     if case.total is not None and case.assembled is not None:
         total, aeq = case.total, case.assembled
+        axes = probe_axes(total, cfg.probe_per_coordinate)
         points = probe_lattice(total, cfg.probe_per_coordinate)
-        res_by_label = {
-            lab: component_residual(case.components[lab], case.equations[lab])
-            for lab in case.labels
-        }
-
-        def one_point(p):
-            direct = assembled_residual(total, aeq, p, mode="quantum")
-            summed = component_weighted_sum(total, res_by_label, p)
-            return direct, summed
-
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as ex:
-                values = list(ex.map(one_point, points))
-        else:
-            values = [one_point(p) for p in points]
-
-        rows = []
-        max_assembled = 0.0
-        max_gap = 0.0
-        for p, (direct, summed) in zip(points, values):
-            gap = abs(direct - summed)
-            max_assembled = max(max_assembled, abs(direct))
-            max_gap = max(max_gap, gap)
-            rows.append((*p, direct, summed, gap))
+        direct = assembled_residual(total, aeq, axes, mode="quantum").ravel()
+        summed = component_weighted_sum(total, residuals, axes).ravel()
+        gap = np.abs(direct - summed)
+        rows = [(*p, d, s, g) for p, d, s, g in zip(points, direct, summed, gap)]
+        # np.max propagates NaN, so a NaN residual fails the tolerance check
+        max_assembled = float(np.max(np.abs(direct)))
+        max_gap = float(np.max(gap))
         labels = list(cfg.symmetry.coordinate_labels)
         write_table(
             os.path.join(out_dir, f"residual_{aeq.name}"),
@@ -256,7 +212,7 @@ def cmd_verify(cfg: RunConfig, out_dir: str, fmt: str, tolerance: float, workers
 
 
 def cmd_limit_scan(
-    cfg: RunConfig, out_dir: str, fmt: str, slope_tol: float, workers: int, wrong_order: bool
+    cfg: RunConfig, out_dir: str, fmt: str, slope_tol: float, wrong_order: bool
 ) -> int:
     if not cfg.has_full_set:
         raise ConfigError(
@@ -265,19 +221,10 @@ def cmd_limit_scan(
         )
     case = build_case(cfg)
     assert case.total is not None and case.assembled is not None
-    points = probe_lattice(case.total, cfg.probe_per_coordinate)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            scan = classical_limit_scan(
-                case.total, case.assembled, cfg.hbar_scan, points=points,
-                wrong_order=wrong_order, mapper=ex.map,
-            )
-    else:
-        scan = classical_limit_scan(
-            case.total, case.assembled, cfg.hbar_scan, points=points,
-            wrong_order=wrong_order,
-        )
+    scan = classical_limit_scan(
+        case.total, case.assembled, cfg.hbar_scan, cfg.probe_per_coordinate,
+        wrong_order=wrong_order,
+    )
 
     os.makedirs(out_dir, exist_ok=True)
     columns = ["hbar", "quantum_term_magnitude"]
@@ -318,45 +265,39 @@ def cmd_limit_scan(
 
 
 def cmd_spin_report(cfg: RunConfig, out_dir: str, fmt: str) -> int:
-    if cfg.symmetry is SymmetryClass.CARTESIAN:
-        raise ConfigError("spin-report: cartesian symmetry has no residual quantum terms")
-    needed = ("r", "theta") if cfg.symmetry is SymmetryClass.SPHERICAL else ("rho",)
-    missing = [lab for lab in needed if lab not in cfg.components]
-    if missing:
+    row = SYMMETRY_TABLE[cfg.symmetry]
+    if row.spin is None:
+        raise ConfigError(
+            f"spin-report: {cfg.symmetry.value} symmetry has no residual quantum terms"
+        )
+    needed = row.spin_labels
+    if any(lab not in cfg.components for lab in needed):
         raise ConfigError(f"spin-report needs grids for components {list(needed)}")
     axes = [
         probe_axis_values(cfg.components[lab].grid.build().points, cfg.probe_per_coordinate)
         for lab in needed
     ]
     os.makedirs(out_dir, exist_ok=True)
-    rows = []
-    if cfg.symmetry is SymmetryClass.SPHERICAL:
-        for r in axes[0]:
-            for theta in axes[1]:
-                t = spin_terms(cfg.symmetry, (r, theta), cfg.constants)
-                rows.append((r, theta, t.ter1, t.ter2, t.normalized_coefficient))
-        columns = ["r", "theta", "ter1", "ter2", "normalized_coefficient"]
-        formula = "ter1 = -hbar^2/(8 m r^2); ter2 = -hbar^2/(8 m r^2 sin^2 theta); -2 m r^2 ter1 / hbar^2"
-    else:
-        for rho in axes[0]:
-            t = spin_terms(cfg.symmetry, (rho,), cfg.constants)
-            rows.append((rho, t.ter1, t.normalized_coefficient))
-        columns = ["rho", "ter1", "normalized_coefficient"]
-        formula = "ter1 = -hbar^2/(8 m rho^2); -2 m rho^2 ter1 / hbar^2"
+    coords = np.ix_(*axes)
+    t = row.spin(coords, cfg.constants)
+    terms = {name: v for name, v in vars(t).items() if v is not None}
+    columns = [col.ravel() for col in np.broadcast_arrays(*coords, *terms.values())]
     write_table(
         os.path.join(out_dir, "spin_report"),
         f"residual-quantum-terms-{cfg.symmetry.value}",
-        formula,
-        columns,
-        rows,
+        row.spin_formula,
+        [*needed, *terms],
+        zip(*columns),
         fmt=fmt,
     )
+    coeff = columns[-1]
     write_summary(
         os.path.join(out_dir, "spin_report_summary.json"),
         {
             "symmetry": cfg.symmetry.value,
-            "normalized_coefficient": 0.25,
-            "rows": len(rows),
+            # the row furthest from the exact 1/4; NaN, if any, wins
+            "normalized_coefficient": coeff[np.argmax(np.abs(coeff - 0.25))],
+            "rows": coeff.size,
         },
     )
     return 0
@@ -389,13 +330,14 @@ def _make_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--tolerance", type=float, default=None,
                           help="max-abs residual tolerance (default: from config)")
     p_verify.add_argument("--parallel", type=int, default=1, metavar="N",
-                          help="evaluate probe points with N threads")
+                          help="accepted for compatibility; has no effect")
 
     p_scan = sub.add_parser("limit-scan", help="scale hbar down and fit the quantum-term slope")
     common(p_scan)
     p_scan.add_argument("--tolerance", type=float, default=0.05,
                         help="allowed |slope - 2| (default 0.05)")
-    p_scan.add_argument("--parallel", type=int, default=1, metavar="N")
+    p_scan.add_argument("--parallel", type=int, default=1, metavar="N",
+                        help="accepted for compatibility; has no effect")
     p_scan.add_argument("--wrong-order-demo", action="store_true",
                         help="also report the wrong-order limit gap")
 
@@ -415,12 +357,9 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_solve(cfg, out_dir, fmt)
         if args.command == "verify":
             tol = args.tolerance if args.tolerance is not None else cfg.tolerance
-            return cmd_verify(cfg, out_dir, fmt, tol, max(1, args.parallel))
+            return cmd_verify(cfg, out_dir, fmt, tol)
         if args.command == "limit-scan":
-            return cmd_limit_scan(
-                cfg, out_dir, fmt, args.tolerance, max(1, args.parallel),
-                args.wrong_order_demo,
-            )
+            return cmd_limit_scan(cfg, out_dir, fmt, args.tolerance, args.wrong_order_demo)
         return cmd_spin_report(cfg, out_dir, fmt)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

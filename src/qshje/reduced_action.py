@@ -21,10 +21,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .domain import PhysConstants, QuantumNumbers, SymmetryClass
+from .domain import PhysConstants
 from .errors import GridDomainError, QshjeError
 from .ode_engine import Grid1D, SolutionPair
-from .schwarzian import DerivativeBundle, mixed_solutions, schwarzian_closed_form
+from .schwarzian import DerivativeBundle, amplitude_derivatives, mixed_solutions, schwarzian_closed_form
 
 
 @dataclass
@@ -66,11 +66,7 @@ class ReducedActionComponent:
         S'' and S''' follow from differentiating dS = C/D analytically, with
         D'' substituted through the pair's equation.
         """
-        a, b, da, db = mixed_solutions(self.pair, self.mu, self.nu)
-        d = a * a + b * b
-        c = np.asarray(self.pair.problem.curvature(self.grid.points), dtype=float)
-        dp = 2.0 * (a * da + b * db)
-        dpp = 2.0 * (da * da + db * db) + 2.0 * c * d
+        d, dp, dpp = amplitude_derivatives(self.pair, self.mu, self.nu)
         cst = self.constants.hbar * (1.0 - self.mu * self.nu) * self.pair.wronskian
         d2s = -cst * dp / (d * d)
         d3s = cst * (2.0 * dp * dp / (d**3) - dpp / (d * d))
@@ -136,84 +132,3 @@ def conjugate_momentum(component: ReducedActionComponent, at) -> float | np.ndar
         component._spline = CubicSpline(pts, component.ds)
     out = component._spline(at_arr)
     return float(out) if np.isscalar(at) else out
-
-
-@dataclass
-class TotalReducedAction:
-    """Additive reduced action of one symmetry class: three components plus
-    per-class metric weights for gradient-squared and Schwarzian sums.
-
-    Point evaluation snaps each coordinate to its nearest grid node, so values
-    are exact nodal samples (no interpolation error enters residuals).
-    """
-
-    symmetry: SymmetryClass
-    components: dict[str, ReducedActionComponent]
-    quantum_numbers: QuantumNumbers
-    constants: PhysConstants
-
-    def component(self, label: str) -> ReducedActionComponent:
-        return self.components[label]
-
-    def snap_point(self, point) -> tuple[tuple[int, ...], tuple[float, ...]]:
-        """Nearest grid node per coordinate, in symmetry label order."""
-        labels = self.symmetry.coordinate_labels
-        idx = []
-        snapped = []
-        for label, value in zip(labels, point):
-            pts = self.components[label].grid.points
-            if value < pts[0] or value > pts[-1]:
-                raise GridDomainError(
-                    f"coordinate {label}={value!r} outside grid [{pts[0]}, {pts[-1]}]"
-                )
-            i = int(np.argmin(np.abs(pts - value)))
-            idx.append(i)
-            snapped.append(float(pts[i]))
-        return tuple(idx), tuple(snapped)
-
-    def metric_weights(self, snapped: tuple[float, ...]) -> tuple[float, float, float]:
-        """Inverse-metric factors applied to the 2nd and 3rd coordinate terms."""
-        if self.symmetry is SymmetryClass.SPHERICAL:
-            r, theta, _ = snapped
-            return 1.0, 1.0 / (r * r), 1.0 / (r * r * np.sin(theta) ** 2)
-        if self.symmetry is SymmetryClass.CYLINDRICAL:
-            rho, _, _ = snapped
-            return 1.0, 1.0 / (rho * rho), 1.0
-        return 1.0, 1.0, 1.0
-
-    def _terms(self, point, attr: str) -> tuple[float, float, float]:
-        idx, snapped = self.snap_point(point)
-        labels = self.symmetry.coordinate_labels
-        vals = [float(getattr(self.components[lab], attr)[i]) for lab, i in zip(labels, idx)]
-        w = self.metric_weights(snapped)
-        return tuple(v * wi for v, wi in zip(vals, w))  # type: ignore[return-value]
-
-    def gradient_squared(self, point) -> float:
-        """(grad S)^2 with the class metric, from nodal dS values."""
-        idx, snapped = self.snap_point(point)
-        labels = self.symmetry.coordinate_labels
-        ds = [float(self.components[lab].ds[i]) for lab, i in zip(labels, idx)]
-        w = self.metric_weights(snapped)
-        return sum(d * d * wi for d, wi in zip(ds, w))
-
-    def schwarzian_sum(self, point) -> float:
-        """Metric-weighted sum of the per-coordinate Schwarzians."""
-        return sum(self._terms(point, "schwarzian"))
-
-
-def assemble_total(
-    components: dict[str, ReducedActionComponent],
-    symmetry: SymmetryClass,
-    quantum_numbers: QuantumNumbers,
-) -> TotalReducedAction:
-    labels = symmetry.coordinate_labels
-    if set(components) != set(labels):
-        raise ValueError(
-            f"{symmetry.value} needs components for {labels}, got {sorted(components)}"
-        )
-    constants = components[labels[0]].constants
-    for lab in labels:
-        c = components[lab].constants
-        if c != constants:
-            raise ValueError("components carry different physical constants")
-    return TotalReducedAction(symmetry, dict(components), quantum_numbers, constants)

@@ -13,12 +13,14 @@ with that convention the quantum correction enters with a plus sign.
 
 Assembled three-dimensional equations combine nodal component data with the
 metric weights of the symmetry class and, for curvilinear classes, the
-residual quantum terms proportional to hbar^2/8m.
+residual quantum terms proportional to hbar^2/8m. SYMMETRY_TABLE holds every
+fact that differs between the three classes.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -36,7 +38,8 @@ from .domain import (
     spherical_radial_problem,
 )
 from .errors import GridDomainError, QshjeError
-from .reduced_action import ReducedActionComponent, TotalReducedAction
+from .ode_engine import analytic_axial, analytic_azimuthal
+from .reduced_action import ReducedActionComponent
 
 
 @dataclass(frozen=True)
@@ -134,6 +137,205 @@ def component_residual(
 
 
 @dataclass(frozen=True)
+class SpinTerms:
+    """Residual quantum terms of the assembled curvilinear equations, floats or lattice arrays."""
+
+    ter1: float
+    ter2: float | None
+    normalized_coefficient: float
+
+    def total(self) -> float:
+        return self.ter1 + (self.ter2 if self.ter2 is not None else 0.0)
+
+
+def _radial_spin(radius, constants: PhysConstants, theta=None) -> SpinTerms:
+    """-hbar^2/8m q^2 at the radius q and, given a polar angle, its partner
+    divided by sin^2 theta; arrays broadcast."""
+    if np.any(np.asarray(radius) <= 0.0):
+        raise GridDomainError("radius must be positive")
+    h2 = constants.hbar * constants.hbar
+    # normalizing by the same rounded reference keeps the quotient exact:
+    # scaling a float by 1/4 never rounds
+    ref = h2 / (2.0 * constants.mass * radius * radius)
+    ter1 = -0.25 * ref
+    ter2 = None
+    if theta is not None:
+        s = np.sin(theta)
+        if np.any(s == 0.0):
+            raise GridDomainError("polar angle on the axis: sin(theta) = 0")
+        ter2 = ter1 / (s * s)
+    coeff = np.divide(-ter1, ref, out=np.full(np.shape(ref), 0.25), where=ref != 0.0)
+    return SpinTerms(ter1, ter2, coeff)
+
+
+@dataclass(frozen=True)
+class SymmetryRow:
+    """Everything that differs between the symmetry classes.
+
+    metric(q, c=1): diagonal metric factors h_k^2 at snapped coordinates q,
+        with c multiplied in from the left where the component equation is in
+        the 2m-scaled, mass-free form; c = 2m gives the denominators of the
+        component-weighted sum. The inverse-metric weights are 1/h_k^2.
+    axis_potentials: V is a sum of per-axis potentials, else a function of q0.
+    equations: label -> (run config, quantum numbers, constants) -> equation.
+    analytic: label -> (quantum numbers, grid, constants) -> analytic pair.
+    spin: (q, constants) -> SpinTerms, None where no residual terms survive;
+        spin-report tabulates them over spin_labels under spin_formula.
+    wrong_order_axes: coordinates whose gradients the wrong-order limit zeroes.
+    """
+
+    formula: str
+    metric: Callable
+    axis_potentials: bool
+    equations: dict[str, Callable]
+    analytic: dict[str, Callable]
+    spin: Callable | None = None
+    spin_labels: tuple[str, ...] = ()
+    spin_formula: str = ""
+    wrong_order_axes: tuple[int, ...] = ()
+
+
+SYMMETRY_TABLE = {
+    SymmetryClass.CARTESIAN: SymmetryRow(
+        formula="sum_q [ (dS_q)^2/(2m) + (hbar^2/(4m))*{S_q;q} + V_q(q) ] - E",
+        metric=lambda q, c=1.0: (1.0, 1.0, 1.0),
+        axis_potentials=True,
+        equations={
+            lab: lambda cfg, qn, c, lab=lab: cartesian_axis_equation(
+                cfg.axis_potentials[lab], qn.axis_energies[lab], c, lab
+            )
+            for lab in ("x", "y", "z")
+        },
+        analytic={},
+    ),
+    SymmetryClass.SPHERICAL: SymmetryRow(
+        formula=(
+            "(1/(2m))[(dS_r)^2 + (dS_theta)^2/r^2 + (dS_phi)^2/(r^2 sin^2 theta)]"
+            " + (hbar^2/(4m))[{S_r;r} + {S_theta;theta}/r^2 + {S_phi;phi}/(r^2 sin^2 theta)]"
+            " - hbar^2/(8m r^2) - hbar^2/(8m r^2 sin^2 theta) + V(r) - E"
+        ),
+        metric=lambda q, c=1.0: (1.0, c * q[0] * q[0], c * q[0] * q[0] * np.sin(q[1]) ** 2),
+        axis_potentials=False,
+        equations={
+            "r": lambda cfg, qn, c: spherical_radial_equation(cfg.potential, qn.ell, qn.energy, c),
+            "theta": lambda cfg, qn, c: spherical_polar_equation(qn.ell, qn.m_ell, c),
+            "phi": lambda cfg, qn, c: azimuthal_equation(qn.m_ell, c),
+        },
+        analytic={"phi": lambda qn, grid, c: analytic_azimuthal(qn.m_ell, grid, c)},
+        spin=lambda q, c: _radial_spin(q[0], c, q[1]),
+        spin_labels=("r", "theta"),
+        spin_formula=(
+            "ter1 = -hbar^2/(8 m r^2); ter2 = -hbar^2/(8 m r^2 sin^2 theta); "
+            "-2 m r^2 ter1 / hbar^2"
+        ),
+        wrong_order_axes=(1, 2),
+    ),
+    SymmetryClass.CYLINDRICAL: SymmetryRow(
+        formula=(
+            "(1/(2m))[(dS_rho)^2 + (dS_phi)^2/rho^2 + (dS_z)^2]"
+            " + (hbar^2/(4m))[{S_rho;rho} + {S_phi;phi}/rho^2 + {S_z;z}]"
+            " - hbar^2/(8m rho^2) + V(rho) - E"
+        ),
+        metric=lambda q, c=1.0: (1.0, c * q[0] * q[0], c),
+        axis_potentials=False,
+        equations={
+            "rho": lambda cfg, qn, c: cylindrical_radial_equation(
+                cfg.potential, qn.m_phi, qn.beta, qn.energy, c
+            ),
+            "phi": lambda cfg, qn, c: azimuthal_equation(qn.m_phi, c),
+            "z": lambda cfg, qn, c: axial_equation(qn.beta, c),
+        },
+        analytic={
+            "phi": lambda qn, grid, c: analytic_azimuthal(qn.m_phi, grid, c),
+            "z": lambda qn, grid, c: analytic_axial(qn.beta, grid, c),
+        },
+        spin=lambda q, c: _radial_spin(q[0], c),
+        spin_labels=("rho",),
+        spin_formula="ter1 = -hbar^2/(8 m rho^2); -2 m rho^2 ter1 / hbar^2",
+    ),
+}
+
+def _per_point(values, point):
+    """A float when every coordinate of point is a scalar, else the lattice array."""
+    if all(np.ndim(x) == 0 for x in point):
+        return np.asarray(values).item()
+    return values
+
+
+@dataclass
+class TotalReducedAction:
+    """Additive reduced action of one symmetry class: three components plus
+    the class's inverse metric for gradient-squared and Schwarzian sums.
+
+    Point evaluation snaps each coordinate to its nearest grid node, so values
+    are exact nodal samples (no interpolation error enters residuals). 1-D arrays
+    of coordinate values stand for the lattice they span; results are then
+    (n0, n1, n2) arrays that ravel in itertools.product order.
+    """
+
+    symmetry: SymmetryClass
+    components: dict[str, ReducedActionComponent]
+    quantum_numbers: QuantumNumbers
+    constants: PhysConstants
+
+    def snap(self, point) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+        """Nearest grid nodes of every value of each coordinate, as np.ix_
+        broadcast (indices, node values) in symmetry label order."""
+        idx, nodes = [], []
+        for label, value in zip(self.symmetry.coordinate_labels, point):
+            pts = self.components[label].grid.points
+            v = np.atleast_1d(np.asarray(value, dtype=float))
+            outside = (v < pts[0]) | (v > pts[-1])
+            if np.any(outside):
+                raise GridDomainError(
+                    f"coordinate {label}={float(v[outside][0])!r} outside grid [{pts[0]}, {pts[-1]}]"
+                )
+            i = np.argmin(np.abs(pts - v[:, None]), axis=1)
+            idx.append(i)
+            nodes.append(pts[i])
+        return np.ix_(*idx), np.ix_(*nodes)
+
+    def snap_point(self, point) -> tuple[tuple[int, ...], tuple[float, ...]]:
+        """Nearest grid node per coordinate of one point, in symmetry label order."""
+        idx, nodes = self.snap(point)
+        return tuple(int(i.item()) for i in idx), tuple(float(q.item()) for q in nodes)
+
+    def metric_weights(self, snapped) -> tuple:
+        """Inverse-metric factors of the three coordinate terms."""
+        return tuple(1.0 / g for g in SYMMETRY_TABLE[self.symmetry].metric(snapped))
+
+    def metric_sum(self, attr: str, point, power: int = 1):
+        """sum_k w_k f_k^power, f_k the nodal samples `attr` of coordinate k at
+        the snapped point and w_k the inverse-metric factors."""
+        idx, nodes = self.snap(point)
+        labels = self.symmetry.coordinate_labels
+        samples = (getattr(self.components[lab], attr)[i] for lab, i in zip(labels, idx))
+        return sum(f**power * w for f, w in zip(samples, self.metric_weights(nodes)))
+
+    def gradient_squared(self, point):
+        """(grad S)^2 with the class metric, from nodal dS values."""
+        return self.metric_sum("ds", point, 2)
+
+
+def assemble_total(
+    components: dict[str, ReducedActionComponent],
+    symmetry: SymmetryClass,
+    quantum_numbers: QuantumNumbers,
+) -> TotalReducedAction:
+    labels = symmetry.coordinate_labels
+    if set(components) != set(labels):
+        raise ValueError(
+            f"{symmetry.value} needs components for {labels}, got {sorted(components)}"
+        )
+    constants = components[labels[0]].constants
+    for lab in labels:
+        c = components[lab].constants
+        if c != constants:
+            raise ValueError("components carry different physical constants")
+    return TotalReducedAction(symmetry, dict(components), quantum_numbers, constants)
+
+
+@dataclass(frozen=True)
 class AssembledEquation:
     """Full 3-D equation data: symmetry class, potential, constants of
     motion, and the formula string for reports."""
@@ -146,34 +348,13 @@ class AssembledEquation:
     quantum_numbers: QuantumNumbers
     constants: PhysConstants
 
-    def potential_at(self, snapped: tuple[float, ...]) -> float:
-        if self.symmetry is SymmetryClass.CARTESIAN:
-            assert self.axis_potentials is not None
-            return float(
-                sum(
-                    self.axis_potentials[lab].evaluate(val, self.constants)
-                    for lab, val in zip(("x", "y", "z"), snapped)
-                )
+    def potential_at(self, snapped):
+        if SYMMETRY_TABLE[self.symmetry].axis_potentials:
+            return sum(
+                self.axis_potentials[lab].evaluate(val, self.constants)
+                for lab, val in zip(self.symmetry.coordinate_labels, snapped)
             )
-        assert self.potential is not None
-        return float(self.potential.evaluate(snapped[0], self.constants))
-
-
-_ASSEMBLED_FORMULAS = {
-    SymmetryClass.CARTESIAN: (
-        "sum_q [ (dS_q)^2/(2m) + (hbar^2/(4m))*{S_q;q} + V_q(q) ] - E"
-    ),
-    SymmetryClass.SPHERICAL: (
-        "(1/(2m))[(dS_r)^2 + (dS_theta)^2/r^2 + (dS_phi)^2/(r^2 sin^2 theta)]"
-        " + (hbar^2/(4m))[{S_r;r} + {S_theta;theta}/r^2 + {S_phi;phi}/(r^2 sin^2 theta)]"
-        " - hbar^2/(8m r^2) - hbar^2/(8m r^2 sin^2 theta) + V(r) - E"
-    ),
-    SymmetryClass.CYLINDRICAL: (
-        "(1/(2m))[(dS_rho)^2 + (dS_phi)^2/rho^2 + (dS_z)^2]"
-        " + (hbar^2/(4m))[{S_rho;rho} + {S_phi;phi}/rho^2 + {S_z;z}]"
-        " - hbar^2/(8m rho^2) + V(rho) - E"
-    ),
-}
+        return self.potential.evaluate(snapped[0], self.constants)
 
 
 def assembled_equation_for(
@@ -183,15 +364,19 @@ def assembled_equation_for(
     potential: PotentialSpec | None = None,
     axis_potentials: dict[str, PotentialSpec] | None = None,
 ) -> AssembledEquation:
-    if symmetry is SymmetryClass.CARTESIAN:
-        if axis_potentials is None or set(axis_potentials) != {"x", "y", "z"}:
-            raise ValueError("cartesian assembly needs axis_potentials for x, y, z")
-        quantum_numbers.check_axis_energies(("x", "y", "z"))
+    row = SYMMETRY_TABLE[symmetry]
+    labels = symmetry.coordinate_labels
+    if row.axis_potentials:
+        if axis_potentials is None or set(axis_potentials) != set(labels):
+            raise ValueError(
+                f"{symmetry.value} assembly needs axis_potentials for {', '.join(labels)}"
+            )
+        quantum_numbers.check_axis_energies(labels)
     elif potential is None:
         raise ValueError(f"{symmetry.value} assembly needs a radial potential")
     return AssembledEquation(
         name=f"assembled-{symmetry.value}",
-        formula=_ASSEMBLED_FORMULAS[symmetry],
+        formula=row.formula,
         symmetry=symmetry,
         potential=potential,
         axis_potentials=dict(axis_potentials) if axis_potentials else None,
@@ -200,45 +385,13 @@ def assembled_equation_for(
     )
 
 
-@dataclass(frozen=True)
-class SpinTerms:
-    """Residual quantum terms of the assembled curvilinear equations."""
-
-    ter1: float
-    ter2: float | None
-    normalized_coefficient: float
-
-    def total(self) -> float:
-        return self.ter1 + (self.ter2 if self.ter2 is not None else 0.0)
-
-
 def spin_terms(symmetry: SymmetryClass, point, constants: PhysConstants) -> SpinTerms:
     """Terms -hbar^2/8mr^2 (and the sin^2 theta partner) left over after the
     separation constants cancel in assembly; absent for cartesian symmetry."""
-    h2 = constants.hbar * constants.hbar
-    if symmetry is SymmetryClass.SPHERICAL:
-        r, theta = float(point[0]), float(point[1])
-        if r <= 0.0:
-            raise GridDomainError("spherical radius must be positive")
-        s = np.sin(theta)
-        if s == 0.0:
-            raise GridDomainError("polar angle on the axis: sin(theta) = 0")
-        # normalizing by the same rounded reference keeps the quotient exact:
-        # scaling a float by 1/4 never rounds
-        ref = h2 / (2.0 * constants.mass * r * r)
-        ter1 = -0.25 * ref
-        ter2 = ter1 / (s * s)
-        coeff = -ter1 / ref if ref != 0.0 else 0.25
-        return SpinTerms(ter1, ter2, coeff)
-    if symmetry is SymmetryClass.CYLINDRICAL:
-        rho = float(point[0])
-        if rho <= 0.0:
-            raise GridDomainError("cylindrical radius must be positive")
-        ref = h2 / (2.0 * constants.mass * rho * rho)
-        ter1 = -0.25 * ref
-        coeff = -ter1 / ref if ref != 0.0 else 0.25
-        return SpinTerms(ter1, None, coeff)
-    raise QshjeError("cartesian symmetry has no residual quantum terms")
+    spin = SYMMETRY_TABLE[symmetry].spin
+    if spin is None:
+        raise QshjeError(f"{symmetry.value} symmetry has no residual quantum terms")
+    return spin(point, constants)
 
 
 def assembled_residual(
@@ -247,8 +400,9 @@ def assembled_residual(
     point,
     mode: str = "quantum",
     constants: PhysConstants | None = None,
-) -> float:
-    """Full 3-D equation at one point, from nodal component data.
+):
+    """Full 3-D equation at one point, or on the lattice spanned by 1-D
+    arrays of coordinate values, from nodal component data.
 
     mode selects which terms enter: "quantum" is the complete equation,
     "classical" drops every hbar-carrying correction and returns
@@ -259,43 +413,36 @@ def assembled_residual(
     if mode not in ("quantum", "classical", "quantum-terms"):
         raise ValueError(f"unknown mode {mode!r}")
     c = constants if constants is not None else equation.constants
-    _, snapped = total.snap_point(point)
+    spin = SYMMETRY_TABLE[equation.symmetry].spin
+    _, snapped = total.snap(point)
 
     quantum = 0.0
     if mode != "classical":
-        quantum = (c.hbar * c.hbar / (4.0 * c.mass)) * total.schwarzian_sum(point)
-        if equation.symmetry is not SymmetryClass.CARTESIAN:
-            quantum += spin_terms(equation.symmetry, snapped, c).total()
+        quantum = (c.hbar * c.hbar / (4.0 * c.mass)) * total.metric_sum("schwarzian", point)
+        if spin is not None:
+            quantum = quantum + spin(snapped, c).total()
     if mode == "quantum-terms":
-        return quantum
+        return _per_point(quantum, point)
 
     kinetic = total.gradient_squared(point) / (2.0 * equation.constants.mass)
     v = equation.potential_at(snapped)
-    e = equation.quantum_numbers.energy
-    return kinetic + quantum + v - e
+    return _per_point(kinetic + quantum + v - equation.quantum_numbers.energy, point)
 
 
-def component_weighted_sum(
-    total: TotalReducedAction, residuals: dict[str, np.ndarray], point
-) -> float:
-    """Metric-weighted sum of per-component residuals at a snapped point.
+def component_weighted_sum(total: TotalReducedAction, residuals: dict[str, np.ndarray], point):
+    """Metric-weighted sum of per-component residuals at a snapped point, or
+    on the lattice spanned by 1-D arrays of coordinate values.
 
     Algebraically identical to assembled_residual in quantum mode when each
     residual came from the matching component equation; exposing both routes
     keeps the assembly identity testable instead of tautological.
     """
-    idx, snapped = total.snap_point(point)
-    labels = total.symmetry.coordinate_labels
-    vals = [float(residuals[lab][i]) for lab, i in zip(labels, idx)]
-    two_m = 2.0 * total.constants.mass
-    if total.symmetry is SymmetryClass.SPHERICAL:
-        r, theta, _ = snapped
-        s2 = np.sin(theta) ** 2
-        return vals[0] + vals[1] / (two_m * r * r) + vals[2] / (two_m * r * r * s2)
-    if total.symmetry is SymmetryClass.CYLINDRICAL:
-        rho, _, _ = snapped
-        return vals[0] + vals[1] / (two_m * rho * rho) + vals[2] / two_m
-    return sum(vals)
+    row = SYMMETRY_TABLE[total.symmetry]
+    idx, snapped = total.snap(point)
+    # each residual is divided by its equation's scale times its metric factor
+    denominators = row.metric(snapped, 2.0 * total.constants.mass)
+    vals = (residuals[lab][i] for lab, i in zip(total.symmetry.coordinate_labels, idx))
+    return _per_point(sum(v / d for v, d in zip(vals, denominators)), point)
 
 
 def probe_axis_values(points: np.ndarray, per_coordinate: int) -> list[float]:
@@ -313,13 +460,17 @@ def probe_axis_values(points: np.ndarray, per_coordinate: int) -> list[float]:
     return [float(pts[i]) for i in idx]
 
 
-def probe_lattice(total: TotalReducedAction, per_coordinate: int = 5) -> list[tuple[float, ...]]:
-    """Deterministic probe points: log-placed per coordinate, combined."""
-    axes = [
+def probe_axes(total: TotalReducedAction, per_coordinate: int = 5) -> list[list[float]]:
+    """Log-placed probe values of each coordinate, in symmetry label order."""
+    return [
         probe_axis_values(total.components[label].grid.points, per_coordinate)
         for label in total.symmetry.coordinate_labels
     ]
-    return [tuple(p) for p in itertools.product(*axes)]
+
+
+def probe_lattice(total: TotalReducedAction, per_coordinate: int = 5) -> list[tuple[float, ...]]:
+    """Deterministic probe points: the product of the probe axes."""
+    return list(itertools.product(*probe_axes(total, per_coordinate)))
 
 
 @dataclass(frozen=True)
@@ -387,11 +538,11 @@ def classical_limit_scan(
     total: TotalReducedAction,
     equation: AssembledEquation,
     hbar_values,
-    points: list[tuple[float, ...]] | None = None,
+    per_coordinate: int = 3,
     wrong_order: bool = False,
-    mapper=None,
 ) -> LimitScanResult:
-    """Magnitude of the hbar-carrying corrections versus hbar, data fixed.
+    """Magnitude of the hbar-carrying corrections versus hbar, data fixed, as
+    the maximum over the probe lattice with per_coordinate values per axis.
 
     Every correction carries an explicit hbar^2 prefactor, so the fitted
     log-log slope is 2. With wrong_order=True the scan additionally zeroes
@@ -406,41 +557,29 @@ def classical_limit_scan(
         raise QshjeError("hbar values must be positive")
     if hv[0] / hv[-1] < 10.0:
         raise QshjeError("hbar values must span at least a factor of 10")
-    if points is None:
-        points = probe_lattice(total, per_coordinate=3)
-    run = mapper if mapper is not None else map
+    axes = probe_axes(total, per_coordinate)
+    points = probe_lattice(total, per_coordinate)
 
     mags = []
     for h in hv:
         c = PhysConstants(hbar=float(h), mass=equation.constants.mass)
-        vals = list(
-            run(
-                lambda p, _c=c: abs(
-                    assembled_residual(total, equation, p, mode="quantum-terms", constants=_c)
-                ),
-                points,
-            )
-        )
-        mags.append(max(vals))
+        terms = assembled_residual(total, equation, axes, mode="quantum-terms", constants=c)
+        mags.append(np.max(np.abs(terms)))
     slope, intercept = _fit_loglog(hv, np.asarray(mags))
 
     gaps_out = None
     gap_slope = None
     if wrong_order:
-        if equation.symmetry is not SymmetryClass.SPHERICAL:
+        row = SYMMETRY_TABLE[equation.symmetry]
+        if not row.wrong_order_axes:
             raise QshjeError("the wrong-order comparison is defined for spherical symmetry")
-        two_m = 2.0 * equation.constants.mass
-        gaps = []
-        for p in points:
-            idx, snapped = total.snap_point(p)
-            r, theta, _ = snapped
-            ds_t = float(total.components["theta"].ds[idx[1]])
-            ds_p = float(total.components["phi"].ds[idx[2]])
-            s2 = np.sin(theta) ** 2
-            # zeroing the angular momenta first removes these gradient terms
-            # from the would-be classical equation; the gap survives hbar -> 0
-            gaps.append((ds_t * ds_t / (r * r) + ds_p * ds_p / (r * r * s2)) / two_m)
-        gaps_arr = np.asarray([max(gaps)] * hv.size)
+        idx, snapped = total.snap(axes)
+        metric = row.metric(snapped)
+        ds = [total.components[lab].ds[i] for lab, i in zip(total.symmetry.coordinate_labels, idx)]
+        # zeroing the angular momenta first removes these gradient terms
+        # from the would-be classical equation; the gap survives hbar -> 0
+        gaps = sum(ds[k] * ds[k] / metric[k] for k in row.wrong_order_axes)
+        gaps_arr = np.full(hv.size, np.max(gaps / (2.0 * equation.constants.mass)))
         gap_slope = 0.0
         if np.all(gaps_arr > 0.0):
             gap_slope, _ = _fit_loglog(hv, gaps_arr)

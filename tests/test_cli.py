@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import pathlib
 
@@ -5,7 +6,9 @@ import numpy as np
 import pytest
 import yaml
 
+from qshje import SymmetryClass, cli, probe_axis_values
 from qshje.cli import main
+from qshje.residuals import SYMMETRY_TABLE
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
@@ -77,15 +80,40 @@ def test_verify_runs_are_byte_identical(tmp_path):
 
 
 def test_verify_parallel_matches_serial(tmp_path):
+    # --parallel is accepted and has no effect
     cfg = CONFIG_DIR / "cylindrical_free.yaml"
-    assert run("verify", "--config", cfg, "--out", tmp_path / "serial") == 0
-    assert run(
-        "verify", "--config", cfg, "--out", tmp_path / "par", "--parallel", "4"
-    ) == 0
-    for name in ("verify_summary.json", "residual_assembled-cylindrical.csv"):
-        assert (tmp_path / "serial" / name).read_bytes() == (
-            tmp_path / "par" / name
-        ).read_bytes()
+    for command, names in (
+        ("verify", ("verify_summary.json", "residual_assembled-cylindrical.csv")),
+        ("limit-scan", ("limit_scan_summary.json", "limit_scan.csv")),
+    ):
+        serial, par = tmp_path / command / "serial", tmp_path / command / "par"
+        assert run(command, "--config", cfg, "--out", serial) == 0
+        assert run(command, "--config", cfg, "--out", par, "--parallel", "4") == 0
+        for name in names:
+            assert (serial / name).read_bytes() == (par / name).read_bytes(), name
+
+
+def test_verify_nan_assembled_residual_fails(tmp_path, monkeypatch):
+    # a NaN Schwarzian sample at a probe node must fail the assembled check
+    # instead of dropping out of the lattice maximum
+    build_case = cli.build_case
+
+    def with_nan(cfg):
+        case = build_case(cfg)
+        comp = case.components["z"]
+        node = probe_axis_values(comp.grid.points, cfg.probe_per_coordinate)[1]
+        comp.schwarzian[comp.grid.points == node] = np.nan
+        return case
+
+    monkeypatch.setattr(cli, "build_case", with_nan)
+    out = tmp_path / "nan"
+    assert run("verify", "--config", CONFIG_DIR / "cylindrical_free.yaml", "--out", out) == 1
+    summary = read_summary(out / "verify_summary.json")
+    assert summary["equations"]["assembled-cylindrical"]["within_tolerance"] is False
+    assert summary["all_within_tolerance"] is False
+    # the scan's per-hbar maximum carries the NaN too, so the slope cannot pass
+    scan = run("limit-scan", "--config", CONFIG_DIR / "cylindrical_free.yaml", "--out", out)
+    assert scan != 0
 
 
 def test_verify_hydrogen_full_set(tmp_path):
@@ -227,6 +255,23 @@ def test_spin_report_cylindrical(tmp_path):
         rho, ter1, coeff = (float(v) for v in line.split(","))
         assert coeff == 0.25
         assert ter1 == -1.0 / (8.0 * rho * rho)
+
+
+def test_spin_report_summary_shows_worst_coefficient(tmp_path, monkeypatch):
+    row = SYMMETRY_TABLE[SymmetryClass.CYLINDRICAL]
+
+    def perturbed(q, constants):
+        terms = row.spin(q, constants)
+        coeff = np.array(terms.normalized_coefficient)
+        coeff[2] = 0.2500001
+        return dataclasses.replace(terms, normalized_coefficient=coeff)
+
+    monkeypatch.setitem(
+        SYMMETRY_TABLE, SymmetryClass.CYLINDRICAL, dataclasses.replace(row, spin=perturbed)
+    )
+    out = tmp_path / "spin_cyl"
+    assert run("spin-report", "--config", CONFIG_DIR / "cylindrical_free.yaml", "--out", out) == 0
+    assert read_summary(out / "spin_report_summary.json")["normalized_coefficient"] == 0.2500001
 
 
 def test_spin_report_rejects_cartesian(tmp_path, capsys):

@@ -6,6 +6,7 @@ import pytest
 import qshje as Q
 
 from conftest import cartesian_oscillator_case, hydrogen_ground_radial_pair, polar_pair
+from qshje.residuals import probe_axes
 
 
 def test_unmixed_azimuthal_residual_is_machine_zero(constants):
@@ -164,6 +165,26 @@ def test_quantum_terms_vanish_at_zero_hbar(hydrogen_total):
             total, equation, point, mode="quantum-terms", constants=frozen
         )
         assert out == 0.0
+
+
+@pytest.mark.parametrize("case", ["hydrogen_total", "cylindrical_total", "cartesian"])
+def test_lattice_matches_per_point_calls(case, request):
+    # one broadcast call over the probe axes equals the per-point calls over
+    # probe_lattice, element for element, in itertools.product order
+    if case == "cartesian":
+        total, equation = cartesian_oscillator_case(rng=np.random.default_rng(3))
+    else:
+        total, equation = request.getfixturevalue(case)
+    samples = {lab: comp.schwarzian for lab, comp in total.components.items()}
+    axes = probe_axes(total, per_coordinate=4)
+    points = Q.probe_lattice(total, per_coordinate=4)
+    direct = Q.assembled_residual(total, equation, axes)
+    summed = Q.component_weighted_sum(total, samples, axes)
+    assert direct.shape == summed.shape == tuple(len(a) for a in axes)
+    assert direct.ravel().tolist() == [Q.assembled_residual(total, equation, p) for p in points]
+    assert summed.ravel().tolist() == [
+        Q.component_weighted_sum(total, samples, p) for p in points
+    ]
 
 
 def test_probe_lattice_is_deterministic(hydrogen_total):
