@@ -12,14 +12,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import ComponentConfig, RunConfig, load_config
+from .config import ComponentConfig, RunConfig, load_config, positive_number
+from .domain import Effective1DProblem
 from .errors import ConfigError, QshjeError
 from .ode_engine import SolutionPair, solve_pair
 from .reduced_action import ReducedActionComponent, build_component
 from .residuals import (
     SYMMETRY_TABLE,
     AssembledEquation,
-    ComponentEquation,
     TotalReducedAction,
     assemble_total,
     assembled_equation_for,
@@ -34,7 +34,7 @@ from .residuals import (
 from .tables import write_summary, write_table
 
 
-def build_pair(cfg: RunConfig, comp: ComponentConfig, equation: ComponentEquation) -> SolutionPair:
+def build_pair(cfg: RunConfig, comp: ComponentConfig, problem: Effective1DProblem) -> SolutionPair:
     grid = comp.grid.build()
     if comp.source == "analytic":
         if comp.solve_energy is not None:
@@ -48,13 +48,8 @@ def build_pair(cfg: RunConfig, comp: ComponentConfig, equation: ComponentEquatio
                 "use source: numeric"
             )
         return analytic(cfg.quantum_numbers, grid, cfg.constants)
-    problem = equation.problem
     if comp.solve_energy is not None:
-        problem = replace(
-            problem,
-            e_eff=comp.solve_energy,
-            description=problem.description + " (pair basis energy override)",
-        )
+        problem = replace(problem, e_eff=comp.solve_energy)
     return solve_pair(problem, grid, seeds=comp.seeds, substeps=comp.substeps)
 
 
@@ -65,7 +60,7 @@ class CaseBundle:
 
     config: RunConfig
     components: dict[str, ReducedActionComponent]
-    equations: dict[str, ComponentEquation]
+    equations: dict[str, Effective1DProblem]
     total: TotalReducedAction | None
     assembled: AssembledEquation | None
 
@@ -76,7 +71,7 @@ class CaseBundle:
 
 def build_case(cfg: RunConfig) -> CaseBundle:
     components: dict[str, ReducedActionComponent] = {}
-    equations: dict[str, ComponentEquation] = {}
+    equations: dict[str, Effective1DProblem] = {}
     constructors = SYMMETRY_TABLE[cfg.symmetry].equations
     for label in cfg.symmetry.coordinate_labels:
         if label not in cfg.components:
@@ -91,7 +86,7 @@ def build_case(cfg: RunConfig) -> CaseBundle:
 
     total = assembled = None
     if cfg.has_full_set:
-        total = assemble_total(components, cfg.symmetry, cfg.quantum_numbers)
+        total = assemble_total(components, cfg.symmetry)
         assembled = assembled_equation_for(
             cfg.symmetry,
             cfg.quantum_numbers,
@@ -356,10 +351,13 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "solve":
             return cmd_solve(cfg, out_dir, fmt)
         if args.command == "verify":
-            tol = args.tolerance if args.tolerance is not None else cfg.tolerance
+            tol = cfg.tolerance
+            if args.tolerance is not None:
+                tol = positive_number(args.tolerance, "--tolerance")
             return cmd_verify(cfg, out_dir, fmt, tol)
         if args.command == "limit-scan":
-            return cmd_limit_scan(cfg, out_dir, fmt, args.tolerance, args.wrong_order_demo)
+            tol = positive_number(args.tolerance, "--tolerance")
+            return cmd_limit_scan(cfg, out_dir, fmt, tol, args.wrong_order_demo)
         return cmd_spin_report(cfg, out_dir, fmt)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

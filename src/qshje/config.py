@@ -24,6 +24,7 @@ from .domain import (
 )
 from .errors import ConfigError
 from .ode_engine import Grid1D
+from .residuals import SYMMETRY_TABLE
 
 DEFAULT_HBAR_SCAN = (1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125)
 
@@ -50,6 +51,14 @@ def _number(value, path: str) -> float:
     v = float(value)
     if not np.isfinite(v):
         raise ConfigError(f"{path}: must be finite, got {value!r}")
+    return v
+
+
+def positive_number(value, path: str) -> float:
+    """A finite number > 0, else a ConfigError naming path."""
+    v = _number(value, path)
+    if v <= 0.0:
+        raise ConfigError(f"{path}: must be positive, got {v}")
     return v
 
 
@@ -246,7 +255,8 @@ def parse_config(data: dict, source_name: str = "config") -> RunConfig:
     labels = symmetry.coordinate_labels
     potential = None
     axis_potentials: dict[str, PotentialSpec] = {}
-    if symmetry is SymmetryClass.CARTESIAN:
+    per_axis = SYMMETRY_TABLE[symmetry].axis_potentials
+    if per_axis:
         pmap = _expect_mapping(
             _get(root, "potentials", source_name, required=False, default={}),
             f"{source_name}.potentials",
@@ -273,7 +283,7 @@ def parse_config(data: dict, source_name: str = "config") -> RunConfig:
             )
         components[key] = _component_config(key, sub, f"components.{key}")
 
-    if symmetry is SymmetryClass.CARTESIAN:
+    if per_axis:
         for key in components:
             axis_potentials.setdefault(key, ZeroPotential())
             if key not in quantum_numbers.axis_energies:
@@ -286,11 +296,9 @@ def parse_config(data: dict, source_name: str = "config") -> RunConfig:
             except ValueError as exc:
                 raise ConfigError(f"{source_name}.quantum_numbers: {exc}") from exc
 
-    tolerance = _number(
+    tolerance = positive_number(
         _get(root, "tolerance", source_name, required=False, default=1e-6), f"{source_name}.tolerance"
     )
-    if tolerance <= 0.0:
-        raise ConfigError(f"{source_name}.tolerance: must be positive, got {tolerance}")
 
     scan_raw = _get(root, "hbar_scan", source_name, required=False)
     if scan_raw is None:

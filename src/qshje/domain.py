@@ -242,15 +242,18 @@ class Effective1DProblem:
     """One separated coordinate equation in Schroedinger form.
 
     The pair equation is -(hbar^2/2m) y'' + (v_eff(q) - e_eff) y = 0,
-    equivalently y'' = curvature(q) y.
+    equivalently y'' = curvature(q) y. Its QSHJE residual, headed by name and
+    formula, is scale times (dS)^2/2m + (hbar^2/4m){S;q} + v_eff - e_eff.
     """
 
     label: str
+    name: str
+    formula: str
     v_eff: Callable
     e_eff: float
     constants: PhysConstants
+    scale: float = 1.0
     domain: tuple[float, float] = (-np.inf, np.inf)
-    description: str = ""
 
     def check_domain(self, q) -> None:
         q = np.asarray(q, dtype=float)
@@ -273,10 +276,14 @@ def cartesian_axis_problem(
 ) -> Effective1DProblem:
     return Effective1DProblem(
         label=label,
+        name=f"cartesian-axis-{label}",
+        formula=(
+            f"(dS_{label})^2/(2m) + (hbar^2/(4m))*{{S_{label};{label}}}"
+            f" + V_{label}({label}) - E_{label}"
+        ),
         v_eff=lambda q, _s=spec, _c=constants: _s.evaluate(q, _c),
         e_eff=float(axis_energy),
         constants=constants,
-        description=f"cartesian axis {label}",
     )
 
 
@@ -285,11 +292,15 @@ def spherical_radial_problem(
 ) -> Effective1DProblem:
     return Effective1DProblem(
         label="r",
+        name="radial-spherical",
+        formula=(
+            "(dS_r)^2/(2m) + (hbar^2/(4m))*{S_r;r} + V(r)"
+            " + l(l+1)*hbar^2/(2m r^2) - E"
+        ),
         v_eff=lambda r, _s=spec, _l=ell, _c=constants: fictive_radial_potential(_s, _l, _c, r),
         e_eff=float(energy),
         constants=constants,
         domain=(0.0, np.inf),
-        description=f"spherical radial, ell={ell}",
     )
 
 
@@ -298,11 +309,16 @@ def spherical_polar_problem(ell: int, m_ell: int, constants: PhysConstants) -> E
         raise ValueError(f"|m_ell| must be <= ell, got m_ell={m_ell}, ell={ell}")
     return Effective1DProblem(
         label="theta",
+        name="polar-spherical",
+        formula=(
+            "(dS_theta)^2 + (hbar^2/2)*{S_theta;theta}"
+            " + (m_l^2 - 1/4)*hbar^2/sin^2(theta) - (l(l+1) + 1/4)*hbar^2"
+        ),
         v_eff=lambda t, _m=m_ell, _c=constants: fictive_polar_potential(_m, _c, t),
         e_eff=polar_energy(ell, constants),
         constants=constants,
+        scale=2.0 * constants.mass,
         domain=(0.0, np.pi),
-        description=f"spherical polar, ell={ell}, m_ell={m_ell}",
     )
 
 
@@ -311,10 +327,12 @@ def azimuthal_problem(m: int, constants: PhysConstants, label: str = "phi") -> E
     c = constants
     return Effective1DProblem(
         label=label,
+        name="azimuthal",
+        formula=f"(dS_{label})^2 + (hbar^2/2)*{{S_{label};{label}}} - m^2*hbar^2",
         v_eff=lambda q: np.zeros_like(np.asarray(q, dtype=float)),
         e_eff=m**2 * c.hbar**2 / (2.0 * c.mass),
         constants=constants,
-        description=f"azimuthal, m={m}",
+        scale=2.0 * c.mass,
     )
 
 
@@ -323,13 +341,17 @@ def cylindrical_radial_problem(
 ) -> Effective1DProblem:
     return Effective1DProblem(
         label="rho",
+        name="radial-cylindrical",
+        formula=(
+            "(dS_rho)^2/(2m) + (hbar^2/(4m))*{S_rho;rho} + V(rho)"
+            " + (m_phi^2 - 1/4)*hbar^2/(2m rho^2) - beta*hbar^2/(2m) - E"
+        ),
         v_eff=lambda rho, _s=spec, _m=m_phi, _b=beta, _c=constants: fictive_cylindrical_potential(
             _s, _m, _b, _c, rho
         ),
         e_eff=float(energy),
         constants=constants,
         domain=(0.0, np.inf),
-        description=f"cylindrical radial, m_phi={m_phi}, beta={beta}",
     )
 
 
@@ -338,8 +360,10 @@ def axial_problem(beta: float, constants: PhysConstants) -> Effective1DProblem:
     c = constants
     return Effective1DProblem(
         label="z",
+        name="axial",
+        formula="(dS_z)^2 + (hbar^2/2)*{S_z;z} + beta*hbar^2",
         v_eff=lambda q: np.zeros_like(np.asarray(q, dtype=float)),
         e_eff=-float(beta) * c.hbar**2 / (2.0 * c.mass),
         constants=constants,
-        description=f"axial, beta={beta}",
+        scale=2.0 * c.mass,
     )

@@ -24,7 +24,7 @@ from scipy.interpolate import CubicSpline
 from .domain import PhysConstants
 from .errors import GridDomainError, QshjeError
 from .ode_engine import Grid1D, SolutionPair
-from .schwarzian import DerivativeBundle, amplitude_derivatives, mixed_solutions, schwarzian_closed_form
+from .schwarzian import DerivativeBundle, amplitude_derivatives, mixed_solutions, schwarzian_from_amplitude
 
 
 @dataclass
@@ -66,7 +66,7 @@ class ReducedActionComponent:
         S'' and S''' follow from differentiating dS = C/D analytically, with
         D'' substituted through the pair's equation.
         """
-        d, dp, dpp = amplitude_derivatives(self.pair, self.mu, self.nu)
+        d, dp, dpp = amplitude_derivatives(self.pair, *mixed_solutions(self.pair, self.mu, self.nu))
         cst = self.constants.hbar * (1.0 - self.mu * self.nu) * self.pair.wronskian
         d2s = -cst * dp / (d * d)
         d3s = cst * (2.0 * dp * dp / (d**3) - dpp / (d * d))
@@ -80,8 +80,10 @@ def build_component(
 ) -> ReducedActionComponent:
     """Construct the reduced action of one coordinate from a solution pair."""
     hbar = pair.problem.constants.hbar
-    a, b, da, db = mixed_solutions(pair, mu, nu)
-    d = a * a + b * b
+    mixed = mixed_solutions(pair, mu, nu)
+    a, b = mixed[:2]
+    # one curvature evaluation feeds D, the momentum and the Schwarzian
+    d, dp, dpp = amplitude_derivatives(pair, *mixed)
     if np.any(d <= 0.0):
         raise QshjeError("mixed-basis amplitude vanishes on the grid; change (mu, nu)")
 
@@ -113,7 +115,7 @@ def build_component(
         s=s,
         ds=ds,
         amplitude=np.sqrt(d),
-        schwarzian=schwarzian_closed_form(pair, mu, nu),
+        schwarzian=schwarzian_from_amplitude(d, dp, dpp),
         branch_residual=branch,
     )
     drift = comp.continuity_drift()

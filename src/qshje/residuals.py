@@ -42,98 +42,25 @@ from .ode_engine import analytic_axial, analytic_azimuthal
 from .reduced_action import ReducedActionComponent
 
 
-@dataclass(frozen=True)
-class ComponentEquation:
-    """One separated equation: its effective 1-D data, overall scale, and a
-    human-readable formula string used in table headers."""
-
-    name: str
-    formula: str
-    problem: Effective1DProblem
-    scale: float
-
-    @property
-    def constants(self) -> PhysConstants:
-        return self.problem.constants
-
-
-def cartesian_axis_equation(
-    potential: PotentialSpec, axis_energy: float, constants: PhysConstants, label: str
-) -> ComponentEquation:
-    problem = cartesian_axis_problem(label, potential, axis_energy, constants)
-    formula = (
-        f"(dS_{label})^2/(2m) + (hbar^2/(4m))*{{S_{label};{label}}}"
-        f" + V_{label}({label}) - E_{label}"
-    )
-    return ComponentEquation(f"cartesian-axis-{label}", formula, problem, 1.0)
-
-
-def spherical_radial_equation(
-    potential: PotentialSpec, ell: int, energy: float, constants: PhysConstants
-) -> ComponentEquation:
-    problem = spherical_radial_problem(potential, ell, energy, constants)
-    formula = (
-        "(dS_r)^2/(2m) + (hbar^2/(4m))*{S_r;r} + V(r)"
-        " + l(l+1)*hbar^2/(2m r^2) - E"
-    )
-    return ComponentEquation("radial-spherical", formula, problem, 1.0)
-
-
-def spherical_polar_equation(
-    ell: int, m_ell: int, constants: PhysConstants
-) -> ComponentEquation:
-    problem = spherical_polar_problem(ell, m_ell, constants)
-    formula = (
-        "(dS_theta)^2 + (hbar^2/2)*{S_theta;theta}"
-        " + (m_l^2 - 1/4)*hbar^2/sin^2(theta) - (l(l+1) + 1/4)*hbar^2"
-    )
-    return ComponentEquation("polar-spherical", formula, problem, 2.0 * constants.mass)
-
-
-def azimuthal_equation(
-    m: int, constants: PhysConstants, label: str = "phi"
-) -> ComponentEquation:
-    problem = azimuthal_problem(m, constants, label)
-    formula = f"(dS_{label})^2 + (hbar^2/2)*{{S_{label};{label}}} - m^2*hbar^2"
-    return ComponentEquation("azimuthal", formula, problem, 2.0 * constants.mass)
-
-
-def cylindrical_radial_equation(
-    potential: PotentialSpec, m_phi: int, beta: float, energy: float, constants: PhysConstants
-) -> ComponentEquation:
-    problem = cylindrical_radial_problem(potential, m_phi, beta, energy, constants)
-    formula = (
-        "(dS_rho)^2/(2m) + (hbar^2/(4m))*{S_rho;rho} + V(rho)"
-        " + (m_phi^2 - 1/4)*hbar^2/(2m rho^2) - beta*hbar^2/(2m) - E"
-    )
-    return ComponentEquation("radial-cylindrical", formula, problem, 1.0)
-
-
-def axial_equation(beta: float, constants: PhysConstants) -> ComponentEquation:
-    problem = axial_problem(beta, constants)
-    formula = "(dS_z)^2 + (hbar^2/2)*{S_z;z} + beta*hbar^2"
-    return ComponentEquation("axial", formula, problem, 2.0 * constants.mass)
-
-
 def component_residual(
     component: ReducedActionComponent,
-    equation: ComponentEquation,
+    problem: Effective1DProblem,
     constants: PhysConstants | None = None,
 ) -> np.ndarray:
     """Left minus right of one separated equation at every grid node.
 
     The Schwarzian samples belong to the component (closed form, built from
     its own pair), while the effective potential and energy come from the
-    equation under test. A pair generated at a different energy therefore
+    problem under test. A pair generated at a different energy therefore
     shows a flat residual equal to the energy offset.
     """
-    c = constants if constants is not None else equation.constants
+    c = constants if constants is not None else problem.constants
     q = component.grid.points
-    equation.problem.check_domain(q)
-    v = np.asarray(equation.problem.v_eff(q), dtype=float)
+    problem.check_domain(q)
+    v = np.asarray(problem.v_eff(q), dtype=float)
     kinetic = component.ds * component.ds / (2.0 * c.mass)
     quantum = (c.hbar * c.hbar / (4.0 * c.mass)) * component.schwarzian
-    return equation.scale * (kinetic + quantum + v - equation.problem.e_eff)
+    return problem.scale * (kinetic + quantum + v - problem.e_eff)
 
 
 @dataclass(frozen=True)
@@ -177,7 +104,8 @@ class SymmetryRow:
         the 2m-scaled, mass-free form; c = 2m gives the denominators of the
         component-weighted sum. The inverse-metric weights are 1/h_k^2.
     axis_potentials: V is a sum of per-axis potentials, else a function of q0.
-    equations: label -> (run config, quantum numbers, constants) -> equation.
+    equations: label -> (run config, quantum numbers, constants) -> the
+        Effective1DProblem of that coordinate's separated equation.
     analytic: label -> (quantum numbers, grid, constants) -> analytic pair.
     spin: (q, constants) -> SpinTerms, None where no residual terms survive;
         spin-report tabulates them over spin_labels under spin_formula.
@@ -201,8 +129,8 @@ SYMMETRY_TABLE = {
         metric=lambda q, c=1.0: (1.0, 1.0, 1.0),
         axis_potentials=True,
         equations={
-            lab: lambda cfg, qn, c, lab=lab: cartesian_axis_equation(
-                cfg.axis_potentials[lab], qn.axis_energies[lab], c, lab
+            lab: lambda cfg, qn, c, lab=lab: cartesian_axis_problem(
+                lab, cfg.axis_potentials[lab], qn.axis_energies[lab], c
             )
             for lab in ("x", "y", "z")
         },
@@ -217,9 +145,9 @@ SYMMETRY_TABLE = {
         metric=lambda q, c=1.0: (1.0, c * q[0] * q[0], c * q[0] * q[0] * np.sin(q[1]) ** 2),
         axis_potentials=False,
         equations={
-            "r": lambda cfg, qn, c: spherical_radial_equation(cfg.potential, qn.ell, qn.energy, c),
-            "theta": lambda cfg, qn, c: spherical_polar_equation(qn.ell, qn.m_ell, c),
-            "phi": lambda cfg, qn, c: azimuthal_equation(qn.m_ell, c),
+            "r": lambda cfg, qn, c: spherical_radial_problem(cfg.potential, qn.ell, qn.energy, c),
+            "theta": lambda cfg, qn, c: spherical_polar_problem(qn.ell, qn.m_ell, c),
+            "phi": lambda cfg, qn, c: azimuthal_problem(qn.m_ell, c),
         },
         analytic={"phi": lambda qn, grid, c: analytic_azimuthal(qn.m_ell, grid, c)},
         spin=lambda q, c: _radial_spin(q[0], c, q[1]),
@@ -239,11 +167,11 @@ SYMMETRY_TABLE = {
         metric=lambda q, c=1.0: (1.0, c * q[0] * q[0], c),
         axis_potentials=False,
         equations={
-            "rho": lambda cfg, qn, c: cylindrical_radial_equation(
+            "rho": lambda cfg, qn, c: cylindrical_radial_problem(
                 cfg.potential, qn.m_phi, qn.beta, qn.energy, c
             ),
-            "phi": lambda cfg, qn, c: azimuthal_equation(qn.m_phi, c),
-            "z": lambda cfg, qn, c: axial_equation(qn.beta, c),
+            "phi": lambda cfg, qn, c: azimuthal_problem(qn.m_phi, c),
+            "z": lambda cfg, qn, c: axial_problem(qn.beta, c),
         },
         analytic={
             "phi": lambda qn, grid, c: analytic_azimuthal(qn.m_phi, grid, c),
@@ -275,7 +203,6 @@ class TotalReducedAction:
 
     symmetry: SymmetryClass
     components: dict[str, ReducedActionComponent]
-    quantum_numbers: QuantumNumbers
     constants: PhysConstants
 
     def snap(self, point) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
@@ -320,7 +247,6 @@ class TotalReducedAction:
 def assemble_total(
     components: dict[str, ReducedActionComponent],
     symmetry: SymmetryClass,
-    quantum_numbers: QuantumNumbers,
 ) -> TotalReducedAction:
     labels = symmetry.coordinate_labels
     if set(components) != set(labels):
@@ -332,7 +258,7 @@ def assemble_total(
         c = components[lab].constants
         if c != constants:
             raise ValueError("components carry different physical constants")
-    return TotalReducedAction(symmetry, dict(components), quantum_numbers, constants)
+    return TotalReducedAction(symmetry, dict(components), constants)
 
 
 @dataclass(frozen=True)
@@ -478,7 +404,6 @@ class ResidualReport:
     """Summary of one equation's residual samples over a coordinate grid."""
 
     equation: str
-    formula: str
     coords: np.ndarray
     residual: np.ndarray
     max_abs: float
@@ -488,22 +413,21 @@ class ResidualReport:
 
 
 def make_report(
-    equation: ComponentEquation,
+    problem: Effective1DProblem,
     component: ReducedActionComponent,
     window: tuple[int, int] | None = None,
 ) -> ResidualReport:
-    res = component_residual(component, equation)
+    res = component_residual(component, problem)
     start, stop = window if window is not None else (0, component.grid.n)
     body = res[start:stop]
-    c = equation.constants
+    c = problem.constants
     span = component.grid.points[-1] - component.grid.points[0]
-    scale_ref = equation.scale * max(
-        abs(equation.problem.e_eff), c.hbar * c.hbar / (2.0 * c.mass * span * span)
+    scale_ref = problem.scale * max(
+        abs(problem.e_eff), c.hbar * c.hbar / (2.0 * c.mass * span * span)
     )
     max_abs = float(np.max(np.abs(body)))
     return ResidualReport(
-        equation=equation.name,
-        formula=equation.formula,
+        equation=problem.name,
         coords=component.grid.points[start:stop],
         residual=body,
         max_abs=max_abs,
@@ -527,6 +451,9 @@ class LimitScanResult:
 
 
 def _fit_loglog(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    nan = np.isnan(y)
+    if np.any(nan):
+        raise QshjeError(f"classical-limit fit: magnitude is NaN at hbar={float(x[nan][0])!r}")
     usable = y > 0.0
     if int(np.count_nonzero(usable)) < 3:
         raise QshjeError("classical-limit fit needs at least 3 nonzero magnitudes")

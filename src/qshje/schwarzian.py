@@ -139,27 +139,30 @@ def mixed_solutions(pair: SolutionPair, mu: float, nu: float):
     return a, b, da, db
 
 
-def amplitude_derivatives(pair: SolutionPair, mu: float, nu: float):
+def amplitude_derivatives(pair: SolutionPair, a, b, da, db):
     """(D, D', D'') on the full grid, D = a^2 + b^2 the amplitude-squared of
-    the mixed basis.
+    the mixed basis (a, b, a', b') given by mixed_solutions.
 
     D'' = 2(a'^2 + b'^2) + 2 c(q) D uses the pair's own curvature c(q),
     y'' = c y (a and b solve the same equation as y1, y2).
     """
-    a, b, da, db = mixed_solutions(pair, mu, nu)
     d = a * a + b * b
     c = np.asarray(pair.problem.curvature(pair.grid.points), dtype=float)
     return d, 2.0 * (a * da + b * db), 2.0 * (da * da + db * db) + 2.0 * c * d
 
 
-def schwarzian_closed_form(pair: SolutionPair, mu: float, nu: float) -> np.ndarray:
-    """{S; q} = -D''/D + (D')^2/(2 D^2) on the full grid from the pair and its
-    generating equation. No stencil margins: defined at every grid node.
-    """
-    d, dp, dpp = amplitude_derivatives(pair, mu, nu)
+def schwarzian_from_amplitude(d, dp, dpp) -> np.ndarray:
+    """{S; q} = -D''/D + (D')^2/(2 D^2) from the amplitude derivatives."""
     if np.any(d <= 0.0):
         raise DegenerateMobiusError("mixed-basis amplitude vanishes on the grid")
     return -dpp / d + dp * dp / (2.0 * d * d)
+
+
+def schwarzian_closed_form(pair: SolutionPair, mu: float, nu: float) -> np.ndarray:
+    """{S; q} on the full grid from the pair and its generating equation.
+    No stencil margins: defined at every grid node.
+    """
+    return schwarzian_from_amplitude(*amplitude_derivatives(pair, *mixed_solutions(pair, mu, nu)))
 
 
 @dataclass(frozen=True)

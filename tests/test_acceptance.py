@@ -50,7 +50,7 @@ def test_c01_azimuthal_identity():
     worst = 0.0
     for m in (1, 2, 3):
         pair = Q.analytic_azimuthal(m, grid, CONSTANTS)
-        eq = Q.azimuthal_equation(m, CONSTANTS)
+        eq = Q.azimuthal_problem(m, CONSTANTS)
         done = 0
         while done < 5:
             mu, nu = rng.uniform(-1.5, 1.5, size=2)
@@ -162,7 +162,7 @@ def test_c05_coulomb_radial_identity():
     start = time.perf_counter()
     grid = Q.Grid1D.uniform(0.5, 10.0, 2000)
     comp = Q.build_component("r", hydrogen_ground_radial_pair(grid), 0.2, 0.0)
-    eq = Q.spherical_radial_equation(Q.CoulombPotential(1.0), 0, -0.5, CONSTANTS)
+    eq = Q.spherical_radial_problem(Q.CoulombPotential(1.0), 0, -0.5, CONSTANTS)
     worst = float(np.max(np.abs(Q.component_residual(comp, eq))))
     elapsed = time.perf_counter() - start
     report(
@@ -177,7 +177,7 @@ def test_c06_polar_identity():
     # < 1e-5 on [0.2, pi - 0.2]
     grid = Q.Grid1D.uniform(0.2, np.pi - 0.2, 1201)
     comp = Q.build_component("theta", polar_pair(1, 0, grid), 0.3, -0.2)
-    eq = Q.spherical_polar_equation(1, 0, CONSTANTS)
+    eq = Q.spherical_polar_problem(1, 0, CONSTANTS)
     worst = float(np.max(np.abs(Q.component_residual(comp, eq))))
     report(
         "criterion 06 polar identity",
@@ -214,14 +214,14 @@ def test_c07_assembly_error_propagation(hydrogen_total, cylindrical_total):
     # component residuals < eps at a probe point force the assembled 3-D
     # residual under 3 eps (max metric weight)
     hyd_eqs = {
-        "r": Q.spherical_radial_equation(Q.CoulombPotential(1.0), 1, -0.125, CONSTANTS),
-        "theta": Q.spherical_polar_equation(1, 1, CONSTANTS),
-        "phi": Q.azimuthal_equation(1, CONSTANTS),
+        "r": Q.spherical_radial_problem(Q.CoulombPotential(1.0), 1, -0.125, CONSTANTS),
+        "theta": Q.spherical_polar_problem(1, 1, CONSTANTS),
+        "phi": Q.azimuthal_problem(1, CONSTANTS),
     }
     cyl_eqs = {
-        "rho": Q.cylindrical_radial_equation(Q.ZeroPotential(), 1, -1.0, 1.0, CONSTANTS),
-        "phi": Q.azimuthal_equation(1, CONSTANTS),
-        "z": Q.axial_equation(-1.0, CONSTANTS),
+        "rho": Q.cylindrical_radial_problem(Q.ZeroPotential(), 1, -1.0, 1.0, CONSTANTS),
+        "phi": Q.azimuthal_problem(1, CONSTANTS),
+        "z": Q.axial_problem(-1.0, CONSTANTS),
     }
     ok_h, n_h, ratio_h = _assembly_bound_check(*hydrogen_total, hyd_eqs)
     ok_c, n_c, ratio_c = _assembly_bound_check(*cylindrical_total, cyl_eqs)

@@ -93,7 +93,7 @@ def test_verify_parallel_matches_serial(tmp_path):
             assert (serial / name).read_bytes() == (par / name).read_bytes(), name
 
 
-def test_verify_nan_assembled_residual_fails(tmp_path, monkeypatch):
+def test_verify_nan_assembled_residual_fails(tmp_path, monkeypatch, capsys):
     # a NaN Schwarzian sample at a probe node must fail the assembled check
     # instead of dropping out of the lattice maximum
     build_case = cli.build_case
@@ -111,9 +111,11 @@ def test_verify_nan_assembled_residual_fails(tmp_path, monkeypatch):
     summary = read_summary(out / "verify_summary.json")
     assert summary["equations"]["assembled-cylindrical"]["within_tolerance"] is False
     assert summary["all_within_tolerance"] is False
-    # the scan's per-hbar maximum carries the NaN too, so the slope cannot pass
+    # the scan's per-hbar maximum carries the NaN too; the fit names it
+    capsys.readouterr()
     scan = run("limit-scan", "--config", CONFIG_DIR / "cylindrical_free.yaml", "--out", out)
-    assert scan != 0
+    assert scan == 3
+    assert "NaN" in capsys.readouterr().err
 
 
 def test_verify_hydrogen_full_set(tmp_path):
@@ -151,6 +153,13 @@ def test_config_error_exit_code(tmp_path, capsys):
     bad.write_text("symmetry: spherical\ncomponents:\n  phi: {mu: 2.0, nu: 0.5, grid: {min: 0, max: 6.28, count: 101}}\n")
     assert run("verify", "--config", bad, "--out", tmp_path / "o") == 2
     assert "degenerate mixing" in capsys.readouterr().err
+
+    good = CONFIG_DIR / "azimuthal_identity.yaml"
+    for command in ("verify", "limit-scan"):
+        for value in ("nan", "-1"):
+            argv = (command, "--config", good, "--out", tmp_path / "t", "--tolerance", value)
+            assert run(*argv) == 2
+            assert "config error: --tolerance" in capsys.readouterr().err
 
 
 def test_solver_failure_exit_code(tmp_path, capsys):

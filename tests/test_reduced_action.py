@@ -140,7 +140,7 @@ def test_assemble_total_validates_labels(constants):
     pair = Q.analytic_azimuthal(1, grid, constants)
     comp = Q.build_component("phi", pair, 0.0, 0.0)
     with pytest.raises(ValueError, match="needs components"):
-        Q.assemble_total({"phi": comp}, Q.SymmetryClass.SPHERICAL, Q.QuantumNumbers())
+        Q.assemble_total({"phi": comp}, Q.SymmetryClass.SPHERICAL)
 
     other = Q.build_component(
         "z", Q.analytic_axial(0.0, Q.Grid1D.uniform(-3.0, 3.0, 601),
@@ -153,7 +153,7 @@ def test_assemble_total_validates_labels(constants):
         "z": other,
     }
     with pytest.raises(ValueError, match="different physical constants"):
-        Q.assemble_total(comps, Q.SymmetryClass.CYLINDRICAL, Q.QuantumNumbers())
+        Q.assemble_total(comps, Q.SymmetryClass.CYLINDRICAL)
 
 
 def test_total_action_snapping_and_metric(hydrogen_total):
@@ -189,8 +189,7 @@ def test_cartesian_gradient_is_plain_sum(constants):
         lab: Q.build_component(lab, oscillator_axis_pair(grid, lab), 0.3, -0.2)
         for lab in ("x", "y", "z")
     }
-    qn = Q.QuantumNumbers(energy=1.5, axis_energies={"x": 0.5, "y": 0.5, "z": 0.5})
-    total = Q.assemble_total(comps, Q.SymmetryClass.CARTESIAN, qn)
+    total = Q.assemble_total(comps, Q.SymmetryClass.CARTESIAN)
     point = (0.5, -1.0, 2.0)
     idx, _ = total.snap_point(point)
     by_hand = sum(

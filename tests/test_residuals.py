@@ -13,7 +13,7 @@ def test_unmixed_azimuthal_residual_is_machine_zero(constants):
     grid = Q.Grid1D.uniform(0.0, 2.0 * np.pi, 721)
     pair = Q.analytic_azimuthal(1, grid, constants)
     comp = Q.build_component("phi", pair, 0.0, 0.0)
-    res = Q.component_residual(comp, Q.azimuthal_equation(1, constants))
+    res = Q.component_residual(comp, Q.azimuthal_problem(1, constants))
     # cos^2 + sin^2 lands within one ulp of 1, not on it
     assert np.max(np.abs(res)) < 1e-14
 
@@ -24,7 +24,7 @@ def test_azimuthal_identity_random_mixings(constants):
     h2 = constants.hbar**2
     for m in (1, 2, 3):
         pair = Q.analytic_azimuthal(m, grid, constants)
-        eq = Q.azimuthal_equation(m, constants)
+        eq = Q.azimuthal_problem(m, constants)
         done = 0
         while done < 5:
             mu, nu = rng.uniform(-1.5, 1.5, size=2)
@@ -38,14 +38,14 @@ def test_azimuthal_identity_random_mixings(constants):
 def test_polar_residual_with_closed_form(constants):
     grid = Q.Grid1D.uniform(0.2, np.pi - 0.2, 1201)
     comp = Q.build_component("theta", polar_pair(1, 1, grid), 0.3, -0.2)
-    res = Q.component_residual(comp, Q.spherical_polar_equation(1, 1, constants))
+    res = Q.component_residual(comp, Q.spherical_polar_problem(1, 1, constants))
     assert np.max(np.abs(res)) < 1e-9
 
 
 def test_radial_residual_with_numeric_partner(constants):
     grid = Q.Grid1D.uniform(0.5, 10.0, 2000)
     comp = Q.build_component("r", hydrogen_ground_radial_pair(grid), 0.2, 0.0)
-    eq = Q.spherical_radial_equation(Q.CoulombPotential(1.0), 0, -0.5, constants)
+    eq = Q.spherical_radial_problem(Q.CoulombPotential(1.0), 0, -0.5, constants)
     assert np.max(np.abs(Q.component_residual(comp, eq))) < 1e-6
 
 
@@ -54,7 +54,7 @@ def test_wrong_energy_shows_flat_offset(constants):
     # flat plateau equal to the energy offset, not a small number
     grid = Q.Grid1D.uniform(0.5, 10.0, 2000)
     comp = Q.build_component("r", hydrogen_ground_radial_pair(grid), 0.2, 0.0)
-    eq = Q.spherical_radial_equation(Q.CoulombPotential(1.0), 0, -0.4, constants)
+    eq = Q.spherical_radial_problem(Q.CoulombPotential(1.0), 0, -0.4, constants)
     res = Q.component_residual(comp, eq)
     np.testing.assert_allclose(res, -0.1, atol=1e-6)
 
@@ -62,7 +62,7 @@ def test_wrong_energy_shows_flat_offset(constants):
 def test_residual_invariant_under_basis_change(constants):
     grid = Q.Grid1D.uniform(0.0, 2.0 * np.pi, 2001)
     pair = Q.analytic_azimuthal(2, grid, constants)
-    eq = Q.azimuthal_equation(2, constants)
+    eq = Q.azimuthal_problem(2, constants)
     base = Q.component_residual(Q.build_component("phi", pair, 0.7, -0.2), eq)
     rng = np.random.default_rng(23)
     for _ in range(10):
@@ -75,15 +75,60 @@ def test_residual_invariant_under_basis_change(constants):
 
 
 def test_component_equation_metadata(constants):
-    eq = Q.azimuthal_equation(2, constants)
+    eq = Q.azimuthal_problem(2, constants)
     assert eq.name == "azimuthal"
     assert eq.scale == 2.0 * constants.mass
     assert "m^2*hbar^2" in eq.formula
-    radial = Q.spherical_radial_equation(Q.CoulombPotential(1.0), 1, -0.125, constants)
+    radial = Q.spherical_radial_problem(Q.CoulombPotential(1.0), 1, -0.125, constants)
     assert radial.name == "radial-spherical"
     assert radial.scale == 1.0
-    axis = Q.cartesian_axis_equation(Q.HarmonicPotential(1.0), 0.5, constants, "y")
+    axis = Q.cartesian_axis_problem("y", Q.HarmonicPotential(1.0), 0.5, constants)
     assert axis.name == "cartesian-axis-y"
+
+    # the identity of every separated equation, in a mass that tells 2m from 1
+    heavy = Q.PhysConstants(hbar=0.7, mass=3.2)
+    pinned = [
+        (
+            Q.cartesian_axis_problem("y", Q.HarmonicPotential(1.0), 0.5, heavy),
+            "cartesian-axis-y",
+            "(dS_y)^2/(2m) + (hbar^2/(4m))*{S_y;y} + V_y(y) - E_y",
+            1.0,
+        ),
+        (
+            Q.spherical_radial_problem(Q.CoulombPotential(1.0), 1, -0.125, heavy),
+            "radial-spherical",
+            "(dS_r)^2/(2m) + (hbar^2/(4m))*{S_r;r} + V(r) + l(l+1)*hbar^2/(2m r^2) - E",
+            1.0,
+        ),
+        (
+            Q.spherical_polar_problem(1, 1, heavy),
+            "polar-spherical",
+            "(dS_theta)^2 + (hbar^2/2)*{S_theta;theta}"
+            " + (m_l^2 - 1/4)*hbar^2/sin^2(theta) - (l(l+1) + 1/4)*hbar^2",
+            6.4,
+        ),
+        (
+            Q.azimuthal_problem(2, heavy),
+            "azimuthal",
+            "(dS_phi)^2 + (hbar^2/2)*{S_phi;phi} - m^2*hbar^2",
+            6.4,
+        ),
+        (
+            Q.cylindrical_radial_problem(Q.ZeroPotential(), 1, -1.0, 1.0, heavy),
+            "radial-cylindrical",
+            "(dS_rho)^2/(2m) + (hbar^2/(4m))*{S_rho;rho} + V(rho)"
+            " + (m_phi^2 - 1/4)*hbar^2/(2m rho^2) - beta*hbar^2/(2m) - E",
+            1.0,
+        ),
+        (
+            Q.axial_problem(-1.0, heavy),
+            "axial",
+            "(dS_z)^2 + (hbar^2/2)*{S_z;z} + beta*hbar^2",
+            6.4,
+        ),
+    ]
+    for problem, name, formula, scale in pinned:
+        assert (problem.name, problem.formula, problem.scale) == (name, formula, scale)
 
 
 def test_assembled_equation_validation(constants):
@@ -103,13 +148,13 @@ def test_assembly_identity_two_routes(hydrogen_total, constants):
     residuals = {
         "r": Q.component_residual(
             total.components["r"],
-            Q.spherical_radial_equation(Q.CoulombPotential(1.0), 1, -0.125, constants),
+            Q.spherical_radial_problem(Q.CoulombPotential(1.0), 1, -0.125, constants),
         ),
         "theta": Q.component_residual(
-            total.components["theta"], Q.spherical_polar_equation(1, 1, constants)
+            total.components["theta"], Q.spherical_polar_problem(1, 1, constants)
         ),
         "phi": Q.component_residual(
-            total.components["phi"], Q.azimuthal_equation(1, constants)
+            total.components["phi"], Q.azimuthal_problem(1, constants)
         ),
     }
     for point in Q.probe_lattice(total, per_coordinate=4):
@@ -124,13 +169,13 @@ def test_cylindrical_assembly(cylindrical_total, constants):
     residuals = {
         "rho": Q.component_residual(
             total.components["rho"],
-            Q.cylindrical_radial_equation(Q.ZeroPotential(), 1, -1.0, 1.0, constants),
+            Q.cylindrical_radial_problem(Q.ZeroPotential(), 1, -1.0, 1.0, constants),
         ),
         "phi": Q.component_residual(
-            total.components["phi"], Q.azimuthal_equation(1, constants)
+            total.components["phi"], Q.azimuthal_problem(1, constants)
         ),
         "z": Q.component_residual(
-            total.components["z"], Q.axial_equation(-1.0, constants)
+            total.components["z"], Q.axial_problem(-1.0, constants)
         ),
     }
     for point in Q.probe_lattice(total, per_coordinate=3):
@@ -274,7 +319,7 @@ def test_make_report_scales(constants):
     grid = Q.Grid1D.uniform(0.0, 2.0 * np.pi, 721)
     pair = Q.analytic_azimuthal(2, grid, constants)
     comp = Q.build_component("phi", pair, 1.5, 0.3)
-    eq = Q.azimuthal_equation(2, constants)
+    eq = Q.azimuthal_problem(2, constants)
     report = Q.make_report(eq, comp)
     # scale reference: equation scale times max(|e_eff|, hbar^2/(2 m L^2))
     assert report.scale_ref == pytest.approx(2.0 * 2.0)
@@ -291,10 +336,10 @@ def test_component_residual_at_scaled_hbar(constants):
     grid = Q.Grid1D.uniform(0.0, 2.0 * np.pi, 721)
     pair = Q.analytic_azimuthal(2, grid, constants)
     comp = Q.build_component("phi", pair, 0.4, -0.3)
-    eq = Q.azimuthal_equation(2, constants)
+    eq = Q.azimuthal_problem(2, constants)
     half = Q.PhysConstants(hbar=0.5, mass=constants.mass)
     res_half = Q.component_residual(comp, eq, constants=half)
     kinetic = comp.ds**2 / (2.0 * half.mass)
     quantum = (half.hbar**2 / (4.0 * half.mass)) * comp.schwarzian
-    expected = eq.scale * (kinetic + quantum - eq.problem.e_eff)
+    expected = eq.scale * (kinetic + quantum - eq.e_eff)
     np.testing.assert_allclose(res_half, expected, rtol=1e-14)
