@@ -12,7 +12,6 @@ from enum import Enum
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import GridDomainError
 
@@ -184,6 +183,8 @@ class TabulatedPotential(PotentialSpec):
             raise ValueError("tabulated potential abscissae must be strictly increasing")
         if not np.all(np.isfinite(values)):
             raise ValueError("tabulated potential values must be finite")
+        from scipy.interpolate import CubicSpline  # lazy: keeps scipy out of `import qshje`
+
         self.points = points
         self.values = values
         self._spline = CubicSpline(points, values)
@@ -244,6 +245,10 @@ class Effective1DProblem:
     The pair equation is -(hbar^2/2m) y'' + (v_eff(q) - e_eff) y = 0,
     equivalently y'' = curvature(q) y. Its QSHJE residual, headed by name and
     formula, is scale times (dS)^2/2m + (hbar^2/4m){S;q} + v_eff - e_eff.
+
+    v_eff must be vectorised: it takes an array of any shape and returns one
+    value per element. solve_pair calls curvature once per sweep, on the
+    (cells, substeps, 3) array of all RK4 stage nodes.
     """
 
     label: str

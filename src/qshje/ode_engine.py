@@ -189,37 +189,52 @@ def analytic_axial(beta: float, grid: Grid1D, constants: PhysConstants | None = 
     )
 
 
+def _rk4_column(c_cells: list, h_cells: list, y: float, dy: float):
+    """RK4 recurrence of one solution on Python floats.
+
+    c_cells[i] holds (c(q), c(q + h/2), c(q + h)) for every substep of cell i.
+    Returns the node values, the node derivatives and the index of the first
+    cell that ends past the overflow limit (None if none does).
+    """
+    ys, dys = [y], [dy]
+    for i, (h, stages) in enumerate(zip(h_cells, c_cells)):
+        half, sixth = 0.5 * h, h / 6.0
+        for c1, c2, c4 in stages:
+            k1y, k1d = dy, c1 * y
+            k2y, k2d = dy + half * k1d, c2 * (y + half * k1y)
+            k3y, k3d = dy + half * k2d, c2 * (y + half * k2y)
+            k4y, k4d = dy + h * k3d, c4 * (y + h * k3y)
+            y = y + sixth * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
+            dy = dy + sixth * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
+        if abs(y) > _OVERFLOW_LIMIT or abs(dy) > _OVERFLOW_LIMIT:
+            return ys, dys, i
+        ys.append(y)
+        dys.append(dy)
+    return ys, dys, None
+
+
 def _rk4_sweep(curvature, q_nodes: np.ndarray, state0: np.ndarray, substeps: int):
     """Propagate u'' = c(q) u from q_nodes[0] through all nodes.
 
     state has shape (2, k): row 0 the values, row 1 the derivatives of k
     simultaneous solutions. Returns (values, derivatives) at every node.
+    The curvature is evaluated once, on the stage nodes of every substep.
     """
-    state = state0.astype(float).copy()
-    us = [state[0].copy()]
-    dus = [state[1].copy()]
-
-    def f(q, s):
-        return np.vstack((s[1], curvature(q) * s[0]))
-
-    for i in range(len(q_nodes) - 1):
-        q = q_nodes[i]
-        h_cell = (q_nodes[i + 1] - q_nodes[i]) / substeps
-        for _ in range(substeps):
-            k1 = f(q, state)
-            k2 = f(q + 0.5 * h_cell, state + 0.5 * h_cell * k1)
-            k3 = f(q + 0.5 * h_cell, state + 0.5 * h_cell * k2)
-            k4 = f(q + h_cell, state + h_cell * k3)
-            state = state + (h_cell / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            q = q + h_cell
-        if np.any(np.abs(state) > _OVERFLOW_LIMIT):
-            raise SolverFailure(
-                f"solution magnitude exceeded {_OVERFLOW_LIMIT:g} near q = {q_nodes[i + 1]!r} "
-                "(classically forbidden growth); shrink the domain or move the anchor"
-            )
-        us.append(state[0].copy())
-        dus.append(state[1].copy())
-    return np.array(us), np.array(dus)
+    h_cell = np.diff(q_nodes) / substeps
+    # each cell starts at its node and adds h_cell once per substep, in order
+    h = h_cell[:, None]
+    q = np.cumsum(np.column_stack((q_nodes[:-1], np.repeat(h, substeps - 1, axis=1))), axis=1)
+    c_cells = curvature(np.stack((q, q + 0.5 * h, q + h), axis=-1)).tolist()
+    h_cells = h_cell.tolist()
+    ys, dys, ends = zip(*(_rk4_column(c_cells, h_cells, y, dy) for y, dy in state0.T.tolist()))
+    overflow = [i for i in ends if i is not None]
+    if overflow:
+        q_end = float(q_nodes[min(overflow) + 1])
+        raise SolverFailure(
+            f"solution magnitude exceeded {_OVERFLOW_LIMIT:g} near q = {q_end!r} "
+            "(classically forbidden growth); shrink the domain or move the anchor"
+        )
+    return np.array(ys).T, np.array(dys).T
 
 
 def solve_pair(

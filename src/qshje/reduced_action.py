@@ -17,9 +17,9 @@ hbar (1 - mu nu) W identically.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .domain import PhysConstants
 from .errors import GridDomainError, QshjeError
@@ -41,7 +41,7 @@ class ReducedActionComponent:
     amplitude: np.ndarray
     schwarzian: np.ndarray
     branch_residual: float
-    _spline: CubicSpline | None = field(default=None, repr=False)
+    _spline: Callable | None = field(default=None, repr=False)
 
     @property
     def grid(self) -> Grid1D:
@@ -131,6 +131,8 @@ def conjugate_momentum(component: ReducedActionComponent, at) -> float | np.ndar
     if np.any(at_arr < pts[0]) or np.any(at_arr > pts[-1]):
         raise GridDomainError(f"requested coordinate outside the grid [{pts[0]}, {pts[-1]}]")
     if component._spline is None:
+        from scipy.interpolate import CubicSpline  # lazy: keeps scipy out of `import qshje`
+
         component._spline = CubicSpline(pts, component.ds)
     out = component._spline(at_arr)
     return float(out) if np.isscalar(at) else out

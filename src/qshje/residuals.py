@@ -506,9 +506,12 @@ def classical_limit_scan(
         # zeroing the angular momenta first removes these gradient terms
         # from the would-be classical equation; the gap survives hbar -> 0
         gaps = sum(ds[k] * ds[k] / metric[k] for k in row.wrong_order_axes)
-        gaps_arr = np.full(hv.size, np.max(gaps / (2.0 * equation.constants.mass)))
+        gap = np.max(gaps / (2.0 * equation.constants.mass))
+        if np.isnan(gap):
+            raise QshjeError("wrong-order gap is NaN at a probe point")
+        gaps_arr = np.full(hv.size, gap)
         gap_slope = 0.0
-        if np.all(gaps_arr > 0.0):
+        if gap > 0.0:
             gap_slope, _ = _fit_loglog(hv, gaps_arr)
         gaps_out = tuple(float(g) for g in gaps_arr)
 

@@ -1,6 +1,9 @@
 import dataclasses
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -230,6 +233,26 @@ def test_limit_scan_hydrogen(tmp_path):
     assert len(gaps) == 1  # the gap column never shrinks with hbar
 
 
+def test_limit_scan_nan_wrong_order_gap_fails(tmp_path, monkeypatch, capsys):
+    # a NaN momentum at a theta probe node must not pass as a zero gap
+    build_case = cli.build_case
+
+    def with_nan(cfg):
+        case = build_case(cfg)
+        comp = case.components["theta"]
+        node = probe_axis_values(comp.grid.points, cfg.probe_per_coordinate)[1]
+        comp.ds[comp.grid.points == node] = np.nan
+        return case
+
+    monkeypatch.setattr(cli, "build_case", with_nan)
+    code = run(
+        "limit-scan", "--config", CONFIG_DIR / "spherical_hydrogen.yaml",
+        "--out", tmp_path / "scan", "--wrong-order-demo",
+    )
+    assert code == 3
+    assert "NaN" in capsys.readouterr().err
+
+
 def test_limit_scan_exit_matches_summary(tmp_path):
     code = run(
         "limit-scan", "--config", CONFIG_DIR / "cylindrical_free.yaml",
@@ -300,3 +323,14 @@ def test_solve_cartesian_oscillator(tmp_path):
     meta = read_summary(out / "solve_summary.json")
     assert meta["components"]["x"]["provenance"] == "numerical"
     assert abs(meta["components"]["x"]["wronskian_drift"]) < 1e-6
+
+
+def test_importing_the_cli_leaves_scipy_unloaded():
+    # scipy is only needed for tabulated potentials and conjugate_momentum
+    src = str(pathlib.Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    probe = "import sys, qshje.cli; print(sorted(m for m in sys.modules if 'scipy' in m))"
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "[]"

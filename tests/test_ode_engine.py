@@ -1,3 +1,6 @@
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 from scipy.special import expi
@@ -181,7 +184,8 @@ def test_solve_pair_overflow_reports_location(constants):
     # harmonic well integrated deep into the forbidden region blows up
     prob = Q.cartesian_axis_problem("x", Q.HarmonicPotential(1.0), 0.5, constants)
     grid = Q.Grid1D.uniform(-40.0, 40.0, 801)
-    with pytest.raises(Q.SolverFailure, match="magnitude exceeded"):
+    where = re.escape("exceeded 1e+160 near q = 27.299999999999997 (")
+    with pytest.raises(Q.SolverFailure, match=where):
         Q.solve_pair(prob, grid, substeps=2)
 
 
@@ -200,3 +204,98 @@ def test_wronskian_tolerance_enforced(constants):
     grid = Q.Grid1D.uniform(-3.0, 3.0, 51)
     with pytest.raises(Q.SolverFailure, match="drift"):
         Q.solve_pair(prob, grid, wronskian_tol=1e-12)
+
+
+def _per_point_sweep(curvature, q_nodes, state0, substeps):
+    """Reference RK4 loop: one curvature call per stage, numpy state, same
+    operation order as the propagator."""
+    state = state0.astype(float).copy()
+    us = [state[0].copy()]
+    dus = [state[1].copy()]
+
+    def f(q, s):
+        return np.vstack((s[1], curvature(q) * s[0]))
+
+    for i in range(len(q_nodes) - 1):
+        q = q_nodes[i]
+        h_cell = (q_nodes[i + 1] - q_nodes[i]) / substeps
+        for _ in range(substeps):
+            k1 = f(q, state)
+            k2 = f(q + 0.5 * h_cell, state + 0.5 * h_cell * k1)
+            k3 = f(q + 0.5 * h_cell, state + 0.5 * h_cell * k2)
+            k4 = f(q + h_cell, state + h_cell * k3)
+            state = state + (h_cell / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            q = q + h_cell
+        us.append(state[0].copy())
+        dus.append(state[1].copy())
+    return np.array(us), np.array(dus)
+
+
+def _per_point_pair(problem, grid, seeds, anchor, substeps):
+    (v1, d1), (v2, d2) = seeds
+    state0 = np.array([[v1, v2], [d1, d2]])
+    pts = grid.points
+    u_r, du_r = _per_point_sweep(problem.curvature, pts[anchor:], state0, substeps)
+    u_l, du_l = _per_point_sweep(problem.curvature, pts[anchor::-1], state0, substeps)
+    u = np.vstack((u_l[::-1][:-1], u_r))
+    du = np.vstack((du_l[::-1][:-1], du_r))
+    return u[:, 0], u[:, 1], du[:, 0], du[:, 1]
+
+
+def _oracle_cases(constants):
+    table = np.linspace(-4.5, 4.5, 40)
+    tabulated = Q.TabulatedPotential(table, 0.5 * table**2 + 0.1 * np.sin(3.0 * table))
+    ragged = np.concatenate([np.linspace(-3.0, 0.0, 90), np.geomspace(0.02, 3.0, 70)])
+    return {
+        "coulomb-ell1": (
+            Q.spherical_radial_problem(Q.CoulombPotential(1.0), 1, -0.125, constants),
+            Q.Grid1D.uniform(0.5, 12.0, 241),
+        ),
+        "polar-m1": (
+            Q.spherical_polar_problem(1, 1, constants),
+            Q.Grid1D.uniform(0.2, np.pi - 0.2, 181),
+        ),
+        "harmonic-axis": (
+            Q.cartesian_axis_problem("x", Q.HarmonicPotential(1.3), 0.65, constants),
+            Q.Grid1D.uniform(-4.0, 4.0, 161),
+        ),
+        "tabulated": (
+            Q.cartesian_axis_problem("y", tabulated, 0.7, constants),
+            Q.Grid1D.uniform(-4.0, 4.0, 161),
+        ),
+        "nonuniform": (
+            Q.cartesian_axis_problem("x", Q.HarmonicPotential(1.0), 0.5, constants),
+            Q.Grid1D(ragged),
+        ),
+    }
+
+
+@pytest.mark.parametrize(
+    "name", ["coulomb-ell1", "polar-m1", "harmonic-axis", "tabulated", "nonuniform"]
+)
+def test_solve_pair_matches_per_point_loop_bit_for_bit(constants, name):
+    problem, grid = _oracle_cases(constants)[name]
+    seeds = ((0.3, 1.1), (0.9, -0.2))
+    for substeps in (1, 3):
+        for anchor in (0, grid.midpoint_index, grid.n - 1):
+            pair = Q.solve_pair(
+                problem, grid, seeds=seeds, anchor_index=anchor, substeps=substeps,
+                wronskian_tol=1.0,
+            )
+            expected = _per_point_pair(problem, grid, seeds, anchor, substeps)
+            for got, want in zip((pair.y1, pair.y2, pair.dy1, pair.dy2), expected):
+                assert np.array_equal(got, want), (substeps, anchor)
+
+
+def test_solve_pair_evaluates_curvature_once_per_sweep(constants):
+    shapes = []
+    base = Q.cartesian_axis_problem("x", Q.HarmonicPotential(1.0), 0.5, constants)
+
+    def counted(q):
+        shapes.append(np.shape(q))
+        return base.v_eff(q)
+
+    problem = dataclasses.replace(base, v_eff=counted)
+    Q.solve_pair(problem, Q.Grid1D.uniform(-3.0, 3.0, 101), substeps=3)
+    # (cells, substeps, stage nodes q, q + h/2, q + h) for each of the two sweeps
+    assert shapes == [(50, 3, 3), (50, 3, 3)]
