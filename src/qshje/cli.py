@@ -119,10 +119,12 @@ def cmd_solve(cfg: RunConfig, out_dir: str, fmt: str) -> int:
         comp = case.components[label]
         eq = case.equations[label]
         w = comp.pair.wronskian_samples()
-        rows = zip(
+        columns = (
             comp.grid.points, comp.pair.y1, comp.pair.y2, w,
             comp.s, comp.ds, comp.amplitude, comp.schwarzian,
         )
+        # Python floats format faster than numpy scalars, to the same bytes
+        rows = zip(*(col.tolist() for col in columns))
         write_table(
             os.path.join(out_dir, f"component_{label}"),
             eq.name,
@@ -152,7 +154,11 @@ def cmd_verify(cfg: RunConfig, out_dir: str, fmt: str, tolerance: float) -> int:
         eq = case.equations[label]
         report = make_report(eq, comp)
         residuals[label] = report.residual
-        rows = zip(report.coords, report.residual, report.residual / report.scale_ref)
+        rows = zip(
+            report.coords.tolist(),
+            report.residual.tolist(),
+            (report.residual / report.scale_ref).tolist(),
+        )
         write_table(
             os.path.join(out_dir, f"residual_{eq.name}"),
             eq.name,
@@ -162,6 +168,14 @@ def cmd_verify(cfg: RunConfig, out_dir: str, fmt: str, tolerance: float) -> int:
             fmt=fmt,
         )
         ok = report.max_abs <= tolerance
+        nan = np.isnan(report.residual)
+        if nan.any():
+            print(
+                f"verify: {eq.name} residual is NaN at {label} = "
+                f"{float(report.coords[np.argmax(nan)])!r}, the first of "
+                f"{int(nan.sum())} NaN samples",
+                file=sys.stderr,
+            )
         all_pass = all_pass and ok
         summary["equations"][eq.name] = {
             "component": label,
@@ -179,7 +193,10 @@ def cmd_verify(cfg: RunConfig, out_dir: str, fmt: str, tolerance: float) -> int:
         direct = assembled_residual(total, aeq, axes, mode="quantum").ravel()
         summed = component_weighted_sum(total, residuals, axes).ravel()
         gap = np.abs(direct - summed)
-        rows = [(*p, d, s, g) for p, d, s, g in zip(points, direct, summed, gap)]
+        rows = (
+            (*p, d, s, g)
+            for p, d, s, g in zip(points, direct.tolist(), summed.tolist(), gap.tolist())
+        )
         # np.max propagates NaN, so a NaN residual fails the tolerance check
         max_assembled = float(np.max(np.abs(direct)))
         max_gap = float(np.max(gap))
@@ -282,7 +299,7 @@ def cmd_spin_report(cfg: RunConfig, out_dir: str, fmt: str) -> int:
         f"residual-quantum-terms-{cfg.symmetry.value}",
         row.spin_formula,
         [*needed, *terms],
-        zip(*columns),
+        zip(*(col.tolist() for col in columns)),
         fmt=fmt,
     )
     coeff = columns[-1]

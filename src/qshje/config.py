@@ -347,7 +347,7 @@ def parse_config(data: dict, source_name: str = "config") -> RunConfig:
 def load_config(path: str) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = yaml.safe_load(fh)
+            data = yaml.load(fh, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
     except yaml.YAMLError as exc:

@@ -294,9 +294,12 @@ def solve_pair(
     )
     drift = pair.wronskian_drift()
     if drift > wronskian_tol:
+        peak1, peak2 = float(np.max(np.abs(pair.y1))), float(np.max(np.abs(pair.y2)))
         raise SolverFailure(
-            f"Wronskian drift {drift:.3e} exceeds tolerance {wronskian_tol:.1e}; "
-            "refine the grid or raise substeps"
+            f"Wronskian drift {drift:.3e} exceeds tolerance {wronskian_tol:.1e} "
+            f"(largest |y1| {peak1:.3e}, |y2| {peak2:.3e}); either the solutions grow "
+            "through a classically forbidden region (shrink the domain or check the "
+            "energy) or the step is too coarse (refine the grid or raise substeps)"
         )
     return pair
 

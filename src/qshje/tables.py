@@ -4,17 +4,25 @@ Floats are rendered with 17 significant digits so identical runs produce
 byte-identical files; no timestamps or environment data are embedded. Every
 table opens with a comment line naming the equation it verifies and the
 formula being evaluated.
+
+A table row whose cells are all floats is rendered with one ``%.17g`` format
+per row; rows holding bools, ints, None or strings are rendered cell by cell.
+Both give the same bytes.
 """
 from __future__ import annotations
 
+import functools
 import math
 import os
 from typing import Iterable, Sequence
 
+import numpy as np
+
+# cell types a row may hold and still take the one-format-per-row path
+_FLOAT_TYPES = frozenset((float, np.float64))
+
 
 def format_float(x: float) -> str:
-    if isinstance(x, float) and not math.isfinite(x):
-        return "nan" if math.isnan(x) else ("inf" if x > 0 else "-inf")
     return f"{x:.17g}"
 
 
@@ -51,13 +59,20 @@ def write_table(
         out = f"{base}.csv"
         lines = [f"# equation: {equation} | {formula}", ",".join(columns)]
         for row in rows:
-            lines.append(",".join(_cell(v) for v in row))
+            row = tuple(row)
+            line = _float_line(row, ",")
+            lines.append(line if line is not None else ",".join(_cell(v) for v in row))
         payload = "\n".join(lines) + "\n"
     elif fmt == "json":
         out = f"{base}.json"
         body_rows = []
         for row in rows:
-            body_rows.append("[" + ", ".join(_json_scalar(v) for v in row) + "]")
+            row = tuple(row)
+            line = _float_line(row, ", ")
+            # a finite float prints without the letter n; nan and inf need null
+            if line is None or "n" in line:
+                line = ", ".join(_json_scalar(v) for v in row)
+            body_rows.append("[" + line + "]")
         payload = (
             "{\n"
             f'  "equation": {_json_string(equation)},\n'
@@ -71,6 +86,18 @@ def write_table(
     with open(out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(payload)
     return out
+
+
+@functools.lru_cache(maxsize=64)
+def _row_template(width: int, sep: str) -> str:
+    return sep.join(["%.17g"] * width)
+
+
+def _float_line(row: tuple, sep: str) -> str | None:
+    """The row as one ``%.17g`` format if every cell is a float, else None."""
+    if not _FLOAT_TYPES.issuperset(map(type, row)):
+        return None
+    return _row_template(len(row), sep) % row
 
 
 def _json_string(s: str) -> str:

@@ -121,6 +121,29 @@ def test_verify_nan_assembled_residual_fails(tmp_path, monkeypatch, capsys):
     assert "NaN" in capsys.readouterr().err
 
 
+def test_verify_names_a_nan_component_residual(tmp_path, monkeypatch, capsys):
+    build_case = cli.build_case
+    node = {}
+
+    def with_nan(cfg):
+        case = build_case(cfg)
+        comp = case.components["theta"]
+        node["theta"] = float(comp.grid.points[300])
+        comp.ds[300] = np.nan
+        return case
+
+    monkeypatch.setattr(cli, "build_case", with_nan)
+    out = tmp_path / "nan"
+    assert run("verify", "--config", CONFIG_DIR / "spherical_hydrogen.yaml", "--out", out) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [
+        f"verify: polar-spherical residual is NaN at theta = {node['theta']!r}, "
+        "the first of 1 NaN samples"
+    ]
+    summary = read_summary(out / "verify_summary.json")
+    assert summary["equations"]["polar-spherical"]["within_tolerance"] is False
+
+
 def test_verify_hydrogen_full_set(tmp_path):
     out = tmp_path / "hyd"
     code = run("verify", "--config", CONFIG_DIR / "spherical_hydrogen.yaml", "--out", out)
@@ -184,6 +207,21 @@ def test_solver_failure_exit_code(tmp_path, capsys):
     path.write_text(yaml.safe_dump(cfg))
     assert run("solve", "--config", path, "--out", tmp_path / "o") == 3
     assert "solver failure" in capsys.readouterr().err
+
+
+def test_forbidden_growth_drift_names_its_likely_cause(tmp_path, capsys):
+    # with hbar 0.9 and mass 1.7 the axis energies 0.5 are not eigenvalues and
+    # the solutions grow to ~1e13 at the grid ends, well below the overflow limit
+    cfg = yaml.safe_load((CONFIG_DIR / "cartesian_oscillator.yaml").read_text())
+    cfg["constants"] = {"hbar": 0.9, "mass": 1.7}
+    path = tmp_path / "forbidden.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    assert run("solve", "--config", path, "--out", tmp_path / "o") == 3
+    err = capsys.readouterr().err
+    assert "solver failure: Wronskian drift" in err
+    assert "(largest |y1| 3.072e+12, |y2| 2.181e+13)" in err
+    assert "classically forbidden region (shrink the domain or check the energy)" in err
+    assert "refine the grid or raise substeps" in err
 
 
 def test_analytic_source_requires_catalog(tmp_path, capsys):

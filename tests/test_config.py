@@ -3,6 +3,7 @@ import pathlib
 
 import numpy as np
 import pytest
+import yaml
 
 import qshje as Q
 
@@ -233,6 +234,14 @@ def test_load_config_file_errors(tmp_path):
     scalar.write_text("42\n")
     with pytest.raises(Q.ConfigError, match="expected a mapping"):
         Q.load_config(str(scalar))
+
+
+@pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.yaml")), ids=lambda p: p.stem)
+def test_libyaml_loader_reads_shipped_configs_like_the_python_loader(path):
+    # load_config parses with libyaml when PyYAML was built with it
+    text = path.read_text()
+    fast = yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+    assert fast == yaml.safe_load(text)
 
 
 def test_default_hbar_scan_spans_a_factor_32():

@@ -1,5 +1,6 @@
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -74,3 +75,106 @@ def test_summary_is_byte_stable(tmp_path):
     write_summary(p1, payload)
     write_summary(p2, payload)
     assert (tmp_path / "one.json").read_bytes() == (tmp_path / "two.json").read_bytes()
+
+
+# The cell-by-cell rendering every table row went through before float rows
+# took one %.17g format per row; the fast path must give the same bytes.
+def _ref_format_float(x):
+    if isinstance(x, float) and not math.isfinite(x):
+        return "nan" if math.isnan(x) else ("inf" if x > 0 else "-inf")
+    return f"{x:.17g}"
+
+
+def _ref_plain(value):
+    if hasattr(value, "item") and not isinstance(value, (str, bytes, bool, int, float)):
+        return value.item()
+    return value
+
+
+def _ref_cell(value):
+    value = _ref_plain(value)
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return _ref_format_float(value)
+    return str(value)
+
+
+def _ref_json_scalar(value):
+    value = _ref_plain(value)
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return _ref_format_float(value) if math.isfinite(value) else "null"
+    if isinstance(value, int):
+        return str(value)
+    if value is None:
+        return "null"
+    escaped = (
+        str(value)
+        .replace("\\", "\\\\")
+        .replace('"', '\\"')
+        .replace("\n", "\\n")
+        .replace("\t", "\\t")
+    )
+    return f'"{escaped}"'
+
+
+def _ref_payload(equation, formula, columns, rows, fmt):
+    if fmt == "csv":
+        lines = [f"# equation: {equation} | {formula}", ",".join(columns)]
+        lines += [",".join(_ref_cell(v) for v in row) for row in rows]
+        return "\n".join(lines) + "\n"
+    body = ["[" + ", ".join(_ref_json_scalar(v) for v in row) + "]" for row in rows]
+    return (
+        "{\n"
+        f'  "equation": "{equation}",\n'
+        f'  "formula": "{formula}",\n'
+        '  "columns": [' + ", ".join(f'"{c}"' for c in columns) + "],\n"
+        '  "rows": [\n    ' + ",\n    ".join(body) + "\n  ]\n"
+        "}\n"
+    )
+
+
+_EDGE_FLOATS = [
+    float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 5e-324, 1e308, -1e308,
+    1.0 / 3.0, 0.1, 2.0**52 + 1.0, 1e16, 123456789.0, 1e-5,
+]
+
+_ORACLE_TABLES = {
+    "floats": [
+        tuple(_EDGE_FLOATS[(i + k) % len(_EDGE_FLOATS)] for k in range(4))
+        for i in range(len(_EDGE_FLOATS))
+    ],
+    "numpy-floats": [
+        (np.float64(x), x, np.float64(-x), 1.0 / 3.0) for x in _EDGE_FLOATS
+    ],
+    "finite-only": [(0.5, np.float64(1e308), 5e-324, -0.0), (1.0 / 3.0, 1e-300, 2.5, 7.0)],
+    "mixed-types": [
+        (0.5, True, 3, None),
+        (np.float64("nan"), np.bool_(False), np.int64(-7), "label"),
+        (np.float32(0.1), float("-inf"), 2, 'quote"d\ttab\\'),
+        (1.0 / 3.0, 0.25, 1e308, 5e-324),
+        (0.5, np.bool_(True), 1e308, False),
+        (2**60, 0.5, -3, 1.0),
+    ],
+    "list-rows": [[0.5, float("nan"), -0.0, 1e-5], [1.0 / 3.0, 5e-324, 0.25, 1.5]],
+    "ndarray-rows": np.array([[0.5, np.nan, -0.0, 1e-5], [1.0 / 3.0, 5e-324, np.inf, 1.5]]),
+    "uneven-widths": [(0.5,), (0.5, 1.5), (), (np.float64(2.0), float("inf"), -0.0)],
+    "empty": [],
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("name", sorted(_ORACLE_TABLES))
+def test_write_table_matches_cell_by_cell_rendering(tmp_path, name, fmt):
+    rows = _ORACLE_TABLES[name]
+    columns = ["a", "b", "c", "d"]
+    out = write_table(str(tmp_path / name), "eq", "f = 0", columns, rows, fmt=fmt)
+    expected = _ref_payload("eq", "f = 0", columns, rows, fmt)
+    assert pathlib.Path(out).read_bytes() == expected.encode("utf-8")
+    # rows may arrive as a one-shot generator
+    again = write_table(
+        str(tmp_path / f"{name}-gen"), "eq", "f = 0", columns, (r for r in rows), fmt=fmt
+    )
+    assert pathlib.Path(again).read_bytes() == expected.encode("utf-8")
