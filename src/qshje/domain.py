@@ -15,8 +15,6 @@ import numpy as np
 
 from .errors import GridDomainError
 
-ArrayLike = "np.ndarray | float"
-
 
 @dataclass(frozen=True)
 class PhysConstants:
@@ -79,10 +77,6 @@ class QuantumNumbers:
         if abs(self.m_ell) > self.ell:
             raise ValueError(f"|m_ell| must be <= ell, got m_ell={self.m_ell}, ell={self.ell}")
 
-    @property
-    def lam(self) -> int:
-        return lambda_from_ell(self.ell)
-
     def check_axis_energies(self, labels: tuple[str, ...], rtol: float = 1e-12) -> None:
         missing = [q for q in labels if q not in self.axis_energies]
         if missing:
@@ -102,9 +96,6 @@ class PotentialSpec:
 
     def evaluate(self, q, constants: PhysConstants):
         raise NotImplementedError
-
-    def parameters(self) -> dict:
-        return {}
 
 
 @dataclass(frozen=True)
@@ -126,9 +117,6 @@ class HarmonicPotential(PotentialSpec):
         q = np.asarray(q, dtype=float)
         return 0.5 * constants.mass * self.omega**2 * q * q
 
-    def parameters(self) -> dict:
-        return {"omega": self.omega}
-
 
 @dataclass(frozen=True)
 class CoulombPotential(PotentialSpec):
@@ -142,9 +130,6 @@ class CoulombPotential(PotentialSpec):
         if np.any(q == 0.0):
             raise GridDomainError("Coulomb potential evaluated at the origin")
         return -self.strength / q
-
-    def parameters(self) -> dict:
-        return {"strength": self.strength}
 
 
 @dataclass(frozen=True)
@@ -164,9 +149,6 @@ class PowerLawPotential(PotentialSpec):
                 f"power-law potential (p={self.exponent}) not finite on the requested points"
             )
         return v
-
-    def parameters(self) -> dict:
-        return {"coefficient": self.coefficient, "exponent": self.exponent}
 
 
 class TabulatedPotential(PotentialSpec):
@@ -194,9 +176,6 @@ class TabulatedPotential(PotentialSpec):
         if np.any(q < self.points[0]) or np.any(q > self.points[-1]):
             raise GridDomainError("tabulated potential evaluated outside its table")
         return self._spline(q)
-
-    def parameters(self) -> dict:
-        return {"n_samples": int(self.points.size)}
 
 
 def fictive_radial_potential(spec: PotentialSpec, ell: int, constants: PhysConstants, r):

@@ -10,7 +10,7 @@ class GridDomainError(QshjeError):
 
 
 class DegenerateMobiusError(QshjeError):
-    """Singular linear-fractional data (mu*nu = 1 or ad - bc = 0)."""
+    """Degenerate mixing: mu*nu = 1, or a mixed-basis amplitude that vanishes."""
 
 
 class SchwarzianNodeError(QshjeError):

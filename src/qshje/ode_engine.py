@@ -303,27 +303,3 @@ def solve_pair(
         )
     return pair
 
-
-def pair_from_samples(
-    grid: Grid1D,
-    y1: np.ndarray,
-    dy1: np.ndarray,
-    y2: np.ndarray,
-    dy2: np.ndarray,
-    problem: Effective1DProblem,
-    provenance: str = "analytic-catalog",
-    wronskian: float | None = None,
-    wronskian_tol: float = 1e-6,
-) -> SolutionPair:
-    """Assemble a pair from externally supplied samples (e.g. a known closed-form
-    solution next to a numerically generated partner)."""
-    if wronskian is None:
-        i = grid.midpoint_index
-        wronskian = float(y1[i] * dy2[i] - y2[i] * dy1[i])
-    pair = SolutionPair(grid, y1, y2, dy1, dy2, float(wronskian), provenance, problem)
-    drift = pair.wronskian_drift()
-    if drift > wronskian_tol:
-        raise SolverFailure(
-            f"Wronskian drift {drift:.3e} of supplied samples exceeds {wronskian_tol:.1e}"
-        )
-    return pair

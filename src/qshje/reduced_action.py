@@ -12,19 +12,19 @@ with the closed-form conjugate momentum
 S is constructed by trapezoid integration of dS/dq anchored to the arctan value
 at the grid anchor node; the pointwise arctan is kept as a branch cross-check
 mod pi hbar. The continuity product amplitude^2 * dS/dq equals
-hbar (1 - mu nu) W identically.
+hbar (1 - mu nu) W by construction (amplitude = sqrt(D), dS = C/D), so it is
+not checked at run time.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
 from .domain import PhysConstants
-from .errors import GridDomainError, QshjeError
+from .errors import QshjeError
 from .ode_engine import Grid1D, SolutionPair
-from .schwarzian import DerivativeBundle, amplitude_derivatives, mixed_solutions, schwarzian_from_amplitude
+from .schwarzian import amplitude_derivatives, mixed_solutions, schwarzian_from_amplitude
 
 
 @dataclass
@@ -41,7 +41,6 @@ class ReducedActionComponent:
     amplitude: np.ndarray
     schwarzian: np.ndarray
     branch_residual: float
-    _spline: Callable | None = field(default=None, repr=False)
 
     @property
     def grid(self) -> Grid1D:
@@ -50,29 +49,6 @@ class ReducedActionComponent:
     @property
     def constants(self) -> PhysConstants:
         return self.pair.problem.constants
-
-    def continuity_values(self) -> np.ndarray:
-        """amplitude^2 * dS/dq, constant = hbar (1 - mu nu) W."""
-        return self.amplitude * self.amplitude * self.ds
-
-    def continuity_drift(self) -> float:
-        vals = self.continuity_values()
-        ref = self.constants.hbar * (1.0 - self.mu * self.nu) * self.pair.wronskian
-        return float(np.max(np.abs(vals - ref)) / abs(ref))
-
-    def derivative_bundle(self) -> DerivativeBundle:
-        """Exact closed-form (S, S', S'', S''') on the full grid.
-
-        S'' and S''' follow from differentiating dS = C/D analytically, with
-        D'' substituted through the pair's equation.
-        """
-        d, dp, dpp = amplitude_derivatives(self.pair, *mixed_solutions(self.pair, self.mu, self.nu))
-        cst = self.constants.hbar * (1.0 - self.mu * self.nu) * self.pair.wronskian
-        d2s = -cst * dp / (d * d)
-        d3s = cst * (2.0 * dp * dp / (d**3) - dpp / (d * d))
-        return DerivativeBundle(
-            self.grid, 0, self.grid.n, self.s, self.ds, d2s, d3s, orders=()
-        )
 
 
 def build_component(
@@ -106,7 +82,7 @@ def build_component(
             f"unwrapped action disagrees with arctan branch by {branch:.2e}; grid too coarse"
         )
 
-    comp = ReducedActionComponent(
+    return ReducedActionComponent(
         label=label,
         pair=pair,
         mu=float(mu),
@@ -118,21 +94,4 @@ def build_component(
         schwarzian=schwarzian_from_amplitude(d, dp, dpp),
         branch_residual=branch,
     )
-    drift = comp.continuity_drift()
-    if drift > 1e-8:
-        raise QshjeError(f"continuity product drifted by {drift:.2e} (expected exact)")
-    return comp
 
-
-def conjugate_momentum(component: ReducedActionComponent, at) -> float | np.ndarray:
-    """dS/dq interpolated (cubic) at coordinates inside the component grid."""
-    at_arr = np.asarray(at, dtype=float)
-    pts = component.grid.points
-    if np.any(at_arr < pts[0]) or np.any(at_arr > pts[-1]):
-        raise GridDomainError(f"requested coordinate outside the grid [{pts[0]}, {pts[-1]}]")
-    if component._spline is None:
-        from scipy.interpolate import CubicSpline  # lazy: keeps scipy out of `import qshje`
-
-        component._spline = CubicSpline(pts, component.ds)
-    out = component._spline(at_arr)
-    return float(out) if np.isscalar(at) else out

@@ -222,11 +222,6 @@ class TotalReducedAction:
             nodes.append(pts[i])
         return np.ix_(*idx), np.ix_(*nodes)
 
-    def snap_point(self, point) -> tuple[tuple[int, ...], tuple[float, ...]]:
-        """Nearest grid node per coordinate of one point, in symmetry label order."""
-        idx, nodes = self.snap(point)
-        return tuple(int(i.item()) for i in idx), tuple(float(q.item()) for q in nodes)
-
     def metric_weights(self, snapped) -> tuple:
         """Inverse-metric factors of the three coordinate terms."""
         return tuple(1.0 / g for g in SYMMETRY_TABLE[self.symmetry].metric(snapped))
@@ -309,15 +304,6 @@ def assembled_equation_for(
         quantum_numbers=quantum_numbers,
         constants=constants,
     )
-
-
-def spin_terms(symmetry: SymmetryClass, point, constants: PhysConstants) -> SpinTerms:
-    """Terms -hbar^2/8mr^2 (and the sin^2 theta partner) left over after the
-    separation constants cancel in assembly; absent for cartesian symmetry."""
-    spin = SYMMETRY_TABLE[symmetry].spin
-    if spin is None:
-        raise QshjeError(f"{symmetry.value} symmetry has no residual quantum terms")
-    return spin(point, constants)
 
 
 def assembled_residual(

@@ -100,15 +100,14 @@ def _float_line(row: tuple, sep: str) -> str | None:
     return _row_template(len(row), sep) % row
 
 
+# every C0 control character is escaped, as JSON requires
+_JSON_ESCAPES = {i: f"\\u{i:04x}" for i in range(0x20)} | {
+    ord("\\"): "\\\\", ord('"'): '\\"', ord("\n"): "\\n", ord("\t"): "\\t",
+}
+
+
 def _json_string(s: str) -> str:
-    escaped = (
-        str(s)
-        .replace("\\", "\\\\")
-        .replace('"', '\\"')
-        .replace("\n", "\\n")
-        .replace("\t", "\\t")
-    )
-    return f'"{escaped}"'
+    return f'"{str(s).translate(_JSON_ESCAPES)}"'
 
 
 def _json_scalar(value) -> str:

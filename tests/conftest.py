@@ -19,11 +19,19 @@ def constants():
     return CONSTANTS
 
 
+def sampled_pair(grid, y1, dy1, y2, dy2, problem, wronskian, provenance, wronskian_tol=1e-6):
+    """A pair from supplied samples whose Wronskian stays within tolerance."""
+    pair = Q.SolutionPair(grid, y1, y2, dy1, dy2, wronskian, provenance, problem)
+    assert pair.wronskian_drift() <= wronskian_tol
+    return pair
+
+
 def numeric_partner_pair(problem, grid, y1, dy1, substeps=4, wronskian_tol=1e-6):
     """Closed-form first member plus an integrated partner.
 
     Seeds: the first solution takes its exact (value, derivative) at the
     anchor node; the partner takes whichever unit vector is independent.
+    The pair's Wronskian is its value at the anchor.
     """
     anchor = grid.midpoint_index
     v, dv = float(y1[anchor]), float(dy1[anchor])
@@ -32,10 +40,9 @@ def numeric_partner_pair(problem, grid, y1, dy1, substeps=4, wronskian_tol=1e-6)
         problem, grid, seeds=((v, dv), partner_seed), substeps=substeps,
         wronskian_tol=wronskian_tol,
     )
-    return Q.pair_from_samples(
-        grid, np.asarray(y1, dtype=float), np.asarray(dy1, dtype=float),
-        solved.y2, solved.dy2, problem,
-        provenance="numerical", wronskian_tol=wronskian_tol,
+    w = float(y1[anchor] * solved.dy2[anchor] - solved.y2[anchor] * dy1[anchor])
+    return sampled_pair(
+        grid, y1, dy1, solved.y2, solved.dy2, problem, w, "numerical", wronskian_tol
     )
 
 
@@ -83,7 +90,7 @@ def oscillator_axis_pair(grid, label="x"):
     gauss_up = np.exp(0.5 * x * x)
     y2 = dawsn(x) * gauss_up
     dy2 = -x * y2 + gauss_up
-    return Q.pair_from_samples(grid, y1, dy1, y2, dy2, problem, wronskian=1.0)
+    return sampled_pair(grid, y1, dy1, y2, dy2, problem, 1.0, "analytic-catalog")
 
 
 def bessel_cylindrical_pair(grid):
@@ -94,11 +101,11 @@ def bessel_cylindrical_pair(grid):
     root = np.sqrt(rho)
     j, djd = jv(1, rho), jvp(1, rho)
     y, dyd = yv(1, rho), yvp(1, rho)
-    return Q.pair_from_samples(
+    return sampled_pair(
         grid,
         root * j, 0.5 * j / root + root * djd,
         root * y, 0.5 * y / root + root * dyd,
-        problem, wronskian=2.0 / np.pi,
+        problem, 2.0 / np.pi, "analytic-catalog",
     )
 
 

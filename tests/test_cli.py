@@ -364,7 +364,7 @@ def test_solve_cartesian_oscillator(tmp_path):
 
 
 def test_importing_the_cli_leaves_scipy_unloaded():
-    # scipy is only needed for tabulated potentials and conjugate_momentum
+    # scipy is only needed for tabulated potentials
     src = str(pathlib.Path(cli.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     probe = "import sys, qshje.cli; print(sorted(m for m in sys.modules if 'scipy' in m))"

@@ -34,7 +34,7 @@ def test_symmetry_labels():
 
 def test_quantum_numbers_validation():
     qn = Q.QuantumNumbers(ell=2, m_ell=-2)
-    assert qn.lam == 6
+    assert Q.lambda_from_ell(qn.ell) == 6
     with pytest.raises(ValueError):
         Q.QuantumNumbers(ell=1, m_ell=2)
 

@@ -189,16 +189,6 @@ def test_solve_pair_overflow_reports_location(constants):
         Q.solve_pair(prob, grid, substeps=2)
 
 
-def test_pair_from_samples_drift_gate(constants):
-    grid = Q.Grid1D.uniform(0.0, 2.0 * np.pi, 101)
-    phi = grid.points
-    with pytest.raises(Q.SolverFailure, match="drift"):
-        Q.pair_from_samples(
-            grid, np.sin(phi), np.cos(phi), np.cos(phi), 0.5 * np.sin(phi),
-            Q.azimuthal_problem(1, constants),
-        )
-
-
 def test_wronskian_tolerance_enforced(constants):
     prob = Q.axial_problem(-1.0, constants)
     grid = Q.Grid1D.uniform(-3.0, 3.0, 51)

@@ -4,7 +4,7 @@ from scipy.integrate import simpson
 
 import qshje as Q
 
-from conftest import hydrogen_ground_radial_pair, oscillator_axis_pair
+from conftest import oscillator_axis_pair
 
 
 def test_unmixed_azimuthal_action_is_linear(constants):
@@ -35,8 +35,7 @@ def test_continuity_product_is_exact_constant(constants):
         pair = Q.analytic_azimuthal(m, grid, constants)
         comp = Q.build_component("phi", pair, mu, nu)
         expected = constants.hbar * (1.0 - mu * nu) * (-m)
-        np.testing.assert_allclose(comp.continuity_values(), expected, rtol=1e-13)
-        assert comp.continuity_drift() < 1e-8
+        np.testing.assert_allclose(comp.amplitude**2 * comp.ds, expected, rtol=1e-13)
 
 
 def test_degenerate_mixing_rejected(constants):
@@ -55,19 +54,6 @@ def test_branch_check_rejects_coarse_grid(constants):
         Q.build_component("phi", pair, 1.5, 0.3)
 
 
-def test_conjugate_momentum_interpolation(constants):
-    grid = Q.Grid1D.uniform(0.0, 2.0 * np.pi, 721)
-    pair = Q.analytic_azimuthal(1, grid, constants)
-    comp = Q.build_component("phi", pair, 0.0, 0.0)
-    out = Q.conjugate_momentum(comp, 1.234)
-    assert isinstance(out, float)
-    assert out == pytest.approx(-constants.hbar, abs=1e-12)
-    arr = Q.conjugate_momentum(comp, np.array([0.5, 2.5]))
-    np.testing.assert_allclose(arr, -constants.hbar, atol=1e-12)
-    with pytest.raises(Q.GridDomainError):
-        Q.conjugate_momentum(comp, 7.0)
-
-
 def test_axial_degenerate_pair_momentum(constants):
     # pair {1, z} with mu = nu = 0: dS = hbar W / (1 + z^2)
     grid = Q.Grid1D.uniform(-3.0, 3.0, 601)
@@ -76,7 +62,6 @@ def test_axial_degenerate_pair_momentum(constants):
     np.testing.assert_allclose(
         comp.ds, constants.hbar / (1.0 + grid.points**2), rtol=1e-13
     )
-    assert Q.conjugate_momentum(comp, 0.0) == pytest.approx(constants.hbar)
 
 
 def test_momentum_sign_matches_mixing(constants):
@@ -114,27 +99,6 @@ def test_additive_phase_never_enters_momentum(constants):
     )
 
 
-def test_derivative_bundle_consistency(constants):
-    # closed-form S'' and S''' agree with differences of the closed-form dS
-    grid = Q.Grid1D.uniform(0.0, 2.0 * np.pi, 4001)
-    pair = Q.analytic_azimuthal(2, grid, constants)
-    comp = Q.build_component("phi", pair, 0.4, -0.3)
-    bundle = comp.derivative_bundle()
-    fd = Q.differentiate(comp.ds, grid, max_order=2)
-    np.testing.assert_allclose(bundle.d2[fd.start : fd.stop], fd.d1, atol=1e-8)
-    np.testing.assert_allclose(bundle.d3[fd.start : fd.stop], fd.d2, atol=1e-6)
-
-
-def test_basis_change_with_refit_matches_numeric_pair(constants):
-    grid = Q.Grid1D.uniform(0.5, 10.0, 1201)
-    pair = hydrogen_ground_radial_pair(grid)
-    comp = Q.build_component("r", pair, 0.2, 0.0)
-    m = Q.MobiusMap(1.3, 0.4, -0.2, 0.9)
-    mu2, nu2 = Q.refit_mixing(0.2, 0.0, m)
-    comp2 = Q.build_component("r", Q.mobius_apply(m, pair), mu2, nu2)
-    assert np.max(np.abs(comp2.ds - comp.ds) / np.abs(comp.ds)) < 1e-6
-
-
 def test_assemble_total_validates_labels(constants):
     grid = Q.Grid1D.uniform(0.0, 2.0 * np.pi, 721)
     pair = Q.analytic_azimuthal(1, grid, constants)
@@ -158,13 +122,13 @@ def test_assemble_total_validates_labels(constants):
 
 def test_total_action_snapping_and_metric(hydrogen_total):
     total, _ = hydrogen_total
-    idx, snapped = total.snap_point((1.0, 1.5, 3.0))
+    idx, snapped = total.snap((1.0, 1.5, 3.0))
     assert all(
-        snapped[k] == total.components[lab].grid.points[idx[k]]
+        snapped[k].item() == total.components[lab].grid.points[idx[k].item()]
         for k, lab in enumerate(("r", "theta", "phi"))
     )
     with pytest.raises(Q.GridDomainError):
-        total.snap_point((20.0, 1.5, 3.0))
+        total.snap((20.0, 1.5, 3.0))
 
     w_r = total.metric_weights((2.0, np.pi / 2.0, 0.0))
     w_2r = total.metric_weights((4.0, np.pi / 2.0, 0.0))
@@ -173,10 +137,10 @@ def test_total_action_snapping_and_metric(hydrogen_total):
 
     # the unmixed m=1 azimuthal component contributes hbar^2/(r^2 sin^2 theta)
     point = (2.0, 1.2, 3.0)
-    idx, snapped = total.snap_point(point)
-    r, theta = snapped[0], snapped[1]
-    ds_r = float(total.components["r"].ds[idx[0]])
-    ds_t = float(total.components["theta"].ds[idx[1]])
+    idx, snapped = total.snap(point)
+    r, theta = snapped[0].item(), snapped[1].item()
+    ds_r = total.components["r"].ds[idx[0]].item()
+    ds_t = total.components["theta"].ds[idx[1]].item()
     hbar = total.constants.hbar
     expected_phi = hbar**2 / (r * r * np.sin(theta) ** 2)
     got = total.gradient_squared(point) - ds_r**2 - ds_t**2 / (r * r)
@@ -191,8 +155,8 @@ def test_cartesian_gradient_is_plain_sum(constants):
     }
     total = Q.assemble_total(comps, Q.SymmetryClass.CARTESIAN)
     point = (0.5, -1.0, 2.0)
-    idx, _ = total.snap_point(point)
+    idx, _ = total.snap(point)
     by_hand = sum(
-        float(comps[lab].ds[i]) ** 2 for lab, i in zip(("x", "y", "z"), idx)
+        comps[lab].ds[i].item() ** 2 for lab, i in zip(("x", "y", "z"), idx)
     )
     assert total.gradient_squared(point) == pytest.approx(by_hand, rel=1e-14)

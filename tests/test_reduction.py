@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.special import jv, yv
+from scipy.special import jv
 
 import qshje as Q
 from qshje.reduction import ReductionKind, reduce_wavefunction, restore_wavefunction
@@ -17,8 +17,10 @@ def test_radial_weight_turns_hydrogen_into_reduced_solution(constants):
     np.testing.assert_allclose(reduced, r * np.exp(-r))
 
     problem = Q.spherical_radial_problem(Q.CoulombPotential(1.0), 0, -0.5, constants)
-    pair = Q.pair_from_samples(grid, reduced, (1 - r) * np.exp(-r), reduced, (1 - r) * np.exp(-r),
-                               problem, wronskian=1.0, wronskian_tol=np.inf)
+    # both members are r exp(-r); the check reads only the samples, so W = 1 is a placeholder
+    dreduced = (1 - r) * np.exp(-r)
+    pair = Q.SolutionPair(grid, reduced, reduced, dreduced, dreduced, 1.0, "analytic-catalog",
+                          problem)
     res = Q.reduction.reduced_equation_check(pair, problem)
     assert res.max_abs < 1e-7
 
@@ -79,8 +81,7 @@ def test_reduced_equation_check_flags_wrong_function(constants):
     r = grid.points
     y = np.exp(-r)
     problem = Q.spherical_radial_problem(Q.CoulombPotential(1.0), 0, -0.5, constants)
-    pair = Q.pair_from_samples(grid, y, -y, y, -y, problem,
-                               wronskian=1.0, wronskian_tol=np.inf)
+    pair = Q.SolutionPair(grid, y, y, -y, -y, 1.0, "analytic-catalog", problem)
     res = Q.reduction.reduced_equation_check(pair, problem)
     assert res.max_abs > 1e-2
 

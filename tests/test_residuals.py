@@ -1,12 +1,10 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
 import qshje as Q
 
 from conftest import cartesian_oscillator_case, hydrogen_ground_radial_pair, polar_pair
-from qshje.residuals import probe_axes
+from qshje.residuals import SYMMETRY_TABLE, probe_axes
 
 
 def test_unmixed_azimuthal_residual_is_machine_zero(constants):
@@ -60,17 +58,22 @@ def test_wrong_energy_shows_flat_offset(constants):
 
 
 def test_residual_invariant_under_basis_change(constants):
+    # (a y1 + b y2, c y1 + d y2) solves the same equation with W scaled by
+    # ad - bc, so the identity still holds at the same mixing constants
     grid = Q.Grid1D.uniform(0.0, 2.0 * np.pi, 2001)
     pair = Q.analytic_azimuthal(2, grid, constants)
     eq = Q.azimuthal_problem(2, constants)
     base = Q.component_residual(Q.build_component("phi", pair, 0.7, -0.2), eq)
     rng = np.random.default_rng(23)
     for _ in range(10):
-        m = Q.MobiusMap(rng.uniform(0.5, 2.0), rng.uniform(-1.0, 1.0),
-                        rng.uniform(-0.3, 0.3), rng.uniform(1.0, 2.0))
-        mu2, nu2 = Q.refit_mixing(0.7, -0.2, m)
-        comp2 = Q.build_component("phi", Q.mobius_apply(m, pair), mu2, nu2)
-        res2 = Q.component_residual(comp2, eq)
+        a, b, c, d = (rng.uniform(0.5, 2.0), rng.uniform(-1.0, 1.0),
+                      rng.uniform(-0.3, 0.3), rng.uniform(1.0, 2.0))
+        mapped = Q.SolutionPair(
+            grid, a * pair.y1 + b * pair.y2, c * pair.y1 + d * pair.y2,
+            a * pair.dy1 + b * pair.dy2, c * pair.dy1 + d * pair.dy2,
+            (a * d - b * c) * pair.wronskian, pair.provenance, pair.problem,
+        )
+        res2 = Q.component_residual(Q.build_component("phi", mapped, 0.7, -0.2), eq)
         assert np.max(np.abs(res2 - base)) < 1e-8
 
 
@@ -239,42 +242,43 @@ def test_probe_lattice_is_deterministic(hydrogen_total):
     assert first == second
     assert len(first) <= 125
     for point in first:
-        idx, snapped = total.snap_point(point)
-        assert snapped == point  # probes sit exactly on nodes
+        idx, snapped = total.snap(point)
+        assert tuple(q.item() for q in snapped) == point  # probes sit exactly on nodes
         for lab, i in zip(("r", "theta", "phi"), idx):
-            assert 2 <= i <= total.components[lab].grid.n - 3
+            assert 2 <= i.item() <= total.components[lab].grid.n - 3
     with pytest.raises(ValueError, match="at least 2"):
         Q.probe_axis_values(total.components["r"].grid.points, 1)
 
 
 def test_spin_terms_values(constants):
-    s = Q.spin_terms(Q.SymmetryClass.SPHERICAL, (1.0, np.pi / 2.0), constants)
+    spherical = SYMMETRY_TABLE[Q.SymmetryClass.SPHERICAL].spin
+    cylindrical = SYMMETRY_TABLE[Q.SymmetryClass.CYLINDRICAL].spin
+    s = spherical((1.0, np.pi / 2.0), constants)
     assert s.ter1 == -0.125
     assert s.ter2 == pytest.approx(-0.125, abs=1e-12)
     assert s.normalized_coefficient == 0.25
 
-    quarter = Q.spin_terms(Q.SymmetryClass.SPHERICAL, (1.0, np.pi / 4.0), constants)
+    quarter = spherical((1.0, np.pi / 4.0), constants)
     assert quarter.ter2 == pytest.approx(-0.25, rel=1e-12)
     assert quarter.total() == pytest.approx(-0.375, rel=1e-12)
 
-    cyl = Q.spin_terms(Q.SymmetryClass.CYLINDRICAL, (2.0,), constants)
+    cyl = cylindrical((2.0,), constants)
     assert cyl.ter1 == -1.0 / 32.0
     assert cyl.ter2 is None
     assert cyl.normalized_coefficient == 0.25
 
-    with pytest.raises(Q.QshjeError):
-        Q.spin_terms(Q.SymmetryClass.CARTESIAN, (1.0, 1.0, 1.0), constants)
+    assert SYMMETRY_TABLE[Q.SymmetryClass.CARTESIAN].spin is None
     with pytest.raises(Q.GridDomainError):
-        Q.spin_terms(Q.SymmetryClass.SPHERICAL, (-1.0, 1.0), constants)
+        spherical((-1.0, 1.0), constants)
     with pytest.raises(Q.GridDomainError):
-        Q.spin_terms(Q.SymmetryClass.SPHERICAL, (1.0, 0.0), constants)
+        spherical((1.0, 0.0), constants)
     with pytest.raises(Q.GridDomainError):
-        Q.spin_terms(Q.SymmetryClass.CYLINDRICAL, (0.0,), constants)
+        cylindrical((0.0,), constants)
 
 
 def test_spin_coefficient_scales_out_constants():
     heavy = Q.PhysConstants(hbar=0.7, mass=3.2)
-    s = Q.spin_terms(Q.SymmetryClass.SPHERICAL, (1.7, 0.9), heavy)
+    s = SYMMETRY_TABLE[Q.SymmetryClass.SPHERICAL].spin((1.7, 0.9), heavy)
     assert s.normalized_coefficient == 0.25
 
 

@@ -68,6 +68,17 @@ def test_write_summary_sorted_and_parseable(tmp_path):
     assert text.index('"alpha"') < text.index('"flag"') < text.index('"zeta"')
 
 
+def test_control_characters_stay_valid_json(tmp_path):
+    text = "a\rb\x00c\x1fd\\e\"f\ng\th"
+    write_summary(str(tmp_path / "s.json"), {text: text, "list": [text]})
+    with open(tmp_path / "s.json", encoding="utf-8") as fh:
+        assert json.load(fh) == {text: text, "list": [text]}
+    write_table(str(tmp_path / "t"), text, text, [text], [(text,)], fmt="json")
+    with open(tmp_path / "t.json", encoding="utf-8") as fh:
+        table = json.load(fh)
+    assert table == {"equation": text, "formula": text, "columns": [text], "rows": [[text]]}
+
+
 def test_summary_is_byte_stable(tmp_path):
     payload = {"b": 2, "a": [1.5, {"x": float(np.pi)}]}
     p1 = str(tmp_path / "one.json")
