@@ -19,10 +19,8 @@ from .ode_engine import SolutionPair, solve_pair
 from .reduced_action import ReducedActionComponent, build_component
 from .residuals import (
     SYMMETRY_TABLE,
-    AssembledEquation,
     TotalReducedAction,
     assemble_total,
-    assembled_equation_for,
     assembled_residual,
     classical_limit_scan,
     component_weighted_sum,
@@ -56,13 +54,12 @@ def build_pair(cfg: RunConfig, comp: ComponentConfig, problem: Effective1DProble
 @dataclass
 class CaseBundle:
     """Everything a command needs: built components, their equations, and the
-    assembled objects when all coordinates are configured."""
+    assembled equation when all coordinates are configured."""
 
     config: RunConfig
     components: dict[str, ReducedActionComponent]
     equations: dict[str, Effective1DProblem]
     total: TotalReducedAction | None
-    assembled: AssembledEquation | None
 
     @property
     def labels(self) -> list[str]:
@@ -84,17 +81,10 @@ def build_case(cfg: RunConfig) -> CaseBundle:
         )
         equations[label] = eq
 
-    total = assembled = None
+    total = None
     if cfg.has_full_set:
-        total = assemble_total(components, cfg.symmetry)
-        assembled = assembled_equation_for(
-            cfg.symmetry,
-            cfg.quantum_numbers,
-            cfg.constants,
-            potential=cfg.potential,
-            axis_potentials=cfg.axis_potentials or None,
-        )
-    return CaseBundle(cfg, components, equations, total, assembled)
+        total = assemble_total(components, cfg.symmetry, cfg.quantum_numbers, cfg.potentials)
+    return CaseBundle(cfg, components, equations, total)
 
 
 def _component_meta(comp: ReducedActionComponent, cfg: ComponentConfig) -> dict:
@@ -186,11 +176,12 @@ def cmd_verify(cfg: RunConfig, out_dir: str, fmt: str, tolerance: float) -> int:
             "within_tolerance": ok,
         }
 
-    if case.total is not None and case.assembled is not None:
-        total, aeq = case.total, case.assembled
+    if case.total is not None:
+        total = case.total
+        name = f"assembled-{cfg.symmetry.value}"
         axes = probe_axes(total, cfg.probe_per_coordinate)
         points = probe_lattice(total, cfg.probe_per_coordinate)
-        direct = assembled_residual(total, aeq, axes, mode="quantum").ravel()
+        direct = assembled_residual(total, axes, mode="quantum").ravel()
         summed = component_weighted_sum(total, residuals, axes).ravel()
         gap = np.abs(direct - summed)
         rows = (
@@ -202,16 +193,24 @@ def cmd_verify(cfg: RunConfig, out_dir: str, fmt: str, tolerance: float) -> int:
         max_gap = float(np.max(gap))
         labels = list(cfg.symmetry.coordinate_labels)
         write_table(
-            os.path.join(out_dir, f"residual_{aeq.name}"),
-            aeq.name,
-            aeq.formula,
+            os.path.join(out_dir, f"residual_{name}"),
+            name,
+            SYMMETRY_TABLE[cfg.symmetry].formula,
             labels + ["residual", "component_weighted_sum", "assembly_gap"],
             rows,
             fmt=fmt,
         )
+        nan = np.isnan(direct)
+        if nan.any():
+            print(
+                f"verify: {name} residual is NaN at ({', '.join(labels)}) = "
+                f"({', '.join(map(repr, points[np.argmax(nan)]))}), the first of "
+                f"{int(nan.sum())} NaN probe points",
+                file=sys.stderr,
+            )
         ok = max_assembled <= tolerance
         all_pass = all_pass and ok
-        summary["equations"][aeq.name] = {
+        summary["equations"][name] = {
             "max_abs": max_assembled,
             "max_assembly_gap": max_gap,
             "probe_points": len(points),
@@ -232,10 +231,9 @@ def cmd_limit_scan(
             f"for {cfg.symmetry.value}"
         )
     case = build_case(cfg)
-    assert case.total is not None and case.assembled is not None
+    assert case.total is not None
     scan = classical_limit_scan(
-        case.total, case.assembled, cfg.hbar_scan, cfg.probe_per_coordinate,
-        wrong_order=wrong_order,
+        case.total, cfg.hbar_scan, cfg.probe_per_coordinate, wrong_order=wrong_order
     )
 
     os.makedirs(out_dir, exist_ok=True)

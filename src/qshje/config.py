@@ -102,8 +102,7 @@ class RunConfig:
     symmetry: SymmetryClass
     constants: PhysConstants
     quantum_numbers: QuantumNumbers
-    potential: PotentialSpec | None
-    axis_potentials: dict[str, PotentialSpec]
+    potentials: dict[str, PotentialSpec]
     components: dict[str, ComponentConfig]
     tolerance: float
     hbar_scan: tuple[float, ...]
@@ -253,9 +252,10 @@ def parse_config(data: dict, source_name: str = "config") -> RunConfig:
         raise ConfigError(f"{source_name}.quantum_numbers: {exc}") from exc
 
     labels = symmetry.coordinate_labels
-    potential = None
-    axis_potentials: dict[str, PotentialSpec] = {}
-    per_axis = SYMMETRY_TABLE[symmetry].axis_potentials
+    potentials: dict[str, PotentialSpec] = {}
+    # one `potentials:` entry per axis, or the single radial `potential:`
+    potential_labels = SYMMETRY_TABLE[symmetry].potential_labels
+    per_axis = potential_labels == labels
     if per_axis:
         pmap = _expect_mapping(
             _get(root, "potentials", source_name, required=False, default={}),
@@ -264,10 +264,10 @@ def parse_config(data: dict, source_name: str = "config") -> RunConfig:
         for key, sub in pmap.items():
             if key not in labels:
                 raise ConfigError(f"{source_name}.potentials.{key}: unknown axis (expected x, y, z)")
-            axis_potentials[key] = potential_from_mapping(sub, f"potentials.{key}")
+            potentials[key] = potential_from_mapping(sub, f"potentials.{key}")
     else:
         praw = _get(root, "potential", source_name, required=False)
-        potential = (
+        potentials[potential_labels[0]] = (
             potential_from_mapping(praw, "potential") if praw is not None else ZeroPotential()
         )
 
@@ -285,7 +285,7 @@ def parse_config(data: dict, source_name: str = "config") -> RunConfig:
 
     if per_axis:
         for key in components:
-            axis_potentials.setdefault(key, ZeroPotential())
+            potentials.setdefault(key, ZeroPotential())
             if key not in quantum_numbers.axis_energies:
                 raise ConfigError(
                     f"{source_name}.quantum_numbers.axis_energies: missing energy for axis {key!r}"
@@ -334,8 +334,7 @@ def parse_config(data: dict, source_name: str = "config") -> RunConfig:
         symmetry=symmetry,
         constants=constants,
         quantum_numbers=quantum_numbers,
-        potential=potential,
-        axis_potentials=axis_potentials,
+        potentials=potentials,
         components=components,
         tolerance=tolerance,
         hbar_scan=hbar_scan,

@@ -92,16 +92,12 @@ class QuantumNumbers:
 class PotentialSpec:
     """Symbolic potential description, evaluable at any coordinate."""
 
-    kind = "abstract"
-
     def evaluate(self, q, constants: PhysConstants):
         raise NotImplementedError
 
 
 @dataclass(frozen=True)
 class ZeroPotential(PotentialSpec):
-    kind = "zero"
-
     def evaluate(self, q, constants: PhysConstants):
         return np.zeros_like(np.asarray(q, dtype=float))
 
@@ -111,7 +107,6 @@ class HarmonicPotential(PotentialSpec):
     """V(q) = (1/2) m omega^2 q^2."""
 
     omega: float
-    kind = "harmonic"
 
     def evaluate(self, q, constants: PhysConstants):
         q = np.asarray(q, dtype=float)
@@ -123,7 +118,6 @@ class CoulombPotential(PotentialSpec):
     """V(r) = -k / r, declared only away from the origin."""
 
     strength: float = 1.0
-    kind = "coulomb"
 
     def evaluate(self, q, constants: PhysConstants):
         q = np.asarray(q, dtype=float)
@@ -138,7 +132,6 @@ class PowerLawPotential(PotentialSpec):
 
     coefficient: float
     exponent: float
-    kind = "power"
 
     def evaluate(self, q, constants: PhysConstants):
         q = np.asarray(q, dtype=float)
@@ -153,8 +146,6 @@ class PowerLawPotential(PotentialSpec):
 
 class TabulatedPotential(PotentialSpec):
     """Cubic-spline interpolant of sampled values; evaluation outside the table is an error."""
-
-    kind = "tabulated"
 
     def __init__(self, points, values):
         points = np.asarray(points, dtype=float)

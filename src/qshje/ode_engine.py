@@ -109,12 +109,12 @@ class SolutionPair:
 
 
 def analytic_azimuthal(m: int, grid: Grid1D, constants: PhysConstants | None = None) -> SolutionPair:
-    """Pair (sin m phi, cos m phi) with W = -m; m = 0 routes to the degenerate pair."""
+    """Pair (sin m phi, cos m phi) with W = -m; m = 0 gives (1, phi) with W = 1."""
     if not isinstance(m, (int, np.integer)) or isinstance(m, bool):
         raise ValueError(f"azimuthal number must be an integer, got {m!r}")
     constants = constants or PhysConstants()
     if m == 0:
-        return analytic_azimuthal_degenerate(grid, constants)
+        return _linear_pair(grid, azimuthal_problem(0, constants))
     phi = grid.points
     fm = float(m)
     return SolutionPair(
@@ -129,19 +129,12 @@ def analytic_azimuthal(m: int, grid: Grid1D, constants: PhysConstants | None = N
     )
 
 
-def analytic_azimuthal_degenerate(grid: Grid1D, constants: PhysConstants | None = None) -> SolutionPair:
-    """m = 0 pair (1, phi) with W = 1."""
-    constants = constants or PhysConstants()
-    phi = grid.points
+def _linear_pair(grid: Grid1D, problem: Effective1DProblem) -> SolutionPair:
+    """Pair (1, q) with W = 1 of a zero-curvature equation (m = 0 or beta = 0)."""
+    q = grid.points
     return SolutionPair(
-        grid=grid,
-        y1=np.ones_like(phi),
-        y2=phi.copy(),
-        dy1=np.zeros_like(phi),
-        dy2=np.ones_like(phi),
-        wronskian=1.0,
-        provenance="analytic-catalog",
-        problem=azimuthal_problem(0, constants),
+        grid, np.ones_like(q), q.copy(), np.zeros_like(q), np.ones_like(q), 1.0,
+        "analytic-catalog", problem,
     )
 
 
@@ -177,16 +170,7 @@ def analytic_axial(beta: float, grid: Grid1D, constants: PhysConstants | None = 
             "analytic-catalog",
             problem,
         )
-    return SolutionPair(
-        grid,
-        np.ones_like(z),
-        z.copy(),
-        np.zeros_like(z),
-        np.ones_like(z),
-        1.0,
-        "analytic-catalog",
-        problem,
-    )
+    return _linear_pair(grid, problem)
 
 
 def _rk4_column(c_cells: list, h_cells: list, y: float, dy: float):

@@ -103,7 +103,8 @@ class SymmetryRow:
         with c multiplied in from the left where the component equation is in
         the 2m-scaled, mass-free form; c = 2m gives the denominators of the
         component-weighted sum. The inverse-metric weights are 1/h_k^2.
-    axis_potentials: V is a sum of per-axis potentials, else a function of q0.
+    potential_labels: the coordinates V depends on; V is the sum of one
+        potential per label (V_x + V_y + V_z, or V(r), or V(rho)).
     equations: label -> (run config, quantum numbers, constants) -> the
         Effective1DProblem of that coordinate's separated equation.
     analytic: label -> (quantum numbers, grid, constants) -> analytic pair.
@@ -114,7 +115,7 @@ class SymmetryRow:
 
     formula: str
     metric: Callable
-    axis_potentials: bool
+    potential_labels: tuple[str, ...]
     equations: dict[str, Callable]
     analytic: dict[str, Callable]
     spin: Callable | None = None
@@ -127,10 +128,10 @@ SYMMETRY_TABLE = {
     SymmetryClass.CARTESIAN: SymmetryRow(
         formula="sum_q [ (dS_q)^2/(2m) + (hbar^2/(4m))*{S_q;q} + V_q(q) ] - E",
         metric=lambda q, c=1.0: (1.0, 1.0, 1.0),
-        axis_potentials=True,
+        potential_labels=("x", "y", "z"),
         equations={
             lab: lambda cfg, qn, c, lab=lab: cartesian_axis_problem(
-                lab, cfg.axis_potentials[lab], qn.axis_energies[lab], c
+                lab, cfg.potentials[lab], qn.axis_energies[lab], c
             )
             for lab in ("x", "y", "z")
         },
@@ -143,9 +144,11 @@ SYMMETRY_TABLE = {
             " - hbar^2/(8m r^2) - hbar^2/(8m r^2 sin^2 theta) + V(r) - E"
         ),
         metric=lambda q, c=1.0: (1.0, c * q[0] * q[0], c * q[0] * q[0] * np.sin(q[1]) ** 2),
-        axis_potentials=False,
+        potential_labels=("r",),
         equations={
-            "r": lambda cfg, qn, c: spherical_radial_problem(cfg.potential, qn.ell, qn.energy, c),
+            "r": lambda cfg, qn, c: spherical_radial_problem(
+                cfg.potentials["r"], qn.ell, qn.energy, c
+            ),
             "theta": lambda cfg, qn, c: spherical_polar_problem(qn.ell, qn.m_ell, c),
             "phi": lambda cfg, qn, c: azimuthal_problem(qn.m_ell, c),
         },
@@ -165,10 +168,10 @@ SYMMETRY_TABLE = {
             " - hbar^2/(8m rho^2) + V(rho) - E"
         ),
         metric=lambda q, c=1.0: (1.0, c * q[0] * q[0], c),
-        axis_potentials=False,
+        potential_labels=("rho",),
         equations={
             "rho": lambda cfg, qn, c: cylindrical_radial_problem(
-                cfg.potential, qn.m_phi, qn.beta, qn.energy, c
+                cfg.potentials["rho"], qn.m_phi, qn.beta, qn.energy, c
             ),
             "phi": lambda cfg, qn, c: azimuthal_problem(qn.m_phi, c),
             "z": lambda cfg, qn, c: axial_problem(qn.beta, c),
@@ -192,8 +195,9 @@ def _per_point(values, point):
 
 @dataclass
 class TotalReducedAction:
-    """Additive reduced action of one symmetry class: three components plus
-    the class's inverse metric for gradient-squared and Schwarzian sums.
+    """The assembled 3-D equation of one symmetry class: three components,
+    their constants, the quantum numbers (energy is the E of the equation)
+    and the potentials whose sum is V, keyed by coordinate label.
 
     Point evaluation snaps each coordinate to its nearest grid node, so values
     are exact nodal samples (no interpolation error enters residuals). 1-D arrays
@@ -204,6 +208,8 @@ class TotalReducedAction:
     symmetry: SymmetryClass
     components: dict[str, ReducedActionComponent]
     constants: PhysConstants
+    quantum_numbers: QuantumNumbers
+    potentials: dict[str, PotentialSpec]
 
     def snap(self, point) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
         """Nearest grid nodes of every value of each coordinate, as np.ix_
@@ -242,6 +248,8 @@ class TotalReducedAction:
 def assemble_total(
     components: dict[str, ReducedActionComponent],
     symmetry: SymmetryClass,
+    quantum_numbers: QuantumNumbers,
+    potentials: dict[str, PotentialSpec],
 ) -> TotalReducedAction:
     labels = symmetry.coordinate_labels
     if set(components) != set(labels):
@@ -253,65 +261,25 @@ def assemble_total(
         c = components[lab].constants
         if c != constants:
             raise ValueError("components carry different physical constants")
-    return TotalReducedAction(symmetry, dict(components), constants)
-
-
-@dataclass(frozen=True)
-class AssembledEquation:
-    """Full 3-D equation data: symmetry class, potential, constants of
-    motion, and the formula string for reports."""
-
-    name: str
-    formula: str
-    symmetry: SymmetryClass
-    potential: PotentialSpec | None
-    axis_potentials: dict[str, PotentialSpec] | None
-    quantum_numbers: QuantumNumbers
-    constants: PhysConstants
-
-    def potential_at(self, snapped):
-        if SYMMETRY_TABLE[self.symmetry].axis_potentials:
-            return sum(
-                self.axis_potentials[lab].evaluate(val, self.constants)
-                for lab, val in zip(self.symmetry.coordinate_labels, snapped)
-            )
-        return self.potential.evaluate(snapped[0], self.constants)
-
-
-def assembled_equation_for(
-    symmetry: SymmetryClass,
-    quantum_numbers: QuantumNumbers,
-    constants: PhysConstants,
-    potential: PotentialSpec | None = None,
-    axis_potentials: dict[str, PotentialSpec] | None = None,
-) -> AssembledEquation:
-    row = SYMMETRY_TABLE[symmetry]
-    labels = symmetry.coordinate_labels
-    if row.axis_potentials:
-        if axis_potentials is None or set(axis_potentials) != set(labels):
+    potential_labels = SYMMETRY_TABLE[symmetry].potential_labels
+    if potential_labels == labels:
+        if set(potentials) != set(labels):
             raise ValueError(
                 f"{symmetry.value} assembly needs axis_potentials for {', '.join(labels)}"
             )
         quantum_numbers.check_axis_energies(labels)
-    elif potential is None:
+    elif set(potentials) != set(potential_labels):
         raise ValueError(f"{symmetry.value} assembly needs a radial potential")
-    return AssembledEquation(
-        name=f"assembled-{symmetry.value}",
-        formula=row.formula,
-        symmetry=symmetry,
-        potential=potential,
-        axis_potentials=dict(axis_potentials) if axis_potentials else None,
-        quantum_numbers=quantum_numbers,
-        constants=constants,
+    return TotalReducedAction(
+        symmetry, dict(components), constants, quantum_numbers, dict(potentials)
     )
 
 
 def assembled_residual(
     total: TotalReducedAction,
-    equation: AssembledEquation,
     point,
     mode: str = "quantum",
-    constants: PhysConstants | None = None,
+    hbar: float | None = None,
 ):
     """Full 3-D equation at one point, or on the lattice spanned by 1-D
     arrays of coordinate values, from nodal component data.
@@ -319,13 +287,14 @@ def assembled_residual(
     mode selects which terms enter: "quantum" is the complete equation,
     "classical" drops every hbar-carrying correction and returns
     (1/2m)(grad S)^2 + V - E, "quantum-terms" returns only the corrections.
-    constants, when given, rescales hbar in the corrections while the dS and
-    Schwarzian samples stay fixed.
+    hbar, when given, rescales the corrections while the dS and Schwarzian
+    samples stay fixed.
     """
     if mode not in ("quantum", "classical", "quantum-terms"):
         raise ValueError(f"unknown mode {mode!r}")
-    c = constants if constants is not None else equation.constants
-    spin = SYMMETRY_TABLE[equation.symmetry].spin
+    mass = total.constants.mass
+    c = total.constants if hbar is None else PhysConstants(hbar=hbar, mass=mass)
+    spin = SYMMETRY_TABLE[total.symmetry].spin
     _, snapped = total.snap(point)
 
     quantum = 0.0
@@ -336,9 +305,13 @@ def assembled_residual(
     if mode == "quantum-terms":
         return _per_point(quantum, point)
 
-    kinetic = total.gradient_squared(point) / (2.0 * equation.constants.mass)
-    v = equation.potential_at(snapped)
-    return _per_point(kinetic + quantum + v - equation.quantum_numbers.energy, point)
+    kinetic = total.gradient_squared(point) / (2.0 * mass)
+    v = sum(
+        total.potentials[lab].evaluate(q, total.constants)
+        for lab, q in zip(total.symmetry.coordinate_labels, snapped)
+        if lab in total.potentials
+    )
+    return _per_point(kinetic + quantum + v - total.quantum_numbers.energy, point)
 
 
 def component_weighted_sum(total: TotalReducedAction, residuals: dict[str, np.ndarray], point):
@@ -449,7 +422,6 @@ def _fit_loglog(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
 
 def classical_limit_scan(
     total: TotalReducedAction,
-    equation: AssembledEquation,
     hbar_values,
     per_coordinate: int = 3,
     wrong_order: bool = False,
@@ -475,15 +447,14 @@ def classical_limit_scan(
 
     mags = []
     for h in hv:
-        c = PhysConstants(hbar=float(h), mass=equation.constants.mass)
-        terms = assembled_residual(total, equation, axes, mode="quantum-terms", constants=c)
+        terms = assembled_residual(total, axes, mode="quantum-terms", hbar=float(h))
         mags.append(np.max(np.abs(terms)))
     slope, intercept = _fit_loglog(hv, np.asarray(mags))
 
     gaps_out = None
     gap_slope = None
     if wrong_order:
-        row = SYMMETRY_TABLE[equation.symmetry]
+        row = SYMMETRY_TABLE[total.symmetry]
         if not row.wrong_order_axes:
             raise QshjeError("the wrong-order comparison is defined for spherical symmetry")
         idx, snapped = total.snap(axes)
@@ -492,7 +463,7 @@ def classical_limit_scan(
         # zeroing the angular momenta first removes these gradient terms
         # from the would-be classical equation; the gap survives hbar -> 0
         gaps = sum(ds[k] * ds[k] / metric[k] for k in row.wrong_order_axes)
-        gap = np.max(gaps / (2.0 * equation.constants.mass))
+        gap = np.max(gaps / (2.0 * total.constants.mass))
         if np.isnan(gap):
             raise QshjeError("wrong-order gap is NaN at a probe point")
         gaps_arr = np.full(hv.size, gap)

@@ -130,7 +130,5 @@ def amplitude_derivatives(pair: SolutionPair, a, b, da, db):
 
 
 def schwarzian_from_amplitude(d, dp, dpp) -> np.ndarray:
-    """{S; q} = -D''/D + (D')^2/(2 D^2) from the amplitude derivatives."""
-    if np.any(d <= 0.0):
-        raise DegenerateMobiusError("mixed-basis amplitude vanishes on the grid")
+    """{S; q} = -D''/D + (D')^2/(2 D^2) from the amplitude derivatives, D > 0."""
     return -dpp / d + dp * dp / (2.0 * d * d)

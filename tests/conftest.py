@@ -128,11 +128,9 @@ def hydrogen_total():
         "phi": Q.build_component("phi", Q.analytic_azimuthal(1, p_grid, CONSTANTS), 0.0, 0.0),
     }
     qn = Q.QuantumNumbers(ell=1, m_ell=1, energy=-0.125)
-    total = Q.assemble_total(comps, Q.SymmetryClass.SPHERICAL)
-    equation = Q.assembled_equation_for(
-        Q.SymmetryClass.SPHERICAL, qn, CONSTANTS, potential=Q.CoulombPotential(1.0)
+    return Q.assemble_total(
+        comps, Q.SymmetryClass.SPHERICAL, qn, {"r": Q.CoulombPotential(1.0)}
     )
-    return total, equation
 
 
 @pytest.fixture(scope="session")
@@ -147,11 +145,7 @@ def cylindrical_total():
         "z": Q.build_component("z", Q.analytic_axial(-1.0, z_grid, CONSTANTS), 0.0, 0.0),
     }
     qn = Q.QuantumNumbers(m_phi=1, beta=-1.0, energy=1.0)
-    total = Q.assemble_total(comps, Q.SymmetryClass.CYLINDRICAL)
-    equation = Q.assembled_equation_for(
-        Q.SymmetryClass.CYLINDRICAL, qn, CONSTANTS, potential=Q.ZeroPotential()
-    )
-    return total, equation
+    return Q.assemble_total(comps, Q.SymmetryClass.CYLINDRICAL, qn, {"rho": Q.ZeroPotential()})
 
 
 def cartesian_oscillator_case(rng=None, mixings=None):
@@ -170,9 +164,5 @@ def cartesian_oscillator_case(rng=None, mixings=None):
         mu, nu = mixings[lab]
         comps[lab] = Q.build_component(lab, oscillator_axis_pair(grid, lab), mu, nu)
     qn = Q.QuantumNumbers(energy=1.5, axis_energies={"x": 0.5, "y": 0.5, "z": 0.5})
-    total = Q.assemble_total(comps, Q.SymmetryClass.CARTESIAN)
     pots = {lab: Q.HarmonicPotential(1.0) for lab in ("x", "y", "z")}
-    equation = Q.assembled_equation_for(
-        Q.SymmetryClass.CARTESIAN, qn, CONSTANTS, axis_potentials=pots
-    )
-    return total, equation
+    return Q.assemble_total(comps, Q.SymmetryClass.CARTESIAN, qn, pots)

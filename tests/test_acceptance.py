@@ -135,9 +135,9 @@ def test_c03_momentum_closed_form_matches_finite_difference():
 
 def test_c04_continuity_product_constant(hydrogen_total, cylindrical_total):
     # amplitude^2 * dS == hbar (1 - mu nu) W to 1e-8 relative, every component
-    comps = dict(hydrogen_total[0].components)
-    comps.update({f"cyl-{k}": v for k, v in cylindrical_total[0].components.items()})
-    cart, _ = cartesian_oscillator_case(rng=np.random.default_rng(8))
+    comps = dict(hydrogen_total.components)
+    comps.update({f"cyl-{k}": v for k, v in cylindrical_total.components.items()})
+    cart = cartesian_oscillator_case(rng=np.random.default_rng(8))
     comps.update({f"cart-{k}": v for k, v in cart.components.items()})
     drifts = {}
     for k, v in comps.items():
@@ -182,7 +182,7 @@ def test_c06_polar_identity():
     )
 
 
-def _assembly_bound_check(total, equation, comp_equations):
+def _assembly_bound_check(total, comp_equations):
     labels = list(total.symmetry.coordinate_labels)
     res = {
         lab: Q.component_residual(total.components[lab], comp_equations[lab])
@@ -190,7 +190,7 @@ def _assembly_bound_check(total, equation, comp_equations):
     }
     # eps floor: at rounding-level component residuals the assembled route's
     # own float rounding would exceed the pure propagation bound
-    floor = EPS * max(1.0, abs(equation.quantum_numbers.energy))
+    floor = EPS * max(1.0, abs(total.quantum_numbers.energy))
     checked = 0
     worst_ratio = 0.0
     for p in Q.probe_lattice(total, per_coordinate=5):
@@ -198,7 +198,7 @@ def _assembly_bound_check(total, equation, comp_equations):
         snapped = tuple(q.item() for q in nodes)
         eps = max(abs(res[lab][i].item()) for lab, i in zip(labels, idx))
         maxw = max(total.metric_weights(snapped))
-        direct = abs(Q.assembled_residual(total, equation, p))
+        direct = abs(Q.assembled_residual(total, p))
         bound = 3.0 * (eps + floor) * maxw
         if direct >= bound:
             return False, checked, 1.0
@@ -220,8 +220,8 @@ def test_c07_assembly_error_propagation(hydrogen_total, cylindrical_total):
         "phi": Q.azimuthal_problem(1, CONSTANTS),
         "z": Q.axial_problem(-1.0, CONSTANTS),
     }
-    ok_h, n_h, ratio_h = _assembly_bound_check(*hydrogen_total, hyd_eqs)
-    ok_c, n_c, ratio_c = _assembly_bound_check(*cylindrical_total, cyl_eqs)
+    ok_h, n_h, ratio_h = _assembly_bound_check(hydrogen_total, hyd_eqs)
+    ok_c, n_c, ratio_c = _assembly_bound_check(cylindrical_total, cyl_eqs)
     report(
         "criterion 07 assembly error propagation",
         ok_h and ok_c,
@@ -232,10 +232,10 @@ def test_c07_assembly_error_propagation(hydrogen_total, cylindrical_total):
 
 def test_c08_cartesian_oscillator_assembly():
     # random per-axis mixings, E = sum of axis energies, 5^3 probe lattice
-    total, equation = cartesian_oscillator_case(rng=np.random.default_rng(8))
+    total = cartesian_oscillator_case(rng=np.random.default_rng(8))
     points = Q.probe_lattice(total, per_coordinate=5)
-    worst = max(abs(Q.assembled_residual(total, equation, p)) for p in points)
-    bound = 1e-7 * abs(equation.quantum_numbers.energy)
+    worst = max(abs(Q.assembled_residual(total, p)) for p in points)
+    bound = 1e-7 * abs(total.quantum_numbers.energy)
     report(
         "criterion 08 cartesian oscillator assembly",
         len(points) == 125 and worst < bound,
@@ -248,8 +248,7 @@ def test_c09_classical_limit_scaling(hydrogen_total):
     # hbar = 1 .. 1/32); zeroing the angular momenta before taking the limit
     # leaves an hbar-independent gap, so that order never reaches the
     # classical equation
-    total, equation = hydrogen_total
-    scan = Q.classical_limit_scan(total, equation, Q.DEFAULT_HBAR_SCAN, wrong_order=True)
+    scan = Q.classical_limit_scan(hydrogen_total, Q.DEFAULT_HBAR_SCAN, wrong_order=True)
     gaps = np.asarray(scan.wrong_order_gaps)
     slope_ok = abs(scan.slope - 2.0) <= 0.05
     correct_order_shrinks = scan.magnitudes[-1] < 1e-3 * scan.magnitudes[0]
@@ -274,7 +273,7 @@ def test_c10_spin_term_coefficient(hydrogen_total, cylindrical_total):
     # theta = pi/2 and pi/4 by direct substitution (a couple of ulp)
     exact = 0
     points = 0
-    for total in (hydrogen_total[0], cylindrical_total[0]):
+    for total in (hydrogen_total, cylindrical_total):
         spin = SYMMETRY_TABLE[total.symmetry].spin
         for p in Q.probe_lattice(total, per_coordinate=5):
             _, nodes = total.snap(p)

@@ -82,6 +82,22 @@ def test_verify_runs_are_byte_identical(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
+def test_verify_cartesian_oscillator(tmp_path):
+    # per-axis potentials reach the assembled equation through the config
+    out = tmp_path / "cart"
+    code = run("verify", "--config", CONFIG_DIR / "cartesian_oscillator.yaml", "--out", out)
+    assert code == 0
+    table = (out / "residual_assembled-cartesian.csv").read_text().splitlines()
+    assert table[0].startswith("# equation: assembled-cartesian | ")
+    assert table[1].split(",") == [
+        "x", "y", "z", "residual", "component_weighted_sum", "assembly_gap",
+    ]
+    assert len(table) == 2 + 125
+    summary = read_summary(out / "verify_summary.json")
+    assert summary["equations"]["assembled-cartesian"]["probe_points"] == 125
+    assert summary["all_within_tolerance"] is True
+
+
 def test_verify_parallel_matches_serial(tmp_path):
     # --parallel is accepted and has no effect
     cfg = CONFIG_DIR / "cylindrical_free.yaml"
@@ -98,14 +114,16 @@ def test_verify_parallel_matches_serial(tmp_path):
 
 def test_verify_nan_assembled_residual_fails(tmp_path, monkeypatch, capsys):
     # a NaN Schwarzian sample at a probe node must fail the assembled check
-    # instead of dropping out of the lattice maximum
+    # instead of dropping out of the lattice maximum, and verify names it
     build_case = cli.build_case
+    axes = {}
 
     def with_nan(cfg):
         case = build_case(cfg)
+        for lab, comp in case.components.items():
+            axes[lab] = probe_axis_values(comp.grid.points, cfg.probe_per_coordinate)
         comp = case.components["z"]
-        node = probe_axis_values(comp.grid.points, cfg.probe_per_coordinate)[1]
-        comp.schwarzian[comp.grid.points == node] = np.nan
+        comp.schwarzian[comp.grid.points == axes["z"][1]] = np.nan
         return case
 
     monkeypatch.setattr(cli, "build_case", with_nan)
@@ -114,8 +132,14 @@ def test_verify_nan_assembled_residual_fails(tmp_path, monkeypatch, capsys):
     summary = read_summary(out / "verify_summary.json")
     assert summary["equations"]["assembled-cylindrical"]["within_tolerance"] is False
     assert summary["all_within_tolerance"] is False
+    err = capsys.readouterr().err.splitlines()
+    nan_points = len(axes["rho"]) * len(axes["phi"])
+    assert err[-1] == (
+        f"verify: assembled-cylindrical residual is NaN at (rho, phi, z) = "
+        f"({axes['rho'][0]!r}, {axes['phi'][0]!r}, {axes['z'][1]!r}), "
+        f"the first of {nan_points} NaN probe points"
+    )
     # the scan's per-hbar maximum carries the NaN too; the fit names it
-    capsys.readouterr()
     scan = run("limit-scan", "--config", CONFIG_DIR / "cylindrical_free.yaml", "--out", out)
     assert scan == 3
     assert "NaN" in capsys.readouterr().err

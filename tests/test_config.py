@@ -51,7 +51,7 @@ def test_shipped_configs_parse():
 def test_hydrogen_config_fields():
     cfg = Q.load_config(str(CONFIG_DIR / "spherical_hydrogen.yaml"))
     assert cfg.symmetry is Q.SymmetryClass.SPHERICAL
-    assert isinstance(cfg.potential, Q.CoulombPotential)
+    assert isinstance(cfg.potentials["r"], Q.CoulombPotential)
     assert cfg.quantum_numbers.ell == 1
     assert cfg.quantum_numbers.energy == -0.125
     assert set(cfg.components) == {"r", "theta", "phi"}
@@ -67,7 +67,7 @@ def test_partial_config_is_allowed():
     cfg = Q.parse_config(minimal_spherical())
     assert not cfg.has_full_set
     assert set(cfg.components) == {"phi"}
-    assert isinstance(cfg.potential, Q.ZeroPotential)
+    assert isinstance(cfg.potentials["r"], Q.ZeroPotential)
     assert cfg.tolerance == 1e-6
     assert cfg.probe_per_coordinate == 5
 
@@ -168,7 +168,7 @@ def cartesian_base() -> dict:
 def test_cartesian_validation():
     cfg = Q.parse_config(cartesian_base())
     assert cfg.has_full_set
-    assert set(cfg.axis_potentials) == {"x", "y", "z"}
+    assert set(cfg.potentials) == {"x", "y", "z"}
 
     bad = cartesian_base()
     bad["potentials"]["w"] = {"kind": "zero"}
@@ -189,7 +189,7 @@ def test_axes_without_listed_potential_default_to_zero():
     base = cartesian_base()
     del base["potentials"]["z"]
     cfg = Q.parse_config(base)
-    assert isinstance(cfg.axis_potentials["z"], Q.ZeroPotential)
+    assert isinstance(cfg.potentials["z"], Q.ZeroPotential)
 
 
 def test_potential_from_mapping_kinds():

@@ -104,7 +104,7 @@ def test_assemble_total_validates_labels(constants):
     pair = Q.analytic_azimuthal(1, grid, constants)
     comp = Q.build_component("phi", pair, 0.0, 0.0)
     with pytest.raises(ValueError, match="needs components"):
-        Q.assemble_total({"phi": comp}, Q.SymmetryClass.SPHERICAL)
+        Q.assemble_total({"phi": comp}, Q.SymmetryClass.SPHERICAL, Q.QuantumNumbers(), {})
 
     other = Q.build_component(
         "z", Q.analytic_axial(0.0, Q.Grid1D.uniform(-3.0, 3.0, 601),
@@ -117,11 +117,11 @@ def test_assemble_total_validates_labels(constants):
         "z": other,
     }
     with pytest.raises(ValueError, match="different physical constants"):
-        Q.assemble_total(comps, Q.SymmetryClass.CYLINDRICAL)
+        Q.assemble_total(comps, Q.SymmetryClass.CYLINDRICAL, Q.QuantumNumbers(), {})
 
 
 def test_total_action_snapping_and_metric(hydrogen_total):
-    total, _ = hydrogen_total
+    total = hydrogen_total
     idx, snapped = total.snap((1.0, 1.5, 3.0))
     assert all(
         snapped[k].item() == total.components[lab].grid.points[idx[k].item()]
@@ -153,7 +153,9 @@ def test_cartesian_gradient_is_plain_sum(constants):
         lab: Q.build_component(lab, oscillator_axis_pair(grid, lab), 0.3, -0.2)
         for lab in ("x", "y", "z")
     }
-    total = Q.assemble_total(comps, Q.SymmetryClass.CARTESIAN)
+    qn = Q.QuantumNumbers(energy=1.5, axis_energies={"x": 0.5, "y": 0.5, "z": 0.5})
+    pots = {lab: Q.HarmonicPotential(1.0) for lab in ("x", "y", "z")}
+    total = Q.assemble_total(comps, Q.SymmetryClass.CARTESIAN, qn, pots)
     point = (0.5, -1.0, 2.0)
     idx, _ = total.snap(point)
     by_hand = sum(

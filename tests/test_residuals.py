@@ -135,19 +135,26 @@ def test_component_equation_metadata(constants):
 
 
 def test_assembled_equation_validation(constants):
+    pair = Q.analytic_azimuthal(1, Q.Grid1D.uniform(0.0, 2.0 * np.pi, 61), constants)
+    comp = Q.build_component("phi", pair, 0.0, 0.0)
+    spherical = {lab: comp for lab in ("r", "theta", "phi")}
+    cartesian = {lab: comp for lab in ("x", "y", "z")}
     qn = Q.QuantumNumbers(energy=1.0)
     with pytest.raises(ValueError, match="radial potential"):
-        Q.assembled_equation_for(Q.SymmetryClass.SPHERICAL, qn, constants)
+        Q.assemble_total(spherical, Q.SymmetryClass.SPHERICAL, qn, {})
+    # a potential keyed by the cylindrical radius is not V(r)
+    with pytest.raises(ValueError, match="radial potential"):
+        Q.assemble_total(spherical, Q.SymmetryClass.SPHERICAL, qn, {"rho": Q.ZeroPotential()})
     with pytest.raises(ValueError, match="axis_potentials"):
-        Q.assembled_equation_for(Q.SymmetryClass.CARTESIAN, qn, constants)
+        Q.assemble_total(cartesian, Q.SymmetryClass.CARTESIAN, qn, {})
     bad = Q.QuantumNumbers(energy=1.5, axis_energies={"x": 0.5, "y": 0.5, "z": 0.4})
     pots = {lab: Q.HarmonicPotential(1.0) for lab in ("x", "y", "z")}
     with pytest.raises(ValueError, match="axis energies"):
-        Q.assembled_equation_for(Q.SymmetryClass.CARTESIAN, bad, constants, axis_potentials=pots)
+        Q.assemble_total(cartesian, Q.SymmetryClass.CARTESIAN, bad, pots)
 
 
 def test_assembly_identity_two_routes(hydrogen_total, constants):
-    total, equation = hydrogen_total
+    total = hydrogen_total
     residuals = {
         "r": Q.component_residual(
             total.components["r"],
@@ -161,14 +168,14 @@ def test_assembly_identity_two_routes(hydrogen_total, constants):
         ),
     }
     for point in Q.probe_lattice(total, per_coordinate=4):
-        direct = Q.assembled_residual(total, equation, point)
+        direct = Q.assembled_residual(total, point)
         summed = Q.component_weighted_sum(total, residuals, point)
         assert abs(direct - summed) < 1e-12
         assert abs(direct) < 1e-6
 
 
 def test_cylindrical_assembly(cylindrical_total, constants):
-    total, equation = cylindrical_total
+    total = cylindrical_total
     residuals = {
         "rho": Q.component_residual(
             total.components["rho"],
@@ -182,36 +189,33 @@ def test_cylindrical_assembly(cylindrical_total, constants):
         ),
     }
     for point in Q.probe_lattice(total, per_coordinate=3):
-        direct = Q.assembled_residual(total, equation, point)
+        direct = Q.assembled_residual(total, point)
         summed = Q.component_weighted_sum(total, residuals, point)
         assert abs(direct - summed) < 1e-12
         assert abs(direct) < 1e-6
 
 
 def test_cartesian_assembly(constants):
-    total, equation = cartesian_oscillator_case(rng=np.random.default_rng(2))
+    total = cartesian_oscillator_case(rng=np.random.default_rng(2))
     for point in Q.probe_lattice(total, per_coordinate=3):
-        assert abs(Q.assembled_residual(total, equation, point)) < 1e-7 * 1.5
+        assert abs(Q.assembled_residual(total, point)) < 1e-7 * 1.5
 
 
 def test_classical_mode_drops_corrections(hydrogen_total):
-    total, equation = hydrogen_total
+    total = hydrogen_total
     point = (2.0, 1.2, 3.0)
-    full = Q.assembled_residual(total, equation, point)
-    classical = Q.assembled_residual(total, equation, point, mode="classical")
-    terms = Q.assembled_residual(total, equation, point, mode="quantum-terms")
+    full = Q.assembled_residual(total, point)
+    classical = Q.assembled_residual(total, point, mode="classical")
+    terms = Q.assembled_residual(total, point, mode="quantum-terms")
     assert full == pytest.approx(classical + terms, abs=1e-14)
     with pytest.raises(ValueError, match="mode"):
-        Q.assembled_residual(total, equation, point, mode="bogus")
+        Q.assembled_residual(total, point, mode="bogus")
 
 
 def test_quantum_terms_vanish_at_zero_hbar(hydrogen_total):
-    total, equation = hydrogen_total
-    frozen = Q.PhysConstants(hbar=0.0)
+    total = hydrogen_total
     for point in Q.probe_lattice(total, per_coordinate=3)[:5]:
-        out = Q.assembled_residual(
-            total, equation, point, mode="quantum-terms", constants=frozen
-        )
+        out = Q.assembled_residual(total, point, mode="quantum-terms", hbar=0.0)
         assert out == 0.0
 
 
@@ -220,23 +224,23 @@ def test_lattice_matches_per_point_calls(case, request):
     # one broadcast call over the probe axes equals the per-point calls over
     # probe_lattice, element for element, in itertools.product order
     if case == "cartesian":
-        total, equation = cartesian_oscillator_case(rng=np.random.default_rng(3))
+        total = cartesian_oscillator_case(rng=np.random.default_rng(3))
     else:
-        total, equation = request.getfixturevalue(case)
+        total = request.getfixturevalue(case)
     samples = {lab: comp.schwarzian for lab, comp in total.components.items()}
     axes = probe_axes(total, per_coordinate=4)
     points = Q.probe_lattice(total, per_coordinate=4)
-    direct = Q.assembled_residual(total, equation, axes)
+    direct = Q.assembled_residual(total, axes)
     summed = Q.component_weighted_sum(total, samples, axes)
     assert direct.shape == summed.shape == tuple(len(a) for a in axes)
-    assert direct.ravel().tolist() == [Q.assembled_residual(total, equation, p) for p in points]
+    assert direct.ravel().tolist() == [Q.assembled_residual(total, p) for p in points]
     assert summed.ravel().tolist() == [
         Q.component_weighted_sum(total, samples, p) for p in points
     ]
 
 
 def test_probe_lattice_is_deterministic(hydrogen_total):
-    total, _ = hydrogen_total
+    total = hydrogen_total
     first = Q.probe_lattice(total, per_coordinate=5)
     second = Q.probe_lattice(total, per_coordinate=5)
     assert first == second
@@ -283,9 +287,9 @@ def test_spin_coefficient_scales_out_constants():
 
 
 def test_classical_limit_scan_slope(hydrogen_total):
-    total, equation = hydrogen_total
+    total = hydrogen_total
     hv = (1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125)
-    result = Q.classical_limit_scan(total, equation, hv)
+    result = Q.classical_limit_scan(total, hv)
     assert result.slope == pytest.approx(2.0, abs=0.05)
     assert result.hbar_values == hv
     assert len(result.magnitudes) == 6
@@ -293,9 +297,9 @@ def test_classical_limit_scan_slope(hydrogen_total):
 
 
 def test_classical_limit_scan_wrong_order(hydrogen_total):
-    total, equation = hydrogen_total
+    total = hydrogen_total
     hv = (1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125)
-    result = Q.classical_limit_scan(total, equation, hv, wrong_order=True)
+    result = Q.classical_limit_scan(total, hv, wrong_order=True)
     gaps = np.asarray(result.wrong_order_gaps)
     # the angular kinetic gap ignores hbar entirely
     assert np.all(gaps == gaps[0])
@@ -305,17 +309,16 @@ def test_classical_limit_scan_wrong_order(hydrogen_total):
 
 
 def test_classical_limit_scan_preconditions(hydrogen_total, cylindrical_total):
-    total, equation = hydrogen_total
+    total = hydrogen_total
     with pytest.raises(Q.QshjeError, match="4 distinct"):
-        Q.classical_limit_scan(total, equation, (1.0, 0.5, 0.25))
+        Q.classical_limit_scan(total, (1.0, 0.5, 0.25))
     with pytest.raises(Q.QshjeError, match="factor of 10"):
-        Q.classical_limit_scan(total, equation, (1.0, 0.8, 0.6, 0.4))
+        Q.classical_limit_scan(total, (1.0, 0.8, 0.6, 0.4))
     with pytest.raises(Q.QshjeError, match="positive"):
-        Q.classical_limit_scan(total, equation, (1.0, 0.5, 0.25, -0.1))
-    cyl_total, cyl_eq = cylindrical_total
+        Q.classical_limit_scan(total, (1.0, 0.5, 0.25, -0.1))
     with pytest.raises(Q.QshjeError, match="spherical"):
         Q.classical_limit_scan(
-            cyl_total, cyl_eq, (1.0, 0.5, 0.25, 0.125, 0.0625), wrong_order=True
+            cylindrical_total, (1.0, 0.5, 0.25, 0.125, 0.0625), wrong_order=True
         )
 
 
