@@ -101,6 +101,13 @@ def _component_meta(comp: ReducedActionComponent, cfg: ComponentConfig) -> dict:
     }
 
 
+def _table(path: str, equation: str, formula: str, columns: dict, fmt: str) -> None:
+    """Write one table from named 1-D columns of equal length."""
+    # Python floats format faster than numpy scalars, to the same bytes
+    cols = [np.asarray(col, dtype=float).tolist() for col in columns.values()]
+    write_table(path, equation, formula, list(columns), zip(*cols), fmt=fmt)
+
+
 def cmd_solve(cfg: RunConfig, out_dir: str, fmt: str) -> int:
     case = build_case(cfg)
     os.makedirs(out_dir, exist_ok=True)
@@ -108,72 +115,63 @@ def cmd_solve(cfg: RunConfig, out_dir: str, fmt: str) -> int:
     for label in case.labels:
         comp = case.components[label]
         eq = case.equations[label]
-        w = comp.pair.wronskian_samples()
-        columns = (
-            comp.grid.points, comp.pair.y1, comp.pair.y2, w,
-            comp.s, comp.ds, comp.amplitude, comp.schwarzian,
-        )
-        # Python floats format faster than numpy scalars, to the same bytes
-        rows = zip(*(col.tolist() for col in columns))
-        write_table(
-            os.path.join(out_dir, f"component_{label}"),
-            eq.name,
-            eq.formula,
-            [label, "y1", "y2", "wronskian", "action", "conjugate_momentum",
-             "amplitude", "schwarzian"],
-            rows,
-            fmt=fmt,
-        )
+        columns = {
+            label: comp.grid.points, "y1": comp.pair.y1, "y2": comp.pair.y2,
+            "wronskian": comp.pair.wronskian_samples(), "action": comp.s,
+            "conjugate_momentum": comp.ds, "amplitude": comp.amplitude,
+            "schwarzian": comp.schwarzian,
+        }
+        _table(os.path.join(out_dir, f"component_{label}"), eq.name, eq.formula, columns, fmt)
         meta["components"][label] = _component_meta(comp, cfg.components[label])
     write_summary(os.path.join(out_dir, "solve_summary.json"), meta)
     return 0
 
 
+def _check(
+    out_dir: str, name: str, formula: str, coords: dict, values: dict, tolerance: float, fmt: str
+) -> dict:
+    """Write one residual table and return its verdict.
+
+    The first of `values` is the residual. Its max |residual| propagates NaN,
+    so a NaN residual fails the tolerance; the first NaN is named on stderr.
+    """
+    _table(os.path.join(out_dir, f"residual_{name}"), name, formula, coords | values, fmt)
+    residual = next(iter(values.values()))
+    nan = np.isnan(residual)
+    if nan.any():
+        at = [repr(float(col[np.argmax(nan)])) for col in coords.values()]
+        if len(coords) == 1:
+            where, what = f"{next(iter(coords))} = {at[0]}", "samples"
+        else:
+            where, what = f"({', '.join(coords)}) = ({', '.join(at)})", "probe points"
+        print(
+            f"verify: {name} residual is NaN at {where}, the first of "
+            f"{int(nan.sum())} NaN {what}",
+            file=sys.stderr,
+        )
+    max_abs = float(np.max(np.abs(residual)))
+    return {"max_abs": max_abs, "within_tolerance": max_abs <= tolerance}
+
+
 def cmd_verify(cfg: RunConfig, out_dir: str, fmt: str, tolerance: float) -> int:
     case = build_case(cfg)
     os.makedirs(out_dir, exist_ok=True)
-    summary: dict = {
-        "symmetry": cfg.symmetry.value,
-        "tolerance": tolerance,
-        "equations": {},
-    }
-    all_pass = True
+    entries: dict = {}
     residuals = {}
     for label in case.labels:
-        comp = case.components[label]
         eq = case.equations[label]
-        report = make_report(eq, comp)
+        report = make_report(eq, case.components[label])
         residuals[label] = report.residual
-        rows = zip(
-            report.coords.tolist(),
-            report.residual.tolist(),
-            (report.residual / report.scale_ref).tolist(),
-        )
-        write_table(
-            os.path.join(out_dir, f"residual_{eq.name}"),
-            eq.name,
-            eq.formula,
-            [label, "residual", "normalized_residual"],
-            rows,
-            fmt=fmt,
-        )
-        ok = report.max_abs <= tolerance
-        nan = np.isnan(report.residual)
-        if nan.any():
-            print(
-                f"verify: {eq.name} residual is NaN at {label} = "
-                f"{float(report.coords[np.argmax(nan)])!r}, the first of "
-                f"{int(nan.sum())} NaN samples",
-                file=sys.stderr,
-            )
-        all_pass = all_pass and ok
-        summary["equations"][eq.name] = {
+        values = {
+            "residual": report.residual,
+            "normalized_residual": report.residual / report.scale_ref,
+        }
+        entries[eq.name] = {
+            **_check(out_dir, eq.name, eq.formula, {label: report.coords}, values, tolerance, fmt),
             "component": label,
-            "max_abs": report.max_abs,
             "rms": report.rms,
             "scale_ref": report.scale_ref,
             "normalized_max": report.normalized_max,
-            "within_tolerance": ok,
         }
 
     if case.total is not None:
@@ -184,42 +182,19 @@ def cmd_verify(cfg: RunConfig, out_dir: str, fmt: str, tolerance: float) -> int:
         direct = assembled_residual(total, axes, mode="quantum").ravel()
         summed = component_weighted_sum(total, residuals, axes).ravel()
         gap = np.abs(direct - summed)
-        rows = (
-            (*p, d, s, g)
-            for p, d, s, g in zip(points, direct.tolist(), summed.tolist(), gap.tolist())
-        )
-        # np.max propagates NaN, so a NaN residual fails the tolerance check
-        max_assembled = float(np.max(np.abs(direct)))
-        max_gap = float(np.max(gap))
-        labels = list(cfg.symmetry.coordinate_labels)
-        write_table(
-            os.path.join(out_dir, f"residual_{name}"),
-            name,
-            SYMMETRY_TABLE[cfg.symmetry].formula,
-            labels + ["residual", "component_weighted_sum", "assembly_gap"],
-            rows,
-            fmt=fmt,
-        )
-        nan = np.isnan(direct)
-        if nan.any():
-            print(
-                f"verify: {name} residual is NaN at ({', '.join(labels)}) = "
-                f"({', '.join(map(repr, points[np.argmax(nan)]))}), the first of "
-                f"{int(nan.sum())} NaN probe points",
-                file=sys.stderr,
-            )
-        ok = max_assembled <= tolerance
-        all_pass = all_pass and ok
-        summary["equations"][name] = {
-            "max_abs": max_assembled,
-            "max_assembly_gap": max_gap,
+        coords = dict(zip(cfg.symmetry.coordinate_labels, np.transpose(points)))
+        values = {"residual": direct, "component_weighted_sum": summed, "assembly_gap": gap}
+        formula = SYMMETRY_TABLE[cfg.symmetry].formula
+        entries[name] = {
+            **_check(out_dir, name, formula, coords, values, tolerance, fmt),
+            "max_assembly_gap": float(np.max(gap)),
             "probe_points": len(points),
-            "within_tolerance": ok,
         }
 
-    summary["all_within_tolerance"] = all_pass
+    summary = {"symmetry": cfg.symmetry.value, "tolerance": tolerance, "equations": entries}
+    summary["all_within_tolerance"] = all(e["within_tolerance"] for e in entries.values())
     write_summary(os.path.join(out_dir, "verify_summary.json"), summary)
-    return 0 if all_pass else 1
+    return 0 if summary["all_within_tolerance"] else 1
 
 
 def cmd_limit_scan(
@@ -237,19 +212,16 @@ def cmd_limit_scan(
     )
 
     os.makedirs(out_dir, exist_ok=True)
-    columns = ["hbar", "quantum_term_magnitude"]
-    rows: list[tuple] = list(zip(scan.hbar_values, scan.magnitudes))
+    columns = {"hbar": scan.hbar_values, "quantum_term_magnitude": scan.magnitudes}
     if scan.wrong_order_gaps is not None:
-        columns.append("wrong_order_gap")
-        rows = [(*row, g) for row, g in zip(rows, scan.wrong_order_gaps)]
-    write_table(
+        columns["wrong_order_gap"] = scan.wrong_order_gaps
+    _table(
         os.path.join(out_dir, "limit_scan"),
         "classical-limit-scan",
         "max over probe points of |(hbar^2/(4m)) * weighted Schwarzian sum + "
         "residual quantum terms| at fixed dS data",
         columns,
-        rows,
-        fmt=fmt,
+        fmt,
     )
     ok = abs(scan.slope - 2.0) <= slope_tol
     payload: dict = {
@@ -291,16 +263,18 @@ def cmd_spin_report(cfg: RunConfig, out_dir: str, fmt: str) -> int:
     coords = np.ix_(*axes)
     t = row.spin(coords, cfg.constants)
     terms = {name: v for name, v in vars(t).items() if v is not None}
-    columns = [col.ravel() for col in np.broadcast_arrays(*coords, *terms.values())]
-    write_table(
+    columns = {
+        name: col.ravel()
+        for name, col in zip([*needed, *terms], np.broadcast_arrays(*coords, *terms.values()))
+    }
+    _table(
         os.path.join(out_dir, "spin_report"),
         f"residual-quantum-terms-{cfg.symmetry.value}",
         row.spin_formula,
-        [*needed, *terms],
-        zip(*(col.tolist() for col in columns)),
-        fmt=fmt,
+        columns,
+        fmt,
     )
-    coeff = columns[-1]
+    coeff = columns["normalized_coefficient"]
     write_summary(
         os.path.join(out_dir, "spin_report_summary.json"),
         {

@@ -31,9 +31,13 @@ DEFAULT_HBAR_SCAN = (1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125)
 _RADIAL_LABELS = {"r", "rho"}
 
 
-def _expect_mapping(value, path: str) -> dict:
+def _expect_mapping(value, path: str, fields: tuple[str, ...] | None = None) -> dict:
+    """value as a mapping; given fields, a key outside them is an error."""
     if not isinstance(value, dict):
         raise ConfigError(f"{path}: expected a mapping, got {type(value).__name__}")
+    for key in value:
+        if fields is not None and key not in fields:
+            raise ConfigError(f"{path}.{key}: unknown field (expected {', '.join(fields)})")
     return value
 
 
@@ -43,6 +47,12 @@ def _get(mapping: dict, key: str, path: str, required: bool = True, default=None
             raise ConfigError(f"{path}.{key}: missing required field")
         return default
     return mapping[key]
+
+
+def _section(mapping: dict, key: str, path: str, fields: tuple[str, ...] | None = None) -> dict:
+    """The optional sub-mapping at key, empty when absent."""
+    value = _get(mapping, key, path, required=False, default={})
+    return _expect_mapping(value, f"{path}.{key}", fields)
 
 
 def _number(value, path: str) -> float:
@@ -114,35 +124,36 @@ class RunConfig:
         return set(self.components) == set(self.symmetry.coordinate_labels)
 
 
+# each potential kind: its class and the fields it reads besides `kind`
+_POTENTIALS = {
+    "zero": (ZeroPotential, ()),
+    "harmonic": (HarmonicPotential, ("omega",)),
+    "coulomb": (CoulombPotential, ("strength",)),
+    "power": (PowerLawPotential, ("coefficient", "exponent")),
+    "tabulated": (TabulatedPotential, ("points", "values")),
+}
+
+
 def potential_from_mapping(mapping, path: str) -> PotentialSpec:
     m = _expect_mapping(mapping, path)
     kind = _get(m, "kind", path)
-    if kind == "zero":
-        return ZeroPotential()
-    if kind == "harmonic":
-        return HarmonicPotential(omega=_number(_get(m, "omega", path), f"{path}.omega"))
-    if kind == "coulomb":
-        return CoulombPotential(strength=_number(_get(m, "strength", path), f"{path}.strength"))
-    if kind == "power":
-        return PowerLawPotential(
-            coefficient=_number(_get(m, "coefficient", path), f"{path}.coefficient"),
-            exponent=_number(_get(m, "exponent", path), f"{path}.exponent"),
+    if not isinstance(kind, str) or kind not in _POTENTIALS:
+        raise ConfigError(
+            f"{path}.kind: unknown potential kind {kind!r} "
+            "(expected zero, harmonic, coulomb, power or tabulated)"
         )
+    cls, fields = _POTENTIALS[kind]
+    _expect_mapping(m, path, ("kind", *fields))
     if kind == "tabulated":
-        pts = _get(m, "points", path)
-        vals = _get(m, "values", path)
         try:
-            return TabulatedPotential(pts, vals)
+            return TabulatedPotential(_get(m, "points", path), _get(m, "values", path))
         except ValueError as exc:
             raise ConfigError(f"{path}: {exc}") from exc
-    raise ConfigError(
-        f"{path}.kind: unknown potential kind {kind!r} "
-        "(expected zero, harmonic, coulomb, power or tabulated)"
-    )
+    return cls(**{f: _number(_get(m, f, path), f"{path}.{f}") for f in fields})
 
 
 def _grid_spec(mapping, path: str, label: str) -> GridSpec:
-    m = _expect_mapping(mapping, path)
+    m = _expect_mapping(mapping, path, ("min", "max", "count"))
     lo = _number(_get(m, "min", path), f"{path}.min")
     hi = _number(_get(m, "max", path), f"{path}.max")
     count = _integer(_get(m, "count", path), f"{path}.count")
@@ -162,7 +173,8 @@ def _grid_spec(mapping, path: str, label: str) -> GridSpec:
 
 
 def _component_config(label: str, mapping, path: str) -> ComponentConfig:
-    m = _expect_mapping(mapping, path)
+    fields = ("mu", "nu", "phase", "grid", "source", "substeps", "solve_energy", "seeds")
+    m = _expect_mapping(mapping, path, fields)
     mu = _number(_get(m, "mu", path), f"{path}.mu")
     nu = _number(_get(m, "nu", path), f"{path}.nu")
     if mu * nu == 1.0:
@@ -214,10 +226,16 @@ def parse_config(data: dict, source_name: str = "config") -> RunConfig:
             f"{source_name}.symmetry: unknown symmetry {sym_raw!r} "
             "(expected cartesian, spherical or cylindrical)"
         ) from None
+    labels = symmetry.coordinate_labels
+    potential_labels = SYMMETRY_TABLE[symmetry].potential_labels
+    # one `potentials:` entry per axis, or the single radial `potential:`
+    per_axis = potential_labels == labels
+    _expect_mapping(root, source_name, (
+        "symmetry", "potentials" if per_axis else "potential", "constants", "quantum_numbers",
+        "components", "tolerance", "hbar_scan", "probe_points_per_coordinate", "output",
+    ))
 
-    cmap = _expect_mapping(
-        _get(root, "constants", source_name, required=False, default={}), f"{source_name}.constants"
-    )
+    cmap = _section(root, "constants", source_name, ("hbar", "mass"))
     try:
         constants = PhysConstants(
             hbar=_number(_get(cmap, "hbar", "constants", required=False, default=1.0), "constants.hbar"),
@@ -228,14 +246,11 @@ def parse_config(data: dict, source_name: str = "config") -> RunConfig:
     if constants.hbar == 0.0:
         raise ConfigError(f"{source_name}.constants.hbar: must be positive for a run")
 
-    qmap = _expect_mapping(
-        _get(root, "quantum_numbers", source_name, required=False, default={}),
-        f"{source_name}.quantum_numbers",
+    qmap = _section(
+        root, "quantum_numbers", source_name,
+        ("ell", "m_ell", "m_phi", "beta", "energy", "axis_energies"),
     )
-    axis_energies = _expect_mapping(
-        _get(qmap, "axis_energies", "quantum_numbers", required=False, default={}),
-        "quantum_numbers.axis_energies",
-    )
+    axis_energies = _section(qmap, "axis_energies", "quantum_numbers", labels)
     try:
         quantum_numbers = QuantumNumbers(
             ell=_integer(_get(qmap, "ell", "quantum_numbers", required=False, default=0), "quantum_numbers.ell"),
@@ -251,16 +266,9 @@ def parse_config(data: dict, source_name: str = "config") -> RunConfig:
     except ValueError as exc:
         raise ConfigError(f"{source_name}.quantum_numbers: {exc}") from exc
 
-    labels = symmetry.coordinate_labels
     potentials: dict[str, PotentialSpec] = {}
-    # one `potentials:` entry per axis, or the single radial `potential:`
-    potential_labels = SYMMETRY_TABLE[symmetry].potential_labels
-    per_axis = potential_labels == labels
     if per_axis:
-        pmap = _expect_mapping(
-            _get(root, "potentials", source_name, required=False, default={}),
-            f"{source_name}.potentials",
-        )
+        pmap = _section(root, "potentials", source_name)
         for key, sub in pmap.items():
             if key not in labels:
                 raise ConfigError(f"{source_name}.potentials.{key}: unknown axis (expected x, y, z)")
@@ -319,9 +327,7 @@ def parse_config(data: dict, source_name: str = "config") -> RunConfig:
     if probe < 2:
         raise ConfigError(f"{source_name}.probe_points_per_coordinate: must be >= 2, got {probe}")
 
-    omap = _expect_mapping(
-        _get(root, "output", source_name, required=False, default={}), f"{source_name}.output"
-    )
+    omap = _section(root, "output", source_name, ("directory", "format"))
     fmt = _get(omap, "format", "output", required=False, default="csv")
     if fmt not in ("csv", "json"):
         raise ConfigError(f"{source_name}.output.format: expected 'csv' or 'json', got {fmt!r}")

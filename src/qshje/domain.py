@@ -77,13 +77,13 @@ class QuantumNumbers:
         if abs(self.m_ell) > self.ell:
             raise ValueError(f"|m_ell| must be <= ell, got m_ell={self.m_ell}, ell={self.ell}")
 
-    def check_axis_energies(self, labels: tuple[str, ...], rtol: float = 1e-12) -> None:
+    def check_axis_energies(self, labels: tuple[str, ...]) -> None:
         missing = [q for q in labels if q not in self.axis_energies]
         if missing:
             raise ValueError(f"missing axis energies for {missing}")
         total = sum(self.axis_energies[q] for q in labels)
         scale = max(abs(self.energy), abs(total), 1.0)
-        if abs(total - self.energy) > rtol * scale:
+        if abs(total - self.energy) > 1e-12 * scale:
             raise ValueError(
                 f"axis energies sum to {total!r}, expected energy {self.energy!r}"
             )
@@ -297,13 +297,13 @@ def spherical_polar_problem(ell: int, m_ell: int, constants: PhysConstants) -> E
     )
 
 
-def azimuthal_problem(m: int, constants: PhysConstants, label: str = "phi") -> Effective1DProblem:
+def azimuthal_problem(m: int, constants: PhysConstants) -> Effective1DProblem:
     """Azimuthal equation F'' + m^2 F = 0 as a zero-potential problem."""
     c = constants
     return Effective1DProblem(
-        label=label,
+        label="phi",
         name="azimuthal",
-        formula=f"(dS_{label})^2 + (hbar^2/2)*{{S_{label};{label}}} - m^2*hbar^2",
+        formula="(dS_phi)^2 + (hbar^2/2)*{S_phi;phi} - m^2*hbar^2",
         v_eff=lambda q: np.zeros_like(np.asarray(q, dtype=float)),
         e_eff=m**2 * c.hbar**2 / (2.0 * c.mass),
         constants=constants,

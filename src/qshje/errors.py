@@ -10,7 +10,7 @@ class GridDomainError(QshjeError):
 
 
 class DegenerateMobiusError(QshjeError):
-    """Degenerate mixing: mu*nu = 1, or a mixed-basis amplitude that vanishes."""
+    """Degenerate mixing: mu*nu = 1."""
 
 
 class SchwarzianNodeError(QshjeError):

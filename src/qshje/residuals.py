@@ -265,7 +265,7 @@ def assemble_total(
     if potential_labels == labels:
         if set(potentials) != set(labels):
             raise ValueError(
-                f"{symmetry.value} assembly needs axis_potentials for {', '.join(labels)}"
+                f"{symmetry.value} assembly needs potentials for {', '.join(labels)}"
             )
         quantum_numbers.check_axis_energies(labels)
     elif set(potentials) != set(potential_labels):

@@ -64,17 +64,17 @@ def differentiate(samples: np.ndarray, grid: Grid1D, max_order: int = 3) -> Deri
     return DerivativeBundle(grid, 2, grid.n - 2, f0, d1, d2, d3)
 
 
-def schwarzian(bundle: DerivativeBundle, floor_ratio: float = 1e-12) -> np.ndarray:
+def schwarzian(bundle: DerivativeBundle) -> np.ndarray:
     """{S; q} from a derivative bundle.
 
-    Points where |S'| < floor_ratio * max|S'| are masked to NaN instead of
+    Points where |S'| < 1e-12 * max|S'| are masked to NaN instead of
     producing huge values. A sign change of S' inside the window is a node of
     the action and raises; the caller must change (mu, nu).
     """
     if bundle.d2 is None or bundle.d3 is None:
         raise ValueError("schwarzian needs derivatives up to order 3 in the bundle")
     d1, d2, d3 = bundle.d1, bundle.d2, bundle.d3
-    floor = floor_ratio * float(np.max(np.abs(d1)))
+    floor = 1e-12 * float(np.max(np.abs(d1)))
     live = np.abs(d1) >= floor
     signs = np.sign(d1[live])
     if signs.size and (np.any(signs > 0) and np.any(signs < 0)):
@@ -88,7 +88,7 @@ def schwarzian(bundle: DerivativeBundle, floor_ratio: float = 1e-12) -> np.ndarr
     return out
 
 
-def schwarzian_from_momentum(ds, grid: Grid1D, floor_ratio: float = 1e-12) -> np.ndarray:
+def schwarzian_from_momentum(ds, grid: Grid1D) -> np.ndarray:
     """{S; q} on the full grid from sampled conjugate momentum dS/dq.
 
     S'' and S''' come from first and second differences of dS, so round-off
@@ -100,7 +100,7 @@ def schwarzian_from_momentum(ds, grid: Grid1D, floor_ratio: float = 1e-12) -> np
     # momentum occupying the first-derivative slot
     shifted = DerivativeBundle(b.grid, b.start, b.stop, b.f, b.f, b.d1, b.d2)
     out = np.full(grid.n, np.nan)
-    out[b.start : b.stop] = schwarzian(shifted, floor_ratio)
+    out[b.start : b.stop] = schwarzian(shifted)
     return out
 
 

@@ -5,9 +5,9 @@ byte-identical files; no timestamps or environment data are embedded. Every
 table opens with a comment line naming the equation it verifies and the
 formula being evaluated.
 
-A table row whose cells are all floats is rendered with one ``%.17g`` format
-per row; rows holding bools, ints, None or strings are rendered cell by cell.
-Both give the same bytes.
+Table rows hold floats only, and each row is rendered with one ``%.17g``
+format: NaN and infinities read ``nan``, ``inf`` and ``-inf`` in CSV and
+``null`` in JSON.
 """
 from __future__ import annotations
 
@@ -15,11 +15,6 @@ import functools
 import math
 import os
 from typing import Iterable, Sequence
-
-import numpy as np
-
-# cell types a row may hold and still take the one-format-per-row path
-_FLOAT_TYPES = frozenset((float, np.float64))
 
 
 def format_float(x: float) -> str:
@@ -34,23 +29,12 @@ def _plain(value):
     return value
 
 
-def _cell(value) -> str:
-    value = _plain(value)
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return format_float(value)
-    if isinstance(value, int):
-        return str(value)
-    return str(value)
-
-
 def write_table(
     path: str,
     equation: str,
     formula: str,
     columns: Sequence[str],
-    rows: Iterable[Sequence],
+    rows: Iterable[Sequence[float]],
     fmt: str = "csv",
 ) -> str:
     """Write one table; returns the path actually written (extension fixed)."""
@@ -60,17 +44,16 @@ def write_table(
         lines = [f"# equation: {equation} | {formula}", ",".join(columns)]
         for row in rows:
             row = tuple(row)
-            line = _float_line(row, ",")
-            lines.append(line if line is not None else ",".join(_cell(v) for v in row))
+            lines.append(_row_template(len(row), ",") % row)
         payload = "\n".join(lines) + "\n"
     elif fmt == "json":
         out = f"{base}.json"
         body_rows = []
         for row in rows:
             row = tuple(row)
-            line = _float_line(row, ", ")
+            line = _row_template(len(row), ", ") % row
             # a finite float prints without the letter n; nan and inf need null
-            if line is None or "n" in line:
+            if "n" in line:
                 line = ", ".join(_json_scalar(v) for v in row)
             body_rows.append("[" + line + "]")
         payload = (
@@ -91,13 +74,6 @@ def write_table(
 @functools.lru_cache(maxsize=64)
 def _row_template(width: int, sep: str) -> str:
     return sep.join(["%.17g"] * width)
-
-
-def _float_line(row: tuple, sep: str) -> str | None:
-    """The row as one ``%.17g`` format if every cell is a float, else None."""
-    if not _FLOAT_TYPES.issuperset(map(type, row)):
-        return None
-    return _row_template(len(row), sep) % row
 
 
 # every C0 control character is escaped, as JSON requires

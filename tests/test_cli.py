@@ -212,6 +212,47 @@ def test_config_error_exit_code(tmp_path, capsys):
             assert "config error: --tolerance" in capsys.readouterr().err
 
 
+def _potentials_for_r(cfg):
+    cfg["potentials"] = {"r": cfg.pop("potential")}
+
+
+def _single_potential(cfg):
+    cfg["potential"] = cfg.pop("potentials")["x"]
+
+
+def _substep_typo(cfg):
+    cfg["components"]["r"]["substep"] = cfg["components"]["r"].pop("substeps")
+
+
+_TOP_FIELDS = (
+    "constants, quantum_numbers, components, tolerance, hbar_scan, "
+    "probe_points_per_coordinate, output)"
+)
+
+
+@pytest.mark.parametrize(
+    "config, edit, message",
+    [
+        ("spherical_hydrogen", _potentials_for_r,
+         "config.potentials: unknown field (expected symmetry, potential, " + _TOP_FIELDS),
+        ("cartesian_oscillator", _single_potential,
+         "config.potential: unknown field (expected symmetry, potentials, " + _TOP_FIELDS),
+        ("spherical_hydrogen", _substep_typo,
+         "components.r.substep: unknown field (expected mu, nu, phase, grid, source, "
+         "substeps, solve_energy, seeds)"),
+    ],
+    ids=["spherical-potentials", "cartesian-potential", "substep-typo"],
+)
+def test_unread_config_key_is_a_config_error(tmp_path, capsys, config, edit, message):
+    # each of these ran a different problem from the one written, and passed
+    cfg = yaml.safe_load((CONFIG_DIR / f"{config}.yaml").read_text())
+    edit(cfg)
+    path = tmp_path / "edited.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    assert run("verify", "--config", path, "--out", tmp_path / "o") == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
 def test_solver_failure_exit_code(tmp_path, capsys):
     cfg = {
         "symmetry": "cartesian",
@@ -385,6 +426,38 @@ def test_solve_cartesian_oscillator(tmp_path):
     meta = read_summary(out / "solve_summary.json")
     assert meta["components"]["x"]["provenance"] == "numerical"
     assert abs(meta["components"]["x"]["wronskian_drift"]) < 1e-6
+
+
+def _read_csv_table(path):
+    lines = path.read_text().splitlines()
+    equation, formula = lines[0].removeprefix("# equation: ").split(" | ", 1)
+    rows = [[float(v) for v in line.split(",")] for line in lines[2:]]
+    return equation, formula, lines[1].split(","), rows
+
+
+@pytest.mark.parametrize("config", sorted(p.stem for p in CONFIG_DIR.glob("*.yaml")))
+def test_csv_and_json_tables_agree(tmp_path, config):
+    commands = (("solve",), ("verify",), ("limit-scan", "--wrong-order-demo"), ("spin-report",))
+    compared = 0
+    for command, *flags in commands:
+        csv_out, json_out = tmp_path / f"{command}-csv", tmp_path / f"{command}-json"
+        argv = (command, "--config", CONFIG_DIR / f"{config}.yaml", *flags)
+        assert run(*argv, "--out", csv_out, "--format", "csv") == run(
+            *argv, "--out", json_out, "--format", "json"
+        )
+        tables = sorted(p.stem for p in csv_out.glob("*.csv"))
+        summaries = [p.stem for p in json_out.glob("*_summary.json")]
+        assert sorted(p.stem for p in json_out.glob("*.json") if p.stem not in summaries) == tables
+        for stem in tables:
+            equation, formula, columns, rows = _read_csv_table(csv_out / f"{stem}.csv")
+            payload = json.loads((json_out / f"{stem}.json").read_text())
+            assert (payload["equation"], payload["formula"]) == (equation, formula)
+            assert payload["columns"] == columns
+            # nan and inf read as null in JSON
+            expected = [[v if np.isfinite(v) else None for v in row] for row in rows]
+            assert payload["rows"] == expected
+        compared += len(tables)
+    assert compared >= 2  # solve and verify write at least one table each
 
 
 def test_importing_the_cli_leaves_scipy_unloaded():

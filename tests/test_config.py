@@ -101,6 +101,17 @@ def test_wrong_energy_config_override():
         ("probe_points_per_coordinate", 1, "must be >= 2"),
         ("output.format", "xml", "expected 'csv' or 'json'"),
         ("potential", {"kind": "magnetic"}, "unknown potential kind"),
+        # every mapping rejects a key the parser does not read
+        ("constants.h", 1.0, r"^config.constants.h: unknown field \(expected hbar, mass\)$"),
+        ("quantum_numbers.l", 1, r"^config.quantum_numbers.l: unknown field \(expected ell, "),
+        ("quantum_numbers.axis_energies.x", 0.5,
+         r"^quantum_numbers.axis_energies.x: unknown field \(expected r, theta, phi\)$"),
+        ("components.phi.grid.step", 0.1, r"^components.phi.grid.step: unknown field"),
+        ("output.dir", "out", r"^config.output.dir: unknown field \(expected directory, format\)$"),
+        ("potential", {"kind": "coulomb", "strength": 1.0, "omega": 2.0},
+         r"^potential.omega: unknown field \(expected kind, strength\)$"),
+        ("potential", {"kind": "zero", "strength": 1.0},
+         r"^potential.strength: unknown field \(expected kind\)$"),
     ],
 )
 def test_invalid_fields(path, value, message):

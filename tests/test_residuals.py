@@ -145,7 +145,7 @@ def test_assembled_equation_validation(constants):
     # a potential keyed by the cylindrical radius is not V(r)
     with pytest.raises(ValueError, match="radial potential"):
         Q.assemble_total(spherical, Q.SymmetryClass.SPHERICAL, qn, {"rho": Q.ZeroPotential()})
-    with pytest.raises(ValueError, match="axis_potentials"):
+    with pytest.raises(ValueError, match="needs potentials for x, y, z"):
         Q.assemble_total(cartesian, Q.SymmetryClass.CARTESIAN, qn, {})
     bad = Q.QuantumNumbers(energy=1.5, axis_energies={"x": 0.5, "y": 0.5, "z": 0.4})
     pots = {lab: Q.HarmonicPotential(1.0) for lab in ("x", "y", "z")}

@@ -1,0 +1,76 @@
+"""Behaviour-contract manifest: run a fixed set of CLI jobs in-process and
+print what each of them produced.
+
+    python3 tools/contract_manifest.py > manifest.txt
+
+The jobs are the five commands (solve, verify, limit-scan, limit-scan
+--wrong-order-demo, spin-report) on every shipped config in CSV and in JSON,
+then every job of the verify-numeric, cold-analytic and probe-dense benchmark
+workloads at seed 5. Each job prints one line `<job> <exit code> <sha256 of
+stderr>`, then one indented `<output file> <sha256>` line per file it wrote.
+Every config and output path is relative to a scratch directory, so the
+output depends only on the program. Copy this file into two checkouts and
+diff their outputs: a change that keeps every exit code, stderr line and
+output byte prints the same manifest.
+"""
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import os
+import pathlib
+import sys
+import tempfile
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
+
+from bench.workloads import WORKLOADS, input_sets  # noqa: E402
+from qshje.cli import main as cli_main  # noqa: E402
+
+SEED = 5
+COMMANDS = (
+    ("solve",), ("verify",), ("limit-scan",), ("limit-scan", "--wrong-order-demo"), ("spin-report",),
+)
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _jobs():
+    """(name, config text, argv after `--config <file> --out <dir>`) of every job."""
+    for config in sorted((ROOT / "configs").glob("*.yaml")):
+        text = config.read_text(encoding="utf-8")
+        for command, *flags in COMMANDS:
+            for fmt in ("csv", "json"):
+                name = ":".join((config.stem, command, *flags, fmt))
+                yield name, text, command, ["--format", fmt, *flags]
+    for workload in WORKLOADS:
+        for k, cycle in enumerate(input_sets(workload, SEED)):
+            for job in cycle:
+                yield f"{workload}:{k}:{job.name}", job.config_text(), job.command, list(job.flags)
+
+
+def main() -> int:
+    start = os.getcwd()
+    with tempfile.TemporaryDirectory() as scratch:
+        os.chdir(scratch)
+        try:
+            for i, (name, text, command, flags) in enumerate(_jobs()):
+                config, out = f"config{i}.yaml", pathlib.Path(f"out{i}")
+                pathlib.Path(config).write_text(text, encoding="utf-8")
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err):
+                    rc = cli_main([command, "--config", config, "--out", str(out), *flags])
+                print(name, rc, _sha256(err.getvalue().encode("utf-8")))
+                for path in sorted(p for p in out.rglob("*") if p.is_file()):
+                    print(f"  {path.relative_to(out)} {_sha256(path.read_bytes())}")
+        finally:
+            os.chdir(start)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
