@@ -21,14 +21,13 @@ from .domain import (
     SymmetryClass,
     TabulatedPotential,
     ZeroPotential,
+    coordinate,
 )
-from .errors import ConfigError
+from .errors import ConfigError, QshjeError
 from .ode_engine import Grid1D
-from .residuals import SYMMETRY_TABLE
+from .residuals import SYMMETRY_TABLE, hbar_scan_values
 
 DEFAULT_HBAR_SCAN = (1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125)
-
-_RADIAL_LABELS = {"r", "rho"}
 
 
 def _expect_mapping(value, path: str, fields: tuple[str, ...] | None = None) -> dict:
@@ -161,13 +160,15 @@ def _grid_spec(mapping, path: str, label: str) -> GridSpec:
         raise ConfigError(f"{path}: min must be < max, got [{lo}, {hi}]")
     if count < 9:
         raise ConfigError(f"{path}.count: need at least 9 grid points, got {count}")
-    if label in _RADIAL_LABELS and lo <= 0.0:
-        raise ConfigError(
-            f"{path}.min: radial coordinate {label!r} requires min > 0, got {lo}"
-        )
-    if label == "theta" and not (0.0 < lo and hi < np.pi):
+    lo_q, hi_q, _ = coordinate(label)
+    # the one bounded coordinate is the polar angle
+    if hi_q < np.inf and not (lo_q < lo and hi < hi_q):
         raise ConfigError(
             f"{path}: polar grid must lie strictly inside (0, pi), got [{lo}, {hi}]"
+        )
+    if lo <= lo_q:
+        raise ConfigError(
+            f"{path}.min: radial coordinate {label!r} requires min > 0, got {lo}"
         )
     return GridSpec(lo, hi, count)
 
@@ -317,8 +318,10 @@ def parse_config(data: dict, source_name: str = "config") -> RunConfig:
         hbar_scan = tuple(
             _number(v, f"{source_name}.hbar_scan[{i}]") for i, v in enumerate(scan_raw)
         )
-        if any(v <= 0.0 for v in hbar_scan):
-            raise ConfigError(f"{source_name}.hbar_scan: all values must be positive")
+        try:
+            hbar_scan_values(hbar_scan)
+        except QshjeError as exc:
+            raise ConfigError(f"{source_name}.hbar_scan: {exc}") from exc
 
     probe = _integer(
         _get(root, "probe_points_per_coordinate", source_name, required=False, default=5),

@@ -46,6 +46,31 @@ class SymmetryClass(Enum):
         }[self]
 
 
+# Open interval and reduction weight w of each coordinate whose separated
+# solution is reduced to Schroedinger form as w(q) times itself: X = r R,
+# T = sin^(1/2)(theta) T0, H = sqrt(rho) G. Every other label spans the real
+# line with w = 1.
+COORDINATES: dict[str, tuple[float, float, Callable]] = {
+    "r": (0.0, np.inf, lambda q: q),
+    "theta": (0.0, np.pi, lambda q: np.sqrt(np.sin(q))),
+    "rho": (0.0, np.inf, np.sqrt),
+}
+_REAL_LINE = (-np.inf, np.inf, np.ones_like)
+
+
+def coordinate(label: str) -> tuple[float, float, Callable]:
+    """(lo, hi, w): the open interval and the reduction weight of a coordinate label."""
+    return COORDINATES.get(label, _REAL_LINE)
+
+
+def check_coordinates(label: str, q) -> None:
+    """Raise GridDomainError unless every value q lies strictly inside the label's interval."""
+    lo, hi, _ = coordinate(label)
+    q = np.asarray(q, dtype=float)
+    if np.any(q <= lo) or np.any(q >= hi):
+        raise GridDomainError(f"coordinate {label!r} must lie strictly inside ({lo}, {hi})")
+
+
 def lambda_from_ell(ell: int) -> int:
     """Angular separation constant lambda = ell (ell + 1)."""
     if not isinstance(ell, (int, np.integer)) or isinstance(ell, bool):
@@ -148,14 +173,17 @@ class TabulatedPotential(PotentialSpec):
     """Cubic-spline interpolant of sampled values; evaluation outside the table is an error."""
 
     def __init__(self, points, values):
-        points = np.asarray(points, dtype=float)
-        values = np.asarray(values, dtype=float)
+        try:
+            points = np.asarray(points, dtype=float)
+            values = np.asarray(values, dtype=float)
+        except (TypeError, ValueError):
+            raise ValueError("tabulated potential points and values must be numbers") from None
         if points.ndim != 1 or points.shape != values.shape or points.size < 4:
             raise ValueError("tabulated potential needs matching 1-D arrays of >= 4 samples")
+        if not (np.all(np.isfinite(points)) and np.all(np.isfinite(values))):
+            raise ValueError("tabulated potential points and values must be finite")
         if np.any(np.diff(points) <= 0):
             raise ValueError("tabulated potential abscissae must be strictly increasing")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("tabulated potential values must be finite")
         from scipy.interpolate import CubicSpline  # lazy: keeps scipy out of `import qshje`
 
         self.points = points
@@ -167,45 +195,6 @@ class TabulatedPotential(PotentialSpec):
         if np.any(q < self.points[0]) or np.any(q > self.points[-1]):
             raise GridDomainError("tabulated potential evaluated outside its table")
         return self._spline(q)
-
-
-def fictive_radial_potential(spec: PotentialSpec, ell: int, constants: PhysConstants, r):
-    """V(r) + lambda hbar^2 / (2 m r^2) seen by the reduced radial solution X = r R."""
-    r = np.asarray(r, dtype=float)
-    if np.any(r <= 0.0):
-        raise GridDomainError("radial coordinate must satisfy r > 0")
-    lam = lambda_from_ell(ell)
-    c = constants
-    return spec.evaluate(r, c) + lam * c.hbar**2 / (2.0 * c.mass * r * r)
-
-
-def fictive_polar_potential(m_ell: int, constants: PhysConstants, theta):
-    """(hbar^2/2m) (m_ell^2 - 1/4) / sin^2(theta) seen by T = sin^(1/2)(theta) T0."""
-    theta = np.asarray(theta, dtype=float)
-    if np.any(theta <= 0.0) or np.any(theta >= np.pi):
-        raise GridDomainError("polar angle must lie strictly inside (0, pi)")
-    c = constants
-    s = np.sin(theta)
-    return c.hbar**2 * (m_ell**2 - 0.25) / (2.0 * c.mass * s * s)
-
-
-def polar_energy(ell: int, constants: PhysConstants) -> float:
-    """Effective energy (lambda + 1/4) hbar^2 / (2m) of the reduced polar equation."""
-    lam = lambda_from_ell(ell)
-    c = constants
-    return (lam + 0.25) * c.hbar**2 / (2.0 * c.mass)
-
-
-def fictive_cylindrical_potential(
-    spec: PotentialSpec, m_phi: int, beta: float, constants: PhysConstants, rho
-):
-    """V(rho) + (m_phi^2 - 1/4) hbar^2/(2 m rho^2) - beta hbar^2/(2m) for H = sqrt(rho) G."""
-    rho = np.asarray(rho, dtype=float)
-    if np.any(rho <= 0.0):
-        raise GridDomainError("cylindrical radius must satisfy rho > 0")
-    c = constants
-    centrifugal = (m_phi**2 - 0.25) * c.hbar**2 / (2.0 * c.mass * rho * rho)
-    return spec.evaluate(rho, c) + centrifugal - beta * c.hbar**2 / (2.0 * c.mass)
 
 
 @dataclass(frozen=True)
@@ -228,15 +217,9 @@ class Effective1DProblem:
     e_eff: float
     constants: PhysConstants
     scale: float = 1.0
-    domain: tuple[float, float] = (-np.inf, np.inf)
 
     def check_domain(self, q) -> None:
-        q = np.asarray(q, dtype=float)
-        lo, hi = self.domain
-        if np.any(q <= lo) or np.any(q >= hi):
-            raise GridDomainError(
-                f"coordinate {self.label!r} must lie strictly inside ({lo}, {hi})"
-            )
+        check_coordinates(self.label, q)
 
     def curvature(self, q):
         """(2m/hbar^2) (v_eff(q) - e_eff)."""
@@ -265,6 +248,15 @@ def cartesian_axis_problem(
 def spherical_radial_problem(
     spec: PotentialSpec, ell: int, energy: float, constants: PhysConstants
 ) -> Effective1DProblem:
+    lam = lambda_from_ell(ell)
+    c = constants
+
+    def v_eff(r):
+        """V(r) + lambda hbar^2 / (2 m r^2) seen by the reduced radial solution X = r R."""
+        r = np.asarray(r, dtype=float)
+        check_coordinates("r", r)
+        return spec.evaluate(r, c) + lam * c.hbar**2 / (2.0 * c.mass * r * r)
+
     return Effective1DProblem(
         label="r",
         name="radial-spherical",
@@ -272,16 +264,25 @@ def spherical_radial_problem(
             "(dS_r)^2/(2m) + (hbar^2/(4m))*{S_r;r} + V(r)"
             " + l(l+1)*hbar^2/(2m r^2) - E"
         ),
-        v_eff=lambda r, _s=spec, _l=ell, _c=constants: fictive_radial_potential(_s, _l, _c, r),
+        v_eff=v_eff,
         e_eff=float(energy),
         constants=constants,
-        domain=(0.0, np.inf),
     )
 
 
 def spherical_polar_problem(ell: int, m_ell: int, constants: PhysConstants) -> Effective1DProblem:
     if abs(m_ell) > ell:
         raise ValueError(f"|m_ell| must be <= ell, got m_ell={m_ell}, ell={ell}")
+    lam = lambda_from_ell(ell)
+    c = constants
+
+    def v_eff(theta):
+        """(hbar^2/2m) (m_ell^2 - 1/4) / sin^2(theta) seen by T = sin^(1/2)(theta) T0."""
+        theta = np.asarray(theta, dtype=float)
+        check_coordinates("theta", theta)
+        s = np.sin(theta)
+        return c.hbar**2 * (m_ell**2 - 0.25) / (2.0 * c.mass * s * s)
+
     return Effective1DProblem(
         label="theta",
         name="polar-spherical",
@@ -289,11 +290,11 @@ def spherical_polar_problem(ell: int, m_ell: int, constants: PhysConstants) -> E
             "(dS_theta)^2 + (hbar^2/2)*{S_theta;theta}"
             " + (m_l^2 - 1/4)*hbar^2/sin^2(theta) - (l(l+1) + 1/4)*hbar^2"
         ),
-        v_eff=lambda t, _m=m_ell, _c=constants: fictive_polar_potential(_m, _c, t),
-        e_eff=polar_energy(ell, constants),
+        v_eff=v_eff,
+        # the reduced polar equation's energy (lambda + 1/4) hbar^2 / (2m)
+        e_eff=(lam + 0.25) * c.hbar**2 / (2.0 * c.mass),
         constants=constants,
         scale=2.0 * constants.mass,
-        domain=(0.0, np.pi),
     )
 
 
@@ -314,6 +315,15 @@ def azimuthal_problem(m: int, constants: PhysConstants) -> Effective1DProblem:
 def cylindrical_radial_problem(
     spec: PotentialSpec, m_phi: int, beta: float, energy: float, constants: PhysConstants
 ) -> Effective1DProblem:
+    c = constants
+
+    def v_eff(rho):
+        """V(rho) + (m_phi^2 - 1/4) hbar^2/(2 m rho^2) - beta hbar^2/(2m) for H = sqrt(rho) G."""
+        rho = np.asarray(rho, dtype=float)
+        check_coordinates("rho", rho)
+        centrifugal = (m_phi**2 - 0.25) * c.hbar**2 / (2.0 * c.mass * rho * rho)
+        return spec.evaluate(rho, c) + centrifugal - beta * c.hbar**2 / (2.0 * c.mass)
+
     return Effective1DProblem(
         label="rho",
         name="radial-cylindrical",
@@ -321,12 +331,9 @@ def cylindrical_radial_problem(
             "(dS_rho)^2/(2m) + (hbar^2/(4m))*{S_rho;rho} + V(rho)"
             " + (m_phi^2 - 1/4)*hbar^2/(2m rho^2) - beta*hbar^2/(2m) - E"
         ),
-        v_eff=lambda rho, _s=spec, _m=m_phi, _b=beta, _c=constants: fictive_cylindrical_potential(
-            _s, _m, _b, _c, rho
-        ),
+        v_eff=v_eff,
         e_eff=float(energy),
         constants=constants,
-        domain=(0.0, np.inf),
     )
 
 

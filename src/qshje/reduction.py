@@ -1,69 +1,35 @@
 """Variable changes that remove first-derivative terms from the separated equations.
 
-Each reduction multiplies the separated solution by a weight w(q) so that the
-result solves a Schroedinger-form equation y'' = c(q) y:
-
-    radial spherical      X = r R(r)                  on r in (0, inf)
-    polar spherical       T = sin^(1/2)(theta) T0     on theta in (0, pi)
-    radial cylindrical    H = sqrt(rho) G(rho)        on rho in (0, inf)
-    identity              unchanged                   (Cartesian axes, phi, z)
+Each reduction multiplies the separated solution by the weight w(q) of its
+coordinate label, from `domain.COORDINATES`, so that the result solves a
+Schroedinger-form equation y'' = c(q) y: X = r R(r), T = sin^(1/2)(theta) T0
+and H = sqrt(rho) G(rho). Cartesian axes, phi and z are left unchanged.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
-from .domain import Effective1DProblem
-from .errors import GridDomainError
+from .domain import Effective1DProblem, check_coordinates, coordinate
 from .ode_engine import Grid1D, SolutionPair
 from .schwarzian import differentiate
 
 
-class ReductionKind(Enum):
-    RADIAL_SPHERICAL = "radial-spherical"
-    POLAR_SPHERICAL = "polar-spherical"
-    RADIAL_CYLINDRICAL = "radial-cylindrical"
-    IDENTITY = "identity"
-
-
-_DOMAINS = {
-    ReductionKind.RADIAL_SPHERICAL: (0.0, np.inf),
-    ReductionKind.POLAR_SPHERICAL: (0.0, np.pi),
-    ReductionKind.RADIAL_CYLINDRICAL: (0.0, np.inf),
-    ReductionKind.IDENTITY: (-np.inf, np.inf),
-}
-
-
-def _check_domain(kind: ReductionKind, q: np.ndarray) -> None:
-    lo, hi = _DOMAINS[kind]
-    if np.any(q <= lo) or np.any(q >= hi):
-        raise GridDomainError(f"{kind.value} reduction needs coordinates strictly inside ({lo}, {hi})")
-
-
-def _weight(kind: ReductionKind, q: np.ndarray) -> np.ndarray:
-    if kind is ReductionKind.RADIAL_SPHERICAL:
-        return q
-    if kind is ReductionKind.POLAR_SPHERICAL:
-        return np.sqrt(np.sin(q))
-    if kind is ReductionKind.RADIAL_CYLINDRICAL:
-        return np.sqrt(q)
-    return np.ones_like(q)
-
-
-def reduce_wavefunction(kind: ReductionKind, values: np.ndarray, grid: Grid1D) -> np.ndarray:
+def reduce_wavefunction(label: str, values: np.ndarray, grid: Grid1D) -> np.ndarray:
     """Separated solution -> reduced (Schroedinger-form) solution."""
     q = grid.points
-    _check_domain(kind, q)
-    return _weight(kind, q) * np.asarray(values, dtype=float)
+    check_coordinates(label, q)
+    *_, weight = coordinate(label)
+    return weight(q) * np.asarray(values, dtype=float)
 
 
-def restore_wavefunction(kind: ReductionKind, values: np.ndarray, grid: Grid1D) -> np.ndarray:
+def restore_wavefunction(label: str, values: np.ndarray, grid: Grid1D) -> np.ndarray:
     """Reduced solution -> separated solution; exact inverse of `reduce_wavefunction`."""
     q = grid.points
-    _check_domain(kind, q)
-    return np.asarray(values, dtype=float) / _weight(kind, q)
+    check_coordinates(label, q)
+    *_, weight = coordinate(label)
+    return np.asarray(values, dtype=float) / weight(q)
 
 
 @dataclass(frozen=True)

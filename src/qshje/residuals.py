@@ -33,6 +33,7 @@ from .domain import (
     axial_problem,
     azimuthal_problem,
     cartesian_axis_problem,
+    check_coordinates,
     cylindrical_radial_problem,
     spherical_polar_problem,
     spherical_radial_problem,
@@ -75,11 +76,10 @@ class SpinTerms:
         return self.ter1 + (self.ter2 if self.ter2 is not None else 0.0)
 
 
-def _radial_spin(radius, constants: PhysConstants, theta=None) -> SpinTerms:
-    """-hbar^2/8m q^2 at the radius q and, given a polar angle, its partner
-    divided by sin^2 theta; arrays broadcast."""
-    if np.any(np.asarray(radius) <= 0.0):
-        raise GridDomainError("radius must be positive")
+def _radial_spin(label: str, radius, constants: PhysConstants, theta=None) -> SpinTerms:
+    """-hbar^2/8m q^2 at the radius q of coordinate label and, given a polar
+    angle, its partner divided by sin^2 theta; arrays broadcast."""
+    check_coordinates(label, radius)
     h2 = constants.hbar * constants.hbar
     # normalizing by the same rounded reference keeps the quotient exact:
     # scaling a float by 1/4 never rounds
@@ -87,9 +87,8 @@ def _radial_spin(radius, constants: PhysConstants, theta=None) -> SpinTerms:
     ter1 = -0.25 * ref
     ter2 = None
     if theta is not None:
+        check_coordinates("theta", theta)
         s = np.sin(theta)
-        if np.any(s == 0.0):
-            raise GridDomainError("polar angle on the axis: sin(theta) = 0")
         ter2 = ter1 / (s * s)
     coeff = np.divide(-ter1, ref, out=np.full(np.shape(ref), 0.25), where=ref != 0.0)
     return SpinTerms(ter1, ter2, coeff)
@@ -153,7 +152,7 @@ SYMMETRY_TABLE = {
             "phi": lambda cfg, qn, c: azimuthal_problem(qn.m_ell, c),
         },
         analytic={"phi": lambda qn, grid, c: analytic_azimuthal(qn.m_ell, grid, c)},
-        spin=lambda q, c: _radial_spin(q[0], c, q[1]),
+        spin=lambda q, c: _radial_spin("r", q[0], c, q[1]),
         spin_labels=("r", "theta"),
         spin_formula=(
             "ter1 = -hbar^2/(8 m r^2); ter2 = -hbar^2/(8 m r^2 sin^2 theta); "
@@ -180,7 +179,7 @@ SYMMETRY_TABLE = {
             "phi": lambda qn, grid, c: analytic_azimuthal(qn.m_phi, grid, c),
             "z": lambda qn, grid, c: analytic_axial(qn.beta, grid, c),
         },
-        spin=lambda q, c: _radial_spin(q[0], c),
+        spin=lambda q, c: _radial_spin("rho", q[0], c),
         spin_labels=("rho",),
         spin_formula="ter1 = -hbar^2/(8 m rho^2); -2 m rho^2 ter1 / hbar^2",
     ),
@@ -420,6 +419,19 @@ def _fit_loglog(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     return float(coeffs[0]), float(coeffs[1])
 
 
+def hbar_scan_values(hbar_values) -> np.ndarray:
+    """The distinct values of an hbar scan, largest first. QshjeError unless
+    they are positive, at least 4 and span at least a factor of 10."""
+    hv = np.asarray(sorted(set(float(h) for h in hbar_values), reverse=True), dtype=float)
+    if np.any(hv <= 0.0):
+        raise QshjeError("hbar values must be positive")
+    if hv.size < 4:
+        raise QshjeError("scan needs at least 4 distinct hbar values")
+    if hv[0] / hv[-1] < 10.0:
+        raise QshjeError("hbar values must span at least a factor of 10")
+    return hv
+
+
 def classical_limit_scan(
     total: TotalReducedAction,
     hbar_values,
@@ -435,13 +447,7 @@ def classical_limit_scan(
     to the true classical equation is the angular kinetic energy, which does
     not shrink with hbar.
     """
-    hv = np.asarray(sorted(set(float(h) for h in hbar_values), reverse=True), dtype=float)
-    if hv.size < 4:
-        raise QshjeError("scan needs at least 4 distinct hbar values")
-    if np.any(hv <= 0.0):
-        raise QshjeError("hbar values must be positive")
-    if hv[0] / hv[-1] < 10.0:
-        raise QshjeError("hbar values must span at least a factor of 10")
+    hv = hbar_scan_values(hbar_values)
     axes = probe_axes(total, per_coordinate)
     points = probe_lattice(total, per_coordinate)
 

@@ -9,7 +9,10 @@ import numpy as np
 import pytest
 import yaml
 
-from qshje import SymmetryClass, cli, probe_axis_values
+from qshje import (
+    Grid1D, GridDomainError, SymmetryClass, cli, load_config, probe_axis_values,
+    reduce_wavefunction,
+)
 from qshje.cli import main
 from qshje.residuals import SYMMETRY_TABLE
 
@@ -245,12 +248,89 @@ _TOP_FIELDS = (
 )
 def test_unread_config_key_is_a_config_error(tmp_path, capsys, config, edit, message):
     # each of these ran a different problem from the one written, and passed
+    path = _edited_config(tmp_path, config, edit)
+    assert run("verify", "--config", path, "--out", tmp_path / "o") == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+def _edited_config(tmp_path, config, edit):
+    """Path of a copy of a shipped config with edit applied to its mapping."""
     cfg = yaml.safe_load((CONFIG_DIR / f"{config}.yaml").read_text())
     edit(cfg)
     path = tmp_path / "edited.yaml"
     path.write_text(yaml.safe_dump(cfg))
+    return path
+
+
+@pytest.mark.parametrize("command", ["verify", "limit-scan", "solve", "spin-report"])
+@pytest.mark.parametrize(
+    "scan, message",
+    [
+        ([1.0, 1.0, 1.0, 1.0], "scan needs at least 4 distinct hbar values"),
+        ([1.0, 0.9, 0.8, 0.7], "hbar values must span at least a factor of 10"),
+    ],
+    ids=["repeated", "narrow"],
+)
+def test_unusable_hbar_scan_is_a_config_error(tmp_path, capsys, command, scan, message):
+    # limit-scan used to reach the scan and fail with exit 3; the others ran
+    path = _edited_config(tmp_path, "spherical_hydrogen", lambda cfg: cfg.update(hbar_scan=scan))
+    assert run(command, "--config", path, "--out", tmp_path / "o") == 2
+    assert capsys.readouterr().err == f"config error: config.hbar_scan: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "points, message",
+    [({"a": 1}, "must be numbers"), ([0.0, 1.0, float("nan"), 3.0], "must be finite")],
+    ids=["mapping", "nan"],
+)
+def test_bad_tabulated_points_are_a_config_error(tmp_path, capsys, points, message):
+    # a mapping used to escape as a TypeError with exit 1, NaN to print scipy's text
+    table = {"kind": "tabulated", "points": points, "values": [0, 1, 2, 3]}
+    path = _edited_config(
+        tmp_path, "cartesian_oscillator", lambda cfg: cfg["potentials"].update(x=table)
+    )
     assert run("verify", "--config", path, "--out", tmp_path / "o") == 2
-    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert capsys.readouterr().err == (
+        f"config error: potentials.x: tabulated potential points and values {message}\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "config, label, edge",
+    [
+        ("spherical_hydrogen", "r", {"min": 0.0}),
+        ("cylindrical_free", "rho", {"min": 0.0}),
+        ("spherical_hydrogen", "theta", {"min": 0.0}),
+        ("spherical_hydrogen", "theta", {"max": np.pi}),
+    ],
+    ids=["r-min", "rho-min", "theta-min", "theta-max"],
+)
+def test_every_check_refuses_a_coordinate_edge(tmp_path, capsys, config, label, edge):
+    # a grid that touches the edge of its coordinate's interval is a config
+    # error, and every check that reads the interval refuses the edge value
+    path = _edited_config(
+        tmp_path, config, lambda cfg: cfg["components"][label]["grid"].update(edge)
+    )
+    assert run("verify", "--config", path, "--out", tmp_path / "o") == 2
+    assert capsys.readouterr().err.startswith(f"config error: components.{label}.grid")
+
+    cfg = load_config(str(CONFIG_DIR / f"{config}.yaml"))
+    row = SYMMETRY_TABLE[cfg.symmetry]
+    problem = row.equations[label](cfg, cfg.quantum_numbers, cfg.constants)
+    shipped = cfg.components[label].grid
+    bounds = {"min": shipped.lo, "max": shipped.hi} | edge
+    grid = Grid1D.uniform(bounds["min"], bounds["max"], 9)
+    spin_point = [1.0] * len(row.spin_labels)
+    spin_point[row.spin_labels.index(label)] = next(iter(edge.values()))
+    checks = (
+        lambda: problem.check_domain(grid.points),
+        lambda: problem.v_eff(grid.points),
+        lambda: reduce_wavefunction(label, np.ones(grid.n), grid),
+        lambda: row.spin(tuple(spin_point), cfg.constants),
+    )
+    for check in checks:
+        with pytest.raises(GridDomainError, match=f"coordinate '{label}' must lie strictly inside"):
+            check()
 
 
 def test_solver_failure_exit_code(tmp_path, capsys):

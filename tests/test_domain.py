@@ -120,12 +120,11 @@ def test_domain_guards():
 
 
 def test_fictive_potentials(constants):
-    r = np.array([2.0])
-    v = Q.domain.fictive_radial_potential(Q.ZeroPotential(), 1, constants, r)
-    assert v[0] == pytest.approx(2.0 / (2.0 * 4.0))
-    t = np.array([np.pi / 2.0])
-    v = Q.domain.fictive_polar_potential(2, constants, t)
-    assert v[0] == pytest.approx((4.0 - 0.25) / 2.0)
-    rho = np.array([2.0])
-    v = Q.domain.fictive_cylindrical_potential(Q.ZeroPotential(), 1, -1.0, constants, rho)
-    assert v[0] == pytest.approx((1.0 - 0.25) / 8.0 + 0.5)
+    # the -1/4 of the polar and cylindrical reductions enters v_eff and e_eff
+    radial = Q.spherical_radial_problem(Q.ZeroPotential(), 1, -0.5, constants)
+    assert radial.v_eff(np.array([2.0]))[0] == pytest.approx(2.0 / (2.0 * 4.0))
+    polar = Q.spherical_polar_problem(2, 2, constants)
+    assert polar.v_eff(np.array([np.pi / 2.0]))[0] == pytest.approx((4.0 - 0.25) / 2.0)
+    assert polar.e_eff == pytest.approx((6.0 + 0.25) / 2.0)
+    cyl = Q.cylindrical_radial_problem(Q.ZeroPotential(), 1, -1.0, 0.0, constants)
+    assert cyl.v_eff(np.array([2.0]))[0] == pytest.approx((1.0 - 0.25) / 8.0 + 0.5)

@@ -6,22 +6,27 @@ print what each of them produced.
 The jobs are the five commands (solve, verify, limit-scan, limit-scan
 --wrong-order-demo, spin-report) on every shipped config in CSV and in JSON,
 then every job of the verify-numeric, cold-analytic and probe-dense benchmark
-workloads at seed 5. Each job prints one line `<job> <exit code> <sha256 of
-stderr>`, then one indented `<output file> <sha256>` line per file it wrote.
-Every config and output path is relative to a scratch directory, so the
-output depends only on the program. Copy this file into two checkouts and
-diff their outputs: a change that keeps every exit code, stderr line and
-output byte prints the same manifest.
+workloads at seed 5, then `verify` on edited copies of the shipped configs
+that sit at the edges of the input domain (EDGES). Each job prints one line
+`<job> <exit code> <sha256 of stderr>`, then one indented `<output file>
+<sha256>` line per file it wrote; a job whose exception escapes the CLI
+prints `raised-<type>` as its exit code. Every config and output path is
+relative to a scratch directory, so the output depends only on the program.
+Copy this file into two checkouts and diff their outputs: a change that keeps
+every exit code, stderr line and output byte prints the same manifest.
 """
 from __future__ import annotations
 
 import contextlib
 import hashlib
 import io
+import math
 import os
 import pathlib
 import sys
 import tempfile
+
+import yaml
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
@@ -32,6 +37,36 @@ from qshje.cli import main as cli_main  # noqa: E402
 SEED = 5
 COMMANDS = (
     ("solve",), ("verify",), ("limit-scan",), ("limit-scan", "--wrong-order-demo"), ("spin-report",),
+)
+
+def _set(path: str, value):
+    """An edit of a loaded config: set the value at a dotted path."""
+
+    def edit(cfg: dict) -> None:
+        *parents, key = path.split(".")
+        for part in parents:
+            cfg = cfg[part]
+        cfg[key] = value
+
+    return edit
+
+
+# (name, shipped config, edit) of each edge input run through `verify`
+EDGES = (
+    ("r-min-0", "spherical_hydrogen", _set("components.r.grid.min", 0.0)),
+    ("rho-min-0", "cylindrical_free", _set("components.rho.grid.min", 0.0)),
+    ("theta-0-pi", "spherical_hydrogen",
+     _set("components.theta.grid", {"min": 0.0, "max": math.pi, "count": 1201})),
+    ("count-7", "spherical_hydrogen", _set("components.r.grid.count", 7)),
+    ("r-min-1e-6", "spherical_hydrogen", _set("components.r.grid.min", 1e-6)),
+    ("hbar-1e-3", "spherical_hydrogen", _set("constants.hbar", 1e-3)),
+    ("hbar-scan-repeated", "spherical_hydrogen", _set("hbar_scan", [1.0, 1.0, 1.0, 1.0])),
+    ("hbar-scan-narrow", "spherical_hydrogen", _set("hbar_scan", [1.0, 0.9, 0.8, 0.7])),
+    ("tabulated-points-mapping", "cartesian_oscillator", _set(
+        "potentials.x", {"kind": "tabulated", "points": {"a": 1}, "values": [0, 1, 2, 3]})),
+    ("tabulated-points-nan", "cartesian_oscillator", _set(
+        "potentials.x", {"kind": "tabulated", "points": [0.0, 1.0, float("nan"), 3.0],
+                         "values": [0, 1, 2, 3]})),
 )
 
 
@@ -51,6 +86,10 @@ def _jobs():
         for k, cycle in enumerate(input_sets(workload, SEED)):
             for job in cycle:
                 yield f"{workload}:{k}:{job.name}", job.config_text(), job.command, list(job.flags)
+    for name, config, edit in EDGES:
+        cfg = yaml.safe_load((ROOT / "configs" / f"{config}.yaml").read_text(encoding="utf-8"))
+        edit(cfg)
+        yield f"edge:{name}", yaml.safe_dump(cfg), "verify", []
 
 
 def main() -> int:
@@ -63,7 +102,10 @@ def main() -> int:
                 pathlib.Path(config).write_text(text, encoding="utf-8")
                 err = io.StringIO()
                 with contextlib.redirect_stderr(err):
-                    rc = cli_main([command, "--config", config, "--out", str(out), *flags])
+                    try:
+                        rc = cli_main([command, "--config", config, "--out", str(out), *flags])
+                    except Exception as exc:  # escapes the CLI: a traceback and exit 1
+                        rc = f"raised-{type(exc).__name__}"
                 print(name, rc, _sha256(err.getvalue().encode("utf-8")))
                 for path in sorted(p for p in out.rglob("*") if p.is_file()):
                     print(f"  {path.relative_to(out)} {_sha256(path.read_bytes())}")
