@@ -26,14 +26,14 @@ from .residuals import (
     component_weighted_sum,
     make_report,
     probe_axes,
-    probe_axis_values,
+    probe_indices,
     probe_lattice,
 )
 from .tables import write_summary, write_table
 
 
 def build_pair(cfg: RunConfig, comp: ComponentConfig, problem: Effective1DProblem) -> SolutionPair:
-    grid = comp.grid.build()
+    grid = comp.grid
     if comp.source == "analytic":
         if comp.solve_energy is not None:
             raise ConfigError(
@@ -97,7 +97,8 @@ def _component_meta(comp: ReducedActionComponent, cfg: ComponentConfig) -> dict:
         "wronskian": comp.pair.wronskian,
         "wronskian_drift": comp.pair.wronskian_drift(),
         "branch_residual": comp.branch_residual,
-        "grid": {"min": cfg.grid.lo, "max": cfg.grid.hi, "count": cfg.grid.count},
+        "grid": {"min": float(comp.grid.points[0]), "max": float(comp.grid.points[-1]),
+                 "count": comp.grid.n},
     }
 
 
@@ -177,12 +178,12 @@ def cmd_verify(cfg: RunConfig, out_dir: str, fmt: str, tolerance: float) -> int:
     if case.total is not None:
         total = case.total
         name = f"assembled-{cfg.symmetry.value}"
-        axes = probe_axes(total, cfg.probe_per_coordinate)
-        points = probe_lattice(total, cfg.probe_per_coordinate)
-        direct = assembled_residual(total, axes, mode="quantum").ravel()
-        summed = component_weighted_sum(total, residuals, axes).ravel()
+        idx = probe_axes(total, cfg.probe_per_coordinate)
+        points = probe_lattice(total, idx)
+        direct = assembled_residual(total, idx, mode="quantum").ravel()
+        summed = component_weighted_sum(total, residuals, idx).ravel()
         gap = np.abs(direct - summed)
-        coords = dict(zip(cfg.symmetry.coordinate_labels, np.transpose(points)))
+        coords = dict(zip(cfg.symmetry.coordinate_labels, points.T))
         values = {"residual": direct, "component_weighted_sum": summed, "assembly_gap": gap}
         formula = SYMMETRY_TABLE[cfg.symmetry].formula
         entries[name] = {
@@ -255,10 +256,8 @@ def cmd_spin_report(cfg: RunConfig, out_dir: str, fmt: str) -> int:
     needed = row.spin_labels
     if any(lab not in cfg.components for lab in needed):
         raise ConfigError(f"spin-report needs grids for components {list(needed)}")
-    axes = [
-        probe_axis_values(cfg.components[lab].grid.build().points, cfg.probe_per_coordinate)
-        for lab in needed
-    ]
+    grids = [cfg.components[lab].grid.points for lab in needed]
+    axes = [q[probe_indices(q, cfg.probe_per_coordinate)] for q in grids]
     os.makedirs(out_dir, exist_ok=True)
     coords = np.ix_(*axes)
     t = row.spin(coords, cfg.constants)

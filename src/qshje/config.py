@@ -78,22 +78,12 @@ def _integer(value, path: str) -> int:
 
 
 @dataclass(frozen=True)
-class GridSpec:
-    lo: float
-    hi: float
-    count: int
-
-    def build(self) -> Grid1D:
-        return Grid1D.uniform(self.lo, self.hi, self.count)
-
-
-@dataclass(frozen=True)
 class ComponentConfig:
     label: str
     mu: float
     nu: float
     phase: float
-    grid: GridSpec
+    grid: Grid1D
     source: str = "numeric"
     substeps: int = 1
     solve_energy: float | None = None
@@ -151,7 +141,7 @@ def potential_from_mapping(mapping, path: str) -> PotentialSpec:
     return cls(**{f: _number(_get(m, f, path), f"{path}.{f}") for f in fields})
 
 
-def _grid_spec(mapping, path: str, label: str) -> GridSpec:
+def _grid_spec(mapping, path: str, label: str) -> Grid1D:
     m = _expect_mapping(mapping, path, ("min", "max", "count"))
     lo = _number(_get(m, "min", path), f"{path}.min")
     hi = _number(_get(m, "max", path), f"{path}.max")
@@ -170,7 +160,12 @@ def _grid_spec(mapping, path: str, label: str) -> GridSpec:
         raise ConfigError(
             f"{path}.min: radial coordinate {label!r} requires min > 0, got {lo}"
         )
-    return GridSpec(lo, hi, count)
+    try:
+        # an overflowing span gives non-finite nodes, which Grid1D refuses
+        with np.errstate(over="ignore", invalid="ignore"):
+            return Grid1D.uniform(lo, hi, count)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def _component_config(label: str, mapping, path: str) -> ComponentConfig:
@@ -291,6 +286,16 @@ def parse_config(data: dict, source_name: str = "config") -> RunConfig:
                 f"(expected one of {list(labels)})"
             )
         components[key] = _component_config(key, sub, f"components.{key}")
+
+    for key, pot in potentials.items():
+        if isinstance(pot, TabulatedPotential) and key in components:
+            q, table = components[key].grid.points, pot.points
+            if q[0] < table[0] or q[-1] > table[-1]:
+                path = f"potentials.{key}" if per_axis else "potential"
+                raise ConfigError(
+                    f"{path}: table on [{table[0]}, {table[-1]}] does not cover the {key} "
+                    f"grid [{q[0]}, {q[-1]}]"
+                )
 
     if per_axis:
         for key in components:

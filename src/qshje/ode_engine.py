@@ -278,12 +278,17 @@ def solve_pair(
     )
     drift = pair.wronskian_drift()
     if drift > wronskian_tol:
+        w = pair.wronskian_samples()
+        over = np.flatnonzero(np.abs(w - pair.wronskian) / abs(pair.wronskian) > wronskian_tol)
+        near = over[np.argmin(np.abs(over - idx))]
         peak1, peak2 = float(np.max(np.abs(pair.y1))), float(np.max(np.abs(pair.y2)))
         raise SolverFailure(
-            f"Wronskian drift {drift:.3e} exceeds tolerance {wronskian_tol:.1e} "
-            f"(largest |y1| {peak1:.3e}, |y2| {peak2:.3e}); either the solutions grow "
-            "through a classically forbidden region (shrink the domain or check the "
-            "energy) or the step is too coarse (refine the grid or raise substeps)"
+            f"Wronskian drift {drift:.3e} exceeds tolerance {wronskian_tol:.1e} at "
+            f"{over.size} of {grid.n} nodes; of these, q = {float(pts[near])!r} lies nearest "
+            f"the anchor q = {float(pts[idx])!r} (largest |y1| {peak1:.3e}, |y2| {peak2:.3e}); "
+            "either the step is too coarse there (refine the grid or raise substeps) or the "
+            "solutions grow through a classically forbidden region (shrink the domain or "
+            "check the energy)"
         )
     return pair
 

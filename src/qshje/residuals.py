@@ -18,7 +18,6 @@ fact that differs between the three classes.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -38,7 +37,7 @@ from .domain import (
     spherical_polar_problem,
     spherical_radial_problem,
 )
-from .errors import GridDomainError, QshjeError
+from .errors import QshjeError
 from .ode_engine import analytic_axial, analytic_azimuthal
 from .reduced_action import ReducedActionComponent
 
@@ -98,7 +97,7 @@ def _radial_spin(label: str, radius, constants: PhysConstants, theta=None) -> Sp
 class SymmetryRow:
     """Everything that differs between the symmetry classes.
 
-    metric(q, c=1): diagonal metric factors h_k^2 at snapped coordinates q,
+    metric(q, c=1): diagonal metric factors h_k^2 at node coordinates q,
         with c multiplied in from the left where the component equation is in
         the 2m-scaled, mass-free form; c = 2m gives the denominators of the
         component-weighted sum. The inverse-metric weights are 1/h_k^2.
@@ -185,23 +184,16 @@ SYMMETRY_TABLE = {
     ),
 }
 
-def _per_point(values, point):
-    """A float when every coordinate of point is a scalar, else the lattice array."""
-    if all(np.ndim(x) == 0 for x in point):
-        return np.asarray(values).item()
-    return values
-
-
 @dataclass
 class TotalReducedAction:
     """The assembled 3-D equation of one symmetry class: three components,
     their constants, the quantum numbers (energy is the E of the equation)
     and the potentials whose sum is V, keyed by coordinate label.
 
-    Point evaluation snaps each coordinate to its nearest grid node, so values
-    are exact nodal samples (no interpolation error enters residuals). 1-D arrays
-    of coordinate values stand for the lattice they span; results are then
-    (n0, n1, n2) arrays that ravel in itertools.product order.
+    Evaluation takes index axes: one 1-D array of node indices per coordinate,
+    in symmetry label order, standing for the lattice they span. Values are
+    exact nodal samples (no interpolation error enters residuals), and results
+    are (n0, n1, n2) arrays that ravel in itertools.product order.
     """
 
     symmetry: SymmetryClass
@@ -210,38 +202,21 @@ class TotalReducedAction:
     quantum_numbers: QuantumNumbers
     potentials: dict[str, PotentialSpec]
 
-    def snap(self, point) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-        """Nearest grid nodes of every value of each coordinate, as np.ix_
-        broadcast (indices, node values) in symmetry label order."""
-        idx, nodes = [], []
-        for label, value in zip(self.symmetry.coordinate_labels, point):
-            pts = self.components[label].grid.points
-            v = np.atleast_1d(np.asarray(value, dtype=float))
-            outside = (v < pts[0]) | (v > pts[-1])
-            if np.any(outside):
-                raise GridDomainError(
-                    f"coordinate {label}={float(v[outside][0])!r} outside grid [{pts[0]}, {pts[-1]}]"
-                )
-            i = np.argmin(np.abs(pts - v[:, None]), axis=1)
-            idx.append(i)
-            nodes.append(pts[i])
+    def lattice(self, idx) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+        """The np.ix_ broadcast (indices, node values) of the index axes idx."""
+        labels = self.symmetry.coordinate_labels
+        nodes = (self.components[lab].grid.points[i] for lab, i in zip(labels, idx))
         return np.ix_(*idx), np.ix_(*nodes)
 
-    def metric_weights(self, snapped) -> tuple:
-        """Inverse-metric factors of the three coordinate terms."""
-        return tuple(1.0 / g for g in SYMMETRY_TABLE[self.symmetry].metric(snapped))
-
-    def metric_sum(self, attr: str, point, power: int = 1):
-        """sum_k w_k f_k^power, f_k the nodal samples `attr` of coordinate k at
-        the snapped point and w_k the inverse-metric factors."""
-        idx, nodes = self.snap(point)
+    def metric_sum(self, attr: str, idx, power: int = 1) -> np.ndarray:
+        """sum_k f_k^power / h_k^2 on the lattice of idx, f_k the nodal samples
+        `attr` of coordinate k and h_k^2 its metric factor; attr "ds" with
+        power 2 gives (grad S)^2."""
+        ix, nodes = self.lattice(idx)
         labels = self.symmetry.coordinate_labels
-        samples = (getattr(self.components[lab], attr)[i] for lab, i in zip(labels, idx))
-        return sum(f**power * w for f, w in zip(samples, self.metric_weights(nodes)))
-
-    def gradient_squared(self, point):
-        """(grad S)^2 with the class metric, from nodal dS values."""
-        return self.metric_sum("ds", point, 2)
+        samples = (getattr(self.components[lab], attr)[i] for lab, i in zip(labels, ix))
+        weights = tuple(1.0 / g for g in SYMMETRY_TABLE[self.symmetry].metric(nodes))
+        return sum(f**power * w for f, w in zip(samples, weights))
 
 
 def assemble_total(
@@ -276,12 +251,12 @@ def assemble_total(
 
 def assembled_residual(
     total: TotalReducedAction,
-    point,
+    idx,
     mode: str = "quantum",
     hbar: float | None = None,
-):
-    """Full 3-D equation at one point, or on the lattice spanned by 1-D
-    arrays of coordinate values, from nodal component data.
+) -> np.ndarray:
+    """Full 3-D equation on the lattice of the index axes idx, from nodal
+    component data.
 
     mode selects which terms enter: "quantum" is the complete equation,
     "classical" drops every hbar-carrying correction and returns
@@ -294,44 +269,44 @@ def assembled_residual(
     mass = total.constants.mass
     c = total.constants if hbar is None else PhysConstants(hbar=hbar, mass=mass)
     spin = SYMMETRY_TABLE[total.symmetry].spin
-    _, snapped = total.snap(point)
+    _, nodes = total.lattice(idx)
 
     quantum = 0.0
     if mode != "classical":
-        quantum = (c.hbar * c.hbar / (4.0 * c.mass)) * total.metric_sum("schwarzian", point)
+        quantum = (c.hbar * c.hbar / (4.0 * c.mass)) * total.metric_sum("schwarzian", idx)
         if spin is not None:
-            quantum = quantum + spin(snapped, c).total()
+            quantum = quantum + spin(nodes, c).total()
     if mode == "quantum-terms":
-        return _per_point(quantum, point)
+        return quantum
 
-    kinetic = total.gradient_squared(point) / (2.0 * mass)
+    kinetic = total.metric_sum("ds", idx, 2) / (2.0 * mass)
     v = sum(
         total.potentials[lab].evaluate(q, total.constants)
-        for lab, q in zip(total.symmetry.coordinate_labels, snapped)
+        for lab, q in zip(total.symmetry.coordinate_labels, nodes)
         if lab in total.potentials
     )
-    return _per_point(kinetic + quantum + v - total.quantum_numbers.energy, point)
+    return kinetic + quantum + v - total.quantum_numbers.energy
 
 
-def component_weighted_sum(total: TotalReducedAction, residuals: dict[str, np.ndarray], point):
-    """Metric-weighted sum of per-component residuals at a snapped point, or
-    on the lattice spanned by 1-D arrays of coordinate values.
+def component_weighted_sum(total: TotalReducedAction, residuals: dict[str, np.ndarray], idx):
+    """Metric-weighted sum of per-component residuals on the lattice of the
+    index axes idx.
 
     Algebraically identical to assembled_residual in quantum mode when each
     residual came from the matching component equation; exposing both routes
     keeps the assembly identity testable instead of tautological.
     """
     row = SYMMETRY_TABLE[total.symmetry]
-    idx, snapped = total.snap(point)
+    ix, nodes = total.lattice(idx)
     # each residual is divided by its equation's scale times its metric factor
-    denominators = row.metric(snapped, 2.0 * total.constants.mass)
-    vals = (residuals[lab][i] for lab, i in zip(total.symmetry.coordinate_labels, idx))
-    return _per_point(sum(v / d for v, d in zip(vals, denominators)), point)
+    denominators = row.metric(nodes, 2.0 * total.constants.mass)
+    vals = (residuals[lab][i] for lab, i in zip(total.symmetry.coordinate_labels, ix))
+    return sum(v / d for v, d in zip(vals, denominators))
 
 
-def probe_axis_values(points: np.ndarray, per_coordinate: int) -> list[float]:
-    """Log-placed values inside the stencil-valid interior of one grid,
-    snapped to nodes and deduplicated."""
+def probe_indices(points: np.ndarray, per_coordinate: int) -> np.ndarray:
+    """Sorted node indices nearest to log-placed values inside the
+    stencil-valid interior of one grid, deduplicated."""
     if per_coordinate < 2:
         raise ValueError("need at least 2 probe values per coordinate")
     pts = np.asarray(points, dtype=float)
@@ -340,21 +315,22 @@ def probe_axis_values(points: np.ndarray, per_coordinate: int) -> list[float]:
         raw = np.geomspace(lo, hi, per_coordinate)
     else:
         raw = lo + (hi - lo) * (np.geomspace(1.0, 10.0, per_coordinate) - 1.0) / 9.0
-    idx = sorted({int(np.clip(np.argmin(np.abs(pts - v)), 2, pts.size - 3)) for v in raw})
-    return [float(pts[i]) for i in idx]
+    idx = {int(np.clip(np.argmin(np.abs(pts - v)), 2, pts.size - 3)) for v in raw}
+    return np.array(sorted(idx))
 
 
-def probe_axes(total: TotalReducedAction, per_coordinate: int = 5) -> list[list[float]]:
-    """Log-placed probe values of each coordinate, in symmetry label order."""
+def probe_axes(total: TotalReducedAction, per_coordinate: int = 5) -> list[np.ndarray]:
+    """The probe index axes of each coordinate, in symmetry label order."""
     return [
-        probe_axis_values(total.components[label].grid.points, per_coordinate)
+        probe_indices(total.components[label].grid.points, per_coordinate)
         for label in total.symmetry.coordinate_labels
     ]
 
 
-def probe_lattice(total: TotalReducedAction, per_coordinate: int = 5) -> list[tuple[float, ...]]:
-    """Deterministic probe points: the product of the probe axes."""
-    return list(itertools.product(*probe_axes(total, per_coordinate)))
+def probe_lattice(total: TotalReducedAction, idx) -> np.ndarray:
+    """The (N, 3) node coordinates of the lattice of idx, in itertools.product order."""
+    _, nodes = total.lattice(idx)
+    return np.column_stack([q.ravel() for q in np.broadcast_arrays(*nodes)])
 
 
 @dataclass(frozen=True)
@@ -403,7 +379,7 @@ class LimitScanResult:
     magnitudes: tuple[float, ...]
     slope: float
     intercept: float
-    points: tuple[tuple[float, ...], ...]
+    points: np.ndarray
     wrong_order_gaps: tuple[float, ...] | None = None
     wrong_order_slope: float | None = None
 
@@ -448,12 +424,12 @@ def classical_limit_scan(
     not shrink with hbar.
     """
     hv = hbar_scan_values(hbar_values)
-    axes = probe_axes(total, per_coordinate)
-    points = probe_lattice(total, per_coordinate)
+    idx = probe_axes(total, per_coordinate)
+    points = probe_lattice(total, idx)
 
     mags = []
     for h in hv:
-        terms = assembled_residual(total, axes, mode="quantum-terms", hbar=float(h))
+        terms = assembled_residual(total, idx, mode="quantum-terms", hbar=float(h))
         mags.append(np.max(np.abs(terms)))
     slope, intercept = _fit_loglog(hv, np.asarray(mags))
 
@@ -463,9 +439,9 @@ def classical_limit_scan(
         row = SYMMETRY_TABLE[total.symmetry]
         if not row.wrong_order_axes:
             raise QshjeError("the wrong-order comparison is defined for spherical symmetry")
-        idx, snapped = total.snap(axes)
-        metric = row.metric(snapped)
-        ds = [total.components[lab].ds[i] for lab, i in zip(total.symmetry.coordinate_labels, idx)]
+        ix, nodes = total.lattice(idx)
+        metric = row.metric(nodes)
+        ds = [total.components[lab].ds[i] for lab, i in zip(total.symmetry.coordinate_labels, ix)]
         # zeroing the angular momenta first removes these gradient terms
         # from the would-be classical equation; the gap survives hbar -> 0
         gaps = sum(ds[k] * ds[k] / metric[k] for k in row.wrong_order_axes)
@@ -483,7 +459,7 @@ def classical_limit_scan(
         magnitudes=tuple(float(v) for v in mags),
         slope=slope,
         intercept=intercept,
-        points=tuple(points),
+        points=points,
         wrong_order_gaps=gaps_out,
         wrong_order_slope=gap_slope,
     )

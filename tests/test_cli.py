@@ -10,8 +10,7 @@ import pytest
 import yaml
 
 from qshje import (
-    Grid1D, GridDomainError, SymmetryClass, cli, load_config, probe_axis_values,
-    reduce_wavefunction,
+    Grid1D, GridDomainError, SymmetryClass, cli, load_config, probe_indices, reduce_wavefunction,
 )
 from qshje.cli import main
 from qshje.residuals import SYMMETRY_TABLE
@@ -124,7 +123,8 @@ def test_verify_nan_assembled_residual_fails(tmp_path, monkeypatch, capsys):
     def with_nan(cfg):
         case = build_case(cfg)
         for lab, comp in case.components.items():
-            axes[lab] = probe_axis_values(comp.grid.points, cfg.probe_per_coordinate)
+            q = comp.grid.points
+            axes[lab] = q[probe_indices(q, cfg.probe_per_coordinate)].tolist()
         comp = case.components["z"]
         comp.schwarzian[comp.grid.points == axes["z"][1]] = np.nan
         return case
@@ -295,6 +295,54 @@ def test_bad_tabulated_points_are_a_config_error(tmp_path, capsys, points, messa
     )
 
 
+@pytest.mark.parametrize("command", ["verify", "solve"])
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        ({"min": 1.0e17, "max": 1.0000000000000002e17, "count": 1201}, "strictly increasing"),
+        ({"min": -1e308, "max": 1e308, "count": 1201}, "finite"),
+    ],
+    ids=["duplicate-nodes", "infinite-span"],
+)
+def test_grid_linspace_cannot_represent_is_a_config_error(tmp_path, capsys, command, grid, message):
+    # each passed the min/max/count checks and escaped as a ValueError with exit 1
+    path = _edited_config(
+        tmp_path, "cartesian_oscillator", lambda cfg: cfg["components"]["x"].update(grid=grid)
+    )
+    assert run(command, "--config", path, "--out", tmp_path / "o") == 2
+    assert capsys.readouterr().err == (
+        f"config error: components.x.grid: grid points must be {message}\n"
+    )
+
+
+def _radial_table(cfg):
+    points = [1.0, 4.0, 8.0, 12.0]
+    cfg["potential"] = {"kind": "tabulated", "points": points, "values": [-1.0 / r for r in points]}
+
+
+def _axis_table(cfg):
+    cfg["potentials"]["x"] = {
+        "kind": "tabulated", "points": [0.0, 1.0, 2.0, 3.0], "values": [0.0, 0.5, 2.0, 4.5],
+    }
+
+
+@pytest.mark.parametrize(
+    "config, edit, message",
+    [
+        ("cartesian_oscillator", _axis_table,
+         "potentials.x: table on [0.0, 3.0] does not cover the x grid [-6.0, 6.0]"),
+        ("spherical_hydrogen", _radial_table,
+         "potential: table on [1.0, 12.0] does not cover the r grid [0.5, 12.0]"),
+    ],
+    ids=["axis", "radial"],
+)
+def test_table_short_of_its_grid_is_a_config_error(tmp_path, capsys, config, edit, message):
+    # the solver used to evaluate the table off its end and fail with exit 3
+    path = _edited_config(tmp_path, config, edit)
+    assert run("verify", "--config", path, "--out", tmp_path / "o") == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
 @pytest.mark.parametrize(
     "config, label, edge",
     [
@@ -318,7 +366,7 @@ def test_every_check_refuses_a_coordinate_edge(tmp_path, capsys, config, label, 
     row = SYMMETRY_TABLE[cfg.symmetry]
     problem = row.equations[label](cfg, cfg.quantum_numbers, cfg.constants)
     shipped = cfg.components[label].grid
-    bounds = {"min": shipped.lo, "max": shipped.hi} | edge
+    bounds = {"min": shipped.points[0], "max": shipped.points[-1]} | edge
     grid = Grid1D.uniform(bounds["min"], bounds["max"], 9)
     spin_point = [1.0] * len(row.spin_labels)
     spin_point[row.spin_labels.index(label)] = next(iter(edge.values()))
@@ -367,6 +415,22 @@ def test_forbidden_growth_drift_names_its_likely_cause(tmp_path, capsys):
     assert "(largest |y1| 3.072e+12, |y2| 2.181e+13)" in err
     assert "classically forbidden region (shrink the domain or check the energy)" in err
     assert "refine the grid or raise substeps" in err
+
+
+def test_drift_near_the_origin_names_where_it_is(tmp_path, capsys):
+    # with r from 1e-6 the step is too coarse only at the first two nodes;
+    # the solutions stay far below any forbidden-region growth
+    path = _edited_config(
+        tmp_path, "spherical_hydrogen", lambda cfg: cfg["components"]["r"]["grid"].update(min=1e-6)
+    )
+    assert run("verify", "--config", path, "--out", tmp_path / "o") == 3
+    err = capsys.readouterr().err
+    assert err.startswith("solver failure: Wronskian drift 2.742e+06 exceeds tolerance 1.0e-06 ")
+    assert (
+        "at 2 of 1601 nodes; of these, q = 0.007500999375 lies nearest the anchor "
+        "q = 6.0000005000000005 (largest |y1| 3.704e+02, |y2| 2.222e+03); "
+        "either the step is too coarse there"
+    ) in err
 
 
 def test_analytic_source_requires_catalog(tmp_path, capsys):
@@ -423,8 +487,7 @@ def test_limit_scan_nan_wrong_order_gap_fails(tmp_path, monkeypatch, capsys):
     def with_nan(cfg):
         case = build_case(cfg)
         comp = case.components["theta"]
-        node = probe_axis_values(comp.grid.points, cfg.probe_per_coordinate)[1]
-        comp.ds[comp.grid.points == node] = np.nan
+        comp.ds[probe_indices(comp.grid.points, cfg.probe_per_coordinate)[1]] = np.nan
         return case
 
     monkeypatch.setattr(cli, "build_case", with_nan)

@@ -58,7 +58,7 @@ def test_hydrogen_config_fields():
     assert cfg.has_full_set
     assert cfg.components["r"].substeps == 4
     assert cfg.components["phi"].source == "analytic"
-    assert cfg.components["r"].grid.build().n == 1601
+    assert cfg.components["r"].grid.n == 1601
     assert cfg.hbar_scan == Q.DEFAULT_HBAR_SCAN
     assert cfg.output.fmt == "csv"
 

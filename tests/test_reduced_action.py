@@ -120,31 +120,25 @@ def test_assemble_total_validates_labels(constants):
         Q.assemble_total(comps, Q.SymmetryClass.CYLINDRICAL, Q.QuantumNumbers(), {})
 
 
-def test_total_action_snapping_and_metric(hydrogen_total):
+def test_total_action_lattice_and_metric(hydrogen_total):
     total = hydrogen_total
-    idx, snapped = total.snap((1.0, 1.5, 3.0))
-    assert all(
-        snapped[k].item() == total.components[lab].grid.points[idx[k].item()]
-        for k, lab in enumerate(("r", "theta", "phi"))
-    )
-    with pytest.raises(Q.GridDomainError):
-        total.snap((20.0, 1.5, 3.0))
-
-    w_r = total.metric_weights((2.0, np.pi / 2.0, 0.0))
-    w_2r = total.metric_weights((4.0, np.pi / 2.0, 0.0))
-    assert w_2r[1] == pytest.approx(w_r[1] / 4.0)
-    assert w_r[0] == 1.0
+    idx = [np.array([10, 200]), np.array([600]), np.array([5, 6, 7])]
+    ix, nodes = total.lattice(idx)
+    assert [q.shape for q in nodes] == [(2, 1, 1), (1, 1, 1), (1, 1, 3)]
+    for lab, i, j, q in zip(("r", "theta", "phi"), idx, ix, nodes):
+        assert np.array_equal(j.ravel(), i)
+        assert np.array_equal(q.ravel(), total.components[lab].grid.points[i])
 
     # the unmixed m=1 azimuthal component contributes hbar^2/(r^2 sin^2 theta)
-    point = (2.0, 1.2, 3.0)
-    idx, snapped = total.snap(point)
-    r, theta = snapped[0].item(), snapped[1].item()
-    ds_r = total.components["r"].ds[idx[0]].item()
-    ds_t = total.components["theta"].ds[idx[1]].item()
+    idx = [np.array([100, 800]), np.array([300, 700]), np.array([400])]
+    ix, (r, theta, _) = total.lattice(idx)
+    ds_r = total.components["r"].ds[ix[0]]
+    ds_t = total.components["theta"].ds[ix[1]]
     hbar = total.constants.hbar
     expected_phi = hbar**2 / (r * r * np.sin(theta) ** 2)
-    got = total.gradient_squared(point) - ds_r**2 - ds_t**2 / (r * r)
-    assert got == pytest.approx(expected_phi, rel=1e-12)
+    got = total.metric_sum("ds", idx, 2) - ds_r**2 - ds_t**2 / (r * r)
+    assert got.shape == (2, 2, 1)
+    np.testing.assert_allclose(got, expected_phi, rtol=1e-12)
 
 
 def test_cartesian_gradient_is_plain_sum(constants):
@@ -156,9 +150,8 @@ def test_cartesian_gradient_is_plain_sum(constants):
     qn = Q.QuantumNumbers(energy=1.5, axis_energies={"x": 0.5, "y": 0.5, "z": 0.5})
     pots = {lab: Q.HarmonicPotential(1.0) for lab in ("x", "y", "z")}
     total = Q.assemble_total(comps, Q.SymmetryClass.CARTESIAN, qn, pots)
-    point = (0.5, -1.0, 2.0)
-    idx, _ = total.snap(point)
-    by_hand = sum(
-        comps[lab].ds[i].item() ** 2 for lab, i in zip(("x", "y", "z"), idx)
-    )
-    assert total.gradient_squared(point) == pytest.approx(by_hand, rel=1e-14)
+    idx = [np.array([100, 650]), np.array([500]), np.array([800, 900, 1000])]
+    ix, _ = total.lattice(idx)
+    by_hand = sum(comps[lab].ds[i] ** 2 for lab, i in zip(("x", "y", "z"), ix))
+    assert by_hand.shape == (2, 1, 3)
+    np.testing.assert_allclose(total.metric_sum("ds", idx, 2), by_hand, rtol=1e-14)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -167,11 +169,12 @@ def test_assembly_identity_two_routes(hydrogen_total, constants):
             total.components["phi"], Q.azimuthal_problem(1, constants)
         ),
     }
-    for point in Q.probe_lattice(total, per_coordinate=4):
-        direct = Q.assembled_residual(total, point)
-        summed = Q.component_weighted_sum(total, residuals, point)
-        assert abs(direct - summed) < 1e-12
-        assert abs(direct) < 1e-6
+    idx = probe_axes(total, per_coordinate=4)
+    direct = Q.assembled_residual(total, idx)
+    summed = Q.component_weighted_sum(total, residuals, idx)
+    assert direct.shape == summed.shape == tuple(len(i) for i in idx)
+    assert np.max(np.abs(direct - summed)) < 1e-12
+    assert np.max(np.abs(direct)) < 1e-6
 
 
 def test_cylindrical_assembly(cylindrical_total, constants):
@@ -188,70 +191,58 @@ def test_cylindrical_assembly(cylindrical_total, constants):
             total.components["z"], Q.axial_problem(-1.0, constants)
         ),
     }
-    for point in Q.probe_lattice(total, per_coordinate=3):
-        direct = Q.assembled_residual(total, point)
-        summed = Q.component_weighted_sum(total, residuals, point)
-        assert abs(direct - summed) < 1e-12
-        assert abs(direct) < 1e-6
+    idx = probe_axes(total, per_coordinate=3)
+    direct = Q.assembled_residual(total, idx)
+    summed = Q.component_weighted_sum(total, residuals, idx)
+    assert direct.shape == summed.shape == tuple(len(i) for i in idx)
+    assert np.max(np.abs(direct - summed)) < 1e-12
+    assert np.max(np.abs(direct)) < 1e-6
 
 
 def test_cartesian_assembly(constants):
     total = cartesian_oscillator_case(rng=np.random.default_rng(2))
-    for point in Q.probe_lattice(total, per_coordinate=3):
-        assert abs(Q.assembled_residual(total, point)) < 1e-7 * 1.5
+    direct = Q.assembled_residual(total, probe_axes(total, per_coordinate=3))
+    assert direct.shape == (3, 3, 3)
+    assert np.max(np.abs(direct)) < 1e-7 * 1.5
 
 
 def test_classical_mode_drops_corrections(hydrogen_total):
     total = hydrogen_total
-    point = (2.0, 1.2, 3.0)
-    full = Q.assembled_residual(total, point)
-    classical = Q.assembled_residual(total, point, mode="classical")
-    terms = Q.assembled_residual(total, point, mode="quantum-terms")
-    assert full == pytest.approx(classical + terms, abs=1e-14)
+    idx = probe_axes(total, per_coordinate=3)
+    full = Q.assembled_residual(total, idx)
+    classical = Q.assembled_residual(total, idx, mode="classical")
+    terms = Q.assembled_residual(total, idx, mode="quantum-terms")
+    assert full.shape == classical.shape == terms.shape
+    np.testing.assert_allclose(full, classical + terms, rtol=0.0, atol=1e-14)
+    assert np.max(np.abs(terms)) > 1e-3  # the corrections are not zero here
     with pytest.raises(ValueError, match="mode"):
-        Q.assembled_residual(total, point, mode="bogus")
+        Q.assembled_residual(total, idx, mode="bogus")
 
 
 def test_quantum_terms_vanish_at_zero_hbar(hydrogen_total):
     total = hydrogen_total
-    for point in Q.probe_lattice(total, per_coordinate=3)[:5]:
-        out = Q.assembled_residual(total, point, mode="quantum-terms", hbar=0.0)
-        assert out == 0.0
-
-
-@pytest.mark.parametrize("case", ["hydrogen_total", "cylindrical_total", "cartesian"])
-def test_lattice_matches_per_point_calls(case, request):
-    # one broadcast call over the probe axes equals the per-point calls over
-    # probe_lattice, element for element, in itertools.product order
-    if case == "cartesian":
-        total = cartesian_oscillator_case(rng=np.random.default_rng(3))
-    else:
-        total = request.getfixturevalue(case)
-    samples = {lab: comp.schwarzian for lab, comp in total.components.items()}
-    axes = probe_axes(total, per_coordinate=4)
-    points = Q.probe_lattice(total, per_coordinate=4)
-    direct = Q.assembled_residual(total, axes)
-    summed = Q.component_weighted_sum(total, samples, axes)
-    assert direct.shape == summed.shape == tuple(len(a) for a in axes)
-    assert direct.ravel().tolist() == [Q.assembled_residual(total, p) for p in points]
-    assert summed.ravel().tolist() == [
-        Q.component_weighted_sum(total, samples, p) for p in points
-    ]
+    idx = probe_axes(total, per_coordinate=3)
+    out = Q.assembled_residual(total, idx, mode="quantum-terms", hbar=0.0)
+    assert out.shape == tuple(len(i) for i in idx)
+    assert np.all(out == 0.0)
 
 
 def test_probe_lattice_is_deterministic(hydrogen_total):
     total = hydrogen_total
-    first = Q.probe_lattice(total, per_coordinate=5)
-    second = Q.probe_lattice(total, per_coordinate=5)
-    assert first == second
-    assert len(first) <= 125
-    for point in first:
-        idx, snapped = total.snap(point)
-        assert tuple(q.item() for q in snapped) == point  # probes sit exactly on nodes
-        for lab, i in zip(("r", "theta", "phi"), idx):
-            assert 2 <= i.item() <= total.components[lab].grid.n - 3
+    idx = probe_axes(total, per_coordinate=5)
+    first = Q.probe_lattice(total, idx)
+    second = Q.probe_lattice(total, probe_axes(total, per_coordinate=5))
+    assert np.array_equal(first, second)
+    assert first.shape == (first.shape[0], 3) and first.shape[0] <= 125
+    # rows are the grid nodes of the index axes, in itertools.product order
+    nodes = []
+    for lab, i in zip(("r", "theta", "phi"), idx):
+        n = total.components[lab].grid.n
+        assert np.all(np.diff(i) > 0) and 2 <= i[0] and i[-1] <= n - 3
+        nodes.append(total.components[lab].grid.points[i])
+    assert first.tolist() == [list(p) for p in itertools.product(*nodes)]
     with pytest.raises(ValueError, match="at least 2"):
-        Q.probe_axis_values(total.components["r"].grid.points, 1)
+        Q.probe_indices(total.components["r"].grid.points, 1)
 
 
 def test_spin_terms_values(constants):

@@ -51,6 +51,8 @@ def _set(path: str, value):
     return edit
 
 
+_R_TABLE = [0.5 + 11.5 * k / 199 for k in range(200)]
+
 # (name, shipped config, edit) of each edge input run through `verify`
 EDGES = (
     ("r-min-0", "spherical_hydrogen", _set("components.r.grid.min", 0.0)),
@@ -67,6 +69,19 @@ EDGES = (
     ("tabulated-points-nan", "cartesian_oscillator", _set(
         "potentials.x", {"kind": "tabulated", "points": [0.0, 1.0, float("nan"), 3.0],
                          "values": [0, 1, 2, 3]})),
+    # linspace cannot represent either grid: equal nodes, and an overflowing span
+    ("grid-duplicate-nodes", "cartesian_oscillator", _set(
+        "components.x.grid", {"min": 1.0e17, "max": 1.0000000000000002e17, "count": 1201})),
+    ("grid-infinite-span", "cartesian_oscillator", _set(
+        "components.x.grid", {"min": -1e308, "max": 1e308, "count": 1201})),
+    # a table on [0, 3] under the x grid on [-6, 6]
+    ("tabulated-short", "cartesian_oscillator", _set(
+        "potentials.x", {"kind": "tabulated", "points": [0.0, 1.0, 2.0, 3.0],
+                         "values": [0.0, 0.5, 2.0, 4.5]})),
+    # a table ending exactly at the r grid's edges: RK4 stage nodes overshoot
+    # 12.0 by an ulp, so the run fails in the solver (exit 3)
+    ("tabulated-exact-edge", "spherical_hydrogen", _set("potential", {
+        "kind": "tabulated", "points": _R_TABLE, "values": [-1.0 / r for r in _R_TABLE]})),
 )
 
 
