@@ -13,10 +13,6 @@ class DegenerateMobiusError(QshjeError):
     """Degenerate mixing: mu*nu = 1."""
 
 
-class SchwarzianNodeError(QshjeError):
-    """dS/dq changes sign inside the evaluation window (node of the action)."""
-
-
 class SolverFailure(QshjeError):
     """Numerical integration failed (overflow or Wronskian drift)."""
 

@@ -276,10 +276,13 @@ def solve_pair(
         provenance="numerical",
         problem=problem,
     )
-    drift = pair.wronskian_drift()
-    if drift > wronskian_tol:
-        w = pair.wronskian_samples()
-        over = np.flatnonzero(np.abs(w - pair.wronskian) / abs(pair.wronskian) > wronskian_tol)
+    # products of samples grown through a forbidden region can overflow, and
+    # inf - inf is NaN: a non-finite drift counts as drifting
+    with np.errstate(over="ignore", invalid="ignore"):
+        rel = np.abs(pair.wronskian_samples() - pair.wronskian) / abs(pair.wronskian)
+    drift = float(np.max(rel))
+    if not drift <= wronskian_tol:
+        over = np.flatnonzero(~(rel <= wronskian_tol))
         near = over[np.argmin(np.abs(over - idx))]
         peak1, peak2 = float(np.max(np.abs(pair.y1))), float(np.max(np.abs(pair.y2)))
         raise SolverFailure(

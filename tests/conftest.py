@@ -10,6 +10,7 @@ import pytest
 from scipy.special import dawsn, jv, jvp, yv, yvp
 
 import qshje as Q
+from qshje.schwarzian import schwarzian_from_amplitude
 
 CONSTANTS = Q.PhysConstants()
 
@@ -17,6 +18,15 @@ CONSTANTS = Q.PhysConstants()
 @pytest.fixture
 def constants():
     return CONSTANTS
+
+
+def fd_schwarzian(ds, grid):
+    """{S;q} by finite differences from samples of S': the amplitude form with
+    D = 1/S' and D', D'' from the derivative kernel; NaN where a stencil runs
+    off the grid."""
+    d = 1.0 / np.asarray(ds, dtype=float)
+    dp = Q.differentiate(d, grid)
+    return schwarzian_from_amplitude(d, dp, Q.differentiate(dp, grid))
 
 
 def sampled_pair(grid, y1, dy1, y2, dy2, problem, wronskian, provenance, wronskian_tol=1e-6):

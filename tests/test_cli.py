@@ -433,6 +433,23 @@ def test_drift_near_the_origin_names_where_it_is(tmp_path, capsys):
     ) in err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("half_width", [26.6, 26.8])
+def test_overflowing_wronskian_is_a_drift_failure(tmp_path, capsys, half_width):
+    # at solve_energy -0.5 the x solutions grow past 1e153 towards the grid
+    # ends; y1 dy2 and y2 dy1 overflow to inf and inf - inf makes W(q) NaN
+    def edit(cfg):
+        cfg["components"]["x"]["grid"] = {"min": -half_width, "max": half_width, "count": 1201}
+        cfg["components"]["x"]["solve_energy"] = -0.5
+
+    path = _edited_config(tmp_path, "cartesian_oscillator", edit)
+    assert run("solve", "--config", path, "--out", tmp_path / "o") == 3
+    err = capsys.readouterr().err
+    assert err.startswith("solver failure: Wronskian drift nan exceeds tolerance 1.0e-06 at ")
+    assert "classically forbidden region" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_analytic_source_requires_catalog(tmp_path, capsys):
     cfg = {
         "symmetry": "spherical",

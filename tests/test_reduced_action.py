@@ -24,9 +24,9 @@ def test_momentum_matches_derivative_of_action(constants):
     grid = Q.Grid1D.uniform(0.0, 2.0 * np.pi, 64001)
     pair = Q.analytic_azimuthal(2, grid, constants)
     comp = Q.build_component("phi", pair, 1.5, 0.3)
-    b = Q.differentiate(comp.s, grid)
-    inner = comp.ds[b.start : b.stop]
-    assert np.max(np.abs(b.d1 - inner) / np.abs(inner)) < 1e-6
+    fd = Q.differentiate(comp.s, grid)[2:-2]
+    inner = comp.ds[2:-2]
+    assert np.max(np.abs(fd - inner) / np.abs(inner)) < 1e-6
 
 
 def test_continuity_product_is_exact_constant(constants):

@@ -1,4 +1,5 @@
 import itertools
+import pathlib
 
 import numpy as np
 import pytest
@@ -6,7 +7,11 @@ import pytest
 import qshje as Q
 
 from conftest import cartesian_oscillator_case, hydrogen_ground_radial_pair, polar_pair
+from qshje.cli import build_case
 from qshje.residuals import SYMMETRY_TABLE, probe_axes
+from qshje.schwarzian import amplitude_derivatives, schwarzian_from_amplitude
+
+CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
 
 def test_unmixed_azimuthal_residual_is_machine_zero(constants):
@@ -57,6 +62,47 @@ def test_wrong_energy_shows_flat_offset(constants):
     eq = Q.spherical_radial_problem(Q.CoulombPotential(1.0), 0, -0.4, constants)
     res = Q.component_residual(comp, eq)
     np.testing.assert_allclose(res, -0.1, atol=1e-6)
+
+
+def fd_relative_residual(comp, problem):
+    """max |L - R| / (|kinetic| + |quantum| + |v_eff - e_eff|) over the stencil
+    interior, with D and D' from the pair's samples and D'' = differentiate(D')
+    in place of the pair's own curvature."""
+    pair, c = comp.pair, problem.constants
+    d, dp, _ = amplitude_derivatives(pair, *Q.mixed_solutions(pair, comp.mu, comp.nu))
+    kinetic = comp.ds * comp.ds / (2.0 * c.mass)
+    quantum = (c.hbar * c.hbar / (4.0 * c.mass)) * schwarzian_from_amplitude(
+        d, dp, Q.differentiate(dp, comp.grid)
+    )
+    offset = np.asarray(problem.v_eff(comp.grid.points), dtype=float) - problem.e_eff
+    rel = np.abs(kinetic + quantum + offset) / (np.abs(kinetic) + np.abs(quantum) + np.abs(offset))
+    return float(np.max(rel[2:-2]))
+
+
+@pytest.mark.parametrize(
+    "config", ["azimuthal_identity", "cartesian_oscillator", "cylindrical_free", "spherical_hydrogen"]
+)
+def test_fd_schwarzian_route_passes_true_components(config):
+    case = build_case(Q.load_config(CONFIG_DIR / f"{config}.yaml"))
+    for label in case.labels:
+        assert fd_relative_residual(case.components[label], case.equations[label]) <= 1e-4, label
+
+
+def test_fd_schwarzian_route_fails_wrong_pairs():
+    # the closed-form residual reads 4.4e-16 on the cos/sin pair, which does
+    # not solve the radial equation; the kernel route sees the violation
+    case = build_case(Q.load_config(CONFIG_DIR / "spherical_hydrogen.yaml"))
+    comp, eq = case.components["r"], case.equations["r"]
+    r = comp.grid.points
+    k = 0.7
+    pair = Q.SolutionPair(
+        comp.grid, np.cos(k * r), np.sin(k * r) / k, -k * np.sin(k * r), np.cos(k * r),
+        1.0, "analytic-catalog", eq,
+    )
+    assert fd_relative_residual(Q.build_component("r", pair, comp.mu, comp.nu), eq) >= 0.5
+
+    wrong = build_case(Q.load_config(CONFIG_DIR / "spherical_hydrogen_wrong_energy.yaml"))
+    assert fd_relative_residual(wrong.components["r"], wrong.equations["r"]) >= 0.5
 
 
 def test_residual_invariant_under_basis_change(constants):

@@ -2,98 +2,60 @@ import numpy as np
 import pytest
 
 import qshje as Q
+from qshje.schwarzian import schwarzian_from_amplitude
 
-
-def exact_mobius_bundle(m, grid):
-    """Analytic derivatives of the linear-fractional function (a q + b)/(c q + d)."""
-    a, b, c, d = m
-    q = grid.points
-    den = c * q + d
-    det = a * d - b * c
-    return Q.DerivativeBundle(
-        grid, 0, grid.n,
-        (a * q + b) / den,
-        det / den**2,
-        -2.0 * c * det / den**3,
-        6.0 * c * c * det / den**4,
-    )
+from conftest import fd_schwarzian
 
 
 def test_differentiate_cubic_third_derivative():
     grid = Q.Grid1D.uniform(-1.0, 1.0, 201)
-    b = Q.differentiate(grid.points**3, grid)
-    np.testing.assert_allclose(b.d3, 6.0, atol=1e-6)
-    np.testing.assert_allclose(b.d1, 3.0 * b.coords**2, atol=1e-10)
-    assert (b.start, b.stop) == (2, grid.n - 2)
+    d1 = Q.differentiate(grid.points**3, grid)
+    d3 = Q.differentiate(Q.differentiate(d1, grid), grid)
+    np.testing.assert_allclose(d3[6:-6], 6.0, atol=1e-6)
+    np.testing.assert_allclose(d1[2:-2], 3.0 * grid.points[2:-2] ** 2, atol=1e-10)
+    assert np.isnan(d1[:2]).all() and np.isnan(d1[-2:]).all()
 
 
 def test_differentiate_sine_second_derivative():
     grid = Q.Grid1D.uniform(0.0, 4.0, 401)  # h = 0.01
-    b = Q.differentiate(np.sin(grid.points), grid)
-    np.testing.assert_allclose(b.d2, -np.sin(b.coords), atol=1e-8)
+    d2 = Q.differentiate(Q.differentiate(np.sin(grid.points), grid), grid)
+    np.testing.assert_allclose(d2[4:-4], -np.sin(grid.points[4:-4]), atol=1e-8)
 
 
 def test_differentiate_constant_is_exact():
     grid = Q.Grid1D.uniform(0.0, 1.0, 51)
-    b = Q.differentiate(np.full(grid.n, 2.5), grid)
-    assert np.all(b.d1 == 0.0) and np.all(b.d2 == 0.0) and np.all(b.d3 == 0.0)
+    d1 = Q.differentiate(np.full(grid.n, 2.5), grid)
+    d2 = Q.differentiate(d1, grid)
+    d3 = Q.differentiate(d2, grid)
+    assert np.all(d1[2:-2] == 0.0) and np.all(d2[4:-4] == 0.0) and np.all(d3[6:-6] == 0.0)
 
 
 def test_differentiate_rejects_ragged_grid():
     pts = np.concatenate([np.linspace(0.0, 1.0, 30), np.linspace(1.05, 2.0, 25)])
     grid = Q.Grid1D(pts)
-    for order in (1, 2, 3):
-        with pytest.raises(Q.GridDomainError, match="uniform grid"):
-            Q.differentiate(grid.points**2, grid, max_order=order)
+    with pytest.raises(Q.GridDomainError, match="uniform grid"):
+        Q.differentiate(grid.points**2, grid)
 
 
 def test_differentiate_input_validation():
     grid = Q.Grid1D.uniform(0.0, 1.0, 11)
     with pytest.raises(ValueError, match="match the grid"):
         Q.differentiate(np.zeros(10), grid)
-    with pytest.raises(ValueError, match="max_order"):
-        Q.differentiate(np.zeros(11), grid, max_order=4)
 
 
-def test_schwarzian_of_exponential():
-    grid = Q.Grid1D.uniform(0.0, 1.0, 201)
-    out = Q.schwarzian(Q.differentiate(np.exp(grid.points), grid))
-    np.testing.assert_allclose(out, -0.5, atol=1e-5)
-
-
-def test_schwarzian_of_tangent():
-    grid = Q.Grid1D.uniform(-0.5, 0.5, 2001)
-    out = Q.schwarzian(Q.differentiate(np.tan(grid.points), grid))
-    np.testing.assert_allclose(out, 2.0, atol=1e-5)
-
-
-def test_schwarzian_of_linear_vanishes():
-    grid = Q.Grid1D.uniform(0.0, 1.0, 101)
-    out = Q.schwarzian(Q.differentiate(3.0 * grid.points + 2.0, grid))
-    np.testing.assert_allclose(out, 0.0, atol=1e-9)
-
-
-def test_schwarzian_requires_third_order():
-    grid = Q.Grid1D.uniform(0.0, 1.0, 101)
-    b = Q.differentiate(np.exp(grid.points), grid, max_order=2)
-    with pytest.raises(ValueError, match="order 3"):
-        Q.schwarzian(b)
-
-
-def test_schwarzian_node_detection():
-    # S' = 2q changes sign inside the window: a node of the action
-    grid = Q.Grid1D.uniform(-1.0, 1.0, 101)
-    with pytest.raises(Q.SchwarzianNodeError):
-        Q.schwarzian(Q.differentiate(grid.points**2, grid))
-
-
-def test_schwarzian_floor_masking():
-    # S' = 3q^2 touches zero without changing sign: masked, not raised
-    grid = Q.Grid1D.uniform(-1.0, 1.0, 201)
-    out = Q.schwarzian(Q.differentiate(grid.points**3, grid))
-    assert np.any(np.isnan(out))
-    assert np.sum(np.isnan(out)) < 5
-    assert np.all(np.isfinite(out[np.abs(Q.differentiate(grid.points**3, grid).coords) > 0.2]))
+@pytest.mark.parametrize(
+    "f, lo, hi, n, expected, atol",
+    [
+        (np.exp, 0.0, 1.0, 201, -0.5, 1e-5),
+        (np.tan, -0.5, 0.5, 2001, 2.0, 1e-5),
+        (lambda q: 3.0 * q + 2.0, 0.0, 1.0, 101, 0.0, 1e-9),
+    ],
+    ids=["exponential", "tangent", "linear"],
+)
+def test_schwarzian_of_known_functions(f, lo, hi, n, expected, atol):
+    grid = Q.Grid1D.uniform(lo, hi, n)
+    out = fd_schwarzian(Q.differentiate(f(grid.points), grid), grid)
+    np.testing.assert_allclose(out[6:-6], expected, atol=atol)
 
 
 def test_closed_form_flat_for_unmixed_azimuthal(constants):
@@ -104,12 +66,12 @@ def test_closed_form_flat_for_unmixed_azimuthal(constants):
 
 
 def test_closed_form_against_finite_difference(constants):
-    # strongly mixed m=2 case; the momentum-differencing route keeps the
-    # round-off floor below the target even though the Schwarzian peaks near 474
+    # strongly mixed m=2 case; differencing D = 1/S' twice keeps the round-off
+    # floor below the target even though the Schwarzian peaks near 474
     grid = Q.Grid1D.uniform(0.0, 2.0 * np.pi, 32001)
     pair = Q.analytic_azimuthal(2, grid, constants)
     comp = Q.build_component("phi", pair, 1.5, 0.3)
-    fd = Q.schwarzian_from_momentum(comp.ds, grid)
+    fd = fd_schwarzian(comp.ds, grid)
     live = ~np.isnan(fd)
     assert np.max(np.abs(fd[live] - comp.schwarzian[live])) < 1e-5
 
@@ -125,16 +87,15 @@ def test_closed_form_one_dimensional_identity(constants):
 
 
 def test_fd_schwarzian_converges_at_second_order(constants):
-    # truncation of the third-derivative stencil dominates: slope 2
+    # the trapezoid-built action carries an O(h^2) error that differencing
+    # amplifies into the Schwarzian: slope 2
     errs, hs = [], []
     for n in (201, 401, 801, 1601):
         grid = Q.Grid1D.uniform(0.0, 2.0 * np.pi, n)
         pair = Q.analytic_azimuthal(1, grid, constants)
         comp = Q.build_component("phi", pair, 0.4, -0.3)
-        b = Q.differentiate(comp.s, grid)
-        fd = Q.schwarzian(b)
-        closed = comp.schwarzian[b.start : b.stop]
-        errs.append(np.max(np.abs(fd - closed)))
+        fd = fd_schwarzian(Q.differentiate(comp.s, grid), grid)
+        errs.append(np.max(np.abs(fd[6:-6] - comp.schwarzian[6:-6])))
         hs.append(grid.spacing)
     slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]
     assert slope == pytest.approx(2.0, abs=0.2)
@@ -172,16 +133,25 @@ def test_mobius_invariance_finite_difference(constants):
     grid = Q.Grid1D.uniform(0.0, 2.0 * np.pi, 4001)
     pair = Q.analytic_azimuthal(1, grid, constants)
     comp = Q.build_component("phi", pair, 0.4, -0.3)
-    base = Q.schwarzian(Q.differentiate(comp.s, grid))
+    base = fd_schwarzian(Q.differentiate(comp.s, grid), grid)
     for m in random_maps(rng, 20):
-        mapped = Q.schwarzian(Q.differentiate(mobius_transform(m, comp.s), grid))
+        mapped = fd_schwarzian(Q.differentiate(mobius_transform(m, comp.s), grid), grid)
         live = ~np.isnan(base) & ~np.isnan(mapped)
         assert np.max(np.abs(mapped[live] - base[live])) < 1e-5
+
+
+def exact_mobius_amplitude(m, grid):
+    """Analytic (D, D', D'') of the linear-fractional function (a q + b)/(c q + d),
+    whose derivative is det/(c q + d)^2, so D = 1/S' = (c q + d)^2/det."""
+    a, b, c, d = m
+    den = c * grid.points + d
+    det = a * d - b * c
+    return den**2 / det, 2.0 * c * den / det, 2.0 * c * c / det
 
 
 def test_linear_fractional_functions_have_zero_schwarzian():
     rng = np.random.default_rng(3)
     grid = Q.Grid1D.uniform(0.0, 1.0, 501)
     for m in random_maps(rng, 20):
-        out = Q.schwarzian(exact_mobius_bundle(m, grid))
+        out = schwarzian_from_amplitude(*exact_mobius_amplitude(m, grid))
         assert np.max(np.abs(out)) < 1e-10

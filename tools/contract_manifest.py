@@ -51,6 +51,16 @@ def _set(path: str, value):
     return edit
 
 
+def _sets(*edits):
+    """Several edits of a loaded config, applied in order."""
+
+    def edit(cfg: dict) -> None:
+        for each in edits:
+            each(cfg)
+
+    return edit
+
+
 _R_TABLE = [0.5 + 11.5 * k / 199 for k in range(200)]
 
 # (name, shipped config, edit) of each edge input run through `verify`
@@ -82,6 +92,11 @@ EDGES = (
     # 12.0 by an ulp, so the run fails in the solver (exit 3)
     ("tabulated-exact-edge", "spherical_hydrogen", _set("potential", {
         "kind": "tabulated", "points": _R_TABLE, "values": [-1.0 / r for r in _R_TABLE]})),
+    # x solved at E = -0.5 grows past 1e153 at the grid ends: y1 dy2 and
+    # y2 dy1 overflow to inf, and inf - inf makes the Wronskian NaN
+    ("wronskian-overflow", "cartesian_oscillator", _sets(
+        _set("components.x.grid", {"min": -26.6, "max": 26.6, "count": 1201}),
+        _set("components.x.solve_energy", -0.5))),
 )
 
 
