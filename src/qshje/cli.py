@@ -214,8 +214,8 @@ def cmd_limit_scan(
 
     os.makedirs(out_dir, exist_ok=True)
     columns = {"hbar": scan.hbar_values, "quantum_term_magnitude": scan.magnitudes}
-    if scan.wrong_order_gaps is not None:
-        columns["wrong_order_gap"] = scan.wrong_order_gaps
+    if scan.wrong_order_gap is not None:
+        columns["wrong_order_gap"] = [scan.wrong_order_gap] * len(scan.hbar_values)
     _table(
         os.path.join(out_dir, "limit_scan"),
         "classical-limit-scan",
@@ -233,10 +233,9 @@ def cmd_limit_scan(
         "within_tolerance": ok,
         "probe_points": len(scan.points),
     }
-    if scan.wrong_order_gaps is not None:
+    if scan.wrong_order_gap is not None:
         payload["wrong_order"] = {
-            "gap": max(scan.wrong_order_gaps),
-            "slope": scan.wrong_order_slope,
+            "gap": scan.wrong_order_gap,
             "note": (
                 "zeroing the angular gradients before shrinking hbar leaves the "
                 "angular kinetic energy behind; the classical equation is not "
@@ -353,6 +352,9 @@ def main(argv: list[str] | None = None) -> int:
     except QshjeError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:
+        print(f"config error: cannot write outputs to {out_dir!r}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

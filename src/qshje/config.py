@@ -57,7 +57,10 @@ def _section(mapping: dict, key: str, path: str, fields: tuple[str, ...] | None 
 def _number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {value!r}")
-    v = float(value)
+    try:
+        v = float(value)
+    except OverflowError:
+        raise ConfigError(f"{path}: must be finite, got an integer past the float range") from None
     if not np.isfinite(v):
         raise ConfigError(f"{path}: must be finite, got {value!r}")
     return v
@@ -74,6 +77,7 @@ def positive_number(value, path: str) -> float:
 def _integer(value, path: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{path}: expected an integer, got {value!r}")
+    _number(value, path)  # every config number must be a finite float
     return value
 
 
@@ -191,7 +195,7 @@ def _component_config(label: str, mapping, path: str) -> ComponentConfig:
     if seeds_raw is not None:
         try:
             arr = np.asarray(seeds_raw, dtype=float)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"{path}.seeds: expected a 2x2 array of numbers") from exc
         if arr.shape != (2, 2) or not np.all(np.isfinite(arr)):
             raise ConfigError(f"{path}.seeds: expected a finite 2x2 array, got shape {arr.shape}")
@@ -239,8 +243,6 @@ def parse_config(data: dict, source_name: str = "config") -> RunConfig:
         )
     except ValueError as exc:
         raise ConfigError(f"{source_name}.constants: {exc}") from exc
-    if constants.hbar == 0.0:
-        raise ConfigError(f"{source_name}.constants.hbar: must be positive for a run")
 
     qmap = _section(
         root, "quantum_numbers", source_name,
@@ -339,10 +341,10 @@ def parse_config(data: dict, source_name: str = "config") -> RunConfig:
     fmt = _get(omap, "format", "output", required=False, default="csv")
     if fmt not in ("csv", "json"):
         raise ConfigError(f"{source_name}.output.format: expected 'csv' or 'json', got {fmt!r}")
-    output = OutputConfig(
-        directory=str(_get(omap, "directory", "output", required=False, default="out")),
-        fmt=fmt,
-    )
+    directory = _get(omap, "directory", "output", required=False, default="out")
+    if not isinstance(directory, str):
+        raise ConfigError(f"{source_name}.output.directory: expected a string, got {directory!r}")
+    output = OutputConfig(directory=directory, fmt=fmt)
 
     return RunConfig(
         symmetry=symmetry,

@@ -24,10 +24,8 @@ class PhysConstants:
     mass: float = 1.0
 
     def __post_init__(self) -> None:
-        # hbar = 0 is allowed so quantum terms can be evaluated at the
-        # classical limit with otherwise fixed data; solving is guarded.
-        if not (self.hbar >= 0.0 and np.isfinite(self.hbar)):
-            raise ValueError(f"hbar must be nonnegative and finite, got {self.hbar}")
+        if not (self.hbar > 0.0 and np.isfinite(self.hbar)):
+            raise ValueError(f"hbar must be positive and finite, got {self.hbar}")
         if not (self.mass > 0.0 and np.isfinite(self.mass)):
             raise ValueError(f"mass must be positive and finite, got {self.mass}")
 
@@ -176,7 +174,7 @@ class TabulatedPotential(PotentialSpec):
         try:
             points = np.asarray(points, dtype=float)
             values = np.asarray(values, dtype=float)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ValueError("tabulated potential points and values must be numbers") from None
         if points.ndim != 1 or points.shape != values.shape or points.size < 4:
             raise ValueError("tabulated potential needs matching 1-D arrays of >= 4 samples")
@@ -224,8 +222,6 @@ class Effective1DProblem:
     def curvature(self, q):
         """(2m/hbar^2) (v_eff(q) - e_eff)."""
         c = self.constants
-        if c.hbar == 0.0:
-            raise ValueError("curvature is undefined at hbar = 0")
         return 2.0 * c.mass / c.hbar**2 * (np.asarray(self.v_eff(q), dtype=float) - self.e_eff)
 
 

@@ -43,9 +43,7 @@ from .reduced_action import ReducedActionComponent
 
 
 def component_residual(
-    component: ReducedActionComponent,
-    problem: Effective1DProblem,
-    constants: PhysConstants | None = None,
+    component: ReducedActionComponent, problem: Effective1DProblem
 ) -> np.ndarray:
     """Left minus right of one separated equation at every grid node.
 
@@ -54,7 +52,7 @@ def component_residual(
     problem under test. A pair generated at a different energy therefore
     shows a flat residual equal to the energy offset.
     """
-    c = constants if constants is not None else problem.constants
+    c = problem.constants
     q = component.grid.points
     problem.check_domain(q)
     v = np.asarray(problem.v_eff(q), dtype=float)
@@ -249,25 +247,17 @@ def assemble_total(
     )
 
 
-def assembled_residual(
-    total: TotalReducedAction,
-    idx,
-    mode: str = "quantum",
-    hbar: float | None = None,
-) -> np.ndarray:
+def assembled_residual(total: TotalReducedAction, idx, mode: str = "quantum") -> np.ndarray:
     """Full 3-D equation on the lattice of the index axes idx, from nodal
     component data.
 
     mode selects which terms enter: "quantum" is the complete equation,
     "classical" drops every hbar-carrying correction and returns
     (1/2m)(grad S)^2 + V - E, "quantum-terms" returns only the corrections.
-    hbar, when given, rescales the corrections while the dS and Schwarzian
-    samples stay fixed.
     """
     if mode not in ("quantum", "classical", "quantum-terms"):
         raise ValueError(f"unknown mode {mode!r}")
-    mass = total.constants.mass
-    c = total.constants if hbar is None else PhysConstants(hbar=hbar, mass=mass)
+    c = total.constants
     spin = SYMMETRY_TABLE[total.symmetry].spin
     _, nodes = total.lattice(idx)
 
@@ -279,9 +269,9 @@ def assembled_residual(
     if mode == "quantum-terms":
         return quantum
 
-    kinetic = total.metric_sum("ds", idx, 2) / (2.0 * mass)
+    kinetic = total.metric_sum("ds", idx, 2) / (2.0 * c.mass)
     v = sum(
-        total.potentials[lab].evaluate(q, total.constants)
+        total.potentials[lab].evaluate(q, c)
         for lab, q in zip(total.symmetry.coordinate_labels, nodes)
         if lab in total.potentials
     )
@@ -380,8 +370,7 @@ class LimitScanResult:
     slope: float
     intercept: float
     points: np.ndarray
-    wrong_order_gaps: tuple[float, ...] | None = None
-    wrong_order_slope: float | None = None
+    wrong_order_gap: float | None = None
 
 
 def _fit_loglog(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
@@ -417,24 +406,23 @@ def classical_limit_scan(
     """Magnitude of the hbar-carrying corrections versus hbar, data fixed, as
     the maximum over the probe lattice with per_coordinate values per axis.
 
-    Every correction carries an explicit hbar^2 prefactor, so the fitted
-    log-log slope is 2. With wrong_order=True the scan additionally zeroes
-    the angular gradients before deleting the corrections; the leftover gap
-    to the true classical equation is the angular kinetic energy, which does
-    not shrink with hbar.
+    The corrections are evaluated once, at the run's hbar, and rescaled to
+    each scan value, so the fitted log-log slope is 2 by construction. With
+    wrong_order=True the scan also reports the gap left by zeroing the
+    angular gradients before deleting the corrections: the angular kinetic
+    energy, which does not depend on hbar.
     """
     hv = hbar_scan_values(hbar_values)
     idx = probe_axes(total, per_coordinate)
     points = probe_lattice(total, idx)
 
-    mags = []
-    for h in hv:
-        terms = assembled_residual(total, idx, mode="quantum-terms", hbar=float(h))
-        mags.append(np.max(np.abs(terms)))
-    slope, intercept = _fit_loglog(hv, np.asarray(mags))
+    # every correction, (hbar^2/4m){S;q} and -hbar^2/8mr^2 alike, carries an
+    # explicit hbar^2, so at fixed dS and Schwarzian data it scales as hbar^2
+    peak = np.max(np.abs(assembled_residual(total, idx, mode="quantum-terms")))
+    mags = (hv / total.constants.hbar) ** 2 * peak
+    slope, intercept = _fit_loglog(hv, mags)
 
-    gaps_out = None
-    gap_slope = None
+    gap = None
     if wrong_order:
         row = SYMMETRY_TABLE[total.symmetry]
         if not row.wrong_order_axes:
@@ -445,14 +433,9 @@ def classical_limit_scan(
         # zeroing the angular momenta first removes these gradient terms
         # from the would-be classical equation; the gap survives hbar -> 0
         gaps = sum(ds[k] * ds[k] / metric[k] for k in row.wrong_order_axes)
-        gap = np.max(gaps / (2.0 * total.constants.mass))
+        gap = float(np.max(gaps / (2.0 * total.constants.mass)))
         if np.isnan(gap):
             raise QshjeError("wrong-order gap is NaN at a probe point")
-        gaps_arr = np.full(hv.size, gap)
-        gap_slope = 0.0
-        if gap > 0.0:
-            gap_slope, _ = _fit_loglog(hv, gaps_arr)
-        gaps_out = tuple(float(g) for g in gaps_arr)
 
     return LimitScanResult(
         hbar_values=tuple(float(h) for h in hv),
@@ -460,6 +443,5 @@ def classical_limit_scan(
         slope=slope,
         intercept=intercept,
         points=points,
-        wrong_order_gaps=gaps_out,
-        wrong_order_slope=gap_slope,
+        wrong_order_gap=gap,
     )

@@ -142,7 +142,7 @@ def test_verify_nan_assembled_residual_fails(tmp_path, monkeypatch, capsys):
         f"({axes['rho'][0]!r}, {axes['phi'][0]!r}, {axes['z'][1]!r}), "
         f"the first of {nan_points} NaN probe points"
     )
-    # the scan's per-hbar maximum carries the NaN too; the fit names it
+    # the scan's maximum carries the NaN to every hbar; the fit names it
     scan = run("limit-scan", "--config", CONFIG_DIR / "cylindrical_free.yaml", "--out", out)
     assert scan == 3
     assert "NaN" in capsys.readouterr().err
@@ -343,6 +343,71 @@ def test_table_short_of_its_grid_is_a_config_error(tmp_path, capsys, config, edi
     assert capsys.readouterr().err == f"config error: {message}\n"
 
 
+@pytest.mark.parametrize("command", ["verify", "limit-scan"])
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+def test_unusable_output_location_is_a_config_error(tmp_path, capsys, command, under):
+    # an existing regular file, or a path below one, escaped as an OSError with exit 1
+    blocker = tmp_path / "taken"
+    blocker.write_text("")
+    out = blocker / "sub" if under else blocker
+    assert run(command, "--config", CONFIG_DIR / "spherical_hydrogen.yaml", "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot write outputs to {str(out)!r}: [Errno ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("directory", [None, 5], ids=["null", "int"])
+def test_output_directory_must_be_a_string(tmp_path, monkeypatch, capsys, directory):
+    # both used to write to a directory named after the value, ./None or ./5
+    monkeypatch.chdir(tmp_path)
+    path = _edited_config(
+        tmp_path, "azimuthal_identity", lambda cfg: cfg["output"].update(directory=directory)
+    )
+    assert run("verify", "--config", path) == 2
+    assert capsys.readouterr().err == (
+        f"config error: config.output.directory: expected a string, got {directory!r}\n"
+    )
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["edited.yaml"]
+
+
+def _set_tolerance(cfg):
+    cfg["tolerance"] = 10**400
+
+
+def _set_seeds(cfg):
+    cfg["components"]["phi"]["seeds"] = [[10**400, 0.0], [0.0, 1.0]]
+
+
+def _set_table(cfg):
+    cfg["potentials"]["x"] = {
+        "kind": "tabulated", "points": [-7.0, 0.0, 7.0, 10**400], "values": [0, 1, 2, 3],
+    }
+
+
+def _set_ell(cfg):
+    cfg["quantum_numbers"]["ell"] = 10**400
+
+
+@pytest.mark.parametrize(
+    "config, edit, message",
+    [
+        ("azimuthal_identity", _set_tolerance,
+         "config.tolerance: must be finite, got an integer past the float range"),
+        ("azimuthal_identity", _set_seeds, "components.phi.seeds: expected a 2x2 array of numbers"),
+        ("cartesian_oscillator", _set_table,
+         "potentials.x: tabulated potential points and values must be numbers"),
+        ("spherical_hydrogen", _set_ell,
+         "quantum_numbers.ell: must be finite, got an integer past the float range"),
+    ],
+    ids=["tolerance", "seeds", "tabulated-points", "ell"],
+)
+def test_integer_past_float_range_is_a_config_error(tmp_path, capsys, config, edit, message):
+    # each escaped as an OverflowError with exit 1, ell only once v_eff ran
+    path = _edited_config(tmp_path, config, edit)
+    assert run("verify", "--config", path, "--out", tmp_path / "o") == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
 @pytest.mark.parametrize(
     "config, label, edge",
     [
@@ -488,13 +553,14 @@ def test_limit_scan_hydrogen(tmp_path):
     summary = read_summary(out / "limit_scan_summary.json")
     assert abs(summary["slope"] - 2.0) <= summary["slope_tolerance"]
     assert summary["within_tolerance"] is True
-    assert summary["wrong_order"]["gap"] > 1.0
-    assert abs(summary["wrong_order"]["slope"]) < 1e-9
+    gap = summary["wrong_order"]["gap"]
+    assert gap > 1.0
+    assert "slope" not in summary["wrong_order"]
     table = (out / "limit_scan.csv").read_text().splitlines()
     assert table[1].split(",") == ["hbar", "quantum_term_magnitude", "wrong_order_gap"]
     assert len(table) == 2 + 6
-    gaps = {line.split(",")[2] for line in table[2:]}
-    assert len(gaps) == 1  # the gap column never shrinks with hbar
+    gaps = {float(line.split(",")[2]) for line in table[2:]}
+    assert gaps == {gap}  # the gap column never shrinks with hbar
 
 
 def test_limit_scan_nan_wrong_order_gap_fails(tmp_path, monkeypatch, capsys):

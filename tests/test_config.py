@@ -93,7 +93,7 @@ def test_wrong_energy_config_override():
         ("components.phi.seeds", [1.0, 0.0], "2x2"),
         ("tolerance", 0.0, "must be positive"),
         ("tolerance", "tight", "expected a number"),
-        ("constants", {"hbar": 0.0}, "must be positive for a run"),
+        ("constants", {"hbar": 0.0}, "hbar must be positive"),
         ("constants", {"hbar": -1.0}, "constants"),
         ("quantum_numbers", {"ell": 1, "m_ell": 2}, "quantum_numbers"),
         ("hbar_scan", 0.5, "expected a list"),

@@ -97,6 +97,11 @@ EDGES = (
     ("wronskian-overflow", "cartesian_oscillator", _sets(
         _set("components.x.grid", {"min": -26.6, "max": 26.6, "count": 1201}),
         _set("components.x.solve_energy", -0.5))),
+    ("hbar-0", "spherical_hydrogen", _set("constants.hbar", 0.0)),
+    ("output-directory-null", "spherical_hydrogen", _set("output.directory", None)),
+    # integers past the float range
+    ("tolerance-huge-int", "spherical_hydrogen", _set("tolerance", 10**400)),
+    ("ell-huge-int", "spherical_hydrogen", _set("quantum_numbers.ell", 10**400)),
 )
 
 
