@@ -48,7 +48,7 @@ def build_pair(cfg: RunConfig, comp: ComponentConfig, problem: Effective1DProble
         return analytic(cfg.quantum_numbers, grid, cfg.constants)
     if comp.solve_energy is not None:
         problem = replace(problem, e_eff=comp.solve_energy)
-    return solve_pair(problem, grid, seeds=comp.seeds, substeps=comp.substeps)
+    return solve_pair(problem, grid, substeps=comp.substeps)
 
 
 @dataclass
@@ -257,9 +257,9 @@ def cmd_spin_report(cfg: RunConfig, out_dir: str, fmt: str) -> int:
         raise ConfigError(f"spin-report needs grids for components {list(needed)}")
     grids = [cfg.components[lab].grid.points for lab in needed]
     axes = [q[probe_indices(q, cfg.probe_per_coordinate)] for q in grids]
-    os.makedirs(out_dir, exist_ok=True)
     coords = np.ix_(*axes)
     t = row.spin(coords, cfg.constants)
+    os.makedirs(out_dir, exist_ok=True)
     terms = {name: v for name, v in vars(t).items() if v is not None}
     columns = {
         name: col.ravel()

@@ -21,9 +21,9 @@ from .domain import (
     SymmetryClass,
     TabulatedPotential,
     ZeroPotential,
-    coordinate,
+    check_coordinates,
 )
-from .errors import ConfigError, QshjeError
+from .errors import ConfigError, GridDomainError, QshjeError
 from .ode_engine import Grid1D
 from .residuals import SYMMETRY_TABLE, hbar_scan_values
 
@@ -91,7 +91,6 @@ class ComponentConfig:
     source: str = "numeric"
     substeps: int = 1
     solve_energy: float | None = None
-    seeds: tuple[tuple[float, float], tuple[float, float]] = ((1.0, 0.0), (0.0, 1.0))
 
 
 @dataclass(frozen=True)
@@ -150,30 +149,16 @@ def _grid_spec(mapping, path: str, label: str) -> Grid1D:
     lo = _number(_get(m, "min", path), f"{path}.min")
     hi = _number(_get(m, "max", path), f"{path}.max")
     count = _integer(_get(m, "count", path), f"{path}.count")
-    if lo >= hi:
-        raise ConfigError(f"{path}: min must be < max, got [{lo}, {hi}]")
-    if count < 9:
-        raise ConfigError(f"{path}.count: need at least 9 grid points, got {count}")
-    lo_q, hi_q, _ = coordinate(label)
-    # the one bounded coordinate is the polar angle
-    if hi_q < np.inf and not (lo_q < lo and hi < hi_q):
-        raise ConfigError(
-            f"{path}: polar grid must lie strictly inside (0, pi), got [{lo}, {hi}]"
-        )
-    if lo <= lo_q:
-        raise ConfigError(
-            f"{path}.min: radial coordinate {label!r} requires min > 0, got {lo}"
-        )
     try:
-        # an overflowing span gives non-finite nodes, which Grid1D refuses
-        with np.errstate(over="ignore", invalid="ignore"):
-            return Grid1D.uniform(lo, hi, count)
-    except ValueError as exc:
+        grid = Grid1D(lo, hi, count)
+        check_coordinates(label, grid.points)
+    except (ValueError, GridDomainError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
+    return grid
 
 
 def _component_config(label: str, mapping, path: str) -> ComponentConfig:
-    fields = ("mu", "nu", "phase", "grid", "source", "substeps", "solve_energy", "seeds")
+    fields = ("mu", "nu", "phase", "grid", "source", "substeps", "solve_energy")
     m = _expect_mapping(mapping, path, fields)
     mu = _number(_get(m, "mu", path), f"{path}.mu")
     nu = _number(_get(m, "nu", path), f"{path}.nu")
@@ -190,18 +175,6 @@ def _component_config(label: str, mapping, path: str) -> ComponentConfig:
     solve_energy = _get(m, "solve_energy", path, required=False)
     if solve_energy is not None:
         solve_energy = _number(solve_energy, f"{path}.solve_energy")
-    seeds_raw = _get(m, "seeds", path, required=False)
-    seeds = ((1.0, 0.0), (0.0, 1.0))
-    if seeds_raw is not None:
-        try:
-            arr = np.asarray(seeds_raw, dtype=float)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"{path}.seeds: expected a 2x2 array of numbers") from exc
-        if arr.shape != (2, 2) or not np.all(np.isfinite(arr)):
-            raise ConfigError(f"{path}.seeds: expected a finite 2x2 array, got shape {arr.shape}")
-        if arr[0, 0] * arr[1, 1] - arr[0, 1] * arr[1, 0] == 0.0:
-            raise ConfigError(f"{path}.seeds: seed vectors are linearly dependent")
-        seeds = ((float(arr[0, 0]), float(arr[0, 1])), (float(arr[1, 0]), float(arr[1, 1])))
     return ComponentConfig(
         label=label,
         mu=mu,
@@ -211,7 +184,6 @@ def _component_config(label: str, mapping, path: str) -> ComponentConfig:
         source=source,
         substeps=substeps,
         solve_energy=solve_energy,
-        seeds=seeds,
     )
 
 
@@ -365,7 +337,8 @@ def load_config(path: str) -> RunConfig:
             data = yaml.load(fh, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError) as exc:
+        # ValueError: an integer past the interpreter's digit limit
         raise ConfigError(f"config file {path!r} is not valid YAML: {exc}") from exc
     if data is None:
         raise ConfigError(f"config file {path!r} is empty")

@@ -26,6 +26,9 @@ class PhysConstants:
     def __post_init__(self) -> None:
         if not (self.hbar > 0.0 and np.isfinite(self.hbar)):
             raise ValueError(f"hbar must be positive and finite, got {self.hbar}")
+        # every equation divides by hbar^2, which must not underflow or overflow
+        if not np.finfo(float).tiny <= self.hbar * self.hbar < np.inf:
+            raise ValueError(f"hbar^2 must be a normal float, got hbar = {self.hbar}")
         if not (self.mass > 0.0 and np.isfinite(self.mass)):
             raise ValueError(f"mass must be positive and finite, got {self.mass}")
 

@@ -4,11 +4,11 @@ Every reduced-action component is built on two real, linearly independent
 solutions (y1, y2) of y'' = c(q) y sampled on a shared grid, together with
 their first derivatives and the (constant) Wronskian W = y1 y2' - y2 y1'.
 Analytic constructors cover the azimuthal and axial equations; everything else
-goes through a fixed-step RK4 propagator seeded at a grid anchor.
+goes through a fixed-step RK4 propagator seeded at the grid midpoint.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -27,40 +27,27 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Grid1D:
-    """Strictly increasing 1-D coordinate grid with at least 9 points."""
+    """Uniform 1-D coordinate grid of n >= 9 nodes from lo to hi, both included."""
 
-    points: np.ndarray
+    lo: float
+    hi: float
+    n: int
+    points: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        pts = _readonly(self.points)
+        if self.n < 9:
+            raise ValueError(f"need at least 9 grid points, got {self.n}")
+        # an overflowing span gives non-finite nodes, refused below
+        with np.errstate(over="ignore", invalid="ignore"):
+            pts = _readonly(np.linspace(float(self.lo), float(self.hi), int(self.n)))
         object.__setattr__(self, "points", pts)
-        if pts.ndim != 1 or pts.size < 9:
-            raise ValueError(f"grid needs >= 9 points in one dimension, got shape {pts.shape}")
         if not np.all(np.isfinite(pts)):
             raise ValueError("grid points must be finite")
-        d = np.diff(pts)
-        if np.any(d <= 0.0):
+        if np.any(np.diff(pts) <= 0.0):
             raise ValueError("grid points must be strictly increasing")
-        uniform = bool(np.max(d) - np.min(d) <= 1e-9 * np.max(d))
-        object.__setattr__(self, "_uniform", uniform)
-
-    @classmethod
-    def uniform(cls, lo: float, hi: float, n: int) -> "Grid1D":
-        return cls(np.linspace(float(lo), float(hi), int(n)))
-
-    @property
-    def n(self) -> int:
-        return int(self.points.size)
-
-    @property
-    def is_uniform(self) -> bool:
-        return self._uniform  # type: ignore[attr-defined]
 
     @property
     def spacing(self) -> float:
-        """Uniform spacing; raises for nonuniform grids."""
-        if not self.is_uniform:
-            raise ValueError("grid is not uniform")
         return float((self.points[-1] - self.points[0]) / (self.n - 1))
 
     @property
@@ -216,7 +203,7 @@ def _rk4_sweep(curvature, q_nodes: np.ndarray, state0: np.ndarray, substeps: int
         q_end = float(q_nodes[min(overflow) + 1])
         raise SolverFailure(
             f"solution magnitude exceeded {_OVERFLOW_LIMIT:g} near q = {q_end!r} "
-            "(classically forbidden growth); shrink the domain or move the anchor"
+            "(classically forbidden growth); shrink the domain"
         )
     return np.array(ys).T, np.array(dys).T
 
@@ -225,11 +212,10 @@ def solve_pair(
     problem: Effective1DProblem,
     grid: Grid1D,
     seeds: Sequence[Sequence[float]] = ((1.0, 0.0), (0.0, 1.0)),
-    anchor_index: int | None = None,
     substeps: int = 1,
     wronskian_tol: float = 1e-6,
 ) -> SolutionPair:
-    """Integrate two solutions of the effective equation outward from an anchor node.
+    """Integrate two solutions of the effective equation outward from the grid midpoint.
 
     Parameters
     ----------
@@ -238,9 +224,7 @@ def solve_pair(
     grid : Grid1D
         Output nodes; the fixed RK4 step is the node spacing divided by `substeps`.
     seeds : two (value, derivative) pairs
-        Initial data of (y1, y2) at the anchor node. Defaults (1,0), (0,1).
-    anchor_index : int, optional
-        Node index of the seed data; defaults to the grid midpoint node.
+        Initial data of (y1, y2) at the midpoint node. Defaults (1,0), (0,1).
     substeps : int
         RK4 substeps per grid cell (error shrinks ~16x per doubling).
     wronskian_tol : float
@@ -255,9 +239,7 @@ def solve_pair(
         raise ValueError("seed conditions are linearly dependent (zero Wronskian)")
     if substeps < 1:
         raise ValueError("substeps must be >= 1")
-    idx = grid.midpoint_index if anchor_index is None else int(anchor_index)
-    if not 0 <= idx < grid.n:
-        raise ValueError(f"anchor index {idx} outside grid of {grid.n} nodes")
+    idx = grid.midpoint_index
 
     state0 = np.array([[seeds[0, 0], seeds[1, 0]], [seeds[0, 1], seeds[1, 1]]])
     pts = grid.points

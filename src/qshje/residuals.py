@@ -78,27 +78,31 @@ def _radial_spin(label: str, radius, constants: PhysConstants, theta=None) -> Sp
     angle, its partner divided by sin^2 theta; arrays broadcast."""
     check_coordinates(label, radius)
     h2 = constants.hbar * constants.hbar
-    # normalizing by the same rounded reference keeps the quotient exact:
-    # scaling a float by 1/4 never rounds
     ref = h2 / (2.0 * constants.mass * radius * radius)
+    # normalizing by the same rounded reference keeps the quotient exact:
+    # scaling a normal float by 1/4 never rounds, a subnormal one may
+    small = np.ravel(ref < np.finfo(float).tiny)
+    if small.any():
+        at = float(np.ravel(radius)[np.argmax(small)])
+        raise QshjeError(
+            f"spin terms: hbar^2/(2m {label}^2) is below the smallest normal float "
+            f"at {label} = {at!r}"
+        )
     ter1 = -0.25 * ref
     ter2 = None
     if theta is not None:
         check_coordinates("theta", theta)
         s = np.sin(theta)
         ter2 = ter1 / (s * s)
-    coeff = np.divide(-ter1, ref, out=np.full(np.shape(ref), 0.25), where=ref != 0.0)
-    return SpinTerms(ter1, ter2, coeff)
+    return SpinTerms(ter1, ter2, -ter1 / ref)
 
 
 @dataclass(frozen=True)
 class SymmetryRow:
     """Everything that differs between the symmetry classes.
 
-    metric(q, c=1): diagonal metric factors h_k^2 at node coordinates q,
-        with c multiplied in from the left where the component equation is in
-        the 2m-scaled, mass-free form; c = 2m gives the denominators of the
-        component-weighted sum. The inverse-metric weights are 1/h_k^2.
+    metric(q): diagonal metric factors h_k^2 at node coordinates q; the
+        inverse-metric weights are 1/h_k^2.
     potential_labels: the coordinates V depends on; V is the sum of one
         potential per label (V_x + V_y + V_z, or V(r), or V(rho)).
     equations: label -> (run config, quantum numbers, constants) -> the
@@ -123,7 +127,7 @@ class SymmetryRow:
 SYMMETRY_TABLE = {
     SymmetryClass.CARTESIAN: SymmetryRow(
         formula="sum_q [ (dS_q)^2/(2m) + (hbar^2/(4m))*{S_q;q} + V_q(q) ] - E",
-        metric=lambda q, c=1.0: (1.0, 1.0, 1.0),
+        metric=lambda q: (1.0, 1.0, 1.0),
         potential_labels=("x", "y", "z"),
         equations={
             lab: lambda cfg, qn, c, lab=lab: cartesian_axis_problem(
@@ -139,7 +143,7 @@ SYMMETRY_TABLE = {
             " + (hbar^2/(4m))[{S_r;r} + {S_theta;theta}/r^2 + {S_phi;phi}/(r^2 sin^2 theta)]"
             " - hbar^2/(8m r^2) - hbar^2/(8m r^2 sin^2 theta) + V(r) - E"
         ),
-        metric=lambda q, c=1.0: (1.0, c * q[0] * q[0], c * q[0] * q[0] * np.sin(q[1]) ** 2),
+        metric=lambda q: (1.0, q[0] * q[0], q[0] * q[0] * np.sin(q[1]) ** 2),
         potential_labels=("r",),
         equations={
             "r": lambda cfg, qn, c: spherical_radial_problem(
@@ -163,7 +167,7 @@ SYMMETRY_TABLE = {
             " + (hbar^2/(4m))[{S_rho;rho} + {S_phi;phi}/rho^2 + {S_z;z}]"
             " - hbar^2/(8m rho^2) + V(rho) - E"
         ),
-        metric=lambda q, c=1.0: (1.0, c * q[0] * q[0], c),
+        metric=lambda q: (1.0, q[0] * q[0], 1.0),
         potential_labels=("rho",),
         equations={
             "rho": lambda cfg, qn, c: cylindrical_radial_problem(
@@ -286,12 +290,13 @@ def component_weighted_sum(total: TotalReducedAction, residuals: dict[str, np.nd
     residual came from the matching component equation; exposing both routes
     keeps the assembly identity testable instead of tautological.
     """
-    row = SYMMETRY_TABLE[total.symmetry]
     ix, nodes = total.lattice(idx)
+    labels = total.symmetry.coordinate_labels
     # each residual is divided by its equation's scale times its metric factor
-    denominators = row.metric(nodes, 2.0 * total.constants.mass)
-    vals = (residuals[lab][i] for lab, i in zip(total.symmetry.coordinate_labels, ix))
-    return sum(v / d for v, d in zip(vals, denominators))
+    scales = (total.components[lab].pair.problem.scale for lab in labels)
+    vals = (residuals[lab][i] for lab, i in zip(labels, ix))
+    metric = SYMMETRY_TABLE[total.symmetry].metric(nodes)
+    return sum(v / (s * g) for v, s, g in zip(vals, scales, metric))
 
 
 def probe_indices(points: np.ndarray, per_coordinate: int) -> np.ndarray:
@@ -373,17 +378,6 @@ class LimitScanResult:
     wrong_order_gap: float | None = None
 
 
-def _fit_loglog(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    nan = np.isnan(y)
-    if np.any(nan):
-        raise QshjeError(f"classical-limit fit: magnitude is NaN at hbar={float(x[nan][0])!r}")
-    usable = y > 0.0
-    if int(np.count_nonzero(usable)) < 3:
-        raise QshjeError("classical-limit fit needs at least 3 nonzero magnitudes")
-    coeffs = np.polyfit(np.log(x[usable]), np.log(y[usable]), 1)
-    return float(coeffs[0]), float(coeffs[1])
-
-
 def hbar_scan_values(hbar_values) -> np.ndarray:
     """The distinct values of an hbar scan, largest first. QshjeError unless
     they are positive, at least 4 and span at least a factor of 10."""
@@ -419,8 +413,19 @@ def classical_limit_scan(
     # every correction, (hbar^2/4m){S;q} and -hbar^2/8mr^2 alike, carries an
     # explicit hbar^2, so at fixed dS and Schwarzian data it scales as hbar^2
     peak = np.max(np.abs(assembled_residual(total, idx, mode="quantum-terms")))
-    mags = (hv / total.constants.hbar) ** 2 * peak
-    slope, intercept = _fit_loglog(hv, mags)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mags = (hv / total.constants.hbar) ** 2 * peak
+    # a NaN or zero peak, or a scan value whose magnitude leaves the normal
+    # float range, puts a point off the log-log line
+    normal = (mags >= np.finfo(float).tiny) & (mags < np.inf)
+    if not normal.all():
+        k = np.argmin(normal)
+        what = "NaN" if np.isnan(mags[k]) else repr(float(mags[k]))
+        raise QshjeError(
+            f"classical-limit fit: the quantum-term magnitude is {what} at "
+            f"hbar = {float(hv[k])!r}, not a positive normal float"
+        )
+    slope, intercept = np.polyfit(np.log(hv), np.log(mags), 1).tolist()
 
     gap = None
     if wrong_order:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DegenerateMobiusError, GridDomainError
+from .errors import DegenerateMobiusError
 from .ode_engine import Grid1D, SolutionPair
 
 
@@ -28,8 +28,6 @@ def differentiate(samples: np.ndarray, grid: Grid1D) -> np.ndarray:
     f = np.asarray(samples, dtype=float)
     if f.shape != (grid.n,):
         raise ValueError(f"samples must match the grid, got {f.shape} vs ({grid.n},)")
-    if not grid.is_uniform:
-        raise GridDomainError("finite differences need a uniform grid")
 
     out = np.full(grid.n, np.nan)
     out[2:-2] = (f[:-4] - 8.0 * f[1:-3] + 8.0 * f[3:-1] - f[4:]) / (12.0 * grid.spacing)

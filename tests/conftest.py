@@ -121,7 +121,7 @@ def bessel_cylindrical_pair(grid):
 
 @pytest.fixture
 def azimuthal_component():
-    grid = Q.Grid1D.uniform(0.0, 2.0 * np.pi, 721)
+    grid = Q.Grid1D(0.0, 2.0 * np.pi, 721)
     pair = Q.analytic_azimuthal(2, grid, CONSTANTS)
     return Q.build_component("phi", pair, 1.5, 0.3)
 
@@ -129,9 +129,9 @@ def azimuthal_component():
 @pytest.fixture(scope="session")
 def hydrogen_total():
     """Assembled spherical case: l=1, m_l=1, E=-1/8, mixed pair sources."""
-    r_grid = Q.Grid1D.uniform(0.5, 12.0, 1601)
-    t_grid = Q.Grid1D.uniform(0.2, np.pi - 0.2, 1201)
-    p_grid = Q.Grid1D.uniform(0.0, 2.0 * np.pi, 721)
+    r_grid = Q.Grid1D(0.5, 12.0, 1601)
+    t_grid = Q.Grid1D(0.2, np.pi - 0.2, 1201)
+    p_grid = Q.Grid1D(0.0, 2.0 * np.pi, 721)
     comps = {
         "r": Q.build_component("r", hydrogen_2p_radial_pair(r_grid), 0.2, 0.0),
         "theta": Q.build_component("theta", polar_pair(1, 1, t_grid), 0.3, -0.2),
@@ -146,9 +146,9 @@ def hydrogen_total():
 @pytest.fixture(scope="session")
 def cylindrical_total():
     """Assembled cylindrical free case: m_phi=1, beta=-1, E=1."""
-    r_grid = Q.Grid1D.uniform(0.3, 12.0, 1601)
-    p_grid = Q.Grid1D.uniform(0.0, 2.0 * np.pi, 721)
-    z_grid = Q.Grid1D.uniform(-3.0, 3.0, 601)
+    r_grid = Q.Grid1D(0.3, 12.0, 1601)
+    p_grid = Q.Grid1D(0.0, 2.0 * np.pi, 721)
+    z_grid = Q.Grid1D(-3.0, 3.0, 601)
     comps = {
         "rho": Q.build_component("rho", bessel_cylindrical_pair(r_grid), 0.3, 0.1),
         "phi": Q.build_component("phi", Q.analytic_azimuthal(1, p_grid, CONSTANTS), 0.5, -0.1),
@@ -168,7 +168,7 @@ def cartesian_oscillator_case(rng=None, mixings=None):
             mu = rng.uniform(-0.8, 0.8)
             nu = rng.uniform(-0.8, 0.8)
             mixings[lab] = (mu, nu)
-    grid = Q.Grid1D.uniform(-6.0, 6.0, 1201)
+    grid = Q.Grid1D(-6.0, 6.0, 1201)
     comps = {}
     for lab in ("x", "y", "z"):
         mu, nu = mixings[lab]

@@ -50,7 +50,7 @@ def test_c01_azimuthal_identity():
     # m in {1,2,3}, five random mixings each, residual < 1e-9 hbar^2 in < 1 s
     start = time.perf_counter()
     rng = np.random.default_rng(412)
-    grid = Q.Grid1D.uniform(0.0, 2.0 * np.pi, 2001)
+    grid = Q.Grid1D(0.0, 2.0 * np.pi, 2001)
     worst = 0.0
     for m in (1, 2, 3):
         pair = Q.analytic_azimuthal(m, grid, CONSTANTS)
@@ -78,7 +78,7 @@ def test_c02_schwarzian_mobius_invariance():
     # function itself stays below 1e-10
     rng = np.random.default_rng(42)
     maps = random_maps(rng, 20)
-    grid = Q.Grid1D.uniform(0.0, 2.0 * np.pi, 4001)
+    grid = Q.Grid1D(0.0, 2.0 * np.pi, 4001)
     comp = Q.build_component("phi", Q.analytic_azimuthal(1, grid, CONSTANTS), 0.4, -0.3)
 
     base_fd = fd_schwarzian(Q.differentiate(comp.s, grid), grid)
@@ -88,7 +88,7 @@ def test_c02_schwarzian_mobius_invariance():
         live = ~np.isnan(base_fd) & ~np.isnan(mapped)
         worst_fd = max(worst_fd, float(np.max(np.abs(mapped[live] - base_fd[live]))))
 
-    lf_grid = Q.Grid1D.uniform(0.0, 1.0, 201)
+    lf_grid = Q.Grid1D(0.0, 1.0, 201)
     x = lf_grid.points
     worst_lf = 0.0
     for a, b, c, d in maps:
@@ -112,13 +112,13 @@ def test_c03_momentum_closed_form_matches_finite_difference():
     # symmetry class
     cases = [
         ("spherical/azimuthal",
-         Q.analytic_azimuthal(2, Q.Grid1D.uniform(0.0, 2.0 * np.pi, 64001), CONSTANTS),
+         Q.analytic_azimuthal(2, Q.Grid1D(0.0, 2.0 * np.pi, 64001), CONSTANTS),
          "phi", 1.5, 0.3),
         ("cylindrical/axial",
-         Q.analytic_axial(-1.0, Q.Grid1D.uniform(-3.0, 3.0, 64001), CONSTANTS),
+         Q.analytic_axial(-1.0, Q.Grid1D(-3.0, 3.0, 64001), CONSTANTS),
          "z", 0.3, -0.2),
         ("cartesian/oscillator",
-         oscillator_axis_pair(Q.Grid1D.uniform(-2.5, 2.5, 64001)), "x", 0.4, -0.3),
+         oscillator_axis_pair(Q.Grid1D(-2.5, 2.5, 64001)), "x", 0.4, -0.3),
     ]
     worst = {}
     for name, pair, label, mu, nu in cases:
@@ -154,7 +154,7 @@ def test_c05_coulomb_radial_identity():
     # k=1, l=0, E=-1/2, first member r e^{-r}, numeric partner, 2000-point
     # grid on [0.5, 10]: residual < 1e-6 in < 5 s
     start = time.perf_counter()
-    grid = Q.Grid1D.uniform(0.5, 10.0, 2000)
+    grid = Q.Grid1D(0.5, 10.0, 2000)
     comp = Q.build_component("r", hydrogen_ground_radial_pair(grid), 0.2, 0.0)
     eq = Q.spherical_radial_problem(Q.CoulombPotential(1.0), 0, -0.5, CONSTANTS)
     worst = float(np.max(np.abs(Q.component_residual(comp, eq))))
@@ -169,7 +169,7 @@ def test_c05_coulomb_radial_identity():
 def test_c06_polar_identity():
     # l=1, m=0: sqrt(sin theta) cos theta plus numeric partner, residual
     # < 1e-5 on [0.2, pi - 0.2]
-    grid = Q.Grid1D.uniform(0.2, np.pi - 0.2, 1201)
+    grid = Q.Grid1D(0.2, np.pi - 0.2, 1201)
     comp = Q.build_component("theta", polar_pair(1, 0, grid), 0.3, -0.2)
     eq = Q.spherical_polar_problem(1, 0, CONSTANTS)
     worst = float(np.max(np.abs(Q.component_residual(comp, eq))))

@@ -227,6 +227,11 @@ def _substep_typo(cfg):
     cfg["components"]["r"]["substep"] = cfg["components"]["r"].pop("substeps")
 
 
+def _seeds_set(cfg):
+    # pairs are seeded with the unit data at the grid midpoint; no key moves them
+    cfg["components"]["phi"]["seeds"] = [[1.0, 0.0], [0.0, 1.0]]
+
+
 _TOP_FIELDS = (
     "constants, quantum_numbers, components, tolerance, hbar_scan, "
     "probe_points_per_coordinate, output)"
@@ -242,9 +247,12 @@ _TOP_FIELDS = (
          "config.potential: unknown field (expected symmetry, potentials, " + _TOP_FIELDS),
         ("spherical_hydrogen", _substep_typo,
          "components.r.substep: unknown field (expected mu, nu, phase, grid, source, "
-         "substeps, solve_energy, seeds)"),
+         "substeps, solve_energy)"),
+        ("azimuthal_identity", _seeds_set,
+         "components.phi.seeds: unknown field (expected mu, nu, phase, grid, source, "
+         "substeps, solve_energy)"),
     ],
-    ids=["spherical-potentials", "cartesian-potential", "substep-typo"],
+    ids=["spherical-potentials", "cartesian-potential", "substep-typo", "seeds"],
 )
 def test_unread_config_key_is_a_config_error(tmp_path, capsys, config, edit, message):
     # each of these ran a different problem from the one written, and passed
@@ -374,10 +382,6 @@ def _set_tolerance(cfg):
     cfg["tolerance"] = 10**400
 
 
-def _set_seeds(cfg):
-    cfg["components"]["phi"]["seeds"] = [[10**400, 0.0], [0.0, 1.0]]
-
-
 def _set_table(cfg):
     cfg["potentials"]["x"] = {
         "kind": "tabulated", "points": [-7.0, 0.0, 7.0, 10**400], "values": [0, 1, 2, 3],
@@ -393,19 +397,64 @@ def _set_ell(cfg):
     [
         ("azimuthal_identity", _set_tolerance,
          "config.tolerance: must be finite, got an integer past the float range"),
-        ("azimuthal_identity", _set_seeds, "components.phi.seeds: expected a 2x2 array of numbers"),
         ("cartesian_oscillator", _set_table,
          "potentials.x: tabulated potential points and values must be numbers"),
         ("spherical_hydrogen", _set_ell,
          "quantum_numbers.ell: must be finite, got an integer past the float range"),
     ],
-    ids=["tolerance", "seeds", "tabulated-points", "ell"],
+    ids=["tolerance", "tabulated-points", "ell"],
 )
 def test_integer_past_float_range_is_a_config_error(tmp_path, capsys, config, edit, message):
     # each escaped as an OverflowError with exit 1, ell only once v_eff ran
     path = _edited_config(tmp_path, config, edit)
     assert run("verify", "--config", path, "--out", tmp_path / "o") == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+def test_integer_past_the_digit_limit_is_a_config_error(tmp_path, capsys):
+    # the YAML integer constructor raises ValueError past 4300 digits; it
+    # used to escape with a traceback and exit 1
+    text = (CONFIG_DIR / "azimuthal_identity.yaml").read_text()
+    path = tmp_path / "digits.yaml"
+    path.write_text(text + "\ntolerance: 1" + "0" * 5000 + "\n")
+    assert run("verify", "--config", path, "--out", tmp_path / "o") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: config file {str(path)!r} is not valid YAML: ")
+    assert "4300" in err
+
+
+@pytest.mark.parametrize("command", ["solve", "verify", "limit-scan", "spin-report"])
+@pytest.mark.parametrize("config", ["spherical_hydrogen", "cylindrical_free", "azimuthal_identity"])
+def test_hbar_whose_square_underflows_is_a_config_error(tmp_path, capsys, config, command):
+    # every equation divides by hbar^2, here 1e-340 rounded to zero; it used
+    # to raise ZeroDivisionError in the curvature, a traceback and exit 1
+    path = _edited_config(tmp_path, config, lambda cfg: cfg.update(constants={"hbar": 1.0e-170}))
+    assert run(command, "--config", path, "--out", tmp_path / "o") == 2
+    assert capsys.readouterr().err == (
+        "config error: config.constants: hbar^2 must be a normal float, got hbar = 1e-170\n"
+    )
+
+
+def test_spin_report_refuses_an_underflowing_reference(tmp_path, capsys):
+    # hbar^2/(2m rho^2) goes subnormal towards rho = 1e12, where scaling by
+    # 1/4 rounds; the report used to print those rows (and a 0.25 fallback
+    # where it reached zero) and exit 0
+    def edit(cfg):
+        cfg["constants"] = {"hbar": 1.0e-150}
+        cfg["components"]["rho"]["grid"]["max"] = 1.0e12
+
+    path = _edited_config(tmp_path, "cylindrical_free", edit)
+    out = tmp_path / "o"
+    assert run("spin-report", "--config", path, "--out", out) == 3
+    cfg = load_config(str(path))
+    rho = cfg.components["rho"].grid.points
+    rho = rho[probe_indices(rho, cfg.probe_per_coordinate)]
+    first = rho[1e-300 / (2.0 * rho * rho) < np.finfo(float).tiny][0]
+    assert capsys.readouterr().err == (
+        "solver failure: spin terms: hbar^2/(2m rho^2) is below the smallest normal float "
+        f"at rho = {float(first)!r}\n"
+    )
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -432,7 +481,7 @@ def test_every_check_refuses_a_coordinate_edge(tmp_path, capsys, config, label, 
     problem = row.equations[label](cfg, cfg.quantum_numbers, cfg.constants)
     shipped = cfg.components[label].grid
     bounds = {"min": shipped.points[0], "max": shipped.points[-1]} | edge
-    grid = Grid1D.uniform(bounds["min"], bounds["max"], 9)
+    grid = Grid1D(bounds["min"], bounds["max"], 9)
     spin_point = [1.0] * len(row.spin_labels)
     spin_point[row.spin_labels.index(label)] = next(iter(edge.values()))
     checks = (

@@ -15,6 +15,12 @@ def test_constants_defaults_and_validation():
         Q.PhysConstants(mass=0.0)
     with pytest.raises(ValueError):
         Q.PhysConstants(hbar=np.inf)
+    # every equation divides by hbar^2, which must be a normal float
+    for hbar in (1.0e-170, 1.0e-155, 1.0e200):
+        with pytest.raises(ValueError, match=r"hbar\^2 must be a normal float"):
+            Q.PhysConstants(hbar=hbar)
+    assert Q.PhysConstants(hbar=1.5e-154).hbar ** 2 >= np.finfo(float).tiny
+    assert Q.PhysConstants(hbar=1.0e154).hbar == 1.0e154
 
 
 def test_lambda_from_ell():

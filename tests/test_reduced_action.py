@@ -10,7 +10,7 @@ from conftest import oscillator_axis_pair
 def test_unmixed_azimuthal_action_is_linear(constants):
     # a = cos(phi), b = sin(phi): S = hbar arctan(cot phi) unwraps to
     # hbar (pi/2 - phi), with dS identically -hbar
-    grid = Q.Grid1D.uniform(0.0, 2.0 * np.pi, 721)
+    grid = Q.Grid1D(0.0, 2.0 * np.pi, 721)
     pair = Q.analytic_azimuthal(1, grid, constants)
     comp = Q.build_component("phi", pair, 0.0, 0.0)
     hbar = constants.hbar
@@ -21,7 +21,7 @@ def test_unmixed_azimuthal_action_is_linear(constants):
 
 
 def test_momentum_matches_derivative_of_action(constants):
-    grid = Q.Grid1D.uniform(0.0, 2.0 * np.pi, 64001)
+    grid = Q.Grid1D(0.0, 2.0 * np.pi, 64001)
     pair = Q.analytic_azimuthal(2, grid, constants)
     comp = Q.build_component("phi", pair, 1.5, 0.3)
     fd = Q.differentiate(comp.s, grid)[2:-2]
@@ -30,7 +30,7 @@ def test_momentum_matches_derivative_of_action(constants):
 
 
 def test_continuity_product_is_exact_constant(constants):
-    grid = Q.Grid1D.uniform(0.0, 2.0 * np.pi, 721)
+    grid = Q.Grid1D(0.0, 2.0 * np.pi, 721)
     for m, mu, nu in ((1, 0.4, -0.3), (2, 1.5, 0.3), (3, -0.6, 0.8)):
         pair = Q.analytic_azimuthal(m, grid, constants)
         comp = Q.build_component("phi", pair, mu, nu)
@@ -39,7 +39,7 @@ def test_continuity_product_is_exact_constant(constants):
 
 
 def test_degenerate_mixing_rejected(constants):
-    grid = Q.Grid1D.uniform(0.0, 2.0 * np.pi, 721)
+    grid = Q.Grid1D(0.0, 2.0 * np.pi, 721)
     pair = Q.analytic_azimuthal(1, grid, constants)
     with pytest.raises(Q.DegenerateMobiusError):
         Q.build_component("phi", pair, 2.0, 0.5)
@@ -48,7 +48,7 @@ def test_degenerate_mixing_rejected(constants):
 def test_branch_check_rejects_coarse_grid(constants):
     # unwrapping cannot follow the action across cells that wind more than
     # half a turn; the arctan cross-check catches it
-    grid = Q.Grid1D.uniform(0.0, 2.0 * np.pi, 9)
+    grid = Q.Grid1D(0.0, 2.0 * np.pi, 9)
     pair = Q.analytic_azimuthal(3, grid, constants)
     with pytest.raises(Q.QshjeError, match="too coarse"):
         Q.build_component("phi", pair, 1.5, 0.3)
@@ -56,7 +56,7 @@ def test_branch_check_rejects_coarse_grid(constants):
 
 def test_axial_degenerate_pair_momentum(constants):
     # pair {1, z} with mu = nu = 0: dS = hbar W / (1 + z^2)
-    grid = Q.Grid1D.uniform(-3.0, 3.0, 601)
+    grid = Q.Grid1D(-3.0, 3.0, 601)
     pair = Q.analytic_axial(0.0, grid, constants)
     comp = Q.build_component("z", pair, 0.0, 0.0)
     np.testing.assert_allclose(
@@ -65,7 +65,7 @@ def test_axial_degenerate_pair_momentum(constants):
 
 
 def test_momentum_sign_matches_mixing(constants):
-    grid = Q.Grid1D.uniform(0.0, 2.0 * np.pi, 721)
+    grid = Q.Grid1D(0.0, 2.0 * np.pi, 721)
     rng = np.random.default_rng(9)
     for m in (1, 2, 3):
         pair = Q.analytic_azimuthal(m, grid, constants)
@@ -79,7 +79,7 @@ def test_momentum_sign_matches_mixing(constants):
 
 
 def test_action_increment_equals_quadrature(constants):
-    grid = Q.Grid1D.uniform(0.0, 2.0 * np.pi, 2001)
+    grid = Q.Grid1D(0.0, 2.0 * np.pi, 2001)
     pair = Q.analytic_azimuthal(1, grid, constants)
     comp = Q.build_component("phi", pair, 0.4, -0.3)
     total = simpson(comp.ds, x=grid.points)
@@ -87,7 +87,7 @@ def test_action_increment_equals_quadrature(constants):
 
 
 def test_additive_phase_never_enters_momentum(constants):
-    grid = Q.Grid1D.uniform(0.0, 2.0 * np.pi, 721)
+    grid = Q.Grid1D(0.0, 2.0 * np.pi, 721)
     pair = Q.analytic_azimuthal(2, grid, constants)
     plain = Q.build_component("phi", pair, 0.4, -0.3)
     shifted = Q.build_component("phi", pair, 0.4, -0.3, phase_e=0.7)
@@ -100,18 +100,18 @@ def test_additive_phase_never_enters_momentum(constants):
 
 
 def test_assemble_total_validates_labels(constants):
-    grid = Q.Grid1D.uniform(0.0, 2.0 * np.pi, 721)
+    grid = Q.Grid1D(0.0, 2.0 * np.pi, 721)
     pair = Q.analytic_azimuthal(1, grid, constants)
     comp = Q.build_component("phi", pair, 0.0, 0.0)
     with pytest.raises(ValueError, match="needs components"):
         Q.assemble_total({"phi": comp}, Q.SymmetryClass.SPHERICAL, Q.QuantumNumbers(), {})
 
     other = Q.build_component(
-        "z", Q.analytic_axial(0.0, Q.Grid1D.uniform(-3.0, 3.0, 601),
+        "z", Q.analytic_axial(0.0, Q.Grid1D(-3.0, 3.0, 601),
                               Q.PhysConstants(hbar=2.0)), 0.0, 0.0
     )
     comps = {
-        "rho": Q.build_component("rho", Q.analytic_axial(0.0, Q.Grid1D.uniform(0.3, 3.0, 601),
+        "rho": Q.build_component("rho", Q.analytic_axial(0.0, Q.Grid1D(0.3, 3.0, 601),
                                                          constants), 0.0, 0.0),
         "phi": comp,
         "z": other,
@@ -142,7 +142,7 @@ def test_total_action_lattice_and_metric(hydrogen_total):
 
 
 def test_cartesian_gradient_is_plain_sum(constants):
-    grid = Q.Grid1D.uniform(-6.0, 6.0, 1201)
+    grid = Q.Grid1D(-6.0, 6.0, 1201)
     comps = {
         lab: Q.build_component(lab, oscillator_axis_pair(grid, lab), 0.3, -0.2)
         for lab in ("x", "y", "z")

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
 
 def test_unmixed_azimuthal_residual_is_machine_zero(constants):
-    grid = Q.Grid1D.uniform(0.0, 2.0 * np.pi, 721)
+    grid = Q.Grid1D(0.0, 2.0 * np.pi, 721)
     pair = Q.analytic_azimuthal(1, grid, constants)
     comp = Q.build_component("phi", pair, 0.0, 0.0)
     res = Q.component_residual(comp, Q.azimuthal_problem(1, constants))
@@ -25,7 +26,7 @@ def test_unmixed_azimuthal_residual_is_machine_zero(constants):
 
 
 def test_azimuthal_identity_random_mixings(constants):
-    grid = Q.Grid1D.uniform(0.0, 2.0 * np.pi, 2001)
+    grid = Q.Grid1D(0.0, 2.0 * np.pi, 2001)
     rng = np.random.default_rng(17)
     h2 = constants.hbar**2
     for m in (1, 2, 3):
@@ -42,14 +43,14 @@ def test_azimuthal_identity_random_mixings(constants):
 
 
 def test_polar_residual_with_closed_form(constants):
-    grid = Q.Grid1D.uniform(0.2, np.pi - 0.2, 1201)
+    grid = Q.Grid1D(0.2, np.pi - 0.2, 1201)
     comp = Q.build_component("theta", polar_pair(1, 1, grid), 0.3, -0.2)
     res = Q.component_residual(comp, Q.spherical_polar_problem(1, 1, constants))
     assert np.max(np.abs(res)) < 1e-9
 
 
 def test_radial_residual_with_numeric_partner(constants):
-    grid = Q.Grid1D.uniform(0.5, 10.0, 2000)
+    grid = Q.Grid1D(0.5, 10.0, 2000)
     comp = Q.build_component("r", hydrogen_ground_radial_pair(grid), 0.2, 0.0)
     eq = Q.spherical_radial_problem(Q.CoulombPotential(1.0), 0, -0.5, constants)
     assert np.max(np.abs(Q.component_residual(comp, eq))) < 1e-6
@@ -58,7 +59,7 @@ def test_radial_residual_with_numeric_partner(constants):
 def test_wrong_energy_shows_flat_offset(constants):
     # basis solved at E=-1/2, equation stated at E=-0.4: the residual is a
     # flat plateau equal to the energy offset, not a small number
-    grid = Q.Grid1D.uniform(0.5, 10.0, 2000)
+    grid = Q.Grid1D(0.5, 10.0, 2000)
     comp = Q.build_component("r", hydrogen_ground_radial_pair(grid), 0.2, 0.0)
     eq = Q.spherical_radial_problem(Q.CoulombPotential(1.0), 0, -0.4, constants)
     res = Q.component_residual(comp, eq)
@@ -109,7 +110,7 @@ def test_fd_schwarzian_route_fails_wrong_pairs():
 def test_residual_invariant_under_basis_change(constants):
     # (a y1 + b y2, c y1 + d y2) solves the same equation with W scaled by
     # ad - bc, so the identity still holds at the same mixing constants
-    grid = Q.Grid1D.uniform(0.0, 2.0 * np.pi, 2001)
+    grid = Q.Grid1D(0.0, 2.0 * np.pi, 2001)
     pair = Q.analytic_azimuthal(2, grid, constants)
     eq = Q.azimuthal_problem(2, constants)
     base = Q.component_residual(Q.build_component("phi", pair, 0.7, -0.2), eq)
@@ -184,7 +185,7 @@ def test_component_equation_metadata(constants):
 
 
 def test_assembled_equation_validation(constants):
-    pair = Q.analytic_azimuthal(1, Q.Grid1D.uniform(0.0, 2.0 * np.pi, 61), constants)
+    pair = Q.analytic_azimuthal(1, Q.Grid1D(0.0, 2.0 * np.pi, 61), constants)
     comp = Q.build_component("phi", pair, 0.0, 0.0)
     spherical = {lab: comp for lab in ("r", "theta", "phi")}
     cartesian = {lab: comp for lab in ("x", "y", "z")}
@@ -244,6 +245,36 @@ def test_cylindrical_assembly(cylindrical_total, constants):
     assert direct.shape == summed.shape == tuple(len(i) for i in idx)
     assert np.max(np.abs(direct - summed)) < 1e-12
     assert np.max(np.abs(direct)) < 1e-6
+
+
+@pytest.mark.parametrize("config", ["spherical_hydrogen", "cylindrical_free"])
+def test_assembly_identity_at_another_mass(config):
+    # each residual is divided by its own equation's scale, 2m for the
+    # mass-free angular and axial forms, so the routes agree at m != 1 too
+    cfg = Q.load_config(str(CONFIG_DIR / f"{config}.yaml"))
+    case = build_case(dataclasses.replace(cfg, constants=Q.PhysConstants(mass=1.7)))
+    total = case.total
+    assert {comp.constants.mass for comp in total.components.values()} == {1.7}
+    residuals = {
+        lab: Q.component_residual(comp, case.equations[lab])
+        for lab, comp in total.components.items()
+    }
+    idx = probe_axes(total, per_coordinate=4)
+    direct = Q.assembled_residual(total, idx)
+    summed = Q.component_weighted_sum(total, residuals, idx)
+    assert np.max(np.abs(direct - summed)) < 1e-12
+    assert np.max(np.abs(direct)) < 1e-6
+    # the residuals above are round-off; unit residuals show each weight
+    _, (q0, q1, _) = total.lattice(idx)
+    two_m = 2.0 * 1.7
+    angular = 1.0 / (two_m * q0**2 * np.sin(q1) ** 2) if config == "spherical_hydrogen" else 0.0
+    axial = 1.0 / two_m if config == "cylindrical_free" else 0.0
+    weights = 1.0 + 1.0 / (two_m * q0**2) + angular + axial
+    units = {lab: np.ones(comp.grid.n) for lab, comp in total.components.items()}
+    np.testing.assert_allclose(
+        Q.component_weighted_sum(total, units, idx), np.broadcast_to(weights, summed.shape),
+        rtol=1e-15, atol=0.0,
+    )
 
 
 def test_cartesian_assembly(constants):
@@ -326,6 +357,28 @@ def test_classical_limit_scan_slope(hydrogen_total):
     assert result.wrong_order_gap is None
 
 
+def test_classical_limit_scan_refuses_a_zero_peak():
+    # with every Schwarzian sample zero and no spin terms, nothing scales as hbar^2
+    total = cartesian_oscillator_case(rng=np.random.default_rng(3))
+    flat = dataclasses.replace(total, components={
+        lab: dataclasses.replace(comp, schwarzian=np.zeros_like(comp.schwarzian))
+        for lab, comp in total.components.items()
+    })
+    with pytest.raises(Q.QshjeError, match=r"magnitude is 0\.0 at hbar = 1\.0, not a positive"):
+        Q.classical_limit_scan(flat, Q.DEFAULT_HBAR_SCAN)
+    assert Q.classical_limit_scan(total, Q.DEFAULT_HBAR_SCAN).slope == pytest.approx(2.0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "scan, hbar", [((1.0, 0.1, 1e-170, 1e-200), "1e-170"), ((1e200, 1e180, 1.0, 0.1), "1e+200")]
+)
+def test_classical_limit_scan_refuses_magnitudes_off_the_float_range(hydrogen_total, scan, hbar):
+    # (h/hbar)^2 underflows or overflows; log of 0 or inf has no place in the fit
+    with pytest.raises(Q.QshjeError, match=re.escape(f"at hbar = {hbar}, not a positive normal")):
+        Q.classical_limit_scan(hydrogen_total, scan)
+
+
 def test_classical_limit_scan_wrong_order(hydrogen_total):
     total = hydrogen_total
     hv = (1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125)
@@ -377,7 +430,7 @@ def test_classical_limit_scan_preconditions(hydrogen_total, cylindrical_total):
 
 
 def test_make_report_scales(constants):
-    grid = Q.Grid1D.uniform(0.0, 2.0 * np.pi, 721)
+    grid = Q.Grid1D(0.0, 2.0 * np.pi, 721)
     pair = Q.analytic_azimuthal(2, grid, constants)
     comp = Q.build_component("phi", pair, 1.5, 0.3)
     eq = Q.azimuthal_problem(2, constants)

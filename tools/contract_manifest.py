@@ -98,6 +98,10 @@ EDGES = (
         _set("components.x.grid", {"min": -26.6, "max": 26.6, "count": 1201}),
         _set("components.x.solve_energy", -0.5))),
     ("hbar-0", "spherical_hydrogen", _set("constants.hbar", 0.0)),
+    # hbar^2 underflows to a subnormal
+    ("hbar-1e-170", "spherical_hydrogen", _set("constants.hbar", 1e-170)),
+    # the unit seeds at the midpoint, which every pair uses, set explicitly
+    ("seeds-set", "spherical_hydrogen", _set("components.r.seeds", [[1.0, 0.0], [0.0, 1.0]])),
     ("output-directory-null", "spherical_hydrogen", _set("output.directory", None)),
     # integers past the float range
     ("tolerance-huge-int", "spherical_hydrogen", _set("tolerance", 10**400)),
