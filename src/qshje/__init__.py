@@ -2,6 +2,12 @@
 equation in Cartesian, spherical and cylindrical symmetry, with pointwise
 verification of every component and assembled equation."""
 
+import os
+
+# qshje makes no BLAS call worth a thread, and OpenBLAS's worker pool costs
+# about 80 ms per process; this must run before numpy is first imported.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .domain import (
     CoulombPotential,
     Effective1DProblem,

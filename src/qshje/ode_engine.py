@@ -165,7 +165,7 @@ def _rk4_column(c_cells: list, h_cells: list, y: float, dy: float):
 
     c_cells[i] holds (c(q), c(q + h/2), c(q + h)) for every substep of cell i.
     Returns the node values, the node derivatives and the index of the first
-    cell that ends past the overflow limit (None if none does).
+    cell that ends past the overflow limit or non-finite (None if none does).
     """
     ys, dys = [y], [dy]
     for i, (h, stages) in enumerate(zip(h_cells, c_cells)):
@@ -177,7 +177,7 @@ def _rk4_column(c_cells: list, h_cells: list, y: float, dy: float):
             k4y, k4d = dy + h * k3d, c4 * (y + h * k3y)
             y = y + sixth * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
             dy = dy + sixth * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
-        if abs(y) > _OVERFLOW_LIMIT or abs(dy) > _OVERFLOW_LIMIT:
+        if not (abs(y) <= _OVERFLOW_LIMIT and abs(dy) <= _OVERFLOW_LIMIT):
             return ys, dys, i
         ys.append(y)
         dys.append(dy)

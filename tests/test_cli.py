@@ -564,6 +564,22 @@ def test_overflowing_wronskian_is_a_drift_failure(tmp_path, capsys, half_width):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command", ["solve", "verify", "limit-scan"])
+def test_overflow_to_nan_within_a_cell_is_named(tmp_path, capsys, command):
+    # at hbar 1e-150 the rho solutions pass inf and turn NaN inside one cell,
+    # so no cell end ever reads a finite magnitude above the limit
+    def edit(cfg):
+        cfg["constants"]["hbar"] = 1.0e-150
+        cfg["components"]["rho"]["grid"]["max"] = 1.0e12
+
+    path = _edited_config(tmp_path, "cylindrical_free", edit)
+    assert run(command, "--config", path, "--out", tmp_path / "o") == 3
+    assert capsys.readouterr().err == (
+        "solver failure: solution magnitude exceeded 1e+160 near q = 500625000000.1498 "
+        "(classically forbidden growth); shrink the domain\n"
+    )
+
+
 def test_analytic_source_requires_catalog(tmp_path, capsys):
     cfg = {
         "symmetry": "spherical",
@@ -735,12 +751,36 @@ def test_csv_and_json_tables_agree(tmp_path, config):
     assert compared >= 2  # solve and verify write at least one table each
 
 
+def _fresh_interpreter(probe, **env):
+    """stdout of `python -c probe` with src on the path, OPENBLAS_NUM_THREADS
+    unset unless given in env (this process already set it by importing qshje)."""
+    src = str(pathlib.Path(cli.__file__).resolve().parent.parent)
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    base["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env={**base, **env}, capture_output=True, text=True,
+        check=True,
+    )
+    return done.stdout.split()
+
+
 def test_importing_the_cli_leaves_scipy_unloaded():
     # scipy is only needed for tabulated potentials
-    src = str(pathlib.Path(cli.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     probe = "import sys, qshje.cli; print(sorted(m for m in sys.modules if 'scipy' in m))"
-    done = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
-    )
-    assert done.stdout.strip() == "[]"
+    assert _fresh_interpreter(probe) == ["[]"]
+
+
+@pytest.mark.parametrize("then", ["", "import scipy.interpolate"])
+def test_importing_qshje_starts_no_blas_worker_pool(then):
+    # numpy's OpenBLAS, and scipy's for tabulated potentials, stay on one thread
+    tasks = "/proc/self/task"
+    if not os.path.isdir(tasks):
+        pytest.skip(f"{tasks} is not available to count threads")
+    probe = f"import os, qshje\n{then}\nprint(len(os.listdir({tasks!r})))"
+    assert _fresh_interpreter(probe) == ["1"]
+
+
+@pytest.mark.parametrize("env, value", [({}, "1"), ({"OPENBLAS_NUM_THREADS": "2"}, "2")])
+def test_importing_qshje_keeps_an_explicit_blas_thread_count(env, value):
+    probe = "import os, qshje; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+    assert _fresh_interpreter(probe, **env) == [value]

@@ -97,6 +97,10 @@ EDGES = (
     ("wronskian-overflow", "cartesian_oscillator", _sets(
         _set("components.x.grid", {"min": -26.6, "max": 26.6, "count": 1201}),
         _set("components.x.solve_energy", -0.5))),
+    # rho solved at hbar 1e-150 out to 1e12 passes inf and turns NaN inside
+    # one RK4 cell, so it must still end in the overflow message
+    ("rho-overflow-nan", "cylindrical_free", _sets(
+        _set("constants.hbar", 1.0e-150), _set("components.rho.grid.max", 1.0e12))),
     ("hbar-0", "spherical_hydrogen", _set("constants.hbar", 0.0)),
     # hbar^2 underflows to a subnormal
     ("hbar-1e-170", "spherical_hydrogen", _set("constants.hbar", 1e-170)),
