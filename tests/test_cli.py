@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import json
 import os
@@ -751,17 +752,21 @@ def test_csv_and_json_tables_agree(tmp_path, config):
     assert compared >= 2  # solve and verify write at least one table each
 
 
-def _fresh_interpreter(probe, **env):
-    """stdout of `python -c probe` with src on the path, OPENBLAS_NUM_THREADS
-    unset unless given in env (this process already set it by importing qshje)."""
+def _python(*args, **env):
+    """`python *args` in a fresh interpreter that must exit 0, with src on the
+    path and OPENBLAS_NUM_THREADS unset unless given in env (this process
+    already set it by importing qshje)."""
     src = str(pathlib.Path(cli.__file__).resolve().parent.parent)
     base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     base["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
-    done = subprocess.run(
-        [sys.executable, "-c", probe], env={**base, **env}, capture_output=True, text=True,
-        check=True,
+    return subprocess.run(
+        [sys.executable, *args], env={**base, **env}, capture_output=True, text=True, check=True,
     )
-    return done.stdout.split()
+
+
+def _fresh_interpreter(probe, **env):
+    """stdout of `python -c probe`, split into words."""
+    return _python("-c", probe, **env).stdout.split()
 
 
 def test_importing_the_cli_leaves_scipy_unloaded():
@@ -784,3 +789,57 @@ def test_importing_qshje_starts_no_blas_worker_pool(then):
 def test_importing_qshje_keeps_an_explicit_blas_thread_count(env, value):
     probe = "import os, qshje; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
     assert _fresh_interpreter(probe, **env) == [value]
+
+
+def test_main_in_process_leaves_gc_alone(tmp_path):
+    config, out = CONFIG_DIR / "spherical_hydrogen.yaml", tmp_path / "out"
+    probe = (
+        "import gc, qshje.cli as cli\n"
+        f"rc = cli.main(['verify', '--config', {str(config)!r}, '--out', {str(out)!r}])\n"
+        "print(rc, gc.get_freeze_count(), gc.isenabled())"
+    )
+    assert _fresh_interpreter(probe) == ["0", "0", "True"]
+
+
+def test_cold_entry_freezes_the_imports_and_exits_with_mains_code(tmp_path):
+    argv = ["verify", "--config", str(CONFIG_DIR / "spherical_hydrogen_wrong_energy.yaml")]
+    probe = (
+        "import gc, sys, qshje.cli as cli\n"
+        f"sys.argv = ['qshje', *{argv!r}, '--out', {str(tmp_path / 'cold')!r}]\n"
+        "try:\n"
+        "    cli.cold_entry()\n"
+        "except SystemExit as exc:\n"
+        "    print(exc.code, gc.get_freeze_count() > 0, gc.isenabled())"
+    )
+    code = run(*argv, "--out", tmp_path / "inproc")
+    assert code == 1
+    assert _fresh_interpreter(probe) == [str(code), "True", "True"]
+
+
+def test_console_script_runs_what_the_main_block_runs():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = CONFIG_DIR.parent / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+    module, function = scripts["qshje"].split(":")
+    tree = ast.parse(pathlib.Path(cli.__file__).read_text())
+    (block,) = [
+        node for node in tree.body
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"
+    ]
+    (statement,) = block.body
+    assert (module, f"{function}()") == (cli.__name__, ast.unparse(statement))
+
+
+@pytest.mark.parametrize("command, config", [
+    ("verify", "spherical_hydrogen"), ("solve", "cartesian_oscillator"),
+])
+def test_cold_process_writes_the_in_process_bytes(tmp_path, command, config):
+    argv = [command, "--config", str(CONFIG_DIR / f"{config}.yaml")]
+    _python("-m", "qshje.cli", *argv, "--out", str(tmp_path / "cold"))  # exits 0
+    assert run(*argv, "--out", tmp_path / "inproc") == 0
+
+    def written(out):
+        return {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+
+    cold = written(tmp_path / "cold")
+    assert cold and cold == written(tmp_path / "inproc")

@@ -7,7 +7,10 @@ The jobs are the five commands (solve, verify, limit-scan, limit-scan
 --wrong-order-demo, spin-report) on every shipped config in CSV and in JSON,
 then every job of the verify-numeric, cold-analytic and probe-dense benchmark
 workloads at seed 5, then `verify` on edited copies of the shipped configs
-that sit at the edges of the input domain (EDGES). Each job prints one line
+that sit at the edges of the input domain (EDGES), and last `verify` on every
+shipped config again as a cold `python -m qshje.cli` process, whose jobs are
+named `cold:<config>` (the path users run, through `cli.cold_entry`). Each
+job prints one line
 `<job> <exit code> <sha256 of stderr>`, then one indented `<output file>
 <sha256>` line per file it wrote; a job whose exception escapes the CLI
 prints `raised-<type>` as its exit code. Every config and output path is
@@ -23,6 +26,7 @@ import io
 import math
 import os
 import pathlib
+import subprocess
 import sys
 import tempfile
 
@@ -117,22 +121,47 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _in_process(argv: list[str]) -> tuple[int | str, bytes]:
+    """Exit code and stderr of `cli.main(argv)` in this process."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        try:
+            rc = cli_main(argv)
+        except Exception as exc:  # escapes the CLI: a traceback and exit 1
+            rc = f"raised-{type(exc).__name__}"
+    return rc, err.getvalue().encode("utf-8")
+
+
+def _cold(argv: list[str]) -> tuple[int, bytes]:
+    """Exit code and stderr of `python -m qshje.cli argv` in a fresh interpreter."""
+    path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-m", "qshje.cli", *argv], env={**os.environ, "PYTHONPATH": path},
+        stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+    )
+    return done.returncode, done.stderr
+
+
 def _jobs():
-    """(name, config text, argv after `--config <file> --out <dir>`) of every job."""
+    """(name, config text, command, flags after `--config <file> --out <dir>`,
+    runner) of every job."""
     for config in sorted((ROOT / "configs").glob("*.yaml")):
         text = config.read_text(encoding="utf-8")
         for command, *flags in COMMANDS:
             for fmt in ("csv", "json"):
                 name = ":".join((config.stem, command, *flags, fmt))
-                yield name, text, command, ["--format", fmt, *flags]
+                yield name, text, command, ["--format", fmt, *flags], _in_process
     for workload in WORKLOADS:
         for k, cycle in enumerate(input_sets(workload, SEED)):
             for job in cycle:
-                yield f"{workload}:{k}:{job.name}", job.config_text(), job.command, list(job.flags)
+                yield (f"{workload}:{k}:{job.name}", job.config_text(), job.command,
+                       list(job.flags), _in_process)
     for name, config, edit in EDGES:
         cfg = yaml.safe_load((ROOT / "configs" / f"{config}.yaml").read_text(encoding="utf-8"))
         edit(cfg)
-        yield f"edge:{name}", yaml.safe_dump(cfg), "verify", []
+        yield f"edge:{name}", yaml.safe_dump(cfg), "verify", [], _in_process
+    for config in sorted((ROOT / "configs").glob("*.yaml")):
+        yield f"cold:{config.stem}", config.read_text(encoding="utf-8"), "verify", [], _cold
 
 
 def main() -> int:
@@ -140,16 +169,11 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as scratch:
         os.chdir(scratch)
         try:
-            for i, (name, text, command, flags) in enumerate(_jobs()):
+            for i, (name, text, command, flags, runner) in enumerate(_jobs()):
                 config, out = f"config{i}.yaml", pathlib.Path(f"out{i}")
                 pathlib.Path(config).write_text(text, encoding="utf-8")
-                err = io.StringIO()
-                with contextlib.redirect_stderr(err):
-                    try:
-                        rc = cli_main([command, "--config", config, "--out", str(out), *flags])
-                    except Exception as exc:  # escapes the CLI: a traceback and exit 1
-                        rc = f"raised-{type(exc).__name__}"
-                print(name, rc, _sha256(err.getvalue().encode("utf-8")))
+                rc, err = runner([command, "--config", config, "--out", str(out), *flags])
+                print(name, rc, _sha256(err))
                 for path in sorted(p for p in out.rglob("*") if p.is_file()):
                     print(f"  {path.relative_to(out)} {_sha256(path.read_bytes())}")
         finally:
