@@ -52,7 +52,7 @@ def build_pair(cfg: RunConfig, comp: ComponentConfig, problem: Effective1DProble
     return solve_pair(problem, grid, substeps=comp.substeps)
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class CaseBundle:
     """Everything a command needs: built components, their equations, and the
     assembled equation when all coordinates are configured."""

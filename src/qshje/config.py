@@ -81,7 +81,7 @@ def _integer(value, path: str) -> int:
     return value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class ComponentConfig:
     label: str
     mu: float
@@ -93,13 +93,13 @@ class ComponentConfig:
     solve_energy: float | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class OutputConfig:
     directory: str = "out"
     fmt: str = "csv"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class RunConfig:
     symmetry: SymmetryClass
     constants: PhysConstants

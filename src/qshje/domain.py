@@ -16,7 +16,7 @@ import numpy as np
 from .errors import GridDomainError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class PhysConstants:
     """hbar and particle mass, natural units by default."""
 
@@ -81,7 +81,7 @@ def lambda_from_ell(ell: int) -> int:
     return int(ell) * (int(ell) + 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class QuantumNumbers:
     """Separation constants of the three symmetry classes.
 
@@ -122,13 +122,13 @@ class PotentialSpec:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class ZeroPotential(PotentialSpec):
     def evaluate(self, q, constants: PhysConstants):
         return np.zeros_like(np.asarray(q, dtype=float))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class HarmonicPotential(PotentialSpec):
     """V(q) = (1/2) m omega^2 q^2."""
 
@@ -139,7 +139,7 @@ class HarmonicPotential(PotentialSpec):
         return 0.5 * constants.mass * self.omega**2 * q * q
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class CoulombPotential(PotentialSpec):
     """V(r) = -k / r, declared only away from the origin."""
 
@@ -152,7 +152,7 @@ class CoulombPotential(PotentialSpec):
         return -self.strength / q
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class PowerLawPotential(PotentialSpec):
     """V(q) = c * q**p."""
 
@@ -198,7 +198,7 @@ class TabulatedPotential(PotentialSpec):
         return self._spline(q)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Effective1DProblem:
     """One separated coordinate equation in Schroedinger form.
 

@@ -4,7 +4,10 @@ Every reduced-action component is built on two real, linearly independent
 solutions (y1, y2) of y'' = c(q) y sampled on a shared grid, together with
 their first derivatives and the (constant) Wronskian W = y1 y2' - y2 y1'.
 Analytic constructors cover the azimuthal and axial equations; everything else
-goes through a fixed-step RK4 propagator seeded at the grid midpoint.
+goes through a fixed-step RK4 propagator seeded at the grid midpoint. The
+equation is linear, so each RK4 substep is a 2x2 matrix on (y, y'): a sweep
+builds all of them in one vectorised pass, multiplies them into one transfer
+matrix per grid cell, and folds the cells in order over both solutions.
 """
 from __future__ import annotations
 
@@ -25,7 +28,7 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class Grid1D:
     """Uniform 1-D coordinate grid of n >= 9 nodes from lo to hi, both included."""
 
@@ -55,7 +58,7 @@ class Grid1D:
         return self.n // 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class SolutionPair:
     """Two independent solutions of one coordinate equation on a grid.
 
@@ -160,52 +163,52 @@ def analytic_axial(beta: float, grid: Grid1D, constants: PhysConstants | None = 
     return _linear_pair(grid, problem)
 
 
-def _rk4_column(c_cells: list, h_cells: list, y: float, dy: float):
-    """RK4 recurrence of one solution on Python floats.
-
-    c_cells[i] holds (c(q), c(q + h/2), c(q + h)) for every substep of cell i.
-    Returns the node values, the node derivatives and the index of the first
-    cell that ends past the overflow limit or non-finite (None if none does).
-    """
-    ys, dys = [y], [dy]
-    for i, (h, stages) in enumerate(zip(h_cells, c_cells)):
-        half, sixth = 0.5 * h, h / 6.0
-        for c1, c2, c4 in stages:
-            k1y, k1d = dy, c1 * y
-            k2y, k2d = dy + half * k1d, c2 * (y + half * k1y)
-            k3y, k3d = dy + half * k2d, c2 * (y + half * k2y)
-            k4y, k4d = dy + h * k3d, c4 * (y + h * k3y)
-            y = y + sixth * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
-            dy = dy + sixth * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
-        if not (abs(y) <= _OVERFLOW_LIMIT and abs(dy) <= _OVERFLOW_LIMIT):
-            return ys, dys, i
-        ys.append(y)
-        dys.append(dy)
-    return ys, dys, None
-
-
 def _rk4_sweep(curvature, q_nodes: np.ndarray, state0: np.ndarray, substeps: int):
     """Propagate u'' = c(q) u from q_nodes[0] through all nodes.
 
-    state has shape (2, k): row 0 the values, row 1 the derivatives of k
-    simultaneous solutions. Returns (values, derivatives) at every node.
-    The curvature is evaluated once, on the stage nodes of every substep.
+    state0 has shape (2, 2): row 0 the values, row 1 the derivatives of two
+    simultaneous solutions. Returns one row (y1, y2, y1', y2') per node.
     """
-    h_cell = np.diff(q_nodes) / substeps
-    # each cell starts at its node and adds h_cell once per substep, in order
-    h = h_cell[:, None]
+    # each cell starts at its node and adds h once per substep, in order;
+    # its last substep ends exactly on the next node
+    h = (np.diff(q_nodes) / substeps)[:, None]
     q = np.cumsum(np.column_stack((q_nodes[:-1], np.repeat(h, substeps - 1, axis=1))), axis=1)
-    c_cells = curvature(np.stack((q, q + 0.5 * h, q + h), axis=-1)).tolist()
-    h_cells = h_cell.tolist()
-    ys, dys, ends = zip(*(_rk4_column(c_cells, h_cells, y, dy) for y, dy in state0.T.tolist()))
-    overflow = [i for i in ends if i is not None]
-    if overflow:
-        q_end = float(q_nodes[min(overflow) + 1])
+    c = curvature(np.stack((q, q + 0.5 * h, np.column_stack((q[:, 1:], q_nodes[1:]))), axis=-1))
+    # one RK4 substep applied to the unit states (1, 0) and (0, 1) gives the
+    # columns of its matrix; an entry past the float range makes the fold
+    # below non-finite, which the cell-end check names
+    c1, c2, c4 = c[..., 0, None], c[..., 1, None], c[..., 2, None]
+    h = h[..., None]
+    half, sixth = 0.5 * h, h / 6.0
+    y, dy = np.eye(2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        k1y, k1d = dy, c1 * y
+        k2y, k2d = dy + half * k1d, c2 * (y + half * k1y)
+        k3y, k3d = dy + half * k2d, c2 * (y + half * k2y)
+        k4y, k4d = dy + h * k3d, c4 * (y + h * k3y)
+        ty = y + sixth * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
+        td = dy + sixth * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
+        # cell matrix [[a, b], [e, d]]: the substep matrices in order, later on the left
+        a, b, e, d = ty[:, 0, 0], ty[:, 0, 1], td[:, 0, 0], td[:, 0, 1]
+        for k in range(1, substeps):
+            ka, kb, ke, kd = ty[:, k, 0], ty[:, k, 1], td[:, k, 0], td[:, k, 1]
+            a, b, e, d = ka * a + kb * e, ka * b + kb * d, ke * a + kd * e, ke * b + kd * d
+    # the cells in order, both solutions at once, on Python floats
+    (y1, y2), (d1, d2) = state0.tolist()
+    out = [y1, y2, d1, d2]
+    for ma, mb, me, md in zip(a.tolist(), b.tolist(), e.tolist(), d.tolist()):
+        y1, d1, y2, d2 = ma * y1 + mb * d1, me * y1 + md * d1, ma * y2 + mb * d2, me * y2 + md * d2
+        out += (y1, y2, d1, d2)
+    out = np.array(out, dtype=float).reshape(-1, 4)
+    # every cell end is checked; the first one past the limit or non-finite is named
+    bad = np.flatnonzero(~np.all(np.abs(out[1:]) <= _OVERFLOW_LIMIT, axis=1))
+    if bad.size:
+        q_end = float(q_nodes[bad[0] + 1])
         raise SolverFailure(
             f"solution magnitude exceeded {_OVERFLOW_LIMIT:g} near q = {q_end!r} "
             "(classically forbidden growth); shrink the domain"
         )
-    return np.array(ys).T, np.array(dys).T
+    return out
 
 
 def solve_pair(
@@ -216,6 +219,10 @@ def solve_pair(
     wronskian_tol: float = 1e-6,
 ) -> SolutionPair:
     """Integrate two solutions of the effective equation outward from the grid midpoint.
+
+    Each sweep (midpoint to either end) evaluates the curvature once, on every
+    RK4 stage node, builds each cell's transfer matrix from its substeps in
+    one vectorised pass, and applies the cells in order to both solutions.
 
     Parameters
     ----------
@@ -241,23 +248,12 @@ def solve_pair(
         raise ValueError("substeps must be >= 1")
     idx = grid.midpoint_index
 
-    state0 = np.array([[seeds[0, 0], seeds[1, 0]], [seeds[0, 1], seeds[1, 1]]])
     pts = grid.points
-    u_r, du_r = _rk4_sweep(problem.curvature, pts[idx:], state0, substeps)
-    u_l, du_l = _rk4_sweep(problem.curvature, pts[idx::-1], state0, substeps)
-    u = np.vstack((u_l[::-1][:-1], u_r))
-    du = np.vstack((du_l[::-1][:-1], du_r))
-
-    pair = SolutionPair(
-        grid=grid,
-        y1=u[:, 0],
-        y2=u[:, 1],
-        dy1=du[:, 0],
-        dy2=du[:, 1],
-        wronskian=float(w0),
-        provenance="numerical",
-        problem=problem,
-    )
+    right = _rk4_sweep(problem.curvature, pts[idx:], seeds.T, substeps)
+    left = _rk4_sweep(problem.curvature, pts[idx::-1], seeds.T, substeps)
+    # columns y1, y2, y1', y2' on the whole grid
+    u = np.vstack((left[::-1][:-1], right))
+    pair = SolutionPair(grid, *u.T, float(w0), "numerical", problem)
     # products of samples grown through a forbidden region can overflow, and
     # inf - inf is NaN: a non-finite drift counts as drifting
     with np.errstate(over="ignore", invalid="ignore"):

@@ -27,7 +27,7 @@ from .ode_engine import Grid1D, SolutionPair
 from .schwarzian import amplitude_derivatives, mixed_solutions, schwarzian_from_amplitude
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class ReducedActionComponent:
     """One coordinate's reduced action and its derived samples."""
 

@@ -61,7 +61,7 @@ def component_residual(
     return problem.scale * (kinetic + quantum + v - problem.e_eff)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class SpinTerms:
     """Residual quantum terms of the assembled curvilinear equations, floats or lattice arrays."""
 
@@ -97,7 +97,7 @@ def _radial_spin(label: str, radius, constants: PhysConstants, theta=None) -> Sp
     return SpinTerms(ter1, ter2, -ter1 / ref)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class SymmetryRow:
     """Everything that differs between the symmetry classes.
 
@@ -186,7 +186,7 @@ SYMMETRY_TABLE = {
     ),
 }
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class TotalReducedAction:
     """The assembled 3-D equation of one symmetry class: three components,
     their constants, the quantum numbers (energy is the E of the equation)
@@ -328,7 +328,7 @@ def probe_lattice(total: TotalReducedAction, idx) -> np.ndarray:
     return np.column_stack([q.ravel() for q in np.broadcast_arrays(*nodes)])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class ResidualReport:
     """Summary of one equation's residual samples over a coordinate grid."""
 
@@ -366,7 +366,7 @@ def make_report(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class LimitScanResult:
     """Fitted scaling of the quantum corrections against hbar."""
 

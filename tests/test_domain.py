@@ -23,6 +23,18 @@ def test_constants_defaults_and_validation():
     assert Q.PhysConstants(hbar=1.0e154).hbar == 1.0e154
 
 
+def test_value_equality_kept_where_records_are_compared():
+    # assemble_total compares constants by value and a grid is the value
+    # (lo, hi, n); every other record compares and hashes by identity
+    assert Q.PhysConstants(0.5, 2.0) == Q.PhysConstants(0.5, 2.0)
+    assert Q.PhysConstants(0.5, 2.0) != Q.PhysConstants(0.5, 1.0)
+    assert hash(Q.PhysConstants(0.5, 2.0)) == hash(Q.PhysConstants(0.5, 2.0))
+    assert Q.Grid1D(0.0, 1.0, 11) == Q.Grid1D(0.0, 1.0, 11)
+    assert Q.Grid1D(0.0, 1.0, 11) != Q.Grid1D(0.0, 2.0, 11)
+    assert hash(Q.Grid1D(0.0, 1.0, 11)) == hash(Q.Grid1D(0.0, 1.0, 11))
+    assert Q.HarmonicPotential(1.0) != Q.HarmonicPotential(1.0)
+
+
 def test_lambda_from_ell():
     assert [Q.lambda_from_ell(l) for l in range(4)] == [0, 2, 6, 12]
     with pytest.raises(ValueError):

@@ -196,9 +196,52 @@ def test_wronskian_tolerance_enforced(constants):
         Q.solve_pair(prob, grid, wronskian_tol=1e-12)
 
 
+def _substep_matrix(c1, c2, c4, h):
+    """One RK4 substep of u'' = c u on Python floats, applied to the unit
+    states (1, 0) and (0, 1); returns its matrix entries (a, b, e, d) of
+    [[a, b], [e, d]]."""
+    half, sixth = 0.5 * h, h / 6.0
+    cols = []
+    for y, dy in ((1.0, 0.0), (0.0, 1.0)):
+        k1y, k1d = dy, c1 * y
+        k2y, k2d = dy + half * k1d, c2 * (y + half * k1y)
+        k3y, k3d = dy + half * k2d, c2 * (y + half * k2y)
+        k4y, k4d = dy + h * k3d, c4 * (y + h * k3y)
+        cols.append((y + sixth * (k1y + 2.0 * k2y + 2.0 * k3y + k4y),
+                     dy + sixth * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)))
+    (a, e), (b, d) = cols
+    return a, b, e, d
+
+
 def _per_point_sweep(curvature, q_nodes, state0, substeps):
-    """Reference RK4 loop: one curvature call per stage, numpy state, same
-    operation order as the propagator."""
+    """Reference propagator: one curvature call per stage node, the substep
+    and cell matrices built cell by cell, in the propagator's operation order."""
+    c = lambda q: float(curvature(q))
+    (y1, y2), (d1, d2) = state0.tolist()
+    us, dus = [(y1, y2)], [(d1, d2)]
+    for i in range(len(q_nodes) - 1):
+        h = float((q_nodes[i + 1] - q_nodes[i]) / substeps)
+        q = float(q_nodes[i])
+        cell = None
+        for k in range(substeps):
+            end = float(q_nodes[i + 1]) if k == substeps - 1 else q + h
+            t = _substep_matrix(c(q), c(q + 0.5 * h), c(end), h)
+            if cell is None:
+                cell = t
+            else:
+                (ka, kb, ke, kd), (a, b, e, d) = t, cell
+                cell = (ka * a + kb * e, ka * b + kb * d, ke * a + kd * e, ke * b + kd * d)
+            q = q + h
+        a, b, e, d = cell
+        y1, d1, y2, d2 = a * y1 + b * d1, e * y1 + d * d1, a * y2 + b * d2, e * y2 + d * d2
+        us.append((y1, y2))
+        dus.append((d1, d2))
+    return np.array(us), np.array(dus)
+
+
+def _state_form_sweep(curvature, q_nodes, state0, substeps):
+    """Independent RK4 loop: one curvature call per stage, the state of both
+    solutions as a numpy array, no matrices."""
     state = state0.astype(float).copy()
     us = [state[0].copy()]
     dus = [state[1].copy()]
@@ -221,12 +264,12 @@ def _per_point_sweep(curvature, q_nodes, state0, substeps):
     return np.array(us), np.array(dus)
 
 
-def _per_point_pair(problem, grid, seeds, anchor, substeps):
+def _per_point_pair(problem, grid, seeds, anchor, substeps, sweep=_per_point_sweep):
     (v1, d1), (v2, d2) = seeds
     state0 = np.array([[v1, v2], [d1, d2]])
     pts = grid.points
-    u_r, du_r = _per_point_sweep(problem.curvature, pts[anchor:], state0, substeps)
-    u_l, du_l = _per_point_sweep(problem.curvature, pts[anchor::-1], state0, substeps)
+    u_r, du_r = sweep(problem.curvature, pts[anchor:], state0, substeps)
+    u_l, du_l = sweep(problem.curvature, pts[anchor::-1], state0, substeps)
     u = np.vstack((u_l[::-1][:-1], u_r))
     du = np.vstack((du_l[::-1][:-1], du_r))
     return u[:, 0], u[:, 1], du[:, 0], du[:, 1]
@@ -266,6 +309,20 @@ def test_solve_pair_matches_per_point_loop_bit_for_bit(constants, name):
             assert np.array_equal(got, want), substeps
 
 
+@pytest.mark.parametrize("name", ["coulomb-ell1", "polar-m1", "harmonic-axis", "tabulated"])
+def test_solve_pair_matches_state_form_rk4(constants, name):
+    # the transfer matrices reorder RK4's round-off, nothing more
+    problem, grid = _oracle_cases(constants)[name]
+    seeds = ((0.3, 1.1), (0.9, -0.2))
+    for substeps in (1, 3):
+        pair = Q.solve_pair(problem, grid, seeds=seeds, substeps=substeps, wronskian_tol=1.0)
+        expected = _per_point_pair(
+            problem, grid, seeds, grid.midpoint_index, substeps, sweep=_state_form_sweep
+        )
+        for got, want in zip((pair.y1, pair.y2, pair.dy1, pair.dy2), expected):
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), substeps
+
+
 def test_solve_pair_evaluates_curvature_once_per_sweep(constants):
     shapes = []
     base = Q.cartesian_axis_problem("x", Q.HarmonicPotential(1.0), 0.5, constants)
@@ -278,3 +335,20 @@ def test_solve_pair_evaluates_curvature_once_per_sweep(constants):
     Q.solve_pair(problem, Q.Grid1D(-3.0, 3.0, 101), substeps=3)
     # (cells, substeps, stage nodes q, q + h/2, q + h) for each of the two sweeps
     assert shapes == [(50, 3, 3), (50, 3, 3)]
+
+
+def test_stage_nodes_stay_inside_the_grid(constants):
+    # the last stage node of each cell is the next grid node itself, so a
+    # table ending exactly at a grid end covers every node the solver asks for
+    nodes = []
+    base = Q.spherical_radial_problem(Q.CoulombPotential(1.0), 0, -0.125, constants)
+
+    def recorded(q):
+        nodes.append(np.array(q))
+        return base.v_eff(q)
+
+    grid = Q.Grid1D(0.5, 12.0, 1601)
+    Q.solve_pair(dataclasses.replace(base, v_eff=recorded), grid, substeps=4)
+    for q in nodes:
+        assert grid.lo <= q.min() and q.max() <= grid.hi
+        assert q[-1, -1, -1] in (grid.lo, grid.hi)

@@ -92,8 +92,8 @@ EDGES = (
     ("tabulated-short", "cartesian_oscillator", _set(
         "potentials.x", {"kind": "tabulated", "points": [0.0, 1.0, 2.0, 3.0],
                          "values": [0.0, 0.5, 2.0, 4.5]})),
-    # a table ending exactly at the r grid's edges: RK4 stage nodes overshoot
-    # 12.0 by an ulp, so the run fails in the solver (exit 3)
+    # a table ending exactly at the r grid's edges: the last RK4 stage node of
+    # each cell is the next grid node, so no stage node leaves the table
     ("tabulated-exact-edge", "spherical_hydrogen", _set("potential", {
         "kind": "tabulated", "points": _R_TABLE, "values": [-1.0 / r for r in _R_TABLE]})),
     # x solved at E = -0.5 grows past 1e153 at the grid ends: y1 dy2 and
