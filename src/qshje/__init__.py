@@ -30,7 +30,6 @@ from .domain import (
 from .config import (
     DEFAULT_HBAR_SCAN,
     ComponentConfig,
-    OutputConfig,
     RunConfig,
     load_config,
     parse_config,
@@ -54,15 +53,12 @@ from .reduced_action import ReducedActionComponent, build_component
 from .reduction import reduce_wavefunction, restore_wavefunction
 from .residuals import (
     LimitScanResult,
-    ResidualReport,
-    SpinTerms,
     TotalReducedAction,
     assemble_total,
     assembled_residual,
     classical_limit_scan,
     component_residual,
     component_weighted_sum,
-    make_report,
     probe_indices,
     probe_lattice,
 )
@@ -81,7 +77,6 @@ __all__ = [
     "GridDomainError",
     "HarmonicPotential",
     "LimitScanResult",
-    "OutputConfig",
     "PhysConstants",
     "PotentialSpec",
     "PowerLawPotential",
@@ -89,10 +84,8 @@ __all__ = [
     "QuantumNumbers",
     "ReducedActionComponent",
     "RunConfig",
-    "ResidualReport",
     "SolutionPair",
     "SolverFailure",
-    "SpinTerms",
     "SymmetryClass",
     "TabulatedPotential",
     "TotalReducedAction",
@@ -112,7 +105,6 @@ __all__ = [
     "differentiate",
     "lambda_from_ell",
     "load_config",
-    "make_report",
     "mixed_solutions",
     "parse_config",
     "potential_from_mapping",

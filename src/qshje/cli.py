@@ -9,7 +9,7 @@ import argparse
 import gc
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -24,8 +24,8 @@ from .residuals import (
     assemble_total,
     assembled_residual,
     classical_limit_scan,
+    component_residual,
     component_weighted_sum,
-    make_report,
     probe_axes,
     probe_indices,
     probe_lattice,
@@ -52,22 +52,10 @@ def build_pair(cfg: RunConfig, comp: ComponentConfig, problem: Effective1DProble
     return solve_pair(problem, grid, substeps=comp.substeps)
 
 
-@dataclass(eq=False, repr=False)
-class CaseBundle:
-    """Everything a command needs: built components, their equations, and the
-    assembled equation when all coordinates are configured."""
-
-    config: RunConfig
-    components: dict[str, ReducedActionComponent]
-    equations: dict[str, Effective1DProblem]
-    total: TotalReducedAction | None
-
-    @property
-    def labels(self) -> list[str]:
-        return [lab for lab in self.config.symmetry.coordinate_labels if lab in self.components]
-
-
-def build_case(cfg: RunConfig) -> CaseBundle:
+def build_case(cfg: RunConfig) -> tuple[dict, dict, TotalReducedAction | None]:
+    """(components, equations, total) of a run: the built components and their
+    equations keyed by label, in coordinate-label order, and the assembled
+    equation when all coordinates are configured, else None."""
     components: dict[str, ReducedActionComponent] = {}
     equations: dict[str, Effective1DProblem] = {}
     constructors = SYMMETRY_TABLE[cfg.symmetry].equations
@@ -85,7 +73,7 @@ def build_case(cfg: RunConfig) -> CaseBundle:
     total = None
     if cfg.has_full_set:
         total = assemble_total(components, cfg.symmetry, cfg.quantum_numbers, cfg.potentials)
-    return CaseBundle(cfg, components, equations, total)
+    return components, equations, total
 
 
 def _component_meta(comp: ReducedActionComponent, cfg: ComponentConfig) -> dict:
@@ -111,12 +99,11 @@ def _table(path: str, equation: str, formula: str, columns: dict, fmt: str) -> N
 
 
 def cmd_solve(cfg: RunConfig, out_dir: str, fmt: str) -> int:
-    case = build_case(cfg)
+    components, equations, _ = build_case(cfg)
     os.makedirs(out_dir, exist_ok=True)
     meta: dict = {"symmetry": cfg.symmetry.value, "components": {}}
-    for label in case.labels:
-        comp = case.components[label]
-        eq = case.equations[label]
+    for label, comp in components.items():
+        eq = equations[label]
         columns = {
             label: comp.grid.points, "y1": comp.pair.y1, "y2": comp.pair.y2,
             "wronskian": comp.pair.wronskian_samples(), "action": comp.s,
@@ -156,28 +143,28 @@ def _check(
 
 
 def cmd_verify(cfg: RunConfig, out_dir: str, fmt: str, tolerance: float) -> int:
-    case = build_case(cfg)
+    components, equations, total = build_case(cfg)
     os.makedirs(out_dir, exist_ok=True)
     entries: dict = {}
     residuals = {}
-    for label in case.labels:
-        eq = case.equations[label]
-        report = make_report(eq, case.components[label])
-        residuals[label] = report.residual
-        values = {
-            "residual": report.residual,
-            "normalized_residual": report.residual / report.scale_ref,
-        }
+    for label, comp in components.items():
+        eq = equations[label]
+        q = comp.grid.points
+        residual = residuals[label] = component_residual(comp, eq)
+        # the equation's scale times max(|e_eff|, hbar^2/(2m L^2)), L the grid span
+        c, span = eq.constants, q[-1] - q[0]
+        scale_ref = eq.scale * max(abs(eq.e_eff), c.hbar * c.hbar / (2.0 * c.mass * span * span))
+        values = {"residual": residual, "normalized_residual": residual / scale_ref}
+        entry = _check(out_dir, eq.name, eq.formula, {label: q}, values, tolerance, fmt)
         entries[eq.name] = {
-            **_check(out_dir, eq.name, eq.formula, {label: report.coords}, values, tolerance, fmt),
+            **entry,
             "component": label,
-            "rms": report.rms,
-            "scale_ref": report.scale_ref,
-            "normalized_max": report.normalized_max,
+            "rms": float(np.sqrt(np.mean(residual * residual))),
+            "scale_ref": scale_ref,
+            "normalized_max": entry["max_abs"] / scale_ref,
         }
 
-    if case.total is not None:
-        total = case.total
+    if total is not None:
         name = f"assembled-{cfg.symmetry.value}"
         idx = probe_axes(total, cfg.probe_per_coordinate)
         points = probe_lattice(total, idx)
@@ -207,10 +194,10 @@ def cmd_limit_scan(
             "limit-scan needs all three coordinate components configured "
             f"for {cfg.symmetry.value}"
         )
-    case = build_case(cfg)
-    assert case.total is not None
+    _, _, total = build_case(cfg)
+    assert total is not None
     scan = classical_limit_scan(
-        case.total, cfg.hbar_scan, cfg.probe_per_coordinate, wrong_order=wrong_order
+        total, cfg.hbar_scan, cfg.probe_per_coordinate, wrong_order=wrong_order
     )
 
     os.makedirs(out_dir, exist_ok=True)
@@ -259,9 +246,8 @@ def cmd_spin_report(cfg: RunConfig, out_dir: str, fmt: str) -> int:
     grids = [cfg.components[lab].grid.points for lab in needed]
     axes = [q[probe_indices(q, cfg.probe_per_coordinate)] for q in grids]
     coords = np.ix_(*axes)
-    t = row.spin(coords, cfg.constants)
+    terms = row.spin(coords, cfg.constants)
     os.makedirs(out_dir, exist_ok=True)
-    terms = {name: v for name, v in vars(t).items() if v is not None}
     columns = {
         name: col.ravel()
         for name, col in zip([*needed, *terms], np.broadcast_arrays(*coords, *terms.values()))
@@ -334,8 +320,8 @@ def main(argv: list[str] | None = None) -> int:
     args = _make_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-        out_dir = args.out if args.out is not None else cfg.output.directory
-        fmt = args.format if args.format is not None else cfg.output.fmt
+        out_dir = args.out if args.out is not None else cfg.out_dir
+        fmt = args.format if args.format is not None else cfg.fmt
         if args.command == "solve":
             return cmd_solve(cfg, out_dir, fmt)
         if args.command == "verify":

@@ -6,7 +6,7 @@ Validation errors carry the dotted path of the offending field.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import yaml
@@ -94,12 +94,6 @@ class ComponentConfig:
 
 
 @dataclass(frozen=True, eq=False, repr=False)
-class OutputConfig:
-    directory: str = "out"
-    fmt: str = "csv"
-
-
-@dataclass(frozen=True, eq=False, repr=False)
 class RunConfig:
     symmetry: SymmetryClass
     constants: PhysConstants
@@ -109,7 +103,8 @@ class RunConfig:
     tolerance: float
     hbar_scan: tuple[float, ...]
     probe_per_coordinate: int
-    output: OutputConfig = field(default_factory=OutputConfig)
+    out_dir: str
+    fmt: str
 
     @property
     def has_full_set(self) -> bool:
@@ -313,10 +308,9 @@ def parse_config(data: dict, source_name: str = "config") -> RunConfig:
     fmt = _get(omap, "format", "output", required=False, default="csv")
     if fmt not in ("csv", "json"):
         raise ConfigError(f"{source_name}.output.format: expected 'csv' or 'json', got {fmt!r}")
-    directory = _get(omap, "directory", "output", required=False, default="out")
-    if not isinstance(directory, str):
-        raise ConfigError(f"{source_name}.output.directory: expected a string, got {directory!r}")
-    output = OutputConfig(directory=directory, fmt=fmt)
+    out_dir = _get(omap, "directory", "output", required=False, default="out")
+    if not isinstance(out_dir, str):
+        raise ConfigError(f"{source_name}.output.directory: expected a string, got {out_dir!r}")
 
     return RunConfig(
         symmetry=symmetry,
@@ -327,7 +321,8 @@ def parse_config(data: dict, source_name: str = "config") -> RunConfig:
         tolerance=tolerance,
         hbar_scan=hbar_scan,
         probe_per_coordinate=probe,
-        output=output,
+        out_dir=out_dir,
+        fmt=fmt,
     )
 
 

@@ -219,9 +219,6 @@ class Effective1DProblem:
     constants: PhysConstants
     scale: float = 1.0
 
-    def check_domain(self, q) -> None:
-        check_coordinates(self.label, q)
-
     def curvature(self, q):
         """(2m/hbar^2) (v_eff(q) - e_eff)."""
         c = self.constants

@@ -16,7 +16,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .domain import Effective1DProblem, PhysConstants, azimuthal_problem, axial_problem
+from .domain import (
+    Effective1DProblem, PhysConstants, axial_problem, azimuthal_problem, check_coordinates,
+)
 from .errors import SolverFailure
 
 _OVERFLOW_LIMIT = 1e160
@@ -237,7 +239,7 @@ def solve_pair(
     wronskian_tol : float
         Maximum tolerated relative Wronskian drift before failing.
     """
-    problem.check_domain(grid.points)
+    check_coordinates(problem.label, grid.points)
     seeds = np.asarray(seeds, dtype=float)
     if seeds.shape != (2, 2):
         raise ValueError(f"seeds must be two (value, derivative) pairs, got shape {seeds.shape}")

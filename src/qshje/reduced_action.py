@@ -56,12 +56,23 @@ def build_component(
 ) -> ReducedActionComponent:
     """Construct the reduced action of one coordinate from a solution pair."""
     hbar = pair.problem.constants.hbar
-    mixed = mixed_solutions(pair, mu, nu)
+    # a large enough mixing overflows D or the Schwarzian; the check below
+    # names that instead of passing on inf and NaN samples
+    with np.errstate(over="ignore", invalid="ignore"):
+        mixed = mixed_solutions(pair, mu, nu)
+        # one curvature evaluation feeds D, the momentum and the Schwarzian
+        d, dp, dpp = amplitude_derivatives(pair, *mixed)
+        if np.any(d <= 0.0):
+            raise QshjeError("mixed-basis amplitude vanishes on the grid; change (mu, nu)")
+        schwarzian = schwarzian_from_amplitude(d, dp, dpp)
+    bad = ~np.isfinite(schwarzian)
+    if bad.any():
+        at = float(pair.grid.points[np.argmax(bad)])
+        raise QshjeError(
+            f"{label}: the Schwarzian of the mixed basis overflows at {label} = {at!r}; "
+            "reduce |mu| and |nu|"
+        )
     a, b = mixed[:2]
-    # one curvature evaluation feeds D, the momentum and the Schwarzian
-    d, dp, dpp = amplitude_derivatives(pair, *mixed)
-    if np.any(d <= 0.0):
-        raise QshjeError("mixed-basis amplitude vanishes on the grid; change (mu, nu)")
 
     cst = hbar * (1.0 - mu * nu) * pair.wronskian
     ds = cst / d
@@ -91,7 +102,7 @@ def build_component(
         s=s,
         ds=ds,
         amplitude=np.sqrt(d),
-        schwarzian=schwarzian_from_amplitude(d, dp, dpp),
+        schwarzian=schwarzian,
         branch_residual=branch,
     )
 

@@ -54,28 +54,18 @@ def component_residual(
     """
     c = problem.constants
     q = component.grid.points
-    problem.check_domain(q)
+    check_coordinates(problem.label, q)
     v = np.asarray(problem.v_eff(q), dtype=float)
     kinetic = component.ds * component.ds / (2.0 * c.mass)
     quantum = (c.hbar * c.hbar / (4.0 * c.mass)) * component.schwarzian
     return problem.scale * (kinetic + quantum + v - problem.e_eff)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class SpinTerms:
-    """Residual quantum terms of the assembled curvilinear equations, floats or lattice arrays."""
-
-    ter1: float
-    ter2: float | None
-    normalized_coefficient: float
-
-    def total(self) -> float:
-        return self.ter1 + (self.ter2 if self.ter2 is not None else 0.0)
-
-
-def _radial_spin(label: str, radius, constants: PhysConstants, theta=None) -> SpinTerms:
-    """-hbar^2/8m q^2 at the radius q of coordinate label and, given a polar
-    angle, its partner divided by sin^2 theta; arrays broadcast."""
+def _radial_spin(label: str, radius, constants: PhysConstants, theta=None) -> dict:
+    """The residual quantum terms of a curvilinear assembled equation by name:
+    ter1 = -hbar^2/8m q^2 at the radius q of coordinate label, given a polar
+    angle its partner ter2 = ter1 / sin^2 theta, and normalized_coefficient
+    -ter1 / (hbar^2/2m q^2); floats or arrays, which broadcast."""
     check_coordinates(label, radius)
     h2 = constants.hbar * constants.hbar
     ref = h2 / (2.0 * constants.mass * radius * radius)
@@ -89,12 +79,13 @@ def _radial_spin(label: str, radius, constants: PhysConstants, theta=None) -> Sp
             f"at {label} = {at!r}"
         )
     ter1 = -0.25 * ref
-    ter2 = None
+    terms = {"ter1": ter1}
     if theta is not None:
         check_coordinates("theta", theta)
         s = np.sin(theta)
-        ter2 = ter1 / (s * s)
-    return SpinTerms(ter1, ter2, -ter1 / ref)
+        terms["ter2"] = ter1 / (s * s)
+    terms["normalized_coefficient"] = -ter1 / ref
+    return terms
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -108,8 +99,9 @@ class SymmetryRow:
     equations: label -> (run config, quantum numbers, constants) -> the
         Effective1DProblem of that coordinate's separated equation.
     analytic: label -> (quantum numbers, grid, constants) -> analytic pair.
-    spin: (q, constants) -> SpinTerms, None where no residual terms survive;
-        spin-report tabulates them over spin_labels under spin_formula.
+    spin: (q, constants) -> the residual quantum terms by name (_radial_spin),
+        None where none survive; spin-report tabulates them over spin_labels
+        under spin_formula.
     wrong_order_axes: coordinates whose gradients the wrong-order limit zeroes.
     """
 
@@ -269,7 +261,9 @@ def assembled_residual(total: TotalReducedAction, idx, mode: str = "quantum") ->
     if mode != "classical":
         quantum = (c.hbar * c.hbar / (4.0 * c.mass)) * total.metric_sum("schwarzian", idx)
         if spin is not None:
-            quantum = quantum + spin(nodes, c).total()
+            terms = spin(nodes, c)
+            # the spin terms are summed before they join: that order fixes the rounding
+            quantum = quantum + (terms["ter1"] + terms.get("ter2", 0.0))
     if mode == "quantum-terms":
         return quantum
 
@@ -326,44 +320,6 @@ def probe_lattice(total: TotalReducedAction, idx) -> np.ndarray:
     """The (N, 3) node coordinates of the lattice of idx, in itertools.product order."""
     _, nodes = total.lattice(idx)
     return np.column_stack([q.ravel() for q in np.broadcast_arrays(*nodes)])
-
-
-@dataclass(frozen=True, eq=False, repr=False)
-class ResidualReport:
-    """Summary of one equation's residual samples over a coordinate grid."""
-
-    equation: str
-    coords: np.ndarray
-    residual: np.ndarray
-    max_abs: float
-    rms: float
-    scale_ref: float
-    normalized_max: float
-
-
-def make_report(
-    problem: Effective1DProblem,
-    component: ReducedActionComponent,
-    window: tuple[int, int] | None = None,
-) -> ResidualReport:
-    res = component_residual(component, problem)
-    start, stop = window if window is not None else (0, component.grid.n)
-    body = res[start:stop]
-    c = problem.constants
-    span = component.grid.points[-1] - component.grid.points[0]
-    scale_ref = problem.scale * max(
-        abs(problem.e_eff), c.hbar * c.hbar / (2.0 * c.mass * span * span)
-    )
-    max_abs = float(np.max(np.abs(body)))
-    return ResidualReport(
-        equation=problem.name,
-        coords=component.grid.points[start:stop],
-        residual=body,
-        max_abs=max_abs,
-        rms=float(np.sqrt(np.mean(body * body))),
-        scale_ref=scale_ref,
-        normalized_max=max_abs / scale_ref,
-    )
 
 
 @dataclass(frozen=True, eq=False, repr=False)

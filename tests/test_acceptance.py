@@ -265,7 +265,7 @@ def test_c10_spin_term_coefficient(hydrogen_total, cylindrical_total):
         spin = SYMMETRY_TABLE[total.symmetry].spin
         idx = probe_axes(total, per_coordinate=5)
         t = spin(total.lattice(idx)[1], CONSTANTS)
-        coeff = np.broadcast_to(t.normalized_coefficient, tuple(len(i) for i in idx))
+        coeff = np.broadcast_to(t["normalized_coefficient"], tuple(len(i) for i in idx))
         points += coeff.size
         exact += int(np.count_nonzero(coeff == 0.25))
 
@@ -275,7 +275,7 @@ def test_c10_spin_term_coefficient(hydrogen_total, cylindrical_total):
         for r in (0.5, 0.7, 2.0, 5.0, 11.0):
             t = SYMMETRY_TABLE[Q.SymmetryClass.SPHERICAL].spin((r, theta), CONSTANTS)
             direct = -h2 / (8.0 * m * r * r * np.sin(theta) ** 2)
-            ter2_ok = ter2_ok and np.isclose(t.ter2, direct, rtol=1e-14, atol=0.0)
+            ter2_ok = ter2_ok and np.isclose(t["ter2"], direct, rtol=1e-14, atol=0.0)
 
     report(
         "criterion 10 residual quantum-term coefficient",

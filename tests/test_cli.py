@@ -14,6 +14,7 @@ from qshje import (
     Grid1D, GridDomainError, SymmetryClass, cli, load_config, probe_indices, reduce_wavefunction,
 )
 from qshje.cli import main
+from qshje.domain import check_coordinates
 from qshje.residuals import SYMMETRY_TABLE
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
@@ -64,6 +65,41 @@ def test_verify_azimuthal_passes(tmp_path):
     summary = read_summary(out / "verify_summary.json")
     assert summary["all_within_tolerance"] is True
     assert summary["equations"]["azimuthal"]["max_abs"] < 1e-9
+
+
+def test_verify_summary_scale_reference(tmp_path):
+    # scale_ref is the equation's scale times max(|e_eff|, hbar^2/(2m L^2)),
+    # L the grid span: 2m times m_l^2 hbar^2/(2m) = 4 at m_l = 2
+    out = tmp_path / "verify"
+    assert run("verify", "--config", CONFIG_DIR / "azimuthal_identity.yaml", "--out", out) == 0
+    entry = read_summary(out / "verify_summary.json")["equations"]["azimuthal"]
+    assert entry["scale_ref"] == 4.0
+    assert entry["normalized_max"] == entry["max_abs"] / entry["scale_ref"]
+    assert entry["rms"] <= entry["max_abs"]
+    table = (out / "residual_azimuthal.csv").read_text().splitlines()
+    assert table[1] == "phi,residual,normalized_residual"
+    rows = [[float(v) for v in line.split(",")] for line in table[2:]]
+    assert len(rows) == 721
+    assert all(normalized == residual / 4.0 for _, residual, normalized in rows)
+
+
+def test_build_case_orders_components_by_coordinate_label(tmp_path):
+    # the YAML lists the components as phi, theta, r; every command walks
+    # them in the symmetry's coordinate order, so the outputs do not change
+    cfg = yaml.safe_load((CONFIG_DIR / "spherical_hydrogen.yaml").read_text())
+    cfg["components"] = {lab: cfg["components"][lab] for lab in ("phi", "theta", "r")}
+    path = tmp_path / "reordered.yaml"
+    path.write_text(yaml.safe_dump(cfg, sort_keys=False))
+    loaded = load_config(str(path))
+    assert list(loaded.components) == ["phi", "theta", "r"]
+    components, equations, total = cli.build_case(loaded)
+    assert list(components) == list(equations) == ["r", "theta", "phi"]
+    assert list(total.components) == ["r", "theta", "phi"]
+    shipped, reordered = tmp_path / "shipped", tmp_path / "reordered"
+    assert run("verify", "--config", CONFIG_DIR / "spherical_hydrogen.yaml", "--out", shipped) == 0
+    assert run("verify", "--config", path, "--out", reordered) == 0
+    for name in ("verify_summary.json", "residual_assembled-spherical.csv"):
+        assert (shipped / name).read_bytes() == (reordered / name).read_bytes(), name
 
 
 def test_verify_tolerance_override_fails(tmp_path):
@@ -122,13 +158,13 @@ def test_verify_nan_assembled_residual_fails(tmp_path, monkeypatch, capsys):
     axes = {}
 
     def with_nan(cfg):
-        case = build_case(cfg)
-        for lab, comp in case.components.items():
+        components, equations, total = build_case(cfg)
+        for lab, comp in components.items():
             q = comp.grid.points
             axes[lab] = q[probe_indices(q, cfg.probe_per_coordinate)].tolist()
-        comp = case.components["z"]
+        comp = components["z"]
         comp.schwarzian[comp.grid.points == axes["z"][1]] = np.nan
-        return case
+        return components, equations, total
 
     monkeypatch.setattr(cli, "build_case", with_nan)
     out = tmp_path / "nan"
@@ -154,8 +190,8 @@ def test_verify_names_a_nan_component_residual(tmp_path, monkeypatch, capsys):
     node = {}
 
     def with_nan(cfg):
-        case = build_case(cfg)
-        comp = case.components["theta"]
+        case = build_case(cfg)  # (components, equations, total)
+        comp = case[0]["theta"]
         node["theta"] = float(comp.grid.points[300])
         comp.ds[300] = np.nan
         return case
@@ -486,7 +522,7 @@ def test_every_check_refuses_a_coordinate_edge(tmp_path, capsys, config, label, 
     spin_point = [1.0] * len(row.spin_labels)
     spin_point[row.spin_labels.index(label)] = next(iter(edge.values()))
     checks = (
-        lambda: problem.check_domain(grid.points),
+        lambda: check_coordinates(problem.label, grid.points),
         lambda: problem.v_eff(grid.points),
         lambda: reduce_wavefunction(label, np.ones(grid.n), grid),
         lambda: row.spin(tuple(spin_point), cfg.constants),
@@ -581,6 +617,24 @@ def test_overflow_to_nan_within_a_cell_is_named(tmp_path, capsys, command):
     )
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("mu", [1e150, 1e200])
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_overflowing_mixing_is_named(tmp_path, capsys, command, mu):
+    # at mu 1e150 D is finite but 2 D^2 in the Schwarzian overflows, which
+    # used to write NaN samples; at 1e200 D itself overflows, and the
+    # momentum C/D read 0 and was reported as a sign change
+    path = _edited_config(
+        tmp_path, "spherical_hydrogen", lambda cfg: cfg["components"]["r"].update(mu=mu)
+    )
+    assert run(command, "--config", path, "--out", tmp_path / "o") == 3
+    assert capsys.readouterr().err == (
+        "solver failure: r: the Schwarzian of the mixed basis overflows at r = 0.5; "
+        "reduce |mu| and |nu|\n"
+    )
+    assert not (tmp_path / "o").exists()
+
+
 def test_analytic_source_requires_catalog(tmp_path, capsys):
     cfg = {
         "symmetry": "spherical",
@@ -634,8 +688,8 @@ def test_limit_scan_nan_wrong_order_gap_fails(tmp_path, monkeypatch, capsys):
     build_case = cli.build_case
 
     def with_nan(cfg):
-        case = build_case(cfg)
-        comp = case.components["theta"]
+        case = build_case(cfg)  # (components, equations, total)
+        comp = case[0]["theta"]
         comp.ds[probe_indices(comp.grid.points, cfg.probe_per_coordinate)[1]] = np.nan
         return case
 
@@ -689,9 +743,9 @@ def test_spin_report_summary_shows_worst_coefficient(tmp_path, monkeypatch):
 
     def perturbed(q, constants):
         terms = row.spin(q, constants)
-        coeff = np.array(terms.normalized_coefficient)
+        coeff = np.array(terms["normalized_coefficient"])
         coeff[2] = 0.2500001
-        return dataclasses.replace(terms, normalized_coefficient=coeff)
+        return {**terms, "normalized_coefficient": coeff}
 
     monkeypatch.setitem(
         SYMMETRY_TABLE, SymmetryClass.CYLINDRICAL, dataclasses.replace(row, spin=perturbed)

@@ -60,7 +60,8 @@ def test_hydrogen_config_fields():
     assert cfg.components["phi"].source == "analytic"
     assert cfg.components["r"].grid.n == 1601
     assert cfg.hbar_scan == Q.DEFAULT_HBAR_SCAN
-    assert cfg.output.fmt == "csv"
+    assert cfg.fmt == "csv"
+    assert cfg.out_dir == "out/spherical_hydrogen"
 
 
 def test_partial_config_is_allowed():

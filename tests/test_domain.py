@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import qshje as Q
+from qshje.domain import check_coordinates
 
 
 def test_constants_defaults_and_validation():
@@ -121,10 +122,10 @@ def test_domain_guards():
     c = Q.PhysConstants()
     prob = Q.spherical_radial_problem(Q.CoulombPotential(1.0), 0, -0.5, c)
     with pytest.raises(Q.GridDomainError):
-        prob.check_domain(np.array([-1.0, 1.0]))
+        check_coordinates(prob.label, np.array([-1.0, 1.0]))
     pol = Q.spherical_polar_problem(1, 1, c)
     with pytest.raises(Q.GridDomainError):
-        pol.check_domain(np.array([0.0, 1.0]))
+        check_coordinates(pol.label, np.array([0.0, 1.0]))
     with pytest.raises(Q.GridDomainError):
         pol.v_eff(np.array([np.pi]))
     with pytest.raises(ValueError):

@@ -85,16 +85,16 @@ def fd_relative_residual(comp, problem):
     "config", ["azimuthal_identity", "cartesian_oscillator", "cylindrical_free", "spherical_hydrogen"]
 )
 def test_fd_schwarzian_route_passes_true_components(config):
-    case = build_case(Q.load_config(CONFIG_DIR / f"{config}.yaml"))
-    for label in case.labels:
-        assert fd_relative_residual(case.components[label], case.equations[label]) <= 1e-4, label
+    components, equations, _ = build_case(Q.load_config(CONFIG_DIR / f"{config}.yaml"))
+    for label, comp in components.items():
+        assert fd_relative_residual(comp, equations[label]) <= 1e-4, label
 
 
 def test_fd_schwarzian_route_fails_wrong_pairs():
     # the closed-form residual reads 4.4e-16 on the cos/sin pair, which does
     # not solve the radial equation; the kernel route sees the violation
-    case = build_case(Q.load_config(CONFIG_DIR / "spherical_hydrogen.yaml"))
-    comp, eq = case.components["r"], case.equations["r"]
+    components, equations, _ = build_case(Q.load_config(CONFIG_DIR / "spherical_hydrogen.yaml"))
+    comp, eq = components["r"], equations["r"]
     r = comp.grid.points
     k = 0.7
     pair = Q.SolutionPair(
@@ -103,8 +103,10 @@ def test_fd_schwarzian_route_fails_wrong_pairs():
     )
     assert fd_relative_residual(Q.build_component("r", pair, comp.mu, comp.nu), eq) >= 0.5
 
-    wrong = build_case(Q.load_config(CONFIG_DIR / "spherical_hydrogen_wrong_energy.yaml"))
-    assert fd_relative_residual(wrong.components["r"], wrong.equations["r"]) >= 0.5
+    components, equations, _ = build_case(
+        Q.load_config(CONFIG_DIR / "spherical_hydrogen_wrong_energy.yaml")
+    )
+    assert fd_relative_residual(components["r"], equations["r"]) >= 0.5
 
 
 def test_residual_invariant_under_basis_change(constants):
@@ -252,11 +254,10 @@ def test_assembly_identity_at_another_mass(config):
     # each residual is divided by its own equation's scale, 2m for the
     # mass-free angular and axial forms, so the routes agree at m != 1 too
     cfg = Q.load_config(str(CONFIG_DIR / f"{config}.yaml"))
-    case = build_case(dataclasses.replace(cfg, constants=Q.PhysConstants(mass=1.7)))
-    total = case.total
+    _, equations, total = build_case(dataclasses.replace(cfg, constants=Q.PhysConstants(mass=1.7)))
     assert {comp.constants.mass for comp in total.components.values()} == {1.7}
     residuals = {
-        lab: Q.component_residual(comp, case.equations[lab])
+        lab: Q.component_residual(comp, equations[lab])
         for lab, comp in total.components.items()
     }
     idx = probe_axes(total, per_coordinate=4)
@@ -319,18 +320,19 @@ def test_spin_terms_values(constants):
     spherical = SYMMETRY_TABLE[Q.SymmetryClass.SPHERICAL].spin
     cylindrical = SYMMETRY_TABLE[Q.SymmetryClass.CYLINDRICAL].spin
     s = spherical((1.0, np.pi / 2.0), constants)
-    assert s.ter1 == -0.125
-    assert s.ter2 == pytest.approx(-0.125, abs=1e-12)
-    assert s.normalized_coefficient == 0.25
+    assert list(s) == ["ter1", "ter2", "normalized_coefficient"]
+    assert s["ter1"] == -0.125
+    assert s["ter2"] == pytest.approx(-0.125, abs=1e-12)
+    assert s["normalized_coefficient"] == 0.25
 
     quarter = spherical((1.0, np.pi / 4.0), constants)
-    assert quarter.ter2 == pytest.approx(-0.25, rel=1e-12)
-    assert quarter.total() == pytest.approx(-0.375, rel=1e-12)
+    assert quarter["ter2"] == pytest.approx(-0.25, rel=1e-12)
+    assert quarter["ter1"] + quarter["ter2"] == pytest.approx(-0.375, rel=1e-12)
 
     cyl = cylindrical((2.0,), constants)
-    assert cyl.ter1 == -1.0 / 32.0
-    assert cyl.ter2 is None
-    assert cyl.normalized_coefficient == 0.25
+    assert list(cyl) == ["ter1", "normalized_coefficient"]
+    assert cyl["ter1"] == -1.0 / 32.0
+    assert cyl["normalized_coefficient"] == 0.25
 
     assert SYMMETRY_TABLE[Q.SymmetryClass.CARTESIAN].spin is None
     with pytest.raises(Q.GridDomainError):
@@ -344,7 +346,7 @@ def test_spin_terms_values(constants):
 def test_spin_coefficient_scales_out_constants():
     heavy = Q.PhysConstants(hbar=0.7, mass=3.2)
     s = SYMMETRY_TABLE[Q.SymmetryClass.SPHERICAL].spin((1.7, 0.9), heavy)
-    assert s.normalized_coefficient == 0.25
+    assert s["normalized_coefficient"] == 0.25
 
 
 def test_classical_limit_scan_slope(hydrogen_total):
@@ -395,7 +397,7 @@ def test_classical_limit_scan_wrong_order(hydrogen_total):
 def test_classical_limit_scan_rescales_one_evaluation(config):
     # one evaluation at the run's hbar, rescaled, against an evaluation at
     # each scan value with the same dS and Schwarzian data
-    total = build_case(Q.load_config(CONFIG_DIR / f"{config}.yaml")).total
+    _, _, total = build_case(Q.load_config(CONFIG_DIR / f"{config}.yaml"))
     idx = probe_axes(total, per_coordinate=3)
 
     def per_hbar(hv):
@@ -427,19 +429,3 @@ def test_classical_limit_scan_preconditions(hydrogen_total, cylindrical_total):
         Q.classical_limit_scan(
             cylindrical_total, (1.0, 0.5, 0.25, 0.125, 0.0625), wrong_order=True
         )
-
-
-def test_make_report_scales(constants):
-    grid = Q.Grid1D(0.0, 2.0 * np.pi, 721)
-    pair = Q.analytic_azimuthal(2, grid, constants)
-    comp = Q.build_component("phi", pair, 1.5, 0.3)
-    eq = Q.azimuthal_problem(2, constants)
-    report = Q.make_report(eq, comp)
-    # scale reference: equation scale times max(|e_eff|, hbar^2/(2 m L^2))
-    assert report.scale_ref == pytest.approx(2.0 * 2.0)
-    assert report.normalized_max == pytest.approx(report.max_abs / report.scale_ref)
-    assert report.coords.size == grid.n
-    windowed = Q.make_report(eq, comp, window=(10, 700))
-    assert windowed.coords.size == 690
-    assert windowed.equation == "azimuthal"
-    assert report.rms <= report.max_abs

@@ -114,6 +114,9 @@ EDGES = (
     # integers past the float range
     ("tolerance-huge-int", "spherical_hydrogen", _set("tolerance", 10**400)),
     ("ell-huge-int", "spherical_hydrogen", _set("quantum_numbers.ell", 10**400)),
+    # a mixing this large overflows the Schwarzian (1e150) or D itself (1e200)
+    ("mixing-overflow-1e150", "spherical_hydrogen", _set("components.r.mu", 1e150)),
+    ("mixing-overflow-1e200", "spherical_hydrogen", _set("components.r.mu", 1e200)),
 )
 
 
