@@ -34,22 +34,12 @@ from .tables import write_summary, write_table
 
 
 def build_pair(cfg: RunConfig, comp: ComponentConfig, problem: Effective1DProblem) -> SolutionPair:
-    grid = comp.grid
     if comp.source == "analytic":
-        if comp.solve_energy is not None:
-            raise ConfigError(
-                f"components.{comp.label}.solve_energy: not applicable to an analytic pair"
-            )
-        analytic = SYMMETRY_TABLE[cfg.symmetry].analytic.get(comp.label)
-        if analytic is None:
-            raise ConfigError(
-                f"components.{comp.label}.source: no analytic catalog for this coordinate; "
-                "use source: numeric"
-            )
-        return analytic(cfg.quantum_numbers, grid, cfg.constants)
+        analytic = SYMMETRY_TABLE[cfg.symmetry].analytic[comp.label]
+        return analytic(cfg.quantum_numbers, comp.grid, cfg.constants)
     if comp.solve_energy is not None:
         problem = replace(problem, e_eff=comp.solve_energy)
-    return solve_pair(problem, grid, substeps=comp.substeps)
+    return solve_pair(problem, comp.grid, substeps=comp.substeps)
 
 
 def build_case(cfg: RunConfig) -> tuple[dict, dict, TotalReducedAction | None]:

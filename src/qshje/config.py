@@ -194,7 +194,8 @@ def parse_config(data: dict, source_name: str = "config") -> RunConfig:
             "(expected cartesian, spherical or cylindrical)"
         ) from None
     labels = symmetry.coordinate_labels
-    potential_labels = SYMMETRY_TABLE[symmetry].potential_labels
+    row = SYMMETRY_TABLE[symmetry]
+    potential_labels = row.potential_labels
     # one `potentials:` entry per axis, or the single radial `potential:`
     per_axis = potential_labels == labels
     _expect_mapping(root, source_name, (
@@ -211,10 +212,7 @@ def parse_config(data: dict, source_name: str = "config") -> RunConfig:
     except ValueError as exc:
         raise ConfigError(f"{source_name}.constants: {exc}") from exc
 
-    qmap = _section(
-        root, "quantum_numbers", source_name,
-        ("ell", "m_ell", "m_phi", "beta", "energy", "axis_energies"),
-    )
+    qmap = _section(root, "quantum_numbers", source_name, row.quantum_numbers)
     axis_energies = _section(qmap, "axis_energies", "quantum_numbers", labels)
     try:
         quantum_numbers = QuantumNumbers(
@@ -311,6 +309,18 @@ def parse_config(data: dict, source_name: str = "config") -> RunConfig:
     out_dir = _get(omap, "directory", "output", required=False, default="out")
     if not isinstance(out_dir, str):
         raise ConfigError(f"{source_name}.output.directory: expected a string, got {out_dir!r}")
+
+    for key in labels:
+        comp = components.get(key)
+        if comp is None or comp.source != "analytic":
+            continue
+        if comp.solve_energy is not None:
+            raise ConfigError(f"components.{key}.solve_energy: not applicable to an analytic pair")
+        if key not in row.analytic:
+            raise ConfigError(
+                f"components.{key}.source: no analytic catalog for this coordinate; "
+                "use source: numeric"
+            )
 
     return RunConfig(
         symmetry=symmetry,

@@ -241,28 +241,29 @@ def cartesian_axis_problem(
     )
 
 
+def _radial_problem(
+    label: str, name: str, formula: str, spec: PotentialSpec, a: float, beta: float,
+    energy: float, c: PhysConstants,
+) -> Effective1DProblem:
+    """The reduced radial equation of X = r R (a = l(l+1), beta = 0) or of
+    H = sqrt(rho) G (a = m_phi^2 - 1/4): V(q) + a hbar^2/(2m q^2) - beta hbar^2/(2m)."""
+
+    def v_eff(q):
+        q = np.asarray(q, dtype=float)
+        check_coordinates(label, q)
+        centrifugal = a * c.hbar**2 / (2.0 * c.mass * q * q)
+        return spec.evaluate(q, c) + centrifugal - beta * c.hbar**2 / (2.0 * c.mass)
+
+    return Effective1DProblem(label, name, formula, v_eff, float(energy), c)
+
+
 def spherical_radial_problem(
     spec: PotentialSpec, ell: int, energy: float, constants: PhysConstants
 ) -> Effective1DProblem:
-    lam = lambda_from_ell(ell)
-    c = constants
-
-    def v_eff(r):
-        """V(r) + lambda hbar^2 / (2 m r^2) seen by the reduced radial solution X = r R."""
-        r = np.asarray(r, dtype=float)
-        check_coordinates("r", r)
-        return spec.evaluate(r, c) + lam * c.hbar**2 / (2.0 * c.mass * r * r)
-
-    return Effective1DProblem(
-        label="r",
-        name="radial-spherical",
-        formula=(
-            "(dS_r)^2/(2m) + (hbar^2/(4m))*{S_r;r} + V(r)"
-            " + l(l+1)*hbar^2/(2m r^2) - E"
-        ),
-        v_eff=v_eff,
-        e_eff=float(energy),
-        constants=constants,
+    return _radial_problem(
+        "r", "radial-spherical",
+        "(dS_r)^2/(2m) + (hbar^2/(4m))*{S_r;r} + V(r) + l(l+1)*hbar^2/(2m r^2) - E",
+        spec, lambda_from_ell(ell), 0.0, energy, constants,
     )
 
 
@@ -294,54 +295,40 @@ def spherical_polar_problem(ell: int, m_ell: int, constants: PhysConstants) -> E
     )
 
 
+def _free_problem(
+    label: str, name: str, formula: str, e_eff: float, c: PhysConstants
+) -> Effective1DProblem:
+    """A zero-potential equation in the mass-free form (scale 2m)."""
+    return Effective1DProblem(
+        label, name, formula, lambda q: np.zeros_like(np.asarray(q, dtype=float)), e_eff, c,
+        scale=2.0 * c.mass,
+    )
+
+
 def azimuthal_problem(m: int, constants: PhysConstants) -> Effective1DProblem:
     """Azimuthal equation F'' + m^2 F = 0 as a zero-potential problem."""
     c = constants
-    return Effective1DProblem(
-        label="phi",
-        name="azimuthal",
-        formula="(dS_phi)^2 + (hbar^2/2)*{S_phi;phi} - m^2*hbar^2",
-        v_eff=lambda q: np.zeros_like(np.asarray(q, dtype=float)),
-        e_eff=m**2 * c.hbar**2 / (2.0 * c.mass),
-        constants=constants,
-        scale=2.0 * c.mass,
+    return _free_problem(
+        "phi", "azimuthal", "(dS_phi)^2 + (hbar^2/2)*{S_phi;phi} - m^2*hbar^2",
+        m**2 * c.hbar**2 / (2.0 * c.mass), c,
     )
 
 
 def cylindrical_radial_problem(
     spec: PotentialSpec, m_phi: int, beta: float, energy: float, constants: PhysConstants
 ) -> Effective1DProblem:
-    c = constants
-
-    def v_eff(rho):
-        """V(rho) + (m_phi^2 - 1/4) hbar^2/(2 m rho^2) - beta hbar^2/(2m) for H = sqrt(rho) G."""
-        rho = np.asarray(rho, dtype=float)
-        check_coordinates("rho", rho)
-        centrifugal = (m_phi**2 - 0.25) * c.hbar**2 / (2.0 * c.mass * rho * rho)
-        return spec.evaluate(rho, c) + centrifugal - beta * c.hbar**2 / (2.0 * c.mass)
-
-    return Effective1DProblem(
-        label="rho",
-        name="radial-cylindrical",
-        formula=(
-            "(dS_rho)^2/(2m) + (hbar^2/(4m))*{S_rho;rho} + V(rho)"
-            " + (m_phi^2 - 1/4)*hbar^2/(2m rho^2) - beta*hbar^2/(2m) - E"
-        ),
-        v_eff=v_eff,
-        e_eff=float(energy),
-        constants=constants,
+    return _radial_problem(
+        "rho", "radial-cylindrical",
+        "(dS_rho)^2/(2m) + (hbar^2/(4m))*{S_rho;rho} + V(rho)"
+        " + (m_phi^2 - 1/4)*hbar^2/(2m rho^2) - beta*hbar^2/(2m) - E",
+        spec, m_phi**2 - 0.25, beta, energy, constants,
     )
 
 
 def axial_problem(beta: float, constants: PhysConstants) -> Effective1DProblem:
     """Axial equation U'' - beta U = 0 as a zero-potential problem."""
     c = constants
-    return Effective1DProblem(
-        label="z",
-        name="axial",
-        formula="(dS_z)^2 + (hbar^2/2)*{S_z;z} + beta*hbar^2",
-        v_eff=lambda q: np.zeros_like(np.asarray(q, dtype=float)),
-        e_eff=-float(beta) * c.hbar**2 / (2.0 * c.mass),
-        constants=constants,
-        scale=2.0 * c.mass,
+    return _free_problem(
+        "z", "axial", "(dS_z)^2 + (hbar^2/2)*{S_z;z} + beta*hbar^2",
+        -float(beta) * c.hbar**2 / (2.0 * c.mass), c,
     )

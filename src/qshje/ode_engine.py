@@ -100,69 +100,44 @@ class SolutionPair:
         return float(np.max(np.abs(w - self.wronskian)) / abs(self.wronskian))
 
 
-def analytic_azimuthal(m: int, grid: Grid1D, constants: PhysConstants | None = None) -> SolutionPair:
+def _closed_form_pair(grid: Grid1D, k: float, problem: Effective1DProblem) -> SolutionPair:
+    """Pair (sin kq, cos kq) with W = -k of y'' = -k^2 y; k = 0 gives (1, q) with W = 1."""
+    q = grid.points
+    if k == 0.0:
+        y1, y2, dy1, dy2, w = np.ones_like(q), q.copy(), np.zeros_like(q), np.ones_like(q), 1.0
+    else:
+        sin, cos = np.sin(k * q), np.cos(k * q)
+        y1, y2, dy1, dy2, w = sin, cos, k * cos, -k * sin, -k
+    return SolutionPair(grid, y1, y2, dy1, dy2, w, "analytic-catalog", problem)
+
+
+def analytic_azimuthal(m: int, grid: Grid1D, constants: PhysConstants) -> SolutionPair:
     """Pair (sin m phi, cos m phi) with W = -m; m = 0 gives (1, phi) with W = 1."""
     if not isinstance(m, (int, np.integer)) or isinstance(m, bool):
         raise ValueError(f"azimuthal number must be an integer, got {m!r}")
-    constants = constants or PhysConstants()
-    if m == 0:
-        return _linear_pair(grid, azimuthal_problem(0, constants))
-    phi = grid.points
-    fm = float(m)
-    return SolutionPair(
-        grid=grid,
-        y1=np.sin(fm * phi),
-        y2=np.cos(fm * phi),
-        dy1=fm * np.cos(fm * phi),
-        dy2=-fm * np.sin(fm * phi),
-        wronskian=-fm,
-        provenance="analytic-catalog",
-        problem=azimuthal_problem(int(m), constants),
-    )
+    return _closed_form_pair(grid, float(m), azimuthal_problem(int(m), constants))
 
 
-def _linear_pair(grid: Grid1D, problem: Effective1DProblem) -> SolutionPair:
-    """Pair (1, q) with W = 1 of a zero-curvature equation (m = 0 or beta = 0)."""
-    q = grid.points
-    return SolutionPair(
-        grid, np.ones_like(q), q.copy(), np.zeros_like(q), np.ones_like(q), 1.0,
-        "analytic-catalog", problem,
-    )
-
-
-def analytic_axial(beta: float, grid: Grid1D, constants: PhysConstants | None = None) -> SolutionPair:
+def analytic_axial(beta: float, grid: Grid1D, constants: PhysConstants) -> SolutionPair:
     """Pair for U'' = beta U.
 
     beta > 0: (exp(sqrt(beta) z), exp(-sqrt(beta) z)), W = -2 sqrt(beta);
     beta < 0: (sin(k z), cos(k z)) with k = sqrt(-beta), W = -k;
     beta = 0: (1, z), W = 1.
     """
-    constants = constants or PhysConstants()
     beta = float(beta)
     if not np.isfinite(beta):
         raise ValueError(f"beta must be finite, got {beta}")
-    z = grid.points
     problem = axial_problem(beta, constants)
     if beta > 0.0:
-        k = np.sqrt(beta)
+        z, k = grid.points, np.sqrt(beta)
         with np.errstate(over="ignore"):
             up, dn = np.exp(k * z), np.exp(-k * z)
         if not (np.all(np.isfinite(up)) and np.all(np.isfinite(dn))):
             raise SolverFailure("axial exponential overflows on this grid")
         return SolutionPair(grid, up, dn, k * up, -k * dn, -2.0 * k, "analytic-catalog", problem)
-    if beta < 0.0:
-        k = np.sqrt(-beta)
-        return SolutionPair(
-            grid,
-            np.sin(k * z),
-            np.cos(k * z),
-            k * np.cos(k * z),
-            -k * np.sin(k * z),
-            -k,
-            "analytic-catalog",
-            problem,
-        )
-    return _linear_pair(grid, problem)
+    # at beta = 0, k = sqrt(-0.0) = -0.0 equals 0.0: the linear pair
+    return _closed_form_pair(grid, np.sqrt(-beta), problem)
 
 
 def _rk4_sweep(curvature, q_nodes: np.ndarray, state0: np.ndarray, substeps: int):
@@ -262,13 +237,13 @@ def solve_pair(
         rel = np.abs(pair.wronskian_samples() - pair.wronskian) / abs(pair.wronskian)
     drift = float(np.max(rel))
     if not drift <= wronskian_tol:
-        over = np.flatnonzero(~(rel <= wronskian_tol))
-        near = over[np.argmin(np.abs(over - idx))]
+        # the worst node: the first non-finite drift, else the largest one
+        bad = ~np.isfinite(rel)
+        worst = float(pts[np.argmax(bad) if bad.any() else np.argmax(rel)])
         peak1, peak2 = float(np.max(np.abs(pair.y1))), float(np.max(np.abs(pair.y2)))
         raise SolverFailure(
             f"Wronskian drift {drift:.3e} exceeds tolerance {wronskian_tol:.1e} at "
-            f"{over.size} of {grid.n} nodes; of these, q = {float(pts[near])!r} lies nearest "
-            f"the anchor q = {float(pts[idx])!r} (largest |y1| {peak1:.3e}, |y2| {peak2:.3e}); "
+            f"q = {worst!r} (largest |y1| {peak1:.3e}, |y2| {peak2:.3e}); "
             "either the step is too coarse there (refine the grid or raise substeps) or the "
             "solutions grow through a classically forbidden region (shrink the domain or "
             "check the energy)"

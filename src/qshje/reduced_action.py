@@ -31,7 +31,6 @@ from .schwarzian import amplitude_derivatives, mixed_solutions, schwarzian_from_
 class ReducedActionComponent:
     """One coordinate's reduced action and its derived samples."""
 
-    label: str
     pair: SolutionPair
     mu: float
     nu: float
@@ -94,7 +93,6 @@ def build_component(
         )
 
     return ReducedActionComponent(
-        label=label,
         pair=pair,
         mu=float(mu),
         nu=float(nu),

@@ -96,6 +96,7 @@ class SymmetryRow:
         inverse-metric weights are 1/h_k^2.
     potential_labels: the coordinates V depends on; V is the sum of one
         potential per label (V_x + V_y + V_z, or V(r), or V(rho)).
+    quantum_numbers: the `quantum_numbers` config keys the class reads.
     equations: label -> (run config, quantum numbers, constants) -> the
         Effective1DProblem of that coordinate's separated equation.
     analytic: label -> (quantum numbers, grid, constants) -> analytic pair.
@@ -108,6 +109,7 @@ class SymmetryRow:
     formula: str
     metric: Callable
     potential_labels: tuple[str, ...]
+    quantum_numbers: tuple[str, ...]
     equations: dict[str, Callable]
     analytic: dict[str, Callable]
     spin: Callable | None = None
@@ -121,6 +123,7 @@ SYMMETRY_TABLE = {
         formula="sum_q [ (dS_q)^2/(2m) + (hbar^2/(4m))*{S_q;q} + V_q(q) ] - E",
         metric=lambda q: (1.0, 1.0, 1.0),
         potential_labels=("x", "y", "z"),
+        quantum_numbers=("energy", "axis_energies"),
         equations={
             lab: lambda cfg, qn, c, lab=lab: cartesian_axis_problem(
                 lab, cfg.potentials[lab], qn.axis_energies[lab], c
@@ -137,6 +140,7 @@ SYMMETRY_TABLE = {
         ),
         metric=lambda q: (1.0, q[0] * q[0], q[0] * q[0] * np.sin(q[1]) ** 2),
         potential_labels=("r",),
+        quantum_numbers=("ell", "m_ell", "energy"),
         equations={
             "r": lambda cfg, qn, c: spherical_radial_problem(
                 cfg.potentials["r"], qn.ell, qn.energy, c
@@ -161,6 +165,7 @@ SYMMETRY_TABLE = {
         ),
         metric=lambda q: (1.0, q[0] * q[0], 1.0),
         potential_labels=("rho",),
+        quantum_numbers=("m_phi", "beta", "energy"),
         equations={
             "rho": lambda cfg, qn, c: cylindrical_radial_problem(
                 cfg.potentials["rho"], qn.m_phi, qn.beta, qn.energy, c
@@ -247,23 +252,20 @@ def assembled_residual(total: TotalReducedAction, idx, mode: str = "quantum") ->
     """Full 3-D equation on the lattice of the index axes idx, from nodal
     component data.
 
-    mode selects which terms enter: "quantum" is the complete equation,
-    "classical" drops every hbar-carrying correction and returns
-    (1/2m)(grad S)^2 + V - E, "quantum-terms" returns only the corrections.
+    mode "quantum" is the complete equation; "quantum-terms" returns only the
+    hbar-carrying corrections.
     """
-    if mode not in ("quantum", "classical", "quantum-terms"):
+    if mode not in ("quantum", "quantum-terms"):
         raise ValueError(f"unknown mode {mode!r}")
     c = total.constants
     spin = SYMMETRY_TABLE[total.symmetry].spin
     _, nodes = total.lattice(idx)
 
-    quantum = 0.0
-    if mode != "classical":
-        quantum = (c.hbar * c.hbar / (4.0 * c.mass)) * total.metric_sum("schwarzian", idx)
-        if spin is not None:
-            terms = spin(nodes, c)
-            # the spin terms are summed before they join: that order fixes the rounding
-            quantum = quantum + (terms["ter1"] + terms.get("ter2", 0.0))
+    quantum = (c.hbar * c.hbar / (4.0 * c.mass)) * total.metric_sum("schwarzian", idx)
+    if spin is not None:
+        terms = spin(nodes, c)
+        # the spin terms are summed before they join: that order fixes the rounding
+        quantum = quantum + (terms["ter1"] + terms.get("ter2", 0.0))
     if mode == "quantum-terms":
         return quantum
 

@@ -578,8 +578,7 @@ def test_drift_near_the_origin_names_where_it_is(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("solver failure: Wronskian drift 2.742e+06 exceeds tolerance 1.0e-06 ")
     assert (
-        "at 2 of 1601 nodes; of these, q = 0.007500999375 lies nearest the anchor "
-        "q = 6.0000005000000005 (largest |y1| 3.704e+02, |y2| 2.222e+03); "
+        "at q = 1e-06 (largest |y1| 3.704e+02, |y2| 2.222e+03); "
         "either the step is too coarse there"
     ) in err
 
@@ -653,6 +652,47 @@ def test_analytic_source_requires_catalog(tmp_path, capsys):
     path.write_text(yaml.safe_dump(cfg))
     assert run("solve", "--config", path, "--out", tmp_path / "o") == 2
     assert "no analytic catalog" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["verify", "spin-report"])
+@pytest.mark.parametrize(
+    "config, label, fields, message",
+    [
+        ("spherical_hydrogen", "r", {"source": "analytic"},
+         "components.r.source: no analytic catalog for this coordinate; use source: numeric"),
+        ("cylindrical_free", "rho", {"source": "analytic"},
+         "components.rho.source: no analytic catalog for this coordinate; use source: numeric"),
+        ("spherical_hydrogen", "phi", {"solve_energy": 1.0},
+         "components.phi.solve_energy: not applicable to an analytic pair"),
+    ],
+    ids=["r-analytic", "rho-analytic", "phi-solve-energy"],
+)
+def test_every_command_refuses_an_unbuildable_pair(
+    tmp_path, capsys, command, config, label, fields, message
+):
+    path = _edited_config(tmp_path, config, lambda cfg: cfg["components"][label].update(fields))
+    assert run(command, "--config", path, "--out", tmp_path / "o") == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "verify", "spin-report"])
+@pytest.mark.parametrize(
+    "config, key, value, expected",
+    [
+        ("spherical_hydrogen", "m_phi", 1, "ell, m_ell, energy"),
+        ("cylindrical_free", "ell", 3, "m_phi, beta, energy"),
+        ("spherical_hydrogen", "axis_energies", {"r": 5.0}, "ell, m_ell, energy"),
+    ],
+)
+def test_quantum_number_of_another_class_is_refused(
+    tmp_path, capsys, command, config, key, value, expected
+):
+    path = _edited_config(tmp_path, config, lambda cfg: cfg["quantum_numbers"].update({key: value}))
+    assert run(command, "--config", path, "--out", tmp_path / "o") == 2
+    assert capsys.readouterr().err == (
+        f"config error: config.quantum_numbers.{key}: unknown field (expected {expected})\n"
+    )
 
 
 def test_limit_scan_needs_full_set(tmp_path, capsys):

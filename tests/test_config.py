@@ -105,8 +105,9 @@ def test_wrong_energy_config_override():
         # every mapping rejects a key the parser does not read
         ("constants.h", 1.0, r"^config.constants.h: unknown field \(expected hbar, mass\)$"),
         ("quantum_numbers.l", 1, r"^config.quantum_numbers.l: unknown field \(expected ell, "),
+        # spherical reads no axis energies at all
         ("quantum_numbers.axis_energies.x", 0.5,
-         r"^quantum_numbers.axis_energies.x: unknown field \(expected r, theta, phi\)$"),
+         r"^config.quantum_numbers.axis_energies: unknown field \(expected ell, m_ell, energy\)$"),
         ("components.phi.grid.step", 0.1, r"^components.phi.grid.step: unknown field"),
         ("output.dir", "out", r"^config.output.dir: unknown field \(expected directory, format\)$"),
         ("potential", {"kind": "coulomb", "strength": 1.0, "omega": 2.0},
@@ -200,6 +201,20 @@ def test_cartesian_validation():
 
     bad = mutate(cartesian_base(), "quantum_numbers.energy", 2.0)
     with pytest.raises(Q.ConfigError, match="axis energies"):
+        Q.parse_config(bad)
+
+
+def test_cartesian_quantum_numbers():
+    bad = mutate(cartesian_base(), "quantum_numbers.ell", 0)
+    with pytest.raises(
+        Q.ConfigError,
+        match=r"^config.quantum_numbers.ell: unknown field \(expected energy, axis_energies\)$",
+    ):
+        Q.parse_config(bad)
+    bad = mutate(cartesian_base(), "quantum_numbers.axis_energies.w", 0.0)
+    with pytest.raises(
+        Q.ConfigError, match=r"^quantum_numbers.axis_energies.w: unknown field \(expected x, y, z\)$"
+    ):
         Q.parse_config(bad)
 
 

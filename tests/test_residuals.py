@@ -289,13 +289,21 @@ def test_classical_mode_drops_corrections(hydrogen_total):
     total = hydrogen_total
     idx = probe_axes(total, per_coordinate=3)
     full = Q.assembled_residual(total, idx)
-    classical = Q.assembled_residual(total, idx, mode="classical")
     terms = Q.assembled_residual(total, idx, mode="quantum-terms")
+    # the classical equation (1/2m)(grad S)^2 + V - E, built independently
+    c = total.constants
+    _, (r, _, _) = total.lattice(idx)
+    classical = (
+        total.metric_sum("ds", idx, 2) / (2.0 * c.mass)
+        + total.potentials["r"].evaluate(r, c)
+        - total.quantum_numbers.energy
+    )
     assert full.shape == classical.shape == terms.shape
-    np.testing.assert_allclose(full, classical + terms, rtol=0.0, atol=1e-14)
+    np.testing.assert_allclose(full - terms, classical, rtol=0.0, atol=1e-14)
     assert np.max(np.abs(terms)) > 1e-3  # the corrections are not zero here
-    with pytest.raises(ValueError, match="mode"):
-        Q.assembled_residual(total, idx, mode="bogus")
+    for mode in ("bogus", "classical"):
+        with pytest.raises(ValueError, match="mode"):
+            Q.assembled_residual(total, idx, mode=mode)
 
 
 def test_probe_lattice_is_deterministic(hydrogen_total):

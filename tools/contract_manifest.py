@@ -117,6 +117,8 @@ EDGES = (
     # a mixing this large overflows the Schwarzian (1e150) or D itself (1e200)
     ("mixing-overflow-1e150", "spherical_hydrogen", _set("components.r.mu", 1e150)),
     ("mixing-overflow-1e200", "spherical_hydrogen", _set("components.r.mu", 1e200)),
+    # spherical reads ell and m_ell; m_phi belongs to the cylindrical class
+    ("quantum-number-of-another-class", "spherical_hydrogen", _set("quantum_numbers.m_phi", 1)),
 )
 
 
