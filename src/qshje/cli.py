@@ -83,9 +83,11 @@ def _component_meta(comp: ReducedActionComponent, cfg: ComponentConfig) -> dict:
 
 def _table(path: str, equation: str, formula: str, columns: dict, fmt: str) -> None:
     """Write one table from named 1-D columns of equal length."""
-    # Python floats format faster than numpy scalars, to the same bytes
-    cols = [np.asarray(col, dtype=float).tolist() for col in columns.values()]
-    write_table(path, equation, formula, list(columns), zip(*cols), fmt=fmt)
+    lengths = {name: len(col) for name, col in columns.items()}
+    if len(set(lengths.values())) > 1:
+        raise ValueError(f"table {path}: columns differ in length {lengths}")
+    rows = np.column_stack(list(columns.values()))
+    write_table(path, equation, formula, list(columns), rows, fmt=fmt)
 
 
 def cmd_solve(cfg: RunConfig, out_dir: str, fmt: str) -> int:

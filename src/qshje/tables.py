@@ -5,16 +5,22 @@ byte-identical files; no timestamps or environment data are embedded. Every
 table opens with a comment line naming the equation it verifies and the
 formula being evaluated.
 
-Table rows hold floats only, and each row is rendered with one ``%.17g``
-format: NaN and infinities read ``nan``, ``inf`` and ``-inf`` in CSV and
-``null`` in JSON.
+Table cells are real numbers, rendered as ``%.17g``: NaN and infinities read
+``nan``, ``inf`` and ``-inf`` in CSV and ``null`` in JSON. Tables are written
+in blocks of rows. Within a block, a column with at most half as many distinct
+values as rows formats each distinct value once and reuses the text.
 """
 from __future__ import annotations
 
-import functools
 import math
 import os
+from itertools import chain
 from typing import Iterable, Sequence
+
+import numpy as np
+
+# rows rendered and written per write call; bounds the text held in memory
+_BLOCK_ROWS = 2048
 
 
 def format_float(x: float) -> str:
@@ -37,43 +43,88 @@ def write_table(
     rows: Iterable[Sequence[float]],
     fmt: str = "csv",
 ) -> str:
-    """Write one table; returns the path actually written (extension fixed)."""
+    """Write one table; returns the path actually written (extension fixed).
+
+    `rows` is any iterable of rows (a 2-D array included); every row holds
+    one real number per column, else ValueError or TypeError is raised and
+    no file is written.
+    """
     base, _ = os.path.splitext(path)
     if fmt == "csv":
         out = f"{base}.csv"
-        lines = [f"# equation: {equation} | {formula}", ",".join(columns)]
-        for row in rows:
-            row = tuple(row)
-            lines.append(_row_template(len(row), ",") % row)
-        payload = "\n".join(lines) + "\n"
+        head = f"# equation: {equation} | {formula}\n" + ",".join(columns) + "\n"
+        row_sep, cell_sep, wrap, tail = "", ",", "%s\n", ""
     elif fmt == "json":
         out = f"{base}.json"
-        body_rows = []
-        for row in rows:
-            row = tuple(row)
-            line = _row_template(len(row), ", ") % row
-            # a finite float prints without the letter n; nan and inf need null
-            if "n" in line:
-                line = ", ".join(_json_scalar(v) for v in row)
-            body_rows.append("[" + line + "]")
-        payload = (
+        head = (
             "{\n"
             f'  "equation": {_json_string(equation)},\n'
             f'  "formula": {_json_string(formula)},\n'
             f'  "columns": [' + ", ".join(_json_string(c) for c in columns) + "],\n"
-            '  "rows": [\n    ' + ",\n    ".join(body_rows) + "\n  ]\n"
-            "}\n"
+            '  "rows": [\n    '
         )
+        row_sep, cell_sep, wrap, tail = ",\n    ", ", ", "[%s]", "\n  ]\n}\n"
     else:
         raise ValueError(f"unknown table format {fmt!r}")
+    table = _float_rows(out, rows, len(columns))
     with open(out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(payload)
+        fh.write(head)
+        for start in range(0, len(table), _BLOCK_ROWS):
+            block = table[start:start + _BLOCK_ROWS]
+            cells, specs = _block_cells(block, fmt == "json")
+            # one %-format call renders the whole block
+            template = row_sep.join([wrap % cell_sep.join(specs)] * len(block))
+            if start:
+                fh.write(row_sep)
+            fh.write(template % tuple(chain.from_iterable(zip(*cells))))
+        fh.write(tail)
     return out
 
 
-@functools.lru_cache(maxsize=64)
-def _row_template(width: int, sep: str) -> str:
-    return sep.join(["%.17g"] * width)
+def _float_rows(out: str, rows, width: int) -> np.ndarray:
+    """The rows of table `out` as one (n, width) float array."""
+    try:
+        table = np.asarray(rows if isinstance(rows, np.ndarray) else list(rows))
+    except ValueError:
+        table = None  # ragged rows
+    if table is not None and table.ndim == 1 and table.size == 0:
+        table = table.reshape(0, width)
+    if table is None or table.ndim != 2 or table.shape[1] != width:
+        raise ValueError(f"table {out}: every row needs {width} cells, one per column")
+    if table.dtype.kind not in "biuf":
+        raise TypeError(f"table {out}: cells must be real numbers, got {table.dtype} cells")
+    return table.astype(np.float64, copy=False)
+
+
+def _block_cells(block: np.ndarray, json: bool) -> tuple[list, list]:
+    """Per column of `block`: its cells and their %-format.
+
+    A column at most half distinct, or a JSON column holding a non-finite
+    value, becomes ``%s`` text with each distinct bit pattern (so 0.0 and
+    -0.0 stay apart) formatted once; any other column stays floats under
+    ``%.17g``.
+    """
+    cells, specs = [], []
+    # %-formatting, not format_float: bench/tracer.py records a span for each
+    # call of a public function, which would be one per distinct value
+    render = _json_float if json else "%.17g".__mod__
+    finite = np.isfinite(block).all(axis=0)
+    for col, col_finite in zip(block.T, finite.tolist()):
+        keys = col.view(np.int64).tolist()
+        distinct = dict.fromkeys(keys)
+        if 2 * len(distinct) <= len(keys) or (json and not col_finite):
+            values = np.array(list(distinct), dtype=np.int64).view(np.float64).tolist()
+            text = dict(zip(distinct, map(render, values)))
+            cells.append(list(map(text.__getitem__, keys)))
+            specs.append("%s")
+        else:
+            cells.append(col.tolist())
+            specs.append("%.17g")
+    return cells, specs
+
+
+def _json_float(x: float) -> str:
+    return "%.17g" % x if math.isfinite(x) else "null"
 
 
 # every C0 control character is escaped, as JSON requires

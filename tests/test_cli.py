@@ -846,6 +846,13 @@ def test_csv_and_json_tables_agree(tmp_path, config):
     assert compared >= 2  # solve and verify write at least one table each
 
 
+def test_table_refuses_columns_of_unequal_length(tmp_path):
+    columns = {"q": np.linspace(0.0, 1.0, 5), "residual": np.zeros(4)}
+    with pytest.raises(ValueError, match=r"columns differ in length \{'q': 5, 'residual': 4\}"):
+        cli._table(str(tmp_path / "t"), "eq", "f", columns, "csv")
+    assert list(tmp_path.iterdir()) == []
+
+
 def _python(*args, **env):
     """`python *args` in a fresh interpreter that must exit 0, with src on the
     path and OPENBLAS_NUM_THREADS unset unless given in env (this process

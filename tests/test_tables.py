@@ -1,10 +1,13 @@
 import json
 import math
+import os
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from qshje import tables
 from qshje.tables import format_float, write_summary, write_table
 
 
@@ -88,8 +91,9 @@ def test_summary_is_byte_stable(tmp_path):
     assert (tmp_path / "one.json").read_bytes() == (tmp_path / "two.json").read_bytes()
 
 
-# Cell-by-cell reference rendering of float rows; the one %.17g format per
-# row must give the same bytes.
+# Cell-by-cell reference rendering of float rows; the block writer, which
+# formats each distinct value of a repetitive column once, must give the
+# same bytes.
 def _ref_format_float(x):
     if isinstance(x, float) and not math.isfinite(x):
         return "nan" if math.isnan(x) else ("inf" if x > 0 else "-inf")
@@ -121,6 +125,27 @@ _EDGE_FLOATS = [
     1.0 / 3.0, 0.1, 2.0**52 + 1.0, 1e16, 123456789.0, 1e-5,
 ]
 
+# values that print alike or differ only in their bits: signed zeros, NaNs of
+# either sign and another payload, both infinities and the smallest subnormal
+_NAN_PAYLOAD = float(np.array([0x7FF8000000000001]).view(np.float64)[0])
+_BIT_EDGES = [0.0, -0.0, float("nan"), -float("nan"), _NAN_PAYLOAD, float("inf"),
+              float("-inf"), 5e-324]
+
+
+def _block_crossing():
+    """Rows over three blocks: a repetitive column that turns distinct in
+    the second block, a distinct one that turns repetitive, and a column of
+    bit edges that gains a non-finite value only in the last block."""
+    n = 2 * tables._BLOCK_ROWS + 37
+    i = np.arange(n)
+    second = (i >= tables._BLOCK_ROWS) & (i < 2 * tables._BLOCK_ROWS)
+    a = np.where(second, i / 7.0, (i % 5) * 0.1)
+    b = np.where(second, (i % 3) - 0.5, np.sqrt(i + 0.5))
+    c = np.where(i >= 2 * tables._BLOCK_ROWS, np.array(_BIT_EDGES)[i % 8], (i % 4) * -0.0)
+    d = np.full(n, 1.0 / 3.0)
+    return np.column_stack([a, b, c, d])
+
+
 _ORACLE_TABLES = {
     "floats": [
         tuple(_EDGE_FLOATS[(i + k) % len(_EDGE_FLOATS)] for k in range(4))
@@ -132,8 +157,25 @@ _ORACLE_TABLES = {
     "finite-only": [(0.5, np.float64(1e308), 5e-324, -0.0), (1.0 / 3.0, 1e-300, 2.5, 7.0)],
     "list-rows": [[0.5, float("nan"), -0.0, 1e-5], [1.0 / 3.0, 5e-324, 0.25, 1.5]],
     "ndarray-rows": np.array([[0.5, np.nan, -0.0, 1e-5], [1.0 / 3.0, 5e-324, np.inf, 1.5]]),
-    "uneven-widths": [(0.5,), (0.5, 1.5), (), (np.float64(2.0), float("inf"), -0.0)],
+    # a probe lattice: each coordinate repeats, the value column mostly repeats
+    "repeated": [
+        (i // 9 * 0.25, i // 3 % 3 * 0.25, i % 3 * 0.25, (i % 4) * 1e-17) for i in range(27)
+    ],
+    "bit-edges": [
+        (x, _BIT_EDGES[(i * 3) % 8], float(i), -x)
+        for i, x in enumerate(_BIT_EDGES * 3)
+    ],
+    "block-crossing": _block_crossing(),
     "empty": [],
+}
+
+# the shapes rows may arrive in, the bench tracer's generator of 1-D arrays
+# included
+_ROW_SHAPES = {
+    "tuples": lambda rows: [tuple(r) for r in rows],
+    "ndarray": lambda rows: np.array([tuple(r) for r in rows], dtype=float),
+    "generator": lambda rows: (r for r in rows),
+    "array-generator": lambda rows: (r for r in np.array([tuple(r) for r in rows], dtype=float)),
 }
 
 
@@ -142,11 +184,54 @@ _ORACLE_TABLES = {
 def test_write_table_matches_cell_by_cell_rendering(tmp_path, name, fmt):
     rows = _ORACLE_TABLES[name]
     columns = ["a", "b", "c", "d"]
-    out = write_table(str(tmp_path / name), "eq", "f = 0", columns, rows, fmt=fmt)
-    expected = _ref_payload("eq", "f = 0", columns, rows, fmt)
-    assert pathlib.Path(out).read_bytes() == expected.encode("utf-8")
-    # rows may arrive as a one-shot generator
-    again = write_table(
-        str(tmp_path / f"{name}-gen"), "eq", "f = 0", columns, (r for r in rows), fmt=fmt
-    )
-    assert pathlib.Path(again).read_bytes() == expected.encode("utf-8")
+    expected = _ref_payload("eq", "f = 0", columns, rows, fmt).encode("utf-8")
+    for shape, convert in _ROW_SHAPES.items():
+        out = write_table(
+            str(tmp_path / f"{name}-{shape}"), "eq", "f = 0", columns, convert(rows), fmt=fmt
+        )
+        assert pathlib.Path(out).read_bytes() == expected, shape
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [(0.5,), (0.5, 1.5), (), (np.float64(2.0), float("inf"), -0.0)],
+        [(0.5, 1.5, 2.5, 3.5), (0.5, 1.5, 2.5)],
+        [(0.5, 1.5, 2.5)],
+        np.zeros((3, 5)),
+        [0.5, 1.5, 2.5, 3.5],
+        [[(0.5, 1.5, 2.5, 3.5)]],
+    ],
+    ids=["uneven", "one-short", "all-short", "ndarray-wide", "flat", "nested"],
+)
+def test_write_table_refuses_rows_of_another_width(tmp_path, rows, fmt):
+    with pytest.raises(ValueError, match=r"table .*bad\.\w+: every row needs 4 cells"):
+        write_table(str(tmp_path / "bad"), "eq", "f", ["a", "b", "c", "d"], rows, fmt=fmt)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("cell", [None, "1.5", 1j, object()], ids=["none", "str", "complex", "object"])
+def test_write_table_refuses_cells_that_are_not_real_numbers(tmp_path, cell, fmt):
+    rows = [(0.5, 1.5), (cell, 2.5)]
+    with pytest.raises(TypeError, match=r"table .*bad\.\w+: cells must be real numbers"):
+        write_table(str(tmp_path / "bad"), "eq", "f", ["a", "b"], rows, fmt=fmt)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_write_table_holds_less_than_the_file_it_writes(tmp_path):
+    """The writer streams blocks of rows, so its peak allocation stays below
+    the size of its output instead of holding every line and the payload."""
+    rng = np.random.default_rng(3)
+    n = 20000
+    table = rng.normal(size=(n, 8))
+    table[:, 0] = np.repeat(np.linspace(0.1, 2.0, 20), n // 20)  # a probe axis
+    table[:, 1] = rng.choice(rng.normal(size=100), size=n)  # a repetitive value
+    tracemalloc.start()
+    try:
+        out = write_table(str(tmp_path / "big"), "eq", "f", list("abcdefgh"), table)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < os.path.getsize(out)
