@@ -13,7 +13,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .config import ComponentConfig, RunConfig, load_config, positive_number
+from .config import ComponentConfig, RunConfig, load_config
 from .domain import Effective1DProblem
 from .errors import ConfigError, QshjeError
 from .ode_engine import SolutionPair, solve_pair
@@ -31,6 +31,9 @@ from .residuals import (
     probe_lattice,
 )
 from .tables import write_summary, write_table
+
+# allowed |slope - 2| of the classical-limit scan, whose slope is 2 by construction
+SLOPE_TOLERANCE = 0.05
 
 
 def build_pair(cfg: RunConfig, comp: ComponentConfig, problem: Effective1DProblem) -> SolutionPair:
@@ -134,7 +137,7 @@ def _check(
     return {"max_abs": max_abs, "within_tolerance": max_abs <= tolerance}
 
 
-def cmd_verify(cfg: RunConfig, out_dir: str, fmt: str, tolerance: float) -> int:
+def cmd_verify(cfg: RunConfig, out_dir: str, fmt: str) -> int:
     components, equations, total = build_case(cfg)
     os.makedirs(out_dir, exist_ok=True)
     entries: dict = {}
@@ -147,7 +150,7 @@ def cmd_verify(cfg: RunConfig, out_dir: str, fmt: str, tolerance: float) -> int:
         c, span = eq.constants, q[-1] - q[0]
         scale_ref = eq.scale * max(abs(eq.e_eff), c.hbar * c.hbar / (2.0 * c.mass * span * span))
         values = {"residual": residual, "normalized_residual": residual / scale_ref}
-        entry = _check(out_dir, eq.name, eq.formula, {label: q}, values, tolerance, fmt)
+        entry = _check(out_dir, eq.name, eq.formula, {label: q}, values, cfg.tolerance, fmt)
         entries[eq.name] = {
             **entry,
             "component": label,
@@ -167,20 +170,18 @@ def cmd_verify(cfg: RunConfig, out_dir: str, fmt: str, tolerance: float) -> int:
         values = {"residual": direct, "component_weighted_sum": summed, "assembly_gap": gap}
         formula = SYMMETRY_TABLE[cfg.symmetry].formula
         entries[name] = {
-            **_check(out_dir, name, formula, coords, values, tolerance, fmt),
+            **_check(out_dir, name, formula, coords, values, cfg.tolerance, fmt),
             "max_assembly_gap": float(np.max(gap)),
             "probe_points": len(points),
         }
 
-    summary = {"symmetry": cfg.symmetry.value, "tolerance": tolerance, "equations": entries}
+    summary = {"symmetry": cfg.symmetry.value, "tolerance": cfg.tolerance, "equations": entries}
     summary["all_within_tolerance"] = all(e["within_tolerance"] for e in entries.values())
     write_summary(os.path.join(out_dir, "verify_summary.json"), summary)
     return 0 if summary["all_within_tolerance"] else 1
 
 
-def cmd_limit_scan(
-    cfg: RunConfig, out_dir: str, fmt: str, slope_tol: float, wrong_order: bool
-) -> int:
+def cmd_limit_scan(cfg: RunConfig, out_dir: str, fmt: str, wrong_order: bool) -> int:
     if not cfg.has_full_set:
         raise ConfigError(
             "limit-scan needs all three coordinate components configured "
@@ -204,12 +205,12 @@ def cmd_limit_scan(
         columns,
         fmt,
     )
-    ok = abs(scan.slope - 2.0) <= slope_tol
+    ok = abs(scan.slope - 2.0) <= SLOPE_TOLERANCE
     payload: dict = {
         "slope": scan.slope,
         "intercept": scan.intercept,
         "expected_slope": 2.0,
-        "slope_tolerance": slope_tol,
+        "slope_tolerance": SLOPE_TOLERANCE,
         "within_tolerance": ok,
         "probe_points": len(scan.points),
     }
@@ -288,15 +289,11 @@ def _make_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="evaluate every configured equation pointwise")
     common(p_verify)
-    p_verify.add_argument("--tolerance", type=float, default=None,
-                          help="max-abs residual tolerance (default: from config)")
     p_verify.add_argument("--parallel", type=int, default=1, metavar="N",
                           help="accepted for compatibility; has no effect")
 
     p_scan = sub.add_parser("limit-scan", help="scale hbar down and fit the quantum-term slope")
     common(p_scan)
-    p_scan.add_argument("--tolerance", type=float, default=0.05,
-                        help="allowed |slope - 2| (default 0.05)")
     p_scan.add_argument("--parallel", type=int, default=1, metavar="N",
                         help="accepted for compatibility; has no effect")
     p_scan.add_argument("--wrong-order-demo", action="store_true",
@@ -317,13 +314,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "solve":
             return cmd_solve(cfg, out_dir, fmt)
         if args.command == "verify":
-            tol = cfg.tolerance
-            if args.tolerance is not None:
-                tol = positive_number(args.tolerance, "--tolerance")
-            return cmd_verify(cfg, out_dir, fmt, tol)
+            return cmd_verify(cfg, out_dir, fmt)
         if args.command == "limit-scan":
-            tol = positive_number(args.tolerance, "--tolerance")
-            return cmd_limit_scan(cfg, out_dir, fmt, tol, args.wrong_order_demo)
+            return cmd_limit_scan(cfg, out_dir, fmt, args.wrong_order_demo)
         return cmd_spin_report(cfg, out_dir, fmt)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

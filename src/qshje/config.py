@@ -40,18 +40,11 @@ def _expect_mapping(value, path: str, fields: tuple[str, ...] | None = None) -> 
     return value
 
 
-def _get(mapping: dict, key: str, path: str, required: bool = True, default=None):
+def _get(mapping: dict, key: str, path: str):
+    """The required field at key."""
     if key not in mapping:
-        if required:
-            raise ConfigError(f"{path}.{key}: missing required field")
-        return default
+        raise ConfigError(f"{path}.{key}: missing required field")
     return mapping[key]
-
-
-def _section(mapping: dict, key: str, path: str, fields: tuple[str, ...] | None = None) -> dict:
-    """The optional sub-mapping at key, empty when absent."""
-    value = _get(mapping, key, path, required=False, default={})
-    return _expect_mapping(value, f"{path}.{key}", fields)
 
 
 def _number(value, path: str) -> float:
@@ -88,9 +81,9 @@ class ComponentConfig:
     nu: float
     phase: float
     grid: Grid1D
-    source: str = "numeric"
-    substeps: int = 1
-    solve_energy: float | None = None
+    source: str
+    substeps: int
+    solve_energy: float | None
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -131,12 +124,12 @@ def potential_from_mapping(mapping, path: str) -> PotentialSpec:
         )
     cls, fields = _POTENTIALS[kind]
     _expect_mapping(m, path, ("kind", *fields))
-    if kind == "tabulated":
-        try:
+    try:
+        if kind == "tabulated":
             return TabulatedPotential(_get(m, "points", path), _get(m, "values", path))
-        except ValueError as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
-    return cls(**{f: _number(_get(m, f, path), f"{path}.{f}") for f in fields})
+        return cls(**{f: _number(_get(m, f, path), f"{path}.{f}") for f in fields})
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def _grid_spec(mapping, path: str, label: str) -> Grid1D:
@@ -159,15 +152,15 @@ def _component_config(label: str, mapping, path: str) -> ComponentConfig:
     nu = _number(_get(m, "nu", path), f"{path}.nu")
     if mu * nu == 1.0:
         raise ConfigError(f"{path}: mu*nu = 1 is a degenerate mixing")
-    phase = _number(_get(m, "phase", path, required=False, default=0.0), f"{path}.phase")
+    phase = _number(m.get("phase", 0.0), f"{path}.phase")
     grid = _grid_spec(_get(m, "grid", path), f"{path}.grid", label)
-    source = _get(m, "source", path, required=False, default="numeric")
+    source = m.get("source", "numeric")
     if source not in ("numeric", "analytic"):
         raise ConfigError(f"{path}.source: expected 'numeric' or 'analytic', got {source!r}")
-    substeps = _integer(_get(m, "substeps", path, required=False, default=1), f"{path}.substeps")
+    substeps = _integer(m.get("substeps", 1), f"{path}.substeps")
     if substeps < 1:
         raise ConfigError(f"{path}.substeps: must be >= 1, got {substeps}")
-    solve_energy = _get(m, "solve_energy", path, required=False)
+    solve_energy = m.get("solve_energy")
     if solve_energy is not None:
         solve_energy = _number(solve_energy, f"{path}.solve_energy")
     return ComponentConfig(
@@ -182,15 +175,15 @@ def _component_config(label: str, mapping, path: str) -> ComponentConfig:
     )
 
 
-def parse_config(data: dict, source_name: str = "config") -> RunConfig:
-    root = _expect_mapping(data, source_name)
+def parse_config(data: dict) -> RunConfig:
+    root = _expect_mapping(data, "config")
 
-    sym_raw = _get(root, "symmetry", source_name)
+    sym_raw = _get(root, "symmetry", "config")
     try:
         symmetry = SymmetryClass(sym_raw)
     except ValueError:
         raise ConfigError(
-            f"{source_name}.symmetry: unknown symmetry {sym_raw!r} "
+            f"config.symmetry: unknown symmetry {sym_raw!r} "
             "(expected cartesian, spherical or cylindrical)"
         ) from None
     labels = symmetry.coordinate_labels
@@ -198,58 +191,60 @@ def parse_config(data: dict, source_name: str = "config") -> RunConfig:
     potential_labels = row.potential_labels
     # one `potentials:` entry per axis, or the single radial `potential:`
     per_axis = potential_labels == labels
-    _expect_mapping(root, source_name, (
+    _expect_mapping(root, "config", (
         "symmetry", "potentials" if per_axis else "potential", "constants", "quantum_numbers",
         "components", "tolerance", "hbar_scan", "probe_points_per_coordinate", "output",
     ))
 
-    cmap = _section(root, "constants", source_name, ("hbar", "mass"))
+    # the records hold the defaults: each is built from the keys present only
+    cmap = _expect_mapping(root.get("constants", {}), "config.constants", ("hbar", "mass"))
     try:
         constants = PhysConstants(
-            hbar=_number(_get(cmap, "hbar", "constants", required=False, default=1.0), "constants.hbar"),
-            mass=_number(_get(cmap, "mass", "constants", required=False, default=1.0), "constants.mass"),
+            **{k: _number(cmap[k], f"constants.{k}") for k in ("hbar", "mass") if k in cmap}
         )
     except ValueError as exc:
-        raise ConfigError(f"{source_name}.constants: {exc}") from exc
+        raise ConfigError(f"config.constants: {exc}") from exc
 
-    qmap = _section(root, "quantum_numbers", source_name, row.quantum_numbers)
-    axis_energies = _section(qmap, "axis_energies", "quantum_numbers", labels)
+    qmap = _expect_mapping(
+        root.get("quantum_numbers", {}), "config.quantum_numbers", row.quantum_numbers
+    )
+    axis_energies = _expect_mapping(
+        qmap.get("axis_energies", {}), "quantum_numbers.axis_energies", labels
+    )
+    read = {"ell": _integer, "m_ell": _integer, "m_phi": _integer, "beta": _number,
+            "energy": _number}
     try:
         quantum_numbers = QuantumNumbers(
-            ell=_integer(_get(qmap, "ell", "quantum_numbers", required=False, default=0), "quantum_numbers.ell"),
-            m_ell=_integer(_get(qmap, "m_ell", "quantum_numbers", required=False, default=0), "quantum_numbers.m_ell"),
-            m_phi=_integer(_get(qmap, "m_phi", "quantum_numbers", required=False, default=0), "quantum_numbers.m_phi"),
-            beta=_number(_get(qmap, "beta", "quantum_numbers", required=False, default=0.0), "quantum_numbers.beta"),
-            energy=_number(_get(qmap, "energy", "quantum_numbers", required=False, default=0.0), "quantum_numbers.energy"),
+            **{k: read[k](qmap[k], f"quantum_numbers.{k}") for k in read if k in qmap},
             axis_energies={
                 str(k): _number(v, f"quantum_numbers.axis_energies.{k}")
                 for k, v in axis_energies.items()
             },
         )
     except ValueError as exc:
-        raise ConfigError(f"{source_name}.quantum_numbers: {exc}") from exc
+        raise ConfigError(f"config.quantum_numbers: {exc}") from exc
 
     potentials: dict[str, PotentialSpec] = {}
     if per_axis:
-        pmap = _section(root, "potentials", source_name)
+        pmap = _expect_mapping(root.get("potentials", {}), "config.potentials")
         for key, sub in pmap.items():
             if key not in labels:
-                raise ConfigError(f"{source_name}.potentials.{key}: unknown axis (expected x, y, z)")
+                raise ConfigError(f"config.potentials.{key}: unknown axis (expected x, y, z)")
             potentials[key] = potential_from_mapping(sub, f"potentials.{key}")
     else:
-        praw = _get(root, "potential", source_name, required=False)
+        praw = root.get("potential")
         potentials[potential_labels[0]] = (
             potential_from_mapping(praw, "potential") if praw is not None else ZeroPotential()
         )
 
-    comp_map = _expect_mapping(_get(root, "components", source_name), f"{source_name}.components")
+    comp_map = _expect_mapping(_get(root, "components", "config"), "config.components")
     if not comp_map:
-        raise ConfigError(f"{source_name}.components: at least one component is required")
+        raise ConfigError("config.components: at least one component is required")
     components: dict[str, ComponentConfig] = {}
     for key, sub in comp_map.items():
         if key not in labels:
             raise ConfigError(
-                f"{source_name}.components.{key}: not a coordinate of {symmetry.value} "
+                f"config.components.{key}: not a coordinate of {symmetry.value} "
                 f"(expected one of {list(labels)})"
             )
         components[key] = _component_config(key, sub, f"components.{key}")
@@ -269,46 +264,41 @@ def parse_config(data: dict, source_name: str = "config") -> RunConfig:
             potentials.setdefault(key, ZeroPotential())
             if key not in quantum_numbers.axis_energies:
                 raise ConfigError(
-                    f"{source_name}.quantum_numbers.axis_energies: missing energy for axis {key!r}"
+                    f"config.quantum_numbers.axis_energies: missing energy for axis {key!r}"
                 )
         if set(components) == set(labels):
             try:
                 quantum_numbers.check_axis_energies(labels)
             except ValueError as exc:
-                raise ConfigError(f"{source_name}.quantum_numbers: {exc}") from exc
+                raise ConfigError(f"config.quantum_numbers: {exc}") from exc
 
-    tolerance = positive_number(
-        _get(root, "tolerance", source_name, required=False, default=1e-6), f"{source_name}.tolerance"
-    )
+    tolerance = positive_number(root.get("tolerance", 1e-6), "config.tolerance")
 
-    scan_raw = _get(root, "hbar_scan", source_name, required=False)
+    scan_raw = root.get("hbar_scan")
     if scan_raw is None:
         hbar_scan = DEFAULT_HBAR_SCAN
     else:
         if not isinstance(scan_raw, (list, tuple)):
-            raise ConfigError(f"{source_name}.hbar_scan: expected a list of numbers")
-        hbar_scan = tuple(
-            _number(v, f"{source_name}.hbar_scan[{i}]") for i, v in enumerate(scan_raw)
-        )
+            raise ConfigError("config.hbar_scan: expected a list of numbers")
+        hbar_scan = tuple(_number(v, f"config.hbar_scan[{i}]") for i, v in enumerate(scan_raw))
         try:
             hbar_scan_values(hbar_scan)
         except QshjeError as exc:
-            raise ConfigError(f"{source_name}.hbar_scan: {exc}") from exc
+            raise ConfigError(f"config.hbar_scan: {exc}") from exc
 
     probe = _integer(
-        _get(root, "probe_points_per_coordinate", source_name, required=False, default=5),
-        f"{source_name}.probe_points_per_coordinate",
+        root.get("probe_points_per_coordinate", 5), "config.probe_points_per_coordinate"
     )
     if probe < 2:
-        raise ConfigError(f"{source_name}.probe_points_per_coordinate: must be >= 2, got {probe}")
+        raise ConfigError(f"config.probe_points_per_coordinate: must be >= 2, got {probe}")
 
-    omap = _section(root, "output", source_name, ("directory", "format"))
-    fmt = _get(omap, "format", "output", required=False, default="csv")
+    omap = _expect_mapping(root.get("output", {}), "config.output", ("directory", "format"))
+    fmt = omap.get("format", "csv")
     if fmt not in ("csv", "json"):
-        raise ConfigError(f"{source_name}.output.format: expected 'csv' or 'json', got {fmt!r}")
-    out_dir = _get(omap, "directory", "output", required=False, default="out")
+        raise ConfigError(f"config.output.format: expected 'csv' or 'json', got {fmt!r}")
+    out_dir = omap.get("directory", "out")
     if not isinstance(out_dir, str):
-        raise ConfigError(f"{source_name}.output.directory: expected a string, got {out_dir!r}")
+        raise ConfigError(f"config.output.directory: expected a string, got {out_dir!r}")
 
     for key in labels:
         comp = components.get(key)
@@ -347,4 +337,4 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"config file {path!r} is not valid YAML: {exc}") from exc
     if data is None:
         raise ConfigError(f"config file {path!r} is empty")
-    return parse_config(data, source_name="config")
+    return parse_config(data)

@@ -7,6 +7,7 @@ the V_eff / E_eff bookkeeping for every coordinate of every symmetry class.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
@@ -99,7 +100,11 @@ class QuantumNumbers:
     axis_energies: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        lambda_from_ell(self.ell)  # validates ell
+        # l(l+1) and m_phi^2 enter the equations as floats
+        if lambda_from_ell(self.ell) > sys.float_info.max:
+            raise ValueError(f"l(l+1) must be a finite float, got ell = {self.ell}")
+        if self.m_phi**2 > sys.float_info.max:
+            raise ValueError(f"m_phi^2 must be a finite float, got m_phi = {self.m_phi}")
         if abs(self.m_ell) > self.ell:
             raise ValueError(f"|m_ell| must be <= ell, got m_ell={self.m_ell}, ell={self.ell}")
 
@@ -133,6 +138,10 @@ class HarmonicPotential(PotentialSpec):
     """V(q) = (1/2) m omega^2 q^2."""
 
     omega: float
+
+    def __post_init__(self) -> None:
+        if not self.omega * self.omega < np.inf:
+            raise ValueError(f"omega^2 must be a finite float, got omega = {self.omega!r}")
 
     def evaluate(self, q, constants: PhysConstants):
         q = np.asarray(q, dtype=float)

@@ -150,15 +150,15 @@ def _rk4_sweep(curvature, q_nodes: np.ndarray, state0: np.ndarray, substeps: int
     # its last substep ends exactly on the next node
     h = (np.diff(q_nodes) / substeps)[:, None]
     q = np.cumsum(np.column_stack((q_nodes[:-1], np.repeat(h, substeps - 1, axis=1))), axis=1)
-    c = curvature(np.stack((q, q + 0.5 * h, np.column_stack((q[:, 1:], q_nodes[1:]))), axis=-1))
     # one RK4 substep applied to the unit states (1, 0) and (0, 1) gives the
-    # columns of its matrix; an entry past the float range makes the fold
-    # below non-finite, which the cell-end check names
-    c1, c2, c4 = c[..., 0, None], c[..., 1, None], c[..., 2, None]
-    h = h[..., None]
-    half, sixth = 0.5 * h, h / 6.0
-    y, dy = np.eye(2)
-    with np.errstate(over="ignore", invalid="ignore"):
+    # columns of its matrix; a curvature or entry past the float range makes
+    # the fold below non-finite, which the cell-end check names
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        c = curvature(np.stack((q, q + 0.5 * h, np.column_stack((q[:, 1:], q_nodes[1:]))), -1))
+        c1, c2, c4 = c[..., 0, None], c[..., 1, None], c[..., 2, None]
+        h = h[..., None]
+        half, sixth = 0.5 * h, h / 6.0
+        y, dy = np.eye(2)
         k1y, k1d = dy, c1 * y
         k2y, k2d = dy + half * k1d, c2 * (y + half * k1y)
         k3y, k3d = dy + half * k2d, c2 * (y + half * k2y)

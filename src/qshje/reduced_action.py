@@ -81,16 +81,20 @@ def build_component(
     q = pair.grid.points
     anchor = pair.grid.midpoint_index
     cum = np.concatenate([[0.0], np.cumsum(0.5 * (ds[1:] + ds[:-1]) * np.diff(q))])
-    s = cum - cum[anchor] + hbar * np.arctan2(a[anchor], b[anchor]) + phase_e * hbar
+    s = cum - cum[anchor] + hbar * np.arctan2(a[anchor], b[anchor])
 
-    # branch-insensitive cross-check of the unwrapped arctan: with
-    # theta = (S - e hbar)/hbar, sin(theta) b - cos(theta) a = 0 mod pi.
-    theta = (s - phase_e * hbar) / hbar
+    # branch-insensitive cross-check of the unwrapped arctan, on the action
+    # before the phase: with theta = s/hbar, sin(theta) b - cos(theta) a = 0 mod pi.
+    theta = s / hbar
     branch = float(np.max(np.abs(np.sin(theta) * b - np.cos(theta) * a) / np.sqrt(d)))
     if branch > 0.05:
         raise QshjeError(
             f"unwrapped action disagrees with arctan branch by {branch:.2e}; grid too coarse"
         )
+    with np.errstate(over="ignore"):
+        s = s + phase_e * hbar
+    if not np.all(np.isfinite(s)):
+        raise QshjeError(f"{label}: the action S overflows with phase {phase_e!r}; reduce |phase|")
 
     return ReducedActionComponent(
         pair=pair,

@@ -310,7 +310,7 @@ def probe_indices(points: np.ndarray, per_coordinate: int) -> np.ndarray:
     return np.array(sorted(idx))
 
 
-def probe_axes(total: TotalReducedAction, per_coordinate: int = 5) -> list[np.ndarray]:
+def probe_axes(total: TotalReducedAction, per_coordinate: int) -> list[np.ndarray]:
     """The probe index axes of each coordinate, in symmetry label order."""
     return [
         probe_indices(total.components[label].grid.points, per_coordinate)
@@ -352,7 +352,7 @@ def hbar_scan_values(hbar_values) -> np.ndarray:
 def classical_limit_scan(
     total: TotalReducedAction,
     hbar_values,
-    per_coordinate: int = 3,
+    per_coordinate: int,
     wrong_order: bool = False,
 ) -> LimitScanResult:
     """Magnitude of the hbar-carrying corrections versus hbar, data fixed, as

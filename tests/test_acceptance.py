@@ -242,7 +242,9 @@ def test_c09_classical_limit_scaling(hydrogen_total):
     # hbar = 1 .. 1/32); zeroing the angular momenta before taking the limit
     # leaves a gap that carries no hbar, so that order never reaches the
     # classical equation
-    scan = Q.classical_limit_scan(hydrogen_total, Q.DEFAULT_HBAR_SCAN, wrong_order=True)
+    scan = Q.classical_limit_scan(
+        hydrogen_total, Q.DEFAULT_HBAR_SCAN, per_coordinate=3, wrong_order=True
+    )
     gap = scan.wrong_order_gap
     slope_ok = abs(scan.slope - 2.0) <= 0.05
     correct_order_shrinks = scan.magnitudes[-1] < 1e-3 * scan.magnitudes[0]

@@ -102,12 +102,11 @@ def test_build_case_orders_components_by_coordinate_label(tmp_path):
         assert (shipped / name).read_bytes() == (reordered / name).read_bytes(), name
 
 
-def test_verify_tolerance_override_fails(tmp_path):
-    code = run(
-        "verify", "--config", CONFIG_DIR / "azimuthal_identity.yaml",
-        "--out", tmp_path / "v", "--tolerance", "1e-30",
-    )
-    assert code == 1
+def test_verify_below_the_config_tolerance_fails(tmp_path):
+    # tolerances come from the run file only
+    path = _edited_config(tmp_path, "azimuthal_identity", lambda cfg: cfg.update(tolerance=1e-30))
+    assert run("verify", "--config", path, "--out", tmp_path / "v") == 1
+    assert read_summary(tmp_path / "v" / "verify_summary.json")["tolerance"] == 1e-30
 
 
 def test_verify_runs_are_byte_identical(tmp_path):
@@ -244,12 +243,12 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert run("verify", "--config", bad, "--out", tmp_path / "o") == 2
     assert "degenerate mixing" in capsys.readouterr().err
 
-    good = CONFIG_DIR / "azimuthal_identity.yaml"
-    for command in ("verify", "limit-scan"):
-        for value in ("nan", "-1"):
-            argv = (command, "--config", good, "--out", tmp_path / "t", "--tolerance", value)
-            assert run(*argv) == 2
-            assert "config error: --tolerance" in capsys.readouterr().err
+    for value, message in ((float("nan"), "must be finite, got nan"),
+                           (-1, "must be positive, got -1.0")):
+        path = _edited_config(tmp_path, "azimuthal_identity", lambda c: c.update(tolerance=value))
+        for command in ("verify", "limit-scan"):
+            assert run(command, "--config", path, "--out", tmp_path / "t") == 2
+            assert capsys.readouterr().err == f"config error: config.tolerance: {message}\n"
 
 
 def _potentials_for_r(cfg):
@@ -448,6 +447,30 @@ def test_integer_past_float_range_is_a_config_error(tmp_path, capsys, config, ed
     assert capsys.readouterr().err == f"config error: {message}\n"
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command", ["solve", "verify", "limit-scan"])
+@pytest.mark.parametrize(
+    "config, edit, message",
+    [
+        ("cartesian_oscillator", lambda cfg: cfg["potentials"]["x"].update(omega=1.4e154),
+         "potentials.x: omega^2 must be a finite float, got omega = 1.4e+154"),
+        ("spherical_hydrogen", lambda cfg: cfg["quantum_numbers"].update(ell=10**155),
+         f"config.quantum_numbers: l(l+1) must be a finite float, got ell = {10**155}"),
+        ("cylindrical_free", lambda cfg: cfg["quantum_numbers"].update(m_phi=10**155),
+         f"config.quantum_numbers: m_phi^2 must be a finite float, got m_phi = {10**155}"),
+    ],
+    ids=["omega-1.4e154", "ell-1e155", "m-phi-1e155"],
+)
+def test_square_past_float_range_is_a_config_error(tmp_path, capsys, config, edit, message,
+                                                   command):
+    # each number is a finite float, but its square is not; forming it raised
+    # OverflowError, a traceback and exit 1
+    path = _edited_config(tmp_path, config, edit)
+    assert run(command, "--config", path, "--out", tmp_path / "o") == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: {message}\n" and "Traceback" not in err
+
+
 def test_integer_past_the_digit_limit_is_a_config_error(tmp_path, capsys):
     # the YAML integer constructor raises ValueError past 4300 digits; it
     # used to escape with a traceback and exit 1
@@ -616,6 +639,74 @@ def test_overflow_to_nan_within_a_cell_is_named(tmp_path, capsys, command):
     )
 
 
+def _set_grid_min(label, value):
+    return lambda cfg: cfg["components"][label]["grid"].update(min=value)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "config, edit, where",
+    [
+        ("spherical_hydrogen", _set_grid_min("r", 1e-200), "1e-200"),
+        ("spherical_hydrogen", _set_grid_min("theta", 1e-200), "1e-200"),
+        ("cylindrical_free", _set_grid_min("rho", 1e-200), "1e-200"),
+        ("cartesian_oscillator", lambda cfg: cfg["constants"].update(mass=1e300),
+         "0.009999999999999787"),
+        ("cartesian_oscillator", lambda cfg: cfg["potentials"]["x"].update(omega=1.3e154),
+         "0.009999999999999787"),
+    ],
+    ids=["r-min-1e-200", "theta-min-1e-200", "rho-min-1e-200", "mass-1e300", "omega-1.3e154"],
+)
+def test_curvature_past_float_range_fails_without_a_warning(tmp_path, capsys, config, edit,
+                                                            where):
+    # a curvature that divides by zero or overflows used to print a numpy
+    # RuntimeWarning before the named failure
+    path = _edited_config(tmp_path, config, edit)
+    assert run("solve", "--config", path, "--out", tmp_path / "o") == 3
+    err = capsys.readouterr().err
+    assert err == (
+        f"solver failure: solution magnitude exceeded 1e+160 near q = {where} "
+        "(classically forbidden growth); shrink the domain\n"
+    )
+    assert "Traceback" not in err
+
+
+def _set_phase(phase, hbar=None):
+    def edit(cfg):
+        cfg["components"]["phi"]["phase"] = phase
+        if hbar is not None:
+            cfg["constants"] = {"hbar": hbar}
+
+    return edit
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_phase_whose_action_overflows_is_named(tmp_path, capsys, command):
+    # phase * hbar = 1e309 made every action sample inf, the branch check
+    # read NaN and passed it: exit 0 after a numpy warning
+    path = _edited_config(tmp_path, "azimuthal_identity", _set_phase(1e308, hbar=10.0))
+    assert run(command, "--config", path, "--out", tmp_path / "o") == 3
+    err = capsys.readouterr().err
+    assert err == "solver failure: phi: the action S overflows with phase 1e+308; reduce |phase|\n"
+    assert "Traceback" not in err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_large_phase_leaves_the_branch_check_alone(tmp_path, capsys):
+    # the branch check runs on the action before the phase: S - 1e17 hbar
+    # kept no angle and was refused as "grid too coarse"
+    meta = {}
+    for phase in (0.0, 1e17):
+        out = tmp_path / f"o{phase}"
+        path = _edited_config(tmp_path, "azimuthal_identity", _set_phase(phase))
+        assert run("solve", "--config", path, "--out", out) == 0
+        meta[phase] = read_summary(out / "solve_summary.json")["components"]["phi"]
+    assert meta[1e17]["branch_residual"] == meta[0.0]["branch_residual"]
+    assert meta[1e17]["phase"] == 1e17
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("mu", [1e150, 1e200])
 @pytest.mark.parametrize("command", ["solve", "verify"])
@@ -745,9 +836,10 @@ def test_limit_scan_nan_wrong_order_gap_fails(tmp_path, monkeypatch, capsys):
 def test_limit_scan_exit_matches_summary(tmp_path):
     code = run(
         "limit-scan", "--config", CONFIG_DIR / "cylindrical_free.yaml",
-        "--out", tmp_path / "scan", "--tolerance", "1e-12",
+        "--out", tmp_path / "scan",
     )
     summary = read_summary(tmp_path / "scan" / "limit_scan_summary.json")
+    assert summary["slope_tolerance"] == 0.05
     assert code == (0 if summary["within_tolerance"] else 1)
     assert abs(summary["slope"] - 2.0) < 1e-6
 

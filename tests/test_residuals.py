@@ -360,7 +360,7 @@ def test_spin_coefficient_scales_out_constants():
 def test_classical_limit_scan_slope(hydrogen_total):
     total = hydrogen_total
     hv = (1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125)
-    result = Q.classical_limit_scan(total, hv)
+    result = Q.classical_limit_scan(total, hv, per_coordinate=3)
     assert result.slope == pytest.approx(2.0, abs=0.05)
     assert result.hbar_values == hv
     assert len(result.magnitudes) == 6
@@ -375,8 +375,9 @@ def test_classical_limit_scan_refuses_a_zero_peak():
         for lab, comp in total.components.items()
     })
     with pytest.raises(Q.QshjeError, match=r"magnitude is 0\.0 at hbar = 1\.0, not a positive"):
-        Q.classical_limit_scan(flat, Q.DEFAULT_HBAR_SCAN)
-    assert Q.classical_limit_scan(total, Q.DEFAULT_HBAR_SCAN).slope == pytest.approx(2.0)
+        Q.classical_limit_scan(flat, Q.DEFAULT_HBAR_SCAN, per_coordinate=3)
+    scan = Q.classical_limit_scan(total, Q.DEFAULT_HBAR_SCAN, per_coordinate=3)
+    assert scan.slope == pytest.approx(2.0)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -386,13 +387,13 @@ def test_classical_limit_scan_refuses_a_zero_peak():
 def test_classical_limit_scan_refuses_magnitudes_off_the_float_range(hydrogen_total, scan, hbar):
     # (h/hbar)^2 underflows or overflows; log of 0 or inf has no place in the fit
     with pytest.raises(Q.QshjeError, match=re.escape(f"at hbar = {hbar}, not a positive normal")):
-        Q.classical_limit_scan(hydrogen_total, scan)
+        Q.classical_limit_scan(hydrogen_total, scan, per_coordinate=3)
 
 
 def test_classical_limit_scan_wrong_order(hydrogen_total):
     total = hydrogen_total
     hv = (1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125)
-    result = Q.classical_limit_scan(total, hv, wrong_order=True)
+    result = Q.classical_limit_scan(total, hv, per_coordinate=3, wrong_order=True)
     # the angular kinetic gap ignores hbar entirely: one value for the scan
     gap = result.wrong_order_gap
     assert gap > 1.0
@@ -418,22 +419,22 @@ def test_classical_limit_scan_rescales_one_evaluation(config):
         return mags
 
     # scaling by a power of two is exact, so the two routes agree bitwise
-    scan = Q.classical_limit_scan(total, Q.DEFAULT_HBAR_SCAN)
+    scan = Q.classical_limit_scan(total, Q.DEFAULT_HBAR_SCAN, per_coordinate=3)
     assert scan.magnitudes == tuple(per_hbar(Q.DEFAULT_HBAR_SCAN))
     hv = (1.0, 0.7, 0.3, 0.09, 0.05)
-    scan = Q.classical_limit_scan(total, hv)
+    scan = Q.classical_limit_scan(total, hv, per_coordinate=3)
     np.testing.assert_allclose(scan.magnitudes, per_hbar(hv), rtol=1e-15, atol=0.0)
 
 
 def test_classical_limit_scan_preconditions(hydrogen_total, cylindrical_total):
     total = hydrogen_total
     with pytest.raises(Q.QshjeError, match="4 distinct"):
-        Q.classical_limit_scan(total, (1.0, 0.5, 0.25))
+        Q.classical_limit_scan(total, (1.0, 0.5, 0.25), per_coordinate=3)
     with pytest.raises(Q.QshjeError, match="factor of 10"):
-        Q.classical_limit_scan(total, (1.0, 0.8, 0.6, 0.4))
+        Q.classical_limit_scan(total, (1.0, 0.8, 0.6, 0.4), per_coordinate=3)
     with pytest.raises(Q.QshjeError, match="positive"):
-        Q.classical_limit_scan(total, (1.0, 0.5, 0.25, -0.1))
+        Q.classical_limit_scan(total, (1.0, 0.5, 0.25, -0.1), per_coordinate=3)
     with pytest.raises(Q.QshjeError, match="spherical"):
         Q.classical_limit_scan(
-            cylindrical_total, (1.0, 0.5, 0.25, 0.125, 0.0625), wrong_order=True
+            cylindrical_total, (1.0, 0.5, 0.25, 0.125, 0.0625), per_coordinate=3, wrong_order=True
         )

@@ -119,6 +119,17 @@ EDGES = (
     ("mixing-overflow-1e200", "spherical_hydrogen", _set("components.r.mu", 1e200)),
     # spherical reads ell and m_ell; m_phi belongs to the cylindrical class
     ("quantum-number-of-another-class", "spherical_hydrogen", _set("quantum_numbers.m_phi", 1)),
+    # finite numbers whose squares omega^2, l(l+1) and m_phi^2 are not
+    ("omega-1.4e154", "cartesian_oscillator", _set("potentials.x.omega", 1.4e154)),
+    ("ell-1e155", "spherical_hydrogen", _set("quantum_numbers.ell", 10**155)),
+    ("m-phi-1e155", "cylindrical_free", _set("quantum_numbers.m_phi", 10**155)),
+    # phase * hbar = 1e309 overflows every action sample
+    ("phase-overflow", "azimuthal_identity", _sets(
+        _set("constants", {"hbar": 10.0}), _set("components.phi.phase", 1e308))),
+    # a curvature that divides by zero or overflows
+    ("r-min-1e-200", "spherical_hydrogen", _set("components.r.grid.min", 1e-200)),
+    ("theta-min-1e-200", "spherical_hydrogen", _set("components.theta.grid.min", 1e-200)),
+    ("mass-1e300", "cartesian_oscillator", _set("constants.mass", 1e300)),
 )
 
 
