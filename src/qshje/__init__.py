@@ -50,7 +50,6 @@ from .ode_engine import (
     solve_pair,
 )
 from .reduced_action import ReducedActionComponent, build_component
-from .reduction import reduce_wavefunction, restore_wavefunction
 from .residuals import (
     LimitScanResult,
     TotalReducedAction,
@@ -110,8 +109,6 @@ __all__ = [
     "potential_from_mapping",
     "probe_indices",
     "probe_lattice",
-    "reduce_wavefunction",
-    "restore_wavefunction",
     "solve_pair",
     "spherical_polar_problem",
     "spherical_radial_problem",

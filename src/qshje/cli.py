@@ -86,9 +86,6 @@ def _component_meta(comp: ReducedActionComponent, cfg: ComponentConfig) -> dict:
 
 def _table(path: str, equation: str, formula: str, columns: dict, fmt: str) -> None:
     """Write one table from named 1-D columns of equal length."""
-    lengths = {name: len(col) for name, col in columns.items()}
-    if len(set(lengths.values())) > 1:
-        raise ValueError(f"table {path}: columns differ in length {lengths}")
     rows = np.column_stack(list(columns.values()))
     write_table(path, equation, formula, list(columns), rows, fmt=fmt)
 
@@ -151,12 +148,18 @@ def cmd_verify(cfg: RunConfig, out_dir: str, fmt: str) -> int:
         scale_ref = eq.scale * max(abs(eq.e_eff), c.hbar * c.hbar / (2.0 * c.mass * span * span))
         values = {"residual": residual, "normalized_residual": residual / scale_ref}
         entry = _check(out_dir, eq.name, eq.formula, {label: q}, values, cfg.tolerance, fmt)
+        peak = entry["max_abs"]
+        with np.errstate(over="ignore"):
+            rms = float(np.sqrt(np.mean(residual * residual)))
+        if np.isinf(rms) and np.isfinite(peak):
+            # the squares overflow: scale by the largest |residual| first
+            rms = peak * float(np.sqrt(np.mean((residual / peak) ** 2)))
         entries[eq.name] = {
             **entry,
             "component": label,
-            "rms": float(np.sqrt(np.mean(residual * residual))),
+            "rms": rms,
             "scale_ref": scale_ref,
-            "normalized_max": entry["max_abs"] / scale_ref,
+            "normalized_max": peak / scale_ref,
         }
 
     if total is not None:

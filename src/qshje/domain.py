@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import GridDomainError
+from .errors import GridDomainError, QshjeError
 
 
 @dataclass(frozen=True, repr=False)
@@ -227,6 +227,13 @@ class Effective1DProblem:
     e_eff: float
     constants: PhysConstants
     scale: float = 1.0
+
+    def __post_init__(self) -> None:
+        if not np.isfinite(self.e_eff):
+            raise QshjeError(
+                f"{self.name}: the effective energy is {self.e_eff!r}, not a finite float; "
+                "reduce the quantum numbers or hbar"
+            )
 
     def curvature(self, q):
         """(2m/hbar^2) (v_eff(q) - e_eff)."""

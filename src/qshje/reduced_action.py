@@ -76,7 +76,10 @@ def build_component(
     cst = hbar * (1.0 - mu * nu) * pair.wronskian
     ds = cst / d
     if np.any(ds == 0.0) or np.any(np.sign(ds) != np.sign(ds[0])):
-        raise QshjeError("conjugate momentum changed sign; inconsistent pair data")
+        raise QshjeError(
+            f"{label}: the conjugate momentum hbar (1 - mu nu) W / D is 0 or changes sign "
+            "on the grid; it underflows, or the pair data are inconsistent"
+        )
 
     q = pair.grid.points
     anchor = pair.grid.midpoint_index

@@ -1,33 +1,17 @@
-"""Variable changes that remove first-derivative terms from the separated equations.
+"""Finite-difference check of a pair against its reduced equation.
 
-Each reduction multiplies the separated solution by the weight w(q) of its
-coordinate label, from `domain.COORDINATES`, so that the result solves a
-Schroedinger-form equation y'' = c(q) y: X = r R(r), T = sin^(1/2)(theta) T0
-and H = sqrt(rho) G(rho). Cartesian axes, phi and z are left unchanged.
+Each separated solution times the weight w(q) of its coordinate label, from
+`domain.COORDINATES`, solves a Schroedinger-form equation y'' = c(q) y:
+X = r R(r), T = sin^(1/2)(theta) T0 and H = sqrt(rho) G(rho). Cartesian axes,
+phi and z keep w = 1. A solution pair holds such reduced solutions.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .domain import Effective1DProblem, check_coordinates, coordinate
-from .ode_engine import Grid1D, SolutionPair
+from .domain import Effective1DProblem
+from .ode_engine import SolutionPair
 from .schwarzian import differentiate
-
-
-def reduce_wavefunction(label: str, values: np.ndarray, grid: Grid1D) -> np.ndarray:
-    """Separated solution -> reduced (Schroedinger-form) solution."""
-    q = grid.points
-    check_coordinates(label, q)
-    *_, weight = coordinate(label)
-    return weight(q) * np.asarray(values, dtype=float)
-
-
-def restore_wavefunction(label: str, values: np.ndarray, grid: Grid1D) -> np.ndarray:
-    """Reduced solution -> separated solution; exact inverse of `reduce_wavefunction`."""
-    q = grid.points
-    check_coordinates(label, q)
-    *_, weight = coordinate(label)
-    return np.asarray(values, dtype=float) / weight(q)
 
 
 def reduced_equation_check(pair: SolutionPair, problem: Effective1DProblem | None = None) -> float:

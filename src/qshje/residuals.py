@@ -56,9 +56,12 @@ def component_residual(
     q = component.grid.points
     check_coordinates(problem.label, q)
     v = np.asarray(problem.v_eff(q), dtype=float)
-    kinetic = component.ds * component.ds / (2.0 * c.mass)
-    quantum = (c.hbar * c.hbar / (4.0 * c.mass)) * component.schwarzian
-    return problem.scale * (kinetic + quantum + v - problem.e_eff)
+    # terms past the float range give inf, and inf - inf NaN, which the
+    # verify gate names
+    with np.errstate(over="ignore", invalid="ignore"):
+        kinetic = component.ds * component.ds / (2.0 * c.mass)
+        quantum = (c.hbar * c.hbar / (4.0 * c.mass)) * component.schwarzian
+        return problem.scale * (kinetic + quantum + v - problem.e_eff)
 
 
 def _radial_spin(label: str, radius, constants: PhysConstants, theta=None) -> dict:
@@ -68,7 +71,9 @@ def _radial_spin(label: str, radius, constants: PhysConstants, theta=None) -> di
     -ter1 / (hbar^2/2m q^2); floats or arrays, which broadcast."""
     check_coordinates(label, radius)
     h2 = constants.hbar * constants.hbar
-    ref = h2 / (2.0 * constants.mass * radius * radius)
+    # a radius whose square overflows gives ref = 0, refused below
+    with np.errstate(over="ignore"):
+        ref = h2 / (2.0 * constants.mass * radius * radius)
     # normalizing by the same rounded reference keeps the quotient exact:
     # scaling a normal float by 1/4 never rounds, a subnormal one may
     small = np.ravel(ref < np.finfo(float).tiny)

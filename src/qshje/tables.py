@@ -142,9 +142,7 @@ def _json_scalar(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        if not math.isfinite(value):
-            return "null"
-        return format_float(value)
+        return _json_float(value)
     if isinstance(value, int):
         return str(value)
     if value is None:

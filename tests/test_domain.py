@@ -108,6 +108,15 @@ def test_effective_problem_energies(constants):
     assert axi.v_eff(np.array([1.0, 2.0])).tolist() == [0.0, 0.0]
 
 
+def test_effective_energy_past_the_float_range_is_named():
+    # m^2 hbar^2 / 2m = 1e400 / 2 and (l(l+1) + 1/4) hbar^2 / 2m overflow
+    big = Q.PhysConstants(hbar=1e100)
+    with pytest.raises(Q.QshjeError, match=r"^azimuthal: the effective energy is inf"):
+        Q.azimuthal_problem(10**100, big)
+    with pytest.raises(Q.QshjeError, match=r"^polar-spherical: the effective energy is inf"):
+        Q.spherical_polar_problem(10**100, 0, big)
+
+
 def test_curvature_matches_closed_form_solution(constants):
     # r^2 exp(-r/2) solves the reduced radial hydrogen equation at l=1,
     # E=-1/8, so y''/y must equal the problem curvature

@@ -6,6 +6,7 @@ import pytest
 from scipy.special import expi
 
 import qshje as Q
+from qshje.reduction import reduced_equation_check
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -55,7 +56,7 @@ def test_analytic_azimuthal_catalog(constants):
 
     pair2 = Q.analytic_azimuthal(2, grid, constants)
     assert pair2.wronskian_drift() < 1e-7
-    res = Q.reduction.reduced_equation_check(pair2)
+    res = reduced_equation_check(pair2)
     assert res < 1e-8
 
     with pytest.raises(ValueError):
@@ -68,7 +69,7 @@ def test_analytic_azimuthal_degenerate(constants):
     assert pair.wronskian == 1.0
     np.testing.assert_array_equal(pair.wronskian_samples(), np.ones(grid.n))
     assert pair.y2[-1] == pytest.approx(2.0 * np.pi)
-    res = Q.reduction.reduced_equation_check(pair)
+    res = reduced_equation_check(pair)
     assert res < 1e-10
 
 
@@ -132,7 +133,7 @@ def test_polar_pair_by_residual(constants):
     prob = Q.spherical_polar_problem(1, 0, constants)
     grid = Q.Grid1D(0.2, np.pi - 0.2, 1201)
     pair = Q.solve_pair(prob, grid, substeps=4)
-    res = Q.reduction.reduced_equation_check(pair)
+    res = reduced_equation_check(pair)
     assert res < 1e-6
 
 

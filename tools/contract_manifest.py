@@ -1,26 +1,38 @@
 """Behaviour-contract manifest: run a fixed set of CLI jobs in-process and
-print what each of them produced.
+print what each of them produced, then which `src/` lines none of them ran.
 
     python3 tools/contract_manifest.py > manifest.txt
 
 The jobs are the five commands (solve, verify, limit-scan, limit-scan
 --wrong-order-demo, spin-report) on every shipped config in CSV and in JSON,
 then every job of the verify-numeric, cold-analytic and probe-dense benchmark
-workloads at seed 5, then `verify` on edited copies of the shipped configs
-that sit at the edges of the input domain (EDGES), and last `verify` on every
-shipped config again as a cold `python -m qshje.cli` process, whose jobs are
-named `cold:<config>` (the path users run, through `cli.cold_entry`). Each
-job prints one line
+workloads at seed 5, then one command (`verify` unless the row names another)
+on each edge input of EDGES: an edited copy of a shipped config, an invalid
+config file, or flags that override the config or output path. Last comes
+`verify` on every shipped config again as a cold `python -m qshje.cli`
+process, whose jobs are named `cold:<config>` (the path users run, through
+`cli.cold_entry`). Each job prints one line
 `<job> <exit code> <sha256 of stderr>`, then one indented `<output file>
 <sha256>` line per file it wrote; a job whose exception escapes the CLI
 prints `raised-<type>` as its exit code. Every config and output path is
 relative to a scratch directory, so the output depends only on the program.
+
+The reach block follows: `sys.settrace` records the `src/` lines that the
+in-process jobs execute, `import qshje` included, and the manifest prints
+`reach: <module>.<function> <count>` for every function that holds
+executable lines none of them ran, then `reach: unreached <N> of <M>`.
+Functions whose lines run only in the cold jobs' child processes are marked
+`child-only`; they count in N. Names and counts, not line numbers, so an edit
+elsewhere in a file leaves the block alone.
+
 Copy this file into two checkouts and diff their outputs: a change that keeps
-every exit code, stderr line and output byte prints the same manifest.
+every exit code, stderr line and output byte prints the same job lines, and
+new unreached code shows in the reach block.
 """
 from __future__ import annotations
 
 import contextlib
+import dis
 import hashlib
 import io
 import math
@@ -29,6 +41,7 @@ import pathlib
 import subprocess
 import sys
 import tempfile
+import types
 
 import yaml
 
@@ -36,9 +49,12 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 from bench.workloads import WORKLOADS, input_sets  # noqa: E402
-from qshje.cli import main as cli_main  # noqa: E402
 
 SEED = 5
+# functions whose lines run only in the cold jobs' child processes, which the
+# reach tracer does not see: cli's one module-level line that import does not
+# run is its `__main__` guard
+CHILD_ONLY = ("qshje.cli.cold_entry", "qshje.cli.<module>")
 COMMANDS = (
     ("solve",), ("verify",), ("limit-scan",), ("limit-scan", "--wrong-order-demo"), ("spin-report",),
 )
@@ -65,9 +81,19 @@ def _sets(*edits):
     return edit
 
 
-_R_TABLE = [0.5 + 11.5 * k / 199 for k in range(200)]
+def _text(text: str):
+    """An edit that replaces the whole config file with text."""
+    return lambda cfg: text
 
-# (name, shipped config, edit) of each edge input run through `verify`
+
+_R_TABLE = [0.5 + 11.5 * k / 199 for k in range(200)]
+# cylindrical_free's z component alone
+_Z_ONLY = {"mu": 0.0, "nu": 0.0, "grid": {"min": -3.0, "max": 3.0, "count": 601},
+           "source": "analytic"}
+
+# (name, shipped config, edit or None, command and flags) of each edge input.
+# The command is `verify` where none is given; flags after it override the
+# manifest's own `--config` and `--out`.
 EDGES = (
     ("r-min-0", "spherical_hydrogen", _set("components.r.grid.min", 0.0)),
     ("rho-min-0", "cylindrical_free", _set("components.rho.grid.min", 0.0)),
@@ -130,7 +156,139 @@ EDGES = (
     ("r-min-1e-200", "spherical_hydrogen", _set("components.r.grid.min", 1e-200)),
     ("theta-min-1e-200", "spherical_hydrogen", _set("components.theta.grid.min", 1e-200)),
     ("mass-1e300", "cartesian_oscillator", _set("constants.mass", 1e300)),
+    # the argv and the config file itself; yaml-invalid and config-file-empty
+    # name the job's own config file, config<i>.yaml
+    ("config-file-missing", "spherical_hydrogen", None, "verify", "--config", "missing.yaml"),
+    ("out-under-a-file", "spherical_hydrogen", None,
+     "verify", "--out", os.path.join(os.devnull, "out")),
+    ("yaml-invalid", "spherical_hydrogen", _text("symmetry: [")),
+    ("config-file-empty", "spherical_hydrogen", _text("")),
+    # one config error of each kind
+    ("constants-not-a-mapping", "spherical_hydrogen", _set("constants", 5)),
+    ("grid-count-missing", "spherical_hydrogen",
+     _set("components.r.grid", {"min": 0.5, "max": 12.0})),
+    ("mu-not-a-number", "spherical_hydrogen", _set("components.r.mu", "large")),
+    ("mu-nan", "spherical_hydrogen", _set("components.r.mu", float("nan"))),
+    ("tolerance-negative", "spherical_hydrogen", _set("tolerance", -1)),
+    ("count-fractional", "spherical_hydrogen", _set("components.r.grid.count", 1200.5)),
+    ("potential-kind-unknown", "spherical_hydrogen", _set("potential.kind", "square")),
+    ("source-unknown", "spherical_hydrogen", _set("components.r.source", "guess")),
+    ("substeps-0", "spherical_hydrogen", _set("components.r.substeps", 0)),
+    ("symmetry-unknown", "spherical_hydrogen", _set("symmetry", "polar")),
+    ("potential-axis-unknown", "cartesian_oscillator",
+     _set("potentials.w", {"kind": "harmonic", "omega": 1.0})),
+    ("components-empty", "spherical_hydrogen", _set("components", {})),
+    ("component-not-a-coordinate", "spherical_hydrogen", _set("components.x", {})),
+    ("axis-energy-missing", "cartesian_oscillator",
+     _set("quantum_numbers.axis_energies", {"y": 0.5, "z": 0.5})),
+    ("hbar-scan-not-a-list", "spherical_hydrogen", _set("hbar_scan", 0.5)),
+    ("hbar-scan-negative", "spherical_hydrogen", _set("hbar_scan", [1.0, 0.5, -0.1, 0.01])),
+    ("probe-points-1", "spherical_hydrogen", _set("probe_points_per_coordinate", 1)),
+    ("format-xml", "spherical_hydrogen", _set("output.format", "xml")),
+    ("solve-energy-analytic", "azimuthal_identity", _set("components.phi.solve_energy", 1.0)),
+    ("analytic-without-catalog", "spherical_hydrogen", _set("components.r.source", "analytic")),
+    ("tabulated-3-points", "cartesian_oscillator", _set(
+        "potentials.x", {"kind": "tabulated", "points": [-6.0, 0.0, 6.0], "values": [18, 0, 18]})),
+    ("tabulated-unsorted", "cartesian_oscillator", _set(
+        "potentials.x", {"kind": "tabulated", "points": [-6.0, 1.0, 0.0, 6.0],
+                         "values": [18, 0.5, 0, 18]})),
+    ("mass-negative", "spherical_hydrogen", _set("constants.mass", -1)),
+    ("ell-negative", "spherical_hydrogen", _set("quantum_numbers.ell", -1)),
+    # solver failures: the x grid holds x = 0
+    ("coulomb-at-origin", "cartesian_oscillator",
+     _set("potentials.x", {"kind": "coulomb", "strength": 1.0})),
+    ("power-pole-at-origin", "cartesian_oscillator",
+     _set("potentials.x", {"kind": "power", "coefficient": 1.0, "exponent": -1})),
+    ("hbar-scan-underflow", "spherical_hydrogen",
+     _set("hbar_scan", [1.0, 1e-100, 1e-200, 1e-300]), "limit-scan"),
+    ("ell-400-grid-too-coarse", "azimuthal_identity",
+     _set("quantum_numbers", {"ell": 400, "m_ell": 400})),
+    ("spin-r-max-1e160", "spherical_hydrogen", _set("components.r.grid.max", 1e160), "spin-report"),
+    # m^2 hbar^2 / 2m overflows
+    ("effective-energy-overflow", "azimuthal_identity", _sets(
+        _set("constants", {"hbar": 1e100}),
+        _set("quantum_numbers", {"ell": 10**100, "m_ell": 10**100}))),
+    ("axial-exponential-overflow", "cylindrical_free", _sets(
+        _set("components", {"z": _Z_ONLY}), _set("quantum_numbers.beta", 1e6))),
+    # hbar (1 - mu nu) W = 1.5e-154 * 1.1e-16 * 1e-160 underflows to 0
+    ("momentum-underflow", "cylindrical_free", _sets(
+        _set("components", {"z": {**_Z_ONLY, "mu": 1.0, "nu": 1.0 - 2.0**-53}}),
+        _set("constants.hbar", 1.5e-154), _set("quantum_numbers.beta", -1e-320))),
+    # residuals past the float range: exit 1
+    ("residual-squares-overflow", "azimuthal_identity", _set("constants", {"hbar": 1e100})),
+    ("residual-nan", "azimuthal_identity", _sets(
+        _set("constants", {"hbar": 1e154}), _set("quantum_numbers", {"ell": 1, "m_ell": 1}))),
+    # the beta > 0 axial pair and the power kind, which pass
+    ("beta-0.5", "cylindrical_free", _set("quantum_numbers.beta", 0.5)),
+    ("power-quartic", "cartesian_oscillator", _sets(
+        _set("potentials.x", {"kind": "power", "coefficient": 0.25, "exponent": 4}),
+        _set("components.x.grid", {"min": -3.0, "max": 3.0, "count": 1201}))),
 )
+
+
+class Reach:
+    """Executable lines of the `.py` files under `root` that a traced run reaches.
+
+    Each `with reach:` block records, through `sys.settrace`, every line this
+    thread executes from a file under root; a module first imported inside a
+    block has its import-time lines counted too. Executable lines are the
+    line starts of every code object compiled from each file, and each
+    belongs to the innermost function (its qualified name) that holds it.
+    """
+
+    def __init__(self, root: pathlib.Path):
+        self.root = root.resolve()
+        self.seen: dict[str, set[int]] = {}  # file -> lines executed
+        self._tracers: dict = {}  # file -> its line tracer, None outside root
+
+    def _call(self, frame, event, arg):
+        path = frame.f_code.co_filename
+        if path not in self._tracers:
+            inside = path.startswith(f"{self.root}{os.sep}")
+            self._tracers[path] = self._line_tracer(path) if inside else None
+        return self._tracers[path]
+
+    def _line_tracer(self, path: str):
+        lines = self.seen.setdefault(path, set())
+
+        def line(frame, event, arg):
+            if event == "line":
+                lines.add(frame.f_lineno)
+            return line
+
+        return line
+
+    def __enter__(self) -> "Reach":
+        self._previous = sys.gettrace()
+        sys.settrace(self._call)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        sys.settrace(self._previous)
+
+    def unreached(self) -> tuple[dict[str, int], int]:
+        """({function: unreached line count}, executable line count) over
+        every file under root; a function is `<module path>.<qualname>`."""
+        missed: dict[str, int] = {}
+        total = 0
+        for path in sorted(self.root.rglob("*.py")):
+            module = ".".join(path.relative_to(self.root).with_suffix("").parts)
+            owner: dict[int, str] = {}
+            # parents before children, so each line ends with its innermost owner
+            stack = [compile(path.read_text(encoding="utf-8"), str(path), "exec")]
+            while stack:
+                code = stack.pop()
+                for _, line in dis.findlinestarts(code):
+                    if line:
+                        owner[line] = code.co_qualname
+                stack += (c for c in code.co_consts if isinstance(c, types.CodeType))
+            seen = self.seen.get(str(path), set())
+            total += len(owner)
+            for line, name in owner.items():
+                if line not in seen:
+                    key = f"{module}.{name}"
+                    missed[key] = missed.get(key, 0) + 1
+        return missed, total
 
 
 def _sha256(data: bytes) -> str:
@@ -139,6 +297,8 @@ def _sha256(data: bytes) -> str:
 
 def _in_process(argv: list[str]) -> tuple[int | str, bytes]:
     """Exit code and stderr of `cli.main(argv)` in this process."""
+    from qshje.cli import main as cli_main  # imported by the first job, under its tracer
+
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
         try:
@@ -158,6 +318,15 @@ def _cold(argv: list[str]) -> tuple[int, bytes]:
     return done.returncode, done.stderr
 
 
+def edge_jobs():
+    """(name, config text, command, flags) of each EDGES row."""
+    for name, config, edit, *argv in EDGES:
+        cfg = yaml.safe_load((ROOT / "configs" / f"{config}.yaml").read_text(encoding="utf-8"))
+        text = edit(cfg) if edit else None
+        command, *flags = argv or ("verify",)
+        yield f"edge:{name}", yaml.safe_dump(cfg) if text is None else text, command, flags
+
+
 def _jobs():
     """(name, config text, command, flags after `--config <file> --out <dir>`,
     runner) of every job."""
@@ -172,28 +341,34 @@ def _jobs():
             for job in cycle:
                 yield (f"{workload}:{k}:{job.name}", job.config_text(), job.command,
                        list(job.flags), _in_process)
-    for name, config, edit in EDGES:
-        cfg = yaml.safe_load((ROOT / "configs" / f"{config}.yaml").read_text(encoding="utf-8"))
-        edit(cfg)
-        yield f"edge:{name}", yaml.safe_dump(cfg), "verify", [], _in_process
+    for job in edge_jobs():
+        yield *job, _in_process
     for config in sorted((ROOT / "configs").glob("*.yaml")):
         yield f"cold:{config.stem}", config.read_text(encoding="utf-8"), "verify", [], _cold
 
 
 def main() -> int:
     start = os.getcwd()
+    reach = Reach(ROOT / "src")
     with tempfile.TemporaryDirectory() as scratch:
         os.chdir(scratch)
         try:
             for i, (name, text, command, flags, runner) in enumerate(_jobs()):
                 config, out = f"config{i}.yaml", pathlib.Path(f"out{i}")
                 pathlib.Path(config).write_text(text, encoding="utf-8")
-                rc, err = runner([command, "--config", config, "--out", str(out), *flags])
+                argv = [command, "--config", config, "--out", str(out), *flags]
+                # the tracer sees the in-process jobs only
+                with reach if runner is _in_process else contextlib.nullcontext():
+                    rc, err = runner(argv)
                 print(name, rc, _sha256(err))
                 for path in sorted(p for p in out.rglob("*") if p.is_file()):
                     print(f"  {path.relative_to(out)} {_sha256(path.read_bytes())}")
         finally:
             os.chdir(start)
+    missed, total = reach.unreached()
+    for name, count in sorted(missed.items()):
+        print(f"reach: {name} {count}" + (" child-only" if name in CHILD_ONLY else ""))
+    print(f"reach: unreached {sum(missed.values())} of {total}")
     return 0
 
 
