@@ -166,9 +166,10 @@ def cmd_verify(cfg: RunConfig, out_dir: str, fmt: str) -> int:
         name = f"assembled-{cfg.symmetry.value}"
         idx = probe_axes(total, cfg.probe_per_coordinate)
         points = probe_lattice(total, idx)
-        direct = assembled_residual(total, idx, mode="quantum").ravel()
-        summed = component_weighted_sum(total, residuals, idx).ravel()
-        gap = np.abs(direct - summed)
+        with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN fail the gate
+            direct = assembled_residual(total, idx, mode="quantum").ravel()
+            summed = component_weighted_sum(total, residuals, idx).ravel()
+            gap = np.abs(direct - summed)
         coords = dict(zip(cfg.symmetry.coordinate_labels, points.T))
         values = {"residual": direct, "component_weighted_sum": summed, "assembly_gap": gap}
         formula = SYMMETRY_TABLE[cfg.symmetry].formula

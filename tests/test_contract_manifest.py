@@ -90,6 +90,7 @@ ROWS = {
     "momentum-underflow": (3, "solver failure: z: the conjugate momentum"),
     "residual-squares-overflow": (1, ""),
     "residual-nan": (1, "verify: azimuthal residual is NaN at phi = "),
+    "assembled-residual-overflow": (1, ""),
     "beta-0.5": (0, ""),
     "power-quartic": (0, ""),
 }

@@ -218,6 +218,9 @@ EDGES = (
     ("residual-squares-overflow", "azimuthal_identity", _set("constants", {"hbar": 1e100})),
     ("residual-nan", "azimuthal_identity", _sets(
         _set("constants", {"hbar": 1e154}), _set("quantum_numbers", {"ell": 1, "m_ell": 1}))),
+    ("assembled-residual-overflow", "cylindrical_free", _sets(
+        _set("constants.hbar", 1e154), _set("quantum_numbers.energy", 1e308),
+        _set("components.rho.grid.min", 1.0))),
     # the beta > 0 axial pair and the power kind, which pass
     ("beta-0.5", "cylindrical_free", _set("quantum_numbers.beta", 0.5)),
     ("power-quartic", "cartesian_oscillator", _sets(
