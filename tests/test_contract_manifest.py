@@ -98,10 +98,6 @@ ROWS = {
 EDGE_JOBS = {name.removeprefix("edge:"): job for name, *job in manifest.edge_jobs()}
 
 
-def test_every_row_is_in_the_manifest():
-    assert set(ROWS) <= set(EDGE_JOBS)
-
-
 @pytest.mark.parametrize("name", sorted(ROWS))
 def test_edge_row_ends_in_its_named_exit(tmp_path, monkeypatch, name):
     text, command, flags = EDGE_JOBS[name]
