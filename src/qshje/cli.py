@@ -1,15 +1,14 @@
 """Command-line entry points: solve, verify, limit-scan, spin-report.
 
-Exit codes: 0 success (and within tolerance), 1 tolerance breach, 2 config
-error, 3 solver failure.
+Exit codes: 0 success (and within tolerance) or `-h`/`--help`, 1 tolerance
+breach, 2 config error or an argv outside the usage line, 3 solver failure.
+`main()` returns the code and `cold_entry()` exits with it.
 """
 from __future__ import annotations
 
-import argparse
 import gc
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -41,7 +40,10 @@ def build_pair(cfg: RunConfig, comp: ComponentConfig, problem: Effective1DProble
         analytic = SYMMETRY_TABLE[cfg.symmetry].analytic[comp.label]
         return analytic(cfg.quantum_numbers, comp.grid, cfg.constants)
     if comp.solve_energy is not None:
-        problem = replace(problem, e_eff=comp.solve_energy)
+        p = problem
+        problem = Effective1DProblem(
+            p.label, p.name, p.formula, p.v_eff, comp.solve_energy, p.constants, p.scale
+        )
     return solve_pair(problem, comp.grid, substeps=comp.substeps)
 
 
@@ -113,21 +115,24 @@ def _check(
 ) -> dict:
     """Write one residual table and return its verdict.
 
-    The first of `values` is the residual. Its max |residual| propagates NaN,
-    so a NaN residual fails the tolerance; the first NaN is named on stderr.
+    The first of `values` is the residual. Its max |residual| propagates NaN
+    and inf, so a non-finite residual fails the tolerance; the first NaN, or
+    else the first infinite value, is named on stderr.
     """
     _table(os.path.join(out_dir, f"residual_{name}"), name, formula, coords | values, fmt)
     residual = next(iter(values.values()))
-    nan = np.isnan(residual)
-    if nan.any():
-        at = [repr(float(col[np.argmax(nan)])) for col in coords.values()]
+    bad, kind = np.isnan(residual), "NaN"
+    if not bad.any():
+        bad, kind = np.isinf(residual), "infinite"
+    if bad.any():
+        at = [repr(float(col[np.argmax(bad)])) for col in coords.values()]
         if len(coords) == 1:
             where, what = f"{next(iter(coords))} = {at[0]}", "samples"
         else:
             where, what = f"({', '.join(coords)}) = ({', '.join(at)})", "probe points"
         print(
-            f"verify: {name} residual is NaN at {where}, the first of "
-            f"{int(nan.sum())} NaN {what}",
+            f"verify: {name} residual is {kind} at {where}, the first of "
+            f"{int(bad.sum())} {kind} {what}",
             file=sys.stderr,
         )
     max_abs = float(np.max(np.abs(residual)))
@@ -269,58 +274,89 @@ def cmd_spin_report(cfg: RunConfig, out_dir: str, fmt: str) -> int:
     return 0
 
 
-def _make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="qshje",
-        description=(
-            "Build reduced-action solutions of the stationary quantum "
-            "Hamilton-Jacobi equation and verify every component and "
-            "assembled equation pointwise."
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# the flags each command takes besides --config, --out and --format
+_FLAGS = {
+    "solve": (),
+    "verify": ("--parallel",),
+    "limit-scan": ("--parallel", "--wrong-order-demo"),
+    "spin-report": (),
+}
+_USAGE = (
+    "usage: qshje {solve,verify,limit-scan,spin-report} --config PATH [--out DIR] "
+    "[--format {csv,json}] [--parallel N] [--wrong-order-demo]"
+)
+_HELP = f"""{_USAGE}
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", required=True, help="YAML run configuration")
-        p.add_argument("--out", default=None, help="output directory (default: from config)")
-        p.add_argument(
-            "--format", choices=("csv", "json"), default=None,
-            help="table format (default: from config)",
-        )
+Build reduced-action solutions of the stationary quantum Hamilton-Jacobi
+equation and verify every component and assembled equation pointwise.
 
-    p_solve = sub.add_parser("solve", help="build pairs and reduced actions, write tables")
-    common(p_solve)
+commands:
+  solve                build pairs and reduced actions, write tables
+  verify               evaluate every configured equation pointwise
+  limit-scan           scale hbar down and fit the quantum-term slope
+  spin-report          tabulate the residual quantum terms
 
-    p_verify = sub.add_parser("verify", help="evaluate every configured equation pointwise")
-    common(p_verify)
-    p_verify.add_argument("--parallel", type=int, default=1, metavar="N",
-                          help="accepted for compatibility; has no effect")
+options:
+  --config PATH        YAML run configuration
+  --out DIR            output directory (default: from config)
+  --format {{csv,json}}  table format (default: from config)
+  --parallel N         verify and limit-scan: accepted for compatibility; has no effect
+  --wrong-order-demo   limit-scan: also report the wrong-order limit gap
+  -h, --help           show this help and exit
+"""
 
-    p_scan = sub.add_parser("limit-scan", help="scale hbar down and fit the quantum-term slope")
-    common(p_scan)
-    p_scan.add_argument("--parallel", type=int, default=1, metavar="N",
-                        help="accepted for compatibility; has no effect")
-    p_scan.add_argument("--wrong-order-demo", action="store_true",
-                        help="also report the wrong-order limit gap")
 
-    p_spin = sub.add_parser("spin-report", help="tabulate the residual quantum terms")
-    common(p_spin)
-
-    return parser
+def _parse(argv: list[str]) -> tuple[str, dict]:
+    """(command, {flag: value}) of argv, a switch's value True; ValueError
+    naming the first token that does not fit the command's grammar."""
+    if not argv or argv[0] not in _FLAGS:
+        raise ValueError(f"unknown command {argv[0]!r}" if argv else "missing command")
+    command, tokens = argv[0], iter(argv[1:])
+    flags = ("--config", "--out", "--format", *_FLAGS[command])
+    args: dict = {}
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        if flag not in flags or (eq and flag == "--wrong-order-demo"):
+            raise ValueError(f"unrecognized argument {token!r}")
+        if flag == "--wrong-order-demo":
+            value = True
+        elif not eq:
+            value = next(tokens, "--")
+            if value.startswith("--"):
+                raise ValueError(f"argument {flag}: expected a value")
+        if flag == "--format" and value not in ("csv", "json"):
+            raise ValueError(f"argument --format: invalid choice {value!r} (choose csv or json)")
+        if flag == "--parallel":
+            try:
+                int(value)
+            except ValueError:
+                raise ValueError(f"argument --parallel: invalid int value {value!r}") from None
+        args[flag] = value
+    if "--config" not in args:
+        raise ValueError("the following argument is required: --config")
+    return command, args
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _make_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if "-h" in argv or "--help" in argv:
+        print(_HELP, end="")
+        return 0
     try:
-        cfg = load_config(args.config)
-        out_dir = args.out if args.out is not None else cfg.out_dir
-        fmt = args.format if args.format is not None else cfg.fmt
-        if args.command == "solve":
+        command, args = _parse(argv)
+    except ValueError as exc:
+        print(f"{_USAGE}\nqshje: error: {exc}", file=sys.stderr)
+        return 2
+    try:
+        cfg = load_config(args["--config"])
+        out_dir = args.get("--out", cfg.out_dir)
+        fmt = args.get("--format", cfg.fmt)
+        if command == "solve":
             return cmd_solve(cfg, out_dir, fmt)
-        if args.command == "verify":
+        if command == "verify":
             return cmd_verify(cfg, out_dir, fmt)
-        if args.command == "limit-scan":
-            return cmd_limit_scan(cfg, out_dir, fmt, args.wrong_order_demo)
+        if command == "limit-scan":
+            return cmd_limit_scan(cfg, out_dir, fmt, "--wrong-order-demo" in args)
         return cmd_spin_report(cfg, out_dir, fmt)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -337,13 +373,19 @@ def cold_entry() -> None:
     """Entry of a fresh process: `python -m qshje.cli` and the `qshje` script.
 
     Every object alive after the imports lives until exit, so `gc.freeze()`
-    moves them into the permanent generation, which no collection examines;
-    the full collection at interpreter exit then skips them (about 10 ms per
-    process). GC stays enabled for the run's own cycles. `main()` leaves gc
-    alone, so in-process callers keep their collector as it was.
+    moves them into the permanent generation, which no collection examines.
+    GC stays enabled for the run's own cycles. Every output file is closed
+    by the time `main()` returns, so the process flushes stdout and stderr
+    and ends with `os._exit`, skipping the interpreter's teardown (module
+    cleanup and the final collection, about 7 ms per process). An exception
+    that escapes `main()` still takes the normal path: traceback, exit 1.
+    `main()` leaves gc alone, so in-process callers keep their collector.
     """
     gc.freeze()
-    sys.exit(main())
+    rc = main()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(rc)
 
 
 if __name__ == "__main__":

@@ -6,8 +6,6 @@ Validation errors carry the dotted path of the offending field.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import yaml
 
@@ -74,30 +72,26 @@ def _integer(value, path: str) -> int:
     return value
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class ComponentConfig:
-    label: str
-    mu: float
-    nu: float
-    phase: float
-    grid: Grid1D
-    source: str
-    substeps: int
-    solve_energy: float | None
+    def __init__(
+        self, label: str, mu: float, nu: float, phase: float, grid: Grid1D, source: str,
+        substeps: int, solve_energy: float | None,
+    ) -> None:
+        self.label, self.mu, self.nu, self.phase, self.grid = label, mu, nu, phase, grid
+        self.source, self.substeps, self.solve_energy = source, substeps, solve_energy
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class RunConfig:
-    symmetry: SymmetryClass
-    constants: PhysConstants
-    quantum_numbers: QuantumNumbers
-    potentials: dict[str, PotentialSpec]
-    components: dict[str, ComponentConfig]
-    tolerance: float
-    hbar_scan: tuple[float, ...]
-    probe_per_coordinate: int
-    out_dir: str
-    fmt: str
+    def __init__(
+        self, symmetry: SymmetryClass, constants: PhysConstants,
+        quantum_numbers: QuantumNumbers, potentials: dict[str, PotentialSpec],
+        components: dict[str, ComponentConfig], tolerance: float, hbar_scan: tuple[float, ...],
+        probe_per_coordinate: int, out_dir: str, fmt: str,
+    ) -> None:
+        self.symmetry, self.constants, self.quantum_numbers = symmetry, constants, quantum_numbers
+        self.potentials, self.components, self.tolerance = potentials, components, tolerance
+        self.hbar_scan, self.probe_per_coordinate = hbar_scan, probe_per_coordinate
+        self.out_dir, self.fmt = out_dir, fmt
 
     @property
     def has_full_set(self) -> bool:

@@ -8,7 +8,6 @@ the V_eff / E_eff bookkeeping for every coordinate of every symmetry class.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
 
@@ -17,14 +16,21 @@ import numpy as np
 from .errors import GridDomainError, QshjeError
 
 
-@dataclass(frozen=True, repr=False)
-class PhysConstants:
-    """hbar and particle mass, natural units by default."""
+class _ValueRecord:
+    """Equal to, and hashed like, the records of its class with the same _value()."""
 
-    hbar: float = 1.0
-    mass: float = 1.0
+    def __eq__(self, other):
+        return self._value() == other._value() if other.__class__ is self.__class__ else NotImplemented
 
-    def __post_init__(self) -> None:
+    def __hash__(self) -> int:
+        return hash(self._value())
+
+
+class PhysConstants(_ValueRecord):
+    """hbar and particle mass, natural units by default; the value is (hbar, mass)."""
+
+    def __init__(self, hbar: float = 1.0, mass: float = 1.0) -> None:
+        self.hbar, self.mass = hbar, mass
         if not (self.hbar > 0.0 and np.isfinite(self.hbar)):
             raise ValueError(f"hbar must be positive and finite, got {self.hbar}")
         # every equation divides by hbar^2, which must not underflow or overflow
@@ -32,6 +38,9 @@ class PhysConstants:
             raise ValueError(f"hbar^2 must be a normal float, got hbar = {self.hbar}")
         if not (self.mass > 0.0 and np.isfinite(self.mass)):
             raise ValueError(f"mass must be positive and finite, got {self.mass}")
+
+    def _value(self) -> tuple:
+        return self.hbar, self.mass
 
 
 class SymmetryClass(Enum):
@@ -82,7 +91,6 @@ def lambda_from_ell(ell: int) -> int:
     return int(ell) * (int(ell) + 1)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class QuantumNumbers:
     """Separation constants of the three symmetry classes.
 
@@ -92,14 +100,12 @@ class QuantumNumbers:
     azimuthal integers of the spherical and cylindrical classes.
     """
 
-    ell: int = 0
-    m_ell: int = 0
-    m_phi: int = 0
-    beta: float = 0.0
-    energy: float = 0.0
-    axis_energies: dict[str, float] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
+    def __init__(
+        self, ell: int = 0, m_ell: int = 0, m_phi: int = 0, beta: float = 0.0,
+        energy: float = 0.0, axis_energies: dict[str, float] | None = None,
+    ) -> None:
+        self.ell, self.m_ell, self.m_phi, self.beta, self.energy = ell, m_ell, m_phi, beta, energy
+        self.axis_energies = {} if axis_energies is None else axis_energies
         # l(l+1) and m_phi^2 enter the equations as floats
         if lambda_from_ell(self.ell) > sys.float_info.max:
             raise ValueError(f"l(l+1) must be a finite float, got ell = {self.ell}")
@@ -127,19 +133,16 @@ class PotentialSpec:
         raise NotImplementedError
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class ZeroPotential(PotentialSpec):
     def evaluate(self, q, constants: PhysConstants):
         return np.zeros_like(np.asarray(q, dtype=float))
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class HarmonicPotential(PotentialSpec):
     """V(q) = (1/2) m omega^2 q^2."""
 
-    omega: float
-
-    def __post_init__(self) -> None:
+    def __init__(self, omega: float) -> None:
+        self.omega = omega
         if not self.omega * self.omega < np.inf:
             raise ValueError(f"omega^2 must be a finite float, got omega = {self.omega!r}")
 
@@ -148,11 +151,11 @@ class HarmonicPotential(PotentialSpec):
         return 0.5 * constants.mass * self.omega**2 * q * q
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class CoulombPotential(PotentialSpec):
     """V(r) = -k / r, declared only away from the origin."""
 
-    strength: float = 1.0
+    def __init__(self, strength: float = 1.0) -> None:
+        self.strength = strength
 
     def evaluate(self, q, constants: PhysConstants):
         q = np.asarray(q, dtype=float)
@@ -161,12 +164,11 @@ class CoulombPotential(PotentialSpec):
         return -self.strength / q
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class PowerLawPotential(PotentialSpec):
     """V(q) = c * q**p."""
 
-    coefficient: float
-    exponent: float
+    def __init__(self, coefficient: float, exponent: float) -> None:
+        self.coefficient, self.exponent = coefficient, exponent
 
     def evaluate(self, q, constants: PhysConstants):
         q = np.asarray(q, dtype=float)
@@ -207,7 +209,6 @@ class TabulatedPotential(PotentialSpec):
         return self._spline(q)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Effective1DProblem:
     """One separated coordinate equation in Schroedinger form.
 
@@ -220,15 +221,12 @@ class Effective1DProblem:
     (cells, substeps, 3) array of all RK4 stage nodes.
     """
 
-    label: str
-    name: str
-    formula: str
-    v_eff: Callable
-    e_eff: float
-    constants: PhysConstants
-    scale: float = 1.0
-
-    def __post_init__(self) -> None:
+    def __init__(
+        self, label: str, name: str, formula: str, v_eff: Callable, e_eff: float,
+        constants: PhysConstants, scale: float = 1.0,
+    ) -> None:
+        self.label, self.name, self.formula, self.v_eff = label, name, formula, v_eff
+        self.e_eff, self.constants, self.scale = e_eff, constants, scale
         if not np.isfinite(self.e_eff):
             raise QshjeError(
                 f"{self.name}: the effective energy is {self.e_eff!r}, not a finite float; "

@@ -11,13 +11,13 @@ matrix per grid cell, and folds the cells in order over both solutions.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .domain import (
-    Effective1DProblem, PhysConstants, axial_problem, azimuthal_problem, check_coordinates,
+    Effective1DProblem, PhysConstants, _ValueRecord, axial_problem, azimuthal_problem,
+    check_coordinates,
 )
 from .errors import SolverFailure
 
@@ -30,26 +30,24 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True, repr=False)
-class Grid1D:
-    """Uniform 1-D coordinate grid of n >= 9 nodes from lo to hi, both included."""
+class Grid1D(_ValueRecord):
+    """Uniform 1-D coordinate grid of n >= 9 nodes from lo to hi, both included;
+    its value is (lo, hi, n)."""
 
-    lo: float
-    hi: float
-    n: int
-    points: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if self.n < 9:
-            raise ValueError(f"need at least 9 grid points, got {self.n}")
+    def __init__(self, lo: float, hi: float, n: int) -> None:
+        self.lo, self.hi, self.n = lo, hi, n
+        if n < 9:
+            raise ValueError(f"need at least 9 grid points, got {n}")
         # an overflowing span gives non-finite nodes, refused below
         with np.errstate(over="ignore", invalid="ignore"):
-            pts = _readonly(np.linspace(float(self.lo), float(self.hi), int(self.n)))
-        object.__setattr__(self, "points", pts)
+            pts = self.points = _readonly(np.linspace(float(lo), float(hi), int(n)))
         if not np.all(np.isfinite(pts)):
             raise ValueError("grid points must be finite")
         if np.any(np.diff(pts) <= 0.0):
             raise ValueError("grid points must be strictly increasing")
+
+    def _value(self) -> tuple:
+        return self.lo, self.hi, self.n
 
     @property
     def spacing(self) -> float:
@@ -60,7 +58,6 @@ class Grid1D:
         return self.n // 2
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class SolutionPair:
     """Two independent solutions of one coordinate equation on a grid.
 
@@ -70,26 +67,22 @@ class SolutionPair:
     its curvature to substitute second derivatives.
     """
 
-    grid: Grid1D
-    y1: np.ndarray
-    y2: np.ndarray
-    dy1: np.ndarray
-    dy2: np.ndarray
-    wronskian: float
-    provenance: str
-    problem: Effective1DProblem
-
-    def __post_init__(self) -> None:
-        n = self.grid.n
-        for name in ("y1", "y2", "dy1", "dy2"):
-            a = _readonly(getattr(self, name))
-            if a.shape != (n,):
-                raise ValueError(f"{name} must have shape ({n},), got {a.shape}")
-            object.__setattr__(self, name, a)
-        if self.wronskian == 0.0 or not np.isfinite(self.wronskian):
-            raise ValueError(f"Wronskian must be nonzero and finite, got {self.wronskian}")
-        if self.provenance not in ("analytic-catalog", "numerical"):
-            raise ValueError(f"unknown provenance {self.provenance!r}")
+    def __init__(
+        self, grid: Grid1D, y1: np.ndarray, y2: np.ndarray, dy1: np.ndarray, dy2: np.ndarray,
+        wronskian: float, provenance: str, problem: Effective1DProblem,
+    ) -> None:
+        self.grid, self.wronskian, self.provenance, self.problem = (
+            grid, wronskian, provenance, problem
+        )
+        for name, a in (("y1", y1), ("y2", y2), ("dy1", dy1), ("dy2", dy2)):
+            a = _readonly(a)
+            if a.shape != (grid.n,):
+                raise ValueError(f"{name} must have shape ({grid.n},), got {a.shape}")
+            setattr(self, name, a)
+        if wronskian == 0.0 or not np.isfinite(wronskian):
+            raise ValueError(f"Wronskian must be nonzero and finite, got {wronskian}")
+        if provenance not in ("analytic-catalog", "numerical"):
+            raise ValueError(f"unknown provenance {provenance!r}")
 
     def wronskian_samples(self) -> np.ndarray:
         return self.y1 * self.dy2 - self.y2 * self.dy1
@@ -151,10 +144,19 @@ def _rk4_sweep(curvature, q_nodes: np.ndarray, state0: np.ndarray, substeps: int
     h = (np.diff(q_nodes) / substeps)[:, None]
     q = np.cumsum(np.column_stack((q_nodes[:-1], np.repeat(h, substeps - 1, axis=1))), axis=1)
     # one RK4 substep applied to the unit states (1, 0) and (0, 1) gives the
-    # columns of its matrix; a curvature or entry past the float range makes
-    # the fold below non-finite, which the cell-end check names
+    # columns of its matrix; an entry past the float range makes the fold
+    # below non-finite, which the cell-end check names
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        c = curvature(np.stack((q, q + 0.5 * h, np.column_stack((q[:, 1:], q_nodes[1:]))), -1))
+        nodes = np.stack((q, q + 0.5 * h, np.column_stack((q[:, 1:], q_nodes[1:]))), -1)
+        c = curvature(nodes)
+        bad = ~np.isfinite(c)
+        if bad.any():  # the first stage node in sweep order
+            k = np.argmax(bad)
+            raise SolverFailure(
+                f"the curvature (2m/hbar^2)(v_eff - e_eff) is {float(c.flat[k])!r} at "
+                f"q = {float(nodes.flat[k])!r}, not a finite float; move the grid off any "
+                "singular point of v_eff, or rescale hbar, the mass or the potential"
+            )
         c1, c2, c4 = c[..., 0, None], c[..., 1, None], c[..., 2, None]
         h = h[..., None]
         half, sixth = 0.5 * h, h / 6.0

@@ -17,8 +17,6 @@ not checked at run time.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .domain import PhysConstants
@@ -27,19 +25,16 @@ from .ode_engine import Grid1D, SolutionPair
 from .schwarzian import amplitude_derivatives, mixed_solutions, schwarzian_from_amplitude
 
 
-@dataclass(eq=False, repr=False)
 class ReducedActionComponent:
     """One coordinate's reduced action and its derived samples."""
 
-    pair: SolutionPair
-    mu: float
-    nu: float
-    phase_e: float
-    s: np.ndarray
-    ds: np.ndarray
-    amplitude: np.ndarray
-    schwarzian: np.ndarray
-    branch_residual: float
+    def __init__(
+        self, pair: SolutionPair, mu: float, nu: float, phase_e: float, s: np.ndarray,
+        ds: np.ndarray, amplitude: np.ndarray, schwarzian: np.ndarray, branch_residual: float,
+    ) -> None:
+        self.pair, self.mu, self.nu, self.phase_e = pair, mu, nu, phase_e
+        self.s, self.ds, self.amplitude, self.schwarzian = s, ds, amplitude, schwarzian
+        self.branch_residual = branch_residual
 
     @property
     def grid(self) -> Grid1D:

@@ -18,7 +18,6 @@ fact that differs between the three classes.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -93,7 +92,6 @@ def _radial_spin(label: str, radius, constants: PhysConstants, theta=None) -> di
     return terms
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class SymmetryRow:
     """Everything that differs between the symmetry classes.
 
@@ -111,16 +109,17 @@ class SymmetryRow:
     wrong_order_axes: coordinates whose gradients the wrong-order limit zeroes.
     """
 
-    formula: str
-    metric: Callable
-    potential_labels: tuple[str, ...]
-    quantum_numbers: tuple[str, ...]
-    equations: dict[str, Callable]
-    analytic: dict[str, Callable]
-    spin: Callable | None = None
-    spin_labels: tuple[str, ...] = ()
-    spin_formula: str = ""
-    wrong_order_axes: tuple[int, ...] = ()
+    def __init__(
+        self, formula: str, metric: Callable, potential_labels: tuple[str, ...],
+        quantum_numbers: tuple[str, ...], equations: dict[str, Callable],
+        analytic: dict[str, Callable], spin: Callable | None = None,
+        spin_labels: tuple[str, ...] = (), spin_formula: str = "",
+        wrong_order_axes: tuple[int, ...] = (),
+    ) -> None:
+        self.formula, self.metric, self.potential_labels = formula, metric, potential_labels
+        self.quantum_numbers, self.equations, self.analytic = quantum_numbers, equations, analytic
+        self.spin, self.spin_labels, self.spin_formula = spin, spin_labels, spin_formula
+        self.wrong_order_axes = wrong_order_axes
 
 
 SYMMETRY_TABLE = {
@@ -188,7 +187,6 @@ SYMMETRY_TABLE = {
     ),
 }
 
-@dataclass(eq=False, repr=False)
 class TotalReducedAction:
     """The assembled 3-D equation of one symmetry class: three components,
     their constants, the quantum numbers (energy is the E of the equation)
@@ -200,11 +198,13 @@ class TotalReducedAction:
     are (n0, n1, n2) arrays that ravel in itertools.product order.
     """
 
-    symmetry: SymmetryClass
-    components: dict[str, ReducedActionComponent]
-    constants: PhysConstants
-    quantum_numbers: QuantumNumbers
-    potentials: dict[str, PotentialSpec]
+    def __init__(
+        self, symmetry: SymmetryClass, components: dict[str, ReducedActionComponent],
+        constants: PhysConstants, quantum_numbers: QuantumNumbers,
+        potentials: dict[str, PotentialSpec],
+    ) -> None:
+        self.symmetry, self.components, self.constants = symmetry, components, constants
+        self.quantum_numbers, self.potentials = quantum_numbers, potentials
 
     def lattice(self, idx) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
         """The np.ix_ broadcast (indices, node values) of the index axes idx."""
@@ -329,16 +329,15 @@ def probe_lattice(total: TotalReducedAction, idx) -> np.ndarray:
     return np.column_stack([q.ravel() for q in np.broadcast_arrays(*nodes)])
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class LimitScanResult:
     """Fitted scaling of the quantum corrections against hbar."""
 
-    hbar_values: tuple[float, ...]
-    magnitudes: tuple[float, ...]
-    slope: float
-    intercept: float
-    points: np.ndarray
-    wrong_order_gap: float | None = None
+    def __init__(
+        self, hbar_values: tuple[float, ...], magnitudes: tuple[float, ...], slope: float,
+        intercept: float, points: np.ndarray, wrong_order_gap: float | None = None,
+    ) -> None:
+        self.hbar_values, self.magnitudes, self.slope = hbar_values, magnitudes, slope
+        self.intercept, self.points, self.wrong_order_gap = intercept, points, wrong_order_gap
 
 
 def hbar_scan_values(hbar_values) -> np.ndarray:

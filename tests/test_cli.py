@@ -1,5 +1,4 @@
 import ast
-import dataclasses
 import json
 import os
 import pathlib
@@ -13,7 +12,7 @@ import yaml
 from qshje import Grid1D, GridDomainError, SymmetryClass, cli, load_config, probe_indices
 from qshje.cli import main
 from qshje.domain import check_coordinates
-from qshje.residuals import SYMMETRY_TABLE
+from qshje.residuals import SYMMETRY_TABLE, SymmetryRow
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
@@ -201,6 +200,42 @@ def test_verify_names_a_nan_component_residual(tmp_path, monkeypatch, capsys):
         f"verify: polar-spherical residual is NaN at theta = {node['theta']!r}, "
         "the first of 1 NaN samples"
     ]
+    summary = read_summary(out / "verify_summary.json")
+    assert summary["equations"]["polar-spherical"]["within_tolerance"] is False
+
+
+@pytest.mark.parametrize(
+    "injected, kind, first, count",
+    [
+        ({300: np.inf}, "infinite", 300, 1),
+        ({300: -np.inf, 301: np.inf}, "infinite", 300, 2),
+        ({300: np.inf, 400: np.nan}, "NaN", 400, 1),
+    ],
+    ids=["inf", "minus-inf-first", "nan-before-inf"],
+)
+def test_verify_names_an_infinite_residual(tmp_path, monkeypatch, capsys, injected, kind, first,
+                                           count):
+    # an infinite residual fails the gate and is named like a NaN one; a NaN,
+    # when there is one, is named instead
+    build_case = cli.build_case
+    node = {}
+
+    def with_inf(cfg):
+        case = build_case(cfg)
+        comp = case[0]["theta"]
+        node["theta"] = float(comp.grid.points[first])
+        for k, value in injected.items():
+            comp.schwarzian[k] = value
+        return case
+
+    monkeypatch.setattr(cli, "build_case", with_inf)
+    out = tmp_path / "inf"
+    assert run("verify", "--config", CONFIG_DIR / "spherical_hydrogen.yaml", "--out", out) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == (
+        f"verify: polar-spherical residual is {kind} at theta = {node['theta']!r}, "
+        f"the first of {count} {kind} samples"
+    )
     summary = read_summary(out / "verify_summary.json")
     assert summary["equations"]["polar-spherical"]["within_tolerance"] is False
 
@@ -648,22 +683,27 @@ def _set_grid_min(label, value):
         ("spherical_hydrogen", _set_grid_min("theta", 1e-200), "1e-200"),
         ("cylindrical_free", _set_grid_min("rho", 1e-200), "1e-200"),
         ("cartesian_oscillator", lambda cfg: cfg["constants"].update(mass=1e300),
-         "0.009999999999999787"),
+         "0.0012499999999999734"),
         ("cartesian_oscillator", lambda cfg: cfg["potentials"]["x"].update(omega=1.3e154),
-         "0.009999999999999787"),
+         "1.0325000000000002"),
+        # l(l+1) hbar^2 overflows at every node: the first stage node is the midpoint
+        ("spherical_hydrogen", lambda cfg: cfg["constants"].update(hbar=1e154), "6.25"),
     ],
-    ids=["r-min-1e-200", "theta-min-1e-200", "rho-min-1e-200", "mass-1e300", "omega-1.3e154"],
+    ids=["r-min-1e-200", "theta-min-1e-200", "rho-min-1e-200", "mass-1e300", "omega-1.3e154",
+         "hbar-1e154"],
 )
 def test_curvature_past_float_range_fails_without_a_warning(tmp_path, capsys, config, edit,
                                                             where):
-    # a curvature that divides by zero or overflows used to print a numpy
-    # RuntimeWarning before the named failure
+    # a curvature that divides by zero or overflows is named at its first
+    # stage node in sweep order, without a numpy RuntimeWarning, and not as
+    # forbidden growth, which no smaller domain would cure
     path = _edited_config(tmp_path, config, edit)
     assert run("solve", "--config", path, "--out", tmp_path / "o") == 3
     err = capsys.readouterr().err
     assert err == (
-        f"solver failure: solution magnitude exceeded 1e+160 near q = {where} "
-        "(classically forbidden growth); shrink the domain\n"
+        f"solver failure: the curvature (2m/hbar^2)(v_eff - e_eff) is inf at q = {where}, "
+        "not a finite float; move the grid off any singular point of v_eff, or rescale hbar, "
+        "the mass or the potential\n"
     )
     assert "Traceback" not in err
 
@@ -876,9 +916,11 @@ def test_spin_report_summary_shows_worst_coefficient(tmp_path, monkeypatch):
         coeff[2] = 0.2500001
         return {**terms, "normalized_coefficient": coeff}
 
-    monkeypatch.setitem(
-        SYMMETRY_TABLE, SymmetryClass.CYLINDRICAL, dataclasses.replace(row, spin=perturbed)
+    changed = SymmetryRow(
+        row.formula, row.metric, row.potential_labels, row.quantum_numbers, row.equations,
+        row.analytic, perturbed, row.spin_labels, row.spin_formula, row.wrong_order_axes,
     )
+    monkeypatch.setitem(SYMMETRY_TABLE, SymmetryClass.CYLINDRICAL, changed)
     out = tmp_path / "spin_cyl"
     assert run("spin-report", "--config", CONFIG_DIR / "cylindrical_free.yaml", "--out", out) == 0
     assert read_summary(out / "spin_report_summary.json")["normalized_coefficient"] == 0.2500001
@@ -943,16 +985,95 @@ def test_table_refuses_columns_of_unequal_length(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
-def _python(*args, **env):
-    """`python *args` in a fresh interpreter that must exit 0, with src on the
-    path and OPENBLAS_NUM_THREADS unset unless given in env (this process
-    already set it by importing qshje)."""
+USAGE = (
+    "usage: qshje {solve,verify,limit-scan,spin-report} --config PATH [--out DIR] "
+    "[--format {csv,json}] [--parallel N] [--wrong-order-demo]"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["frobnicate", "--config", "c.yaml"], "unknown command 'frobnicate'"),
+        ([], "missing command"),
+        (["--config", "c.yaml", "verify"], "unknown command '--config'"),
+        (["verify", "--out", "o"], "the following argument is required: --config"),
+        (["verify", "--config"], "argument --config: expected a value"),
+        (["verify", "--out", "--config", "c.yaml"], "argument --out: expected a value"),
+        (["verify", "--config", "c.yaml", "--tolerance", "1"],
+         "unrecognized argument '--tolerance'"),
+        (["verify", "--config", "c.yaml", "extra"], "unrecognized argument 'extra'"),
+        # prefix abbreviations are not accepted
+        (["verify", "--conf", "c.yaml"], "unrecognized argument '--conf'"),
+        (["verify", "--config", "c.yaml", "--format", "xml"],
+         "argument --format: invalid choice 'xml' (choose csv or json)"),
+        (["verify", "--config", "c.yaml", "--parallel", "x"],
+         "argument --parallel: invalid int value 'x'"),
+        (["solve", "--config", "c.yaml", "--parallel", "2"], "unrecognized argument '--parallel'"),
+        (["spin-report", "--config", "c.yaml", "--parallel", "2"],
+         "unrecognized argument '--parallel'"),
+        (["verify", "--config", "c.yaml", "--wrong-order-demo"],
+         "unrecognized argument '--wrong-order-demo'"),
+        (["limit-scan", "--config", "c.yaml", "--wrong-order-demo=1"],
+         "unrecognized argument '--wrong-order-demo=1'"),
+    ],
+    ids=[
+        "unknown-command", "no-command", "option-before-command", "config-missing",
+        "value-missing", "flag-as-value", "unknown-flag", "extra-positional", "prefix",
+        "format-xml", "parallel-x", "parallel-on-solve", "parallel-on-spin-report",
+        "wrong-order-demo-on-verify", "switch-with-value",
+    ],
+)
+def test_argv_outside_the_grammar_returns_2_with_the_usage(capsys, argv, error):
+    # checked before the config is read: c.yaml does not exist
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"{USAGE}\nqshje: error: {error}\n"
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["verify", "--config", "c.yaml", "-h"]])
+def test_help_prints_the_usage_on_stdout_and_returns_0(capsys, argv):
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.startswith(USAGE + "\n")
+    for text in ("build pairs and reduced actions, write tables", "YAML run configuration",
+                 "accepted for compatibility; has no effect", "wrong-order limit gap"):
+        assert text in out
+
+
+def test_flag_equals_value_reads_as_flag_then_value(tmp_path):
+    config = CONFIG_DIR / "spherical_hydrogen.yaml"
+    for form, argv in (
+        ("split", ["--config", config, "--format", "json", "--parallel", "2"]),
+        ("joined", [f"--config={config}", "--format=json", "--parallel=2"]),
+    ):
+        assert run("verify", *argv, "--out", tmp_path / form) == 0
+    def written(out):
+        return {p.name: p.read_bytes() for p in out.iterdir()}
+
+    split = written(tmp_path / "split")
+    assert "residual_assembled-spherical.json" in split
+    assert split == written(tmp_path / "joined")
+
+
+def _python(*args, check=True, **env):
+    """`python *args` in a fresh interpreter that must exit 0 unless check is
+    false, with src on the path and OPENBLAS_NUM_THREADS unset unless given in
+    env (this process already set it by importing qshje)."""
     src = str(pathlib.Path(cli.__file__).resolve().parent.parent)
     base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     base["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
     return subprocess.run(
-        [sys.executable, *args], env={**base, **env}, capture_output=True, text=True, check=True,
+        [sys.executable, *args], env={**base, **env}, capture_output=True, text=True, check=check,
     )
+
+
+def _cold(probe, *argv):
+    """`python -c probe *argv`, whatever its exit code, with stdout
+    block-buffered (an empty PYTHONUNBUFFERED is unset)."""
+    return _python("-c", probe, *argv, check=False, PYTHONUNBUFFERED="")
 
 
 def _fresh_interpreter(probe, **env):
@@ -992,19 +1113,64 @@ def test_main_in_process_leaves_gc_alone(tmp_path):
     assert _fresh_interpreter(probe) == ["0", "0", "True"]
 
 
-def test_cold_entry_freezes_the_imports_and_exits_with_mains_code(tmp_path):
-    argv = ["verify", "--config", str(CONFIG_DIR / "spherical_hydrogen_wrong_energy.yaml")]
+def test_cold_entry_freezes_the_imports_and_exits_with_mains_code(tmp_path, capsys):
+    # cold_entry ends the process with os._exit, so it must flush what main
+    # printed first: stdout is block-buffered here (PYTHONUNBUFFERED unset)
+    failing = _edited_config(tmp_path, "spherical_hydrogen", lambda cfg: cfg["constants"].update(
+        hbar=1e154))
+    runs = {
+        0: ["-h"],
+        1: ["verify", "--config", CONFIG_DIR / "spherical_hydrogen_wrong_energy.yaml"],
+        2: ["verify", "--config", tmp_path / "missing.yaml"],
+        3: ["verify", "--config", failing],
+    }
     probe = (
         "import gc, sys, qshje.cli as cli\n"
-        f"sys.argv = ['qshje', *{argv!r}, '--out', {str(tmp_path / 'cold')!r}]\n"
-        "try:\n"
-        "    cli.cold_entry()\n"
-        "except SystemExit as exc:\n"
-        "    print(exc.code, gc.get_freeze_count() > 0, gc.isenabled())"
+        "main = cli.main\n"
+        "def seen():\n"
+        "    print('frozen', gc.get_freeze_count() > 0, gc.isenabled())\n"
+        "    return main()\n"
+        "cli.main = seen\n"
+        "cli.cold_entry()\n"
     )
-    code = run(*argv, "--out", tmp_path / "inproc")
-    assert code == 1
-    assert _fresh_interpreter(probe) == [str(code), "True", "True"]
+    for code, argv in runs.items():
+        argv = [str(a) for a in argv] + ["--out", str(tmp_path / f"out{code}")] * (code > 0)
+        assert main(argv) == code
+        inproc = capsys.readouterr()
+        cold = _cold(probe, *argv)
+        assert cold.returncode == code
+        assert cold.stdout == "frozen True True\n" + inproc.out
+        assert cold.stderr == inproc.err and (cold.stderr != "") == (code > 1)
+
+
+def test_cold_entry_lets_an_escaping_exception_take_the_normal_exit():
+    probe = (
+        "import qshje.cli as cli\n"
+        "def broken():\n"
+        "    raise RuntimeError('escaped')\n"
+        "cli.main = broken\n"
+        "cli.cold_entry()\n"
+    )
+    done = _cold(probe)
+    assert done.returncode == 1
+    assert "Traceback" in done.stderr and done.stderr.endswith("RuntimeError: escaped\n")
+
+
+def test_importing_the_cli_loads_nothing_beyond_numpy_and_yaml(tmp_path):
+    # records are plain classes and argv is parsed by hand: no dataclasses,
+    # argparse, gettext or locale at import or while a command runs
+    config, out = CONFIG_DIR / "azimuthal_identity.yaml", tmp_path / "out"
+    probe = (
+        "import sys\n"
+        "import numpy, yaml\n"
+        "floor = set(sys.modules)\n"
+        "import qshje.cli\n"
+        "added = set(sys.modules) - floor\n"
+        "print(*sorted(m for m in added if m != 'qshje' and not m.startswith('qshje.')))\n"
+        f"qshje.cli.main(['verify', '--config', {str(config)!r}, '--out', {str(out)!r}])\n"
+        "print(*sorted({'dataclasses', 'argparse', 'gettext', 'locale'} & set(sys.modules)))\n"
+    )
+    assert _python("-c", probe).stdout.splitlines() == ["__future__ gc", ""]
 
 
 def test_console_script_runs_what_the_main_block_runs():

@@ -10,6 +10,7 @@ import warnings
 
 import pytest
 
+from qshje.cli import _USAGE as USAGE
 from qshje.cli import main
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -90,9 +91,26 @@ ROWS = {
     "momentum-underflow": (3, "solver failure: z: the conjugate momentum"),
     "residual-squares-overflow": (1, ""),
     "residual-nan": (1, "verify: azimuthal residual is NaN at phi = "),
-    "assembled-residual-overflow": (1, ""),
+    "assembled-residual-overflow": (
+        1, "verify: radial-cylindrical residual is infinite at rho = 2.244375, the first of "),
     "beta-0.5": (0, ""),
     "power-quartic": (0, ""),
+    "curvature-overflow-hbar-1e154": (
+        3, "solver failure: the curvature (2m/hbar^2)(v_eff - e_eff) is inf at q = 6.25,"),
+    "argv-no-command": (2, f"{USAGE}\nqshje: error: missing command\n"),
+    "argv-unknown-command": (2, f"{USAGE}\nqshje: error: unknown command 'frobnicate'\n"),
+    "argv-config-missing": (
+        2, f"{USAGE}\nqshje: error: the following argument is required: --config\n"),
+    "argv-value-missing": (2, f"{USAGE}\nqshje: error: argument --format: expected a value\n"),
+    "argv-unknown-flag": (2, f"{USAGE}\nqshje: error: unrecognized argument '--tolerance'\n"),
+    "argv-format-xml": (2, f"{USAGE}\nqshje: error: argument --format: invalid choice 'xml'"),
+    "argv-parallel-not-an-int": (
+        2, f"{USAGE}\nqshje: error: argument --parallel: invalid int value 'x'\n"),
+    "argv-parallel-on-solve": (
+        2, f"{USAGE}\nqshje: error: unrecognized argument '--parallel'\n"),
+    "argv-wrong-order-demo-on-verify": (
+        2, f"{USAGE}\nqshje: error: unrecognized argument '--wrong-order-demo'\n"),
+    "argv-help": (0, ""),
 }
 
 EDGE_JOBS = {name.removeprefix("edge:"): job for name, *job in manifest.edge_jobs()}
@@ -106,7 +124,7 @@ def test_edge_row_ends_in_its_named_exit(tmp_path, monkeypatch, name):
     err = io.StringIO()
     with contextlib.redirect_stderr(err), warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        rc = main([command, "--config", "config.yaml", "--out", "out", *flags])
+        rc = main(manifest.job_argv(command, flags, "config.yaml", "out"))
     code, prefix = ROWS[name]
     stderr = err.getvalue()
     assert rc == code

@@ -1,4 +1,3 @@
-import dataclasses
 import re
 
 import numpy as np
@@ -332,7 +331,9 @@ def test_solve_pair_evaluates_curvature_once_per_sweep(constants):
         shapes.append(np.shape(q))
         return base.v_eff(q)
 
-    problem = dataclasses.replace(base, v_eff=counted)
+    problem = Q.Effective1DProblem(
+        base.label, base.name, base.formula, counted, base.e_eff, base.constants, base.scale
+    )
     Q.solve_pair(problem, Q.Grid1D(-3.0, 3.0, 101), substeps=3)
     # (cells, substeps, stage nodes q, q + h/2, q + h) for each of the two sweeps
     assert shapes == [(50, 3, 3), (50, 3, 3)]
@@ -349,7 +350,10 @@ def test_stage_nodes_stay_inside_the_grid(constants):
         return base.v_eff(q)
 
     grid = Q.Grid1D(0.5, 12.0, 1601)
-    Q.solve_pair(dataclasses.replace(base, v_eff=recorded), grid, substeps=4)
+    problem = Q.Effective1DProblem(
+        base.label, base.name, base.formula, recorded, base.e_eff, base.constants, base.scale
+    )
+    Q.solve_pair(problem, grid, substeps=4)
     for q in nodes:
         assert grid.lo <= q.min() and q.max() <= grid.hi
         assert q[-1, -1, -1] in (grid.lo, grid.hi)

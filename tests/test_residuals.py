@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import pathlib
 import re
@@ -254,7 +253,12 @@ def test_assembly_identity_at_another_mass(config):
     # each residual is divided by its own equation's scale, 2m for the
     # mass-free angular and axial forms, so the routes agree at m != 1 too
     cfg = Q.load_config(str(CONFIG_DIR / f"{config}.yaml"))
-    _, equations, total = build_case(dataclasses.replace(cfg, constants=Q.PhysConstants(mass=1.7)))
+    heavy = Q.RunConfig(
+        cfg.symmetry, Q.PhysConstants(mass=1.7), cfg.quantum_numbers, cfg.potentials,
+        cfg.components, cfg.tolerance, cfg.hbar_scan, cfg.probe_per_coordinate, cfg.out_dir,
+        cfg.fmt,
+    )
+    _, equations, total = build_case(heavy)
     assert {comp.constants.mass for comp in total.components.values()} == {1.7}
     residuals = {
         lab: Q.component_residual(comp, equations[lab])
@@ -370,10 +374,13 @@ def test_classical_limit_scan_slope(hydrogen_total):
 def test_classical_limit_scan_refuses_a_zero_peak():
     # with every Schwarzian sample zero and no spin terms, nothing scales as hbar^2
     total = cartesian_oscillator_case(rng=np.random.default_rng(3))
-    flat = dataclasses.replace(total, components={
-        lab: dataclasses.replace(comp, schwarzian=np.zeros_like(comp.schwarzian))
-        for lab, comp in total.components.items()
-    })
+    flat = Q.TotalReducedAction(total.symmetry, {
+        lab: Q.ReducedActionComponent(
+            c.pair, c.mu, c.nu, c.phase_e, c.s, c.ds, c.amplitude, np.zeros_like(c.schwarzian),
+            c.branch_residual,
+        )
+        for lab, c in total.components.items()
+    }, total.constants, total.quantum_numbers, total.potentials)
     with pytest.raises(Q.QshjeError, match=r"magnitude is 0\.0 at hbar = 1\.0, not a positive"):
         Q.classical_limit_scan(flat, Q.DEFAULT_HBAR_SCAN, per_coordinate=3)
     scan = Q.classical_limit_scan(total, Q.DEFAULT_HBAR_SCAN, per_coordinate=3)
@@ -412,8 +419,10 @@ def test_classical_limit_scan_rescales_one_evaluation(config):
     def per_hbar(hv):
         mags = []
         for h in hv:
-            at_h = dataclasses.replace(
-                total, constants=Q.PhysConstants(hbar=h, mass=total.constants.mass)
+            constants = Q.PhysConstants(hbar=h, mass=total.constants.mass)
+            at_h = Q.TotalReducedAction(
+                total.symmetry, total.components, constants, total.quantum_numbers,
+                total.potentials,
             )
             mags.append(np.max(np.abs(Q.assembled_residual(at_h, idx, mode="quantum-terms"))))
         return mags

@@ -12,9 +12,10 @@ config file, or flags that override the config or output path. Last comes
 `verify` on every shipped config again as a cold `python -m qshje.cli`
 process, whose jobs are named `cold:<config>` (the path users run, through
 `cli.cold_entry`). Each job prints one line
-`<job> <exit code> <sha256 of stderr>`, then one indented `<output file>
-<sha256>` line per file it wrote; a job whose exception escapes the CLI
-prints `raised-<type>` as its exit code. Every config and output path is
+`<job> <exit code> <sha256 of stderr>`, then, if it wrote to stdout, one
+indented `(stdout) <sha256>` line, and one indented `<output file> <sha256>`
+line per file it wrote; a job whose exception escapes the CLI prints
+`raised-<type>` as its exit code. Every config and output path is
 relative to a scratch directory, so the output depends only on the program.
 
 The reach block follows: `sys.settrace` records the `src/` lines that the
@@ -226,6 +227,21 @@ EDGES = (
     ("power-quartic", "cartesian_oscillator", _sets(
         _set("potentials.x", {"kind": "power", "coefficient": 0.25, "exponent": 4}),
         _set("components.x.grid", {"min": -3.0, "max": 3.0, "count": 1201}))),
+    # l(l+1) hbar^2 overflows: the curvature is inf at every node
+    ("curvature-overflow-hbar-1e154", "spherical_hydrogen", _set("constants.hbar", 1e154)),
+    # argv outside the usage line: exit 2; a row whose command is None runs
+    # its flags alone as the whole argv
+    ("argv-no-command", "spherical_hydrogen", None, None),
+    ("argv-unknown-command", "spherical_hydrogen", None, "frobnicate"),
+    ("argv-config-missing", "spherical_hydrogen", None, None, "verify"),
+    ("argv-value-missing", "spherical_hydrogen", None, "verify", "--format"),
+    ("argv-unknown-flag", "spherical_hydrogen", None, "verify", "--tolerance", "1e-3"),
+    ("argv-format-xml", "spherical_hydrogen", None, "verify", "--format", "xml"),
+    ("argv-parallel-not-an-int", "spherical_hydrogen", None, "verify", "--parallel", "x"),
+    ("argv-parallel-on-solve", "spherical_hydrogen", None, "solve", "--parallel", "2"),
+    ("argv-wrong-order-demo-on-verify", "spherical_hydrogen", None,
+     "verify", "--wrong-order-demo"),
+    ("argv-help", "spherical_hydrogen", None, "verify", "--help"),
 )
 
 
@@ -298,27 +314,37 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _in_process(argv: list[str]) -> tuple[int | str, bytes]:
-    """Exit code and stderr of `cli.main(argv)` in this process."""
+def _in_process(argv: list[str]) -> tuple[int | str, bytes, bytes]:
+    """Exit code, stderr and stdout of `cli.main(argv)` in this process."""
     from qshje.cli import main as cli_main  # imported by the first job, under its tracer
 
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err):
+    err, out = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(out):
         try:
             rc = cli_main(argv)
-        except Exception as exc:  # escapes the CLI: a traceback and exit 1
+        # escapes the CLI: a traceback and exit 1, or an exit of its own
+        except (Exception, SystemExit) as exc:
             rc = f"raised-{type(exc).__name__}"
-    return rc, err.getvalue().encode("utf-8")
+    return rc, err.getvalue().encode("utf-8"), out.getvalue().encode("utf-8")
 
 
-def _cold(argv: list[str]) -> tuple[int, bytes]:
-    """Exit code and stderr of `python -m qshje.cli argv` in a fresh interpreter."""
+def _cold(argv: list[str]) -> tuple[int, bytes, bytes]:
+    """Exit code, stderr and stdout of `python -m qshje.cli argv` in a fresh
+    interpreter."""
     path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
     done = subprocess.run(
         [sys.executable, "-m", "qshje.cli", *argv], env={**os.environ, "PYTHONPATH": path},
-        stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+        stdin=subprocess.DEVNULL, capture_output=True,
     )
-    return done.returncode, done.stderr
+    return done.returncode, done.stderr, done.stdout
+
+
+def job_argv(command: str | None, flags: list[str], config: str, out: str) -> list[str]:
+    """The argv of a job: command, `--config config --out out`, then flags;
+    a command of None makes flags the whole argv."""
+    if command is None:
+        return list(flags)
+    return [command, "--config", config, "--out", out, *flags]
 
 
 def edge_jobs():
@@ -359,11 +385,13 @@ def main() -> int:
             for i, (name, text, command, flags, runner) in enumerate(_jobs()):
                 config, out = f"config{i}.yaml", pathlib.Path(f"out{i}")
                 pathlib.Path(config).write_text(text, encoding="utf-8")
-                argv = [command, "--config", config, "--out", str(out), *flags]
+                argv = job_argv(command, flags, config, str(out))
                 # the tracer sees the in-process jobs only
                 with reach if runner is _in_process else contextlib.nullcontext():
-                    rc, err = runner(argv)
+                    rc, err, stdout = runner(argv)
                 print(name, rc, _sha256(err))
+                if stdout:
+                    print(f"  (stdout) {_sha256(stdout)}")
                 for path in sorted(p for p in out.rglob("*") if p.is_file()):
                     print(f"  {path.relative_to(out)} {_sha256(path.read_bytes())}")
         finally:
