@@ -151,6 +151,11 @@ def cmd_verify(cfg: RunConfig, out_dir: str, fmt: str) -> int:
         # the equation's scale times max(|e_eff|, hbar^2/(2m L^2)), L the grid span
         c, span = eq.constants, q[-1] - q[0]
         scale_ref = eq.scale * max(abs(eq.e_eff), c.hbar * c.hbar / (2.0 * c.mass * span * span))
+        if scale_ref == 0.0:
+            raise QshjeError(
+                f"{eq.name}: the residual scale max(|e_eff|, hbar^2/(2m L^2)) underflows to 0 "
+                f"(e_eff = {eq.e_eff!r}, L = {float(span)!r}); rescale hbar, the mass or the grid"
+            )
         values = {"residual": residual, "normalized_residual": residual / scale_ref}
         entry = _check(out_dir, eq.name, eq.formula, {label: q}, values, cfg.tolerance, fmt)
         peak = entry["max_abs"]

@@ -16,18 +16,8 @@ import numpy as np
 from .errors import GridDomainError, QshjeError
 
 
-class _ValueRecord:
-    """Equal to, and hashed like, the records of its class with the same _value()."""
-
-    def __eq__(self, other):
-        return self._value() == other._value() if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._value())
-
-
-class PhysConstants(_ValueRecord):
-    """hbar and particle mass, natural units by default; the value is (hbar, mass)."""
+class PhysConstants:
+    """hbar and particle mass, natural units by default; equal by (hbar, mass)."""
 
     def __init__(self, hbar: float = 1.0, mass: float = 1.0) -> None:
         self.hbar, self.mass = hbar, mass
@@ -39,8 +29,9 @@ class PhysConstants(_ValueRecord):
         if not (self.mass > 0.0 and np.isfinite(self.mass)):
             raise ValueError(f"mass must be positive and finite, got {self.mass}")
 
-    def _value(self) -> tuple:
-        return self.hbar, self.mass
+    def __eq__(self, other):
+        same = other.__class__ is self.__class__
+        return (self.hbar, self.mass) == (other.hbar, other.mass) if same else NotImplemented
 
 
 class SymmetryClass(Enum):
@@ -127,10 +118,7 @@ class QuantumNumbers:
 
 
 class PotentialSpec:
-    """Symbolic potential description, evaluable at any coordinate."""
-
-    def evaluate(self, q, constants: PhysConstants):
-        raise NotImplementedError
+    """Symbolic potential description; each kind defines evaluate(q, constants)."""
 
 
 class ZeroPotential(PotentialSpec):

@@ -16,8 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .domain import (
-    Effective1DProblem, PhysConstants, _ValueRecord, axial_problem, azimuthal_problem,
-    check_coordinates,
+    Effective1DProblem, PhysConstants, axial_problem, azimuthal_problem, check_coordinates,
 )
 from .errors import SolverFailure
 
@@ -30,9 +29,8 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-class Grid1D(_ValueRecord):
-    """Uniform 1-D coordinate grid of n >= 9 nodes from lo to hi, both included;
-    its value is (lo, hi, n)."""
+class Grid1D:
+    """Uniform 1-D coordinate grid of n >= 9 nodes from lo to hi, both included."""
 
     def __init__(self, lo: float, hi: float, n: int) -> None:
         self.lo, self.hi, self.n = lo, hi, n
@@ -45,9 +43,6 @@ class Grid1D(_ValueRecord):
             raise ValueError("grid points must be finite")
         if np.any(np.diff(pts) <= 0.0):
             raise ValueError("grid points must be strictly increasing")
-
-    def _value(self) -> tuple:
-        return self.lo, self.hi, self.n
 
     @property
     def spacing(self) -> float:

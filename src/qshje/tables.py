@@ -5,10 +5,12 @@ byte-identical files; no timestamps or environment data are embedded. Every
 table opens with a comment line naming the equation it verifies and the
 formula being evaluated.
 
-Table cells are real numbers, rendered as ``%.17g``: NaN and infinities read
-``nan``, ``inf`` and ``-inf`` in CSV and ``null`` in JSON. Tables are written
-in blocks of rows. Within a block, a column with at most half as many distinct
-values as rows formats each distinct value once and reuses the text.
+Table rows hold one float per column, rendered as ``%.17g``: NaN and
+infinities read ``nan``, ``inf`` and ``-inf`` in CSV and ``null`` in JSON.
+Tables are written in blocks of rows. Within a block, a column with at most
+half as many distinct values as rows formats each distinct value once and
+reuses the text. Summaries are nested dicts of strings, bools, ints and
+floats.
 """
 from __future__ import annotations
 
@@ -23,18 +25,6 @@ import numpy as np
 _BLOCK_ROWS = 2048
 
 
-def format_float(x: float) -> str:
-    return f"{x:.17g}"
-
-
-def _plain(value):
-    # numpy scalars stringify as 'True'/'1.0' with their own types; collapse
-    # them to builtins before formatting
-    if hasattr(value, "item") and not isinstance(value, (str, bytes, bool, int, float)):
-        return value.item()
-    return value
-
-
 def write_table(
     path: str,
     equation: str,
@@ -43,18 +33,18 @@ def write_table(
     rows: Iterable[Sequence[float]],
     fmt: str = "csv",
 ) -> str:
-    """Write one table; returns the path actually written (extension fixed).
+    """Write one table as csv, or else json; returns the path actually
+    written (extension fixed).
 
-    `rows` is any iterable of rows (a 2-D array included); every row holds
-    one real number per column, else ValueError or TypeError is raised and
-    no file is written.
+    `rows` is any iterable of rows (a 2-D array included), each one float
+    per column.
     """
     base, _ = os.path.splitext(path)
     if fmt == "csv":
         out = f"{base}.csv"
         head = f"# equation: {equation} | {formula}\n" + ",".join(columns) + "\n"
         row_sep, cell_sep, wrap, tail = "", ",", "%s\n", ""
-    elif fmt == "json":
+    else:
         out = f"{base}.json"
         head = (
             "{\n"
@@ -64,9 +54,7 @@ def write_table(
             '  "rows": [\n    '
         )
         row_sep, cell_sep, wrap, tail = ",\n    ", ", ", "[%s]", "\n  ]\n}\n"
-    else:
-        raise ValueError(f"unknown table format {fmt!r}")
-    table = _float_rows(out, rows, len(columns))
+    table = np.asarray(rows if isinstance(rows, np.ndarray) else list(rows), dtype=np.float64)
     with open(out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(head)
         for start in range(0, len(table), _BLOCK_ROWS):
@@ -81,21 +69,6 @@ def write_table(
     return out
 
 
-def _float_rows(out: str, rows, width: int) -> np.ndarray:
-    """The rows of table `out` as one (n, width) float array."""
-    try:
-        table = np.asarray(rows if isinstance(rows, np.ndarray) else list(rows))
-    except ValueError:
-        table = None  # ragged rows
-    if table is not None and table.ndim == 1 and table.size == 0:
-        table = table.reshape(0, width)
-    if table is None or table.ndim != 2 or table.shape[1] != width:
-        raise ValueError(f"table {out}: every row needs {width} cells, one per column")
-    if table.dtype.kind not in "biuf":
-        raise TypeError(f"table {out}: cells must be real numbers, got {table.dtype} cells")
-    return table.astype(np.float64, copy=False)
-
-
 def _block_cells(block: np.ndarray, json: bool) -> tuple[list, list]:
     """Per column of `block`: its cells and their %-format.
 
@@ -105,8 +78,6 @@ def _block_cells(block: np.ndarray, json: bool) -> tuple[list, list]:
     ``%.17g``.
     """
     cells, specs = [], []
-    # %-formatting, not format_float: bench/tracer.py records a span for each
-    # call of a public function, which would be one per distinct value
     render = _json_float if json else "%.17g".__mod__
     finite = np.isfinite(block).all(axis=0)
     for col, col_finite in zip(block.T, finite.tolist()):
@@ -138,15 +109,12 @@ def _json_string(s: str) -> str:
 
 
 def _json_scalar(value) -> str:
-    value = _plain(value)
-    if isinstance(value, bool):
+    if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, float):
         return _json_float(value)
     if isinstance(value, int):
         return str(value)
-    if value is None:
-        return "null"
     return _json_string(str(value))
 
 
@@ -154,18 +122,11 @@ def _json_value(value, indent: int) -> str:
     pad = " " * indent
     inner = " " * (indent + 2)
     if isinstance(value, dict):
-        if not value:
-            return "{}"
         items = [
             f"{inner}{_json_string(str(k))}: {_json_value(value[k], indent + 2)}"
             for k in sorted(value, key=str)
         ]
         return "{\n" + ",\n".join(items) + f"\n{pad}}}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        items = [f"{inner}{_json_value(v, indent + 2)}" for v in value]
-        return "[\n" + ",\n".join(items) + f"\n{pad}]"
     return _json_scalar(value)
 
 

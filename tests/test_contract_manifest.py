@@ -42,6 +42,17 @@ def test_reach_counts_the_untaken_branch(tmp_path):
     assert reach.unreached() == ({"pkg.branches.branch": 1}, 4)
 
 
+def test_cold_child_lines_count_as_reached(tmp_path, monkeypatch):
+    # cold_entry's flushes and os._exit, and cli's `__main__` guard, run only
+    # in a cold job's child process
+    monkeypatch.chdir(tmp_path)
+    reach = manifest.Reach(ROOT / "src")
+    config = str(ROOT / "configs" / "azimuthal_identity.yaml")
+    assert manifest._cold(["verify", "--config", config, "--out", "out"], reach) == (0, b"", b"")
+    missed, _ = reach.unreached()
+    assert "qshje.cli.cold_entry" not in missed and "qshje.cli.<module>" not in missed
+
+
 # (exit code, stderr prefix) of each edge row that names an error or runs a
 # branch no shipped config reaches
 ROWS = {
@@ -111,6 +122,8 @@ ROWS = {
     "argv-wrong-order-demo-on-verify": (
         2, f"{USAGE}\nqshje: error: unrecognized argument '--wrong-order-demo'\n"),
     "argv-help": (0, ""),
+    "residual-scale-zero": (
+        3, "solver failure: axial: the residual scale max(|e_eff|, hbar^2/(2m L^2)) underflows"),
 }
 
 EDGE_JOBS = {name.removeprefix("edge:"): job for name, *job in manifest.edge_jobs()}

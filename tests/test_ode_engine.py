@@ -26,7 +26,6 @@ def test_grid_validation():
     assert g.points[0] == 0.0 and g.points[-1] == 1.0
     assert g.spacing == pytest.approx(0.1)
     assert g.midpoint_index == 5
-    assert g == Q.Grid1D(0.0, 1.0, 11) and g != Q.Grid1D(0.0, 1.0, 13)
 
 
 def test_solution_pair_validation(constants):

@@ -19,12 +19,13 @@ line per file it wrote; a job whose exception escapes the CLI prints
 relative to a scratch directory, so the output depends only on the program.
 
 The reach block follows: `sys.settrace` records the `src/` lines that the
-in-process jobs execute, `import qshje` included, and the manifest prints
+jobs execute, `import qshje` included, and the manifest prints
 `reach: <module>.<function> <count>` for every function that holds
-executable lines none of them ran, then `reach: unreached <N> of <M>`.
-Functions whose lines run only in the cold jobs' child processes are marked
-`child-only`; they count in N. Names and counts, not line numbers, so an edit
-elsewhere in a file leaves the block alone.
+executable lines none of them ran, then `reach: unreached <N> of <M>`. Each
+cold job's child runs under a line tracer of its own, which writes the lines
+it saw to a file before `os._exit` or a normal exit; those lines count too.
+Names and counts, not line numbers, so an edit elsewhere in a file leaves
+the block alone.
 
 Copy this file into two checkouts and diff their outputs: a change that keeps
 every exit code, stderr line and output byte prints the same job lines, and
@@ -52,10 +53,6 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 from bench.workloads import WORKLOADS, input_sets  # noqa: E402
 
 SEED = 5
-# functions whose lines run only in the cold jobs' child processes, which the
-# reach tracer does not see: cli's one module-level line that import does not
-# run is its `__main__` guard
-CHILD_ONLY = ("qshje.cli.cold_entry", "qshje.cli.<module>")
 COMMANDS = (
     ("solve",), ("verify",), ("limit-scan",), ("limit-scan", "--wrong-order-demo"), ("spin-report",),
 )
@@ -242,6 +239,11 @@ EDGES = (
     ("argv-wrong-order-demo-on-verify", "spherical_hydrogen", None,
      "verify", "--wrong-order-demo"),
     ("argv-help", "spherical_hydrogen", None, "verify", "--help"),
+    # e_eff = -0.0 and hbar^2/(2m L^2) underflows: the residual scale is 0
+    ("residual-scale-zero", "cylindrical_free", _sets(
+        _set("components", {"z": {**_Z_ONLY, "mu": 1.0e8, "grid": {
+            "min": -5.0e7, "max": 5.0e7, "count": 601}}}),
+        _set("quantum_numbers.beta", 0.0), _set("constants", {"hbar": 1.0e-100, "mass": 5.0e107}))),
 )
 
 
@@ -314,12 +316,13 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _in_process(argv: list[str]) -> tuple[int | str, bytes, bytes]:
-    """Exit code, stderr and stdout of `cli.main(argv)` in this process."""
-    from qshje.cli import main as cli_main  # imported by the first job, under its tracer
-
+def _in_process(argv: list[str], reach: Reach) -> tuple[int | str, bytes, bytes]:
+    """Exit code, stderr and stdout of `cli.main(argv)` in this process, run
+    under reach."""
     err, out = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(out):
+    with reach, contextlib.redirect_stderr(err), contextlib.redirect_stdout(out):
+        from qshje.cli import main as cli_main  # imported by the first job, traced
+
         try:
             rc = cli_main(argv)
         # escapes the CLI: a traceback and exit 1, or an exit of its own
@@ -328,14 +331,48 @@ def _in_process(argv: list[str]) -> tuple[int | str, bytes, bytes]:
     return rc, err.getvalue().encode("utf-8"), out.getvalue().encode("utf-8")
 
 
-def _cold(argv: list[str]) -> tuple[int, bytes, bytes]:
+# `python -c _TRACED_CLI ROOT LINES argv...` runs `python -m qshje.cli argv...`
+# and writes every line it executed from a file under ROOT to the file LINES,
+# a tab-separated path and line number per line, before `os._exit` or a
+# normal exit
+_TRACED_CLI = """
+import atexit, os, runpy, sys
+root, lines_path = sys.argv[1] + os.sep, sys.argv[2]
+del sys.argv[1:3]
+seen = set()
+def line(frame, event, arg):
+    if event == "line":
+        seen.add((frame.f_code.co_filename, frame.f_lineno))
+    return line
+def call(frame, event, arg):
+    return line if frame.f_code.co_filename.startswith(root) else None
+def dump():
+    with open(lines_path, "w", encoding="utf-8") as fh:
+        fh.writelines(f"{path}\\t{n}\\n" for path, n in seen)
+def exit_after_dump(rc, _exit=os._exit):
+    dump()
+    _exit(rc)
+os._exit = exit_after_dump
+atexit.register(dump)
+sys.settrace(call)
+runpy.run_module("qshje.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+def _cold(argv: list[str], reach: Reach) -> tuple[int, bytes, bytes]:
     """Exit code, stderr and stdout of `python -m qshje.cli argv` in a fresh
-    interpreter."""
+    interpreter, whose lines under reach's root are added to reach."""
     path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
-    done = subprocess.run(
-        [sys.executable, "-m", "qshje.cli", *argv], env={**os.environ, "PYTHONPATH": path},
-        stdin=subprocess.DEVNULL, capture_output=True,
-    )
+    with tempfile.TemporaryDirectory() as tmp:
+        lines = pathlib.Path(tmp, "lines")
+        done = subprocess.run(
+            [sys.executable, "-c", _TRACED_CLI, str(reach.root), str(lines), *argv],
+            env={**os.environ, "PYTHONPATH": path}, stdin=subprocess.DEVNULL, capture_output=True,
+        )
+        # a child killed before either exit wrote none: its lines stay unreached
+        for entry in lines.read_text(encoding="utf-8").splitlines() if lines.exists() else ():
+            file, _, n = entry.rpartition("\t")
+            reach.seen.setdefault(file, set()).add(int(n))
     return done.returncode, done.stderr, done.stdout
 
 
@@ -385,10 +422,7 @@ def main() -> int:
             for i, (name, text, command, flags, runner) in enumerate(_jobs()):
                 config, out = f"config{i}.yaml", pathlib.Path(f"out{i}")
                 pathlib.Path(config).write_text(text, encoding="utf-8")
-                argv = job_argv(command, flags, config, str(out))
-                # the tracer sees the in-process jobs only
-                with reach if runner is _in_process else contextlib.nullcontext():
-                    rc, err, stdout = runner(argv)
+                rc, err, stdout = runner(job_argv(command, flags, config, str(out)), reach)
                 print(name, rc, _sha256(err))
                 if stdout:
                     print(f"  (stdout) {_sha256(stdout)}")
@@ -398,7 +432,7 @@ def main() -> int:
             os.chdir(start)
     missed, total = reach.unreached()
     for name, count in sorted(missed.items()):
-        print(f"reach: {name} {count}" + (" child-only" if name in CHILD_ONLY else ""))
+        print(f"reach: {name} {count}")
     print(f"reach: unreached {sum(missed.values())} of {total}")
     return 0
 
