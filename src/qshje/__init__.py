@@ -16,7 +16,6 @@ from .domain import (
     PotentialSpec,
     PowerLawPotential,
     QuantumNumbers,
-    SymmetryClass,
     TabulatedPotential,
     ZeroPotential,
     axial_problem,
@@ -85,7 +84,6 @@ __all__ = [
     "RunConfig",
     "SolutionPair",
     "SolverFailure",
-    "SymmetryClass",
     "TabulatedPotential",
     "TotalReducedAction",
     "ZeroPotential",

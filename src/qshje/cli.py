@@ -6,7 +6,6 @@ breach, 2 config error or an argv outside the usage line, 3 solver failure.
 """
 from __future__ import annotations
 
-import gc
 import os
 import sys
 
@@ -18,7 +17,6 @@ from .errors import ConfigError, QshjeError
 from .ode_engine import SolutionPair, solve_pair
 from .reduced_action import ReducedActionComponent, build_component
 from .residuals import (
-    SYMMETRY_TABLE,
     TotalReducedAction,
     assemble_total,
     assembled_residual,
@@ -37,8 +35,7 @@ SLOPE_TOLERANCE = 0.05
 
 def build_pair(cfg: RunConfig, comp: ComponentConfig, problem: Effective1DProblem) -> SolutionPair:
     if comp.source == "analytic":
-        analytic = SYMMETRY_TABLE[cfg.symmetry].analytic[comp.label]
-        return analytic(cfg.quantum_numbers, comp.grid, cfg.constants)
+        return cfg.symmetry.analytic[comp.label](cfg.quantum_numbers, comp.grid, cfg.constants)
     if comp.solve_energy is not None:
         p = problem
         problem = Effective1DProblem(
@@ -53,12 +50,11 @@ def build_case(cfg: RunConfig) -> tuple[dict, dict, TotalReducedAction | None]:
     equation when all coordinates are configured, else None."""
     components: dict[str, ReducedActionComponent] = {}
     equations: dict[str, Effective1DProblem] = {}
-    constructors = SYMMETRY_TABLE[cfg.symmetry].equations
     for label in cfg.symmetry.coordinate_labels:
         if label not in cfg.components:
             continue
         comp_cfg = cfg.components[label]
-        eq = constructors[label](cfg, cfg.quantum_numbers, cfg.constants)
+        eq = cfg.symmetry.equations[label](cfg, cfg.quantum_numbers, cfg.constants)
         pair = build_pair(cfg, comp_cfg, eq)
         components[label] = build_component(
             label, pair, comp_cfg.mu, comp_cfg.nu, comp_cfg.phase
@@ -182,9 +178,8 @@ def cmd_verify(cfg: RunConfig, out_dir: str, fmt: str) -> int:
             gap = np.abs(direct - summed)
         coords = dict(zip(cfg.symmetry.coordinate_labels, points.T))
         values = {"residual": direct, "component_weighted_sum": summed, "assembly_gap": gap}
-        formula = SYMMETRY_TABLE[cfg.symmetry].formula
         entries[name] = {
-            **_check(out_dir, name, formula, coords, values, cfg.tolerance, fmt),
+            **_check(out_dir, name, cfg.symmetry.formula, coords, values, cfg.tolerance, fmt),
             "max_assembly_gap": float(np.max(gap)),
             "probe_points": len(points),
         }
@@ -242,11 +237,9 @@ def cmd_limit_scan(cfg: RunConfig, out_dir: str, fmt: str, wrong_order: bool) ->
 
 
 def cmd_spin_report(cfg: RunConfig, out_dir: str, fmt: str) -> int:
-    row = SYMMETRY_TABLE[cfg.symmetry]
+    row = cfg.symmetry
     if row.spin is None:
-        raise ConfigError(
-            f"spin-report: {cfg.symmetry.value} symmetry has no residual quantum terms"
-        )
+        raise ConfigError(f"spin-report: {row.value} symmetry has no residual quantum terms")
     needed = row.spin_labels
     if any(lab not in cfg.components for lab in needed):
         raise ConfigError(f"spin-report needs grids for components {list(needed)}")
@@ -261,7 +254,7 @@ def cmd_spin_report(cfg: RunConfig, out_dir: str, fmt: str) -> int:
     }
     _table(
         os.path.join(out_dir, "spin_report"),
-        f"residual-quantum-terms-{cfg.symmetry.value}",
+        f"residual-quantum-terms-{row.value}",
         row.spin_formula,
         columns,
         fmt,
@@ -377,16 +370,12 @@ def main(argv: list[str] | None = None) -> int:
 def cold_entry() -> None:
     """Entry of a fresh process: `python -m qshje.cli` and the `qshje` script.
 
-    Every object alive after the imports lives until exit, so `gc.freeze()`
-    moves them into the permanent generation, which no collection examines.
-    GC stays enabled for the run's own cycles. Every output file is closed
-    by the time `main()` returns, so the process flushes stdout and stderr
-    and ends with `os._exit`, skipping the interpreter's teardown (module
-    cleanup and the final collection, about 7 ms per process). An exception
-    that escapes `main()` still takes the normal path: traceback, exit 1.
-    `main()` leaves gc alone, so in-process callers keep their collector.
+    Every output file is closed by the time `main()` returns, so the process
+    flushes stdout and stderr and ends with `os._exit`, skipping the
+    interpreter's teardown (module cleanup and the final collection, about
+    7 ms per process). An exception that escapes `main()` still takes the
+    normal path: traceback, exit 1. Neither touches gc.
     """
-    gc.freeze()
     rc = main()
     sys.stdout.flush()
     sys.stderr.flush()

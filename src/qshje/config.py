@@ -16,14 +16,13 @@ from .domain import (
     PotentialSpec,
     PowerLawPotential,
     QuantumNumbers,
-    SymmetryClass,
     TabulatedPotential,
     ZeroPotential,
     check_coordinates,
 )
 from .errors import ConfigError, GridDomainError, QshjeError
 from .ode_engine import Grid1D
-from .residuals import SYMMETRY_TABLE, hbar_scan_values
+from .residuals import SYMMETRY_TABLE, SymmetryRow, hbar_scan_values
 
 DEFAULT_HBAR_SCAN = (1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125)
 
@@ -57,14 +56,6 @@ def _number(value, path: str) -> float:
     return v
 
 
-def positive_number(value, path: str) -> float:
-    """A finite number > 0, else a ConfigError naming path."""
-    v = _number(value, path)
-    if v <= 0.0:
-        raise ConfigError(f"{path}: must be positive, got {v}")
-    return v
-
-
 def _integer(value, path: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{path}: expected an integer, got {value!r}")
@@ -83,7 +74,7 @@ class ComponentConfig:
 
 class RunConfig:
     def __init__(
-        self, symmetry: SymmetryClass, constants: PhysConstants,
+        self, symmetry: SymmetryRow, constants: PhysConstants,
         quantum_numbers: QuantumNumbers, potentials: dict[str, PotentialSpec],
         components: dict[str, ComponentConfig], tolerance: float, hbar_scan: tuple[float, ...],
         probe_per_coordinate: int, out_dir: str, fmt: str,
@@ -173,16 +164,14 @@ def parse_config(data: dict) -> RunConfig:
     root = _expect_mapping(data, "config")
 
     sym_raw = _get(root, "symmetry", "config")
-    try:
-        symmetry = SymmetryClass(sym_raw)
-    except ValueError:
+    # only a name is looked up: a list or mapping is unhashable
+    row = SYMMETRY_TABLE.get(sym_raw) if isinstance(sym_raw, str) else None
+    if row is None:
         raise ConfigError(
             f"config.symmetry: unknown symmetry {sym_raw!r} "
             "(expected cartesian, spherical or cylindrical)"
-        ) from None
-    labels = symmetry.coordinate_labels
-    row = SYMMETRY_TABLE[symmetry]
-    potential_labels = row.potential_labels
+        )
+    labels, potential_labels = row.coordinate_labels, row.potential_labels
     # one `potentials:` entry per axis, or the single radial `potential:`
     per_axis = potential_labels == labels
     _expect_mapping(root, "config", (
@@ -223,7 +212,9 @@ def parse_config(data: dict) -> RunConfig:
         pmap = _expect_mapping(root.get("potentials", {}), "config.potentials")
         for key, sub in pmap.items():
             if key not in labels:
-                raise ConfigError(f"config.potentials.{key}: unknown axis (expected x, y, z)")
+                raise ConfigError(
+                    f"config.potentials.{key}: unknown axis (expected {', '.join(labels)})"
+                )
             potentials[key] = potential_from_mapping(sub, f"potentials.{key}")
     else:
         praw = root.get("potential")
@@ -238,7 +229,7 @@ def parse_config(data: dict) -> RunConfig:
     for key, sub in comp_map.items():
         if key not in labels:
             raise ConfigError(
-                f"config.components.{key}: not a coordinate of {symmetry.value} "
+                f"config.components.{key}: not a coordinate of {row.value} "
                 f"(expected one of {list(labels)})"
             )
         components[key] = _component_config(key, sub, f"components.{key}")
@@ -266,7 +257,9 @@ def parse_config(data: dict) -> RunConfig:
             except ValueError as exc:
                 raise ConfigError(f"config.quantum_numbers: {exc}") from exc
 
-    tolerance = positive_number(root.get("tolerance", 1e-6), "config.tolerance")
+    tolerance = _number(root.get("tolerance", 1e-6), "config.tolerance")
+    if tolerance <= 0.0:
+        raise ConfigError(f"config.tolerance: must be positive, got {tolerance}")
 
     scan_raw = root.get("hbar_scan")
     if scan_raw is None:
@@ -307,7 +300,7 @@ def parse_config(data: dict) -> RunConfig:
             )
 
     return RunConfig(
-        symmetry=symmetry,
+        symmetry=row,
         constants=constants,
         quantum_numbers=quantum_numbers,
         potentials=potentials,

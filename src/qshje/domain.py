@@ -8,7 +8,6 @@ the V_eff / E_eff bookkeeping for every coordinate of every symmetry class.
 from __future__ import annotations
 
 import sys
-from enum import Enum
 from typing import Callable
 
 import numpy as np
@@ -34,20 +33,6 @@ class PhysConstants:
         return (self.hbar, self.mass) == (other.hbar, other.mass) if same else NotImplemented
 
 
-class SymmetryClass(Enum):
-    CARTESIAN = "cartesian"
-    SPHERICAL = "spherical"
-    CYLINDRICAL = "cylindrical"
-
-    @property
-    def coordinate_labels(self) -> tuple[str, str, str]:
-        return {
-            SymmetryClass.CARTESIAN: ("x", "y", "z"),
-            SymmetryClass.SPHERICAL: ("r", "theta", "phi"),
-            SymmetryClass.CYLINDRICAL: ("rho", "phi", "z"),
-        }[self]
-
-
 # Open interval and reduction weight w of each coordinate whose separated
 # solution is reduced to Schroedinger form as w(q) times itself: X = r R,
 # T = sin^(1/2)(theta) T0, H = sqrt(rho) G. Every other label spans the real
@@ -60,14 +45,9 @@ COORDINATES: dict[str, tuple[float, float, Callable]] = {
 _REAL_LINE = (-np.inf, np.inf, np.ones_like)
 
 
-def coordinate(label: str) -> tuple[float, float, Callable]:
-    """(lo, hi, w): the open interval and the reduction weight of a coordinate label."""
-    return COORDINATES.get(label, _REAL_LINE)
-
-
 def check_coordinates(label: str, q) -> None:
     """Raise GridDomainError unless every value q lies strictly inside the label's interval."""
-    lo, hi, _ = coordinate(label)
+    lo, hi, _ = COORDINATES.get(label, _REAL_LINE)
     q = np.asarray(q, dtype=float)
     if np.any(q <= lo) or np.any(q >= hi):
         raise GridDomainError(f"coordinate {label!r} must lie strictly inside ({lo}, {hi})")

@@ -14,7 +14,7 @@ with that convention the quantum correction enters with a plus sign.
 Assembled three-dimensional equations combine nodal component data with the
 metric weights of the symmetry class and, for curvilinear classes, the
 residual quantum terms proportional to hbar^2/8m. SYMMETRY_TABLE holds every
-fact that differs between the three classes.
+fact that differs between the three classes, one SymmetryRow per config name.
 """
 from __future__ import annotations
 
@@ -27,7 +27,6 @@ from .domain import (
     PhysConstants,
     PotentialSpec,
     QuantumNumbers,
-    SymmetryClass,
     axial_problem,
     azimuthal_problem,
     cartesian_axis_problem,
@@ -93,8 +92,11 @@ def _radial_spin(label: str, radius, constants: PhysConstants, theta=None) -> di
 
 
 class SymmetryRow:
-    """Everything that differs between the symmetry classes.
+    """One symmetry class: everything that differs between the classes.
 
+    value, coordinate_labels: the config name (the SYMMETRY_TABLE key) and
+        the three coordinates, in the order of every lattice.
+    formula: the assembled 3-D equation that verify tabulates.
     metric(q): diagonal metric factors h_k^2 at node coordinates q; the
         inverse-metric weights are 1/h_k^2.
     potential_labels: the coordinates V depends on; V is the sum of one
@@ -110,33 +112,41 @@ class SymmetryRow:
     """
 
     def __init__(
-        self, formula: str, metric: Callable, potential_labels: tuple[str, ...],
+        self, value: str, coordinate_labels: tuple[str, str, str], formula: str,
+        metric: Callable, potential_labels: tuple[str, ...],
         quantum_numbers: tuple[str, ...], equations: dict[str, Callable],
         analytic: dict[str, Callable], spin: Callable | None = None,
         spin_labels: tuple[str, ...] = (), spin_formula: str = "",
         wrong_order_axes: tuple[int, ...] = (),
     ) -> None:
+        self.value, self.coordinate_labels = value, coordinate_labels
         self.formula, self.metric, self.potential_labels = formula, metric, potential_labels
         self.quantum_numbers, self.equations, self.analytic = quantum_numbers, equations, analytic
         self.spin, self.spin_labels, self.spin_formula = spin, spin_labels, spin_formula
         self.wrong_order_axes = wrong_order_axes
 
 
-SYMMETRY_TABLE = {
-    SymmetryClass.CARTESIAN: SymmetryRow(
+def _by_value(*rows: SymmetryRow) -> dict[str, SymmetryRow]:
+    return {row.value: row for row in rows}
+
+
+SYMMETRY_TABLE = _by_value(
+    SymmetryRow(
+        "cartesian", (xyz := ("x", "y", "z")),
         formula="sum_q [ (dS_q)^2/(2m) + (hbar^2/(4m))*{S_q;q} + V_q(q) ] - E",
         metric=lambda q: (1.0, 1.0, 1.0),
-        potential_labels=("x", "y", "z"),
+        potential_labels=xyz,
         quantum_numbers=("energy", "axis_energies"),
         equations={
             lab: lambda cfg, qn, c, lab=lab: cartesian_axis_problem(
                 lab, cfg.potentials[lab], qn.axis_energies[lab], c
             )
-            for lab in ("x", "y", "z")
+            for lab in xyz
         },
         analytic={},
     ),
-    SymmetryClass.SPHERICAL: SymmetryRow(
+    SymmetryRow(
+        "spherical", ("r", "theta", "phi"),
         formula=(
             "(1/(2m))[(dS_r)^2 + (dS_theta)^2/r^2 + (dS_phi)^2/(r^2 sin^2 theta)]"
             " + (hbar^2/(4m))[{S_r;r} + {S_theta;theta}/r^2 + {S_phi;phi}/(r^2 sin^2 theta)]"
@@ -161,7 +171,8 @@ SYMMETRY_TABLE = {
         ),
         wrong_order_axes=(1, 2),
     ),
-    SymmetryClass.CYLINDRICAL: SymmetryRow(
+    SymmetryRow(
+        "cylindrical", ("rho", "phi", "z"),
         formula=(
             "(1/(2m))[(dS_rho)^2 + (dS_phi)^2/rho^2 + (dS_z)^2]"
             " + (hbar^2/(4m))[{S_rho;rho} + {S_phi;phi}/rho^2 + {S_z;z}]"
@@ -185,7 +196,8 @@ SYMMETRY_TABLE = {
         spin_labels=("rho",),
         spin_formula="ter1 = -hbar^2/(8 m rho^2); -2 m rho^2 ter1 / hbar^2",
     ),
-}
+)
+
 
 class TotalReducedAction:
     """The assembled 3-D equation of one symmetry class: three components,
@@ -199,7 +211,7 @@ class TotalReducedAction:
     """
 
     def __init__(
-        self, symmetry: SymmetryClass, components: dict[str, ReducedActionComponent],
+        self, symmetry: SymmetryRow, components: dict[str, ReducedActionComponent],
         constants: PhysConstants, quantum_numbers: QuantumNumbers,
         potentials: dict[str, PotentialSpec],
     ) -> None:
@@ -219,13 +231,13 @@ class TotalReducedAction:
         ix, nodes = self.lattice(idx)
         labels = self.symmetry.coordinate_labels
         samples = (getattr(self.components[lab], attr)[i] for lab, i in zip(labels, ix))
-        weights = tuple(1.0 / g for g in SYMMETRY_TABLE[self.symmetry].metric(nodes))
+        weights = tuple(1.0 / g for g in self.symmetry.metric(nodes))
         return sum(f**power * w for f, w in zip(samples, weights))
 
 
 def assemble_total(
     components: dict[str, ReducedActionComponent],
-    symmetry: SymmetryClass,
+    symmetry: SymmetryRow,
     quantum_numbers: QuantumNumbers,
     potentials: dict[str, PotentialSpec],
 ) -> TotalReducedAction:
@@ -239,14 +251,13 @@ def assemble_total(
         c = components[lab].constants
         if c != constants:
             raise ValueError("components carry different physical constants")
-    potential_labels = SYMMETRY_TABLE[symmetry].potential_labels
-    if potential_labels == labels:
+    if symmetry.potential_labels == labels:
         if set(potentials) != set(labels):
             raise ValueError(
                 f"{symmetry.value} assembly needs potentials for {', '.join(labels)}"
             )
         quantum_numbers.check_axis_energies(labels)
-    elif set(potentials) != set(potential_labels):
+    elif set(potentials) != set(symmetry.potential_labels):
         raise ValueError(f"{symmetry.value} assembly needs a radial potential")
     return TotalReducedAction(
         symmetry, dict(components), constants, quantum_numbers, dict(potentials)
@@ -263,7 +274,7 @@ def assembled_residual(total: TotalReducedAction, idx, mode: str = "quantum") ->
     if mode not in ("quantum", "quantum-terms"):
         raise ValueError(f"unknown mode {mode!r}")
     c = total.constants
-    spin = SYMMETRY_TABLE[total.symmetry].spin
+    spin = total.symmetry.spin
     _, nodes = total.lattice(idx)
 
     quantum = (c.hbar * c.hbar / (4.0 * c.mass)) * total.metric_sum("schwarzian", idx)
@@ -296,7 +307,7 @@ def component_weighted_sum(total: TotalReducedAction, residuals: dict[str, np.nd
     # each residual is divided by its equation's scale times its metric factor
     scales = (total.components[lab].pair.problem.scale for lab in labels)
     vals = (residuals[lab][i] for lab, i in zip(labels, ix))
-    metric = SYMMETRY_TABLE[total.symmetry].metric(nodes)
+    metric = total.symmetry.metric(nodes)
     return sum(v / (s * g) for v, s, g in zip(vals, scales, metric))
 
 
@@ -391,12 +402,12 @@ def classical_limit_scan(
 
     gap = None
     if wrong_order:
-        row = SYMMETRY_TABLE[total.symmetry]
+        row = total.symmetry
         if not row.wrong_order_axes:
             raise QshjeError("the wrong-order comparison is defined for spherical symmetry")
         ix, nodes = total.lattice(idx)
         metric = row.metric(nodes)
-        ds = [total.components[lab].ds[i] for lab, i in zip(total.symmetry.coordinate_labels, ix)]
+        ds = [total.components[lab].ds[i] for lab, i in zip(row.coordinate_labels, ix)]
         # zeroing the angular momenta first removes these gradient terms
         # from the would-be classical equation; the gap survives hbar -> 0
         gaps = sum(ds[k] * ds[k] / metric[k] for k in row.wrong_order_axes)

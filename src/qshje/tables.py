@@ -37,7 +37,8 @@ def write_table(
     written (extension fixed).
 
     `rows` is any iterable of rows (a 2-D array included), each one float
-    per column.
+    per column, else a ValueError before the file opens; no rows write the
+    header alone.
     """
     base, _ = os.path.splitext(path)
     if fmt == "csv":
@@ -55,6 +56,8 @@ def write_table(
         )
         row_sep, cell_sep, wrap, tail = ",\n    ", ", ", "[%s]", "\n  ]\n}\n"
     table = np.asarray(rows if isinstance(rows, np.ndarray) else list(rows), dtype=np.float64)
+    if len(table) and table.shape != (len(table), len(columns)):
+        raise ValueError(f"rows of shape {table.shape} do not fit {len(columns)} columns")
     with open(out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(head)
         for start in range(0, len(table), _BLOCK_ROWS):

@@ -10,6 +10,7 @@ import pytest
 from scipy.special import dawsn, jv, jvp, yv, yvp
 
 import qshje as Q
+from qshje.residuals import SYMMETRY_TABLE
 from qshje.schwarzian import schwarzian_from_amplitude
 
 CONSTANTS = Q.PhysConstants()
@@ -139,7 +140,7 @@ def hydrogen_total():
     }
     qn = Q.QuantumNumbers(ell=1, m_ell=1, energy=-0.125)
     return Q.assemble_total(
-        comps, Q.SymmetryClass.SPHERICAL, qn, {"r": Q.CoulombPotential(1.0)}
+        comps, SYMMETRY_TABLE["spherical"], qn, {"r": Q.CoulombPotential(1.0)}
     )
 
 
@@ -155,7 +156,7 @@ def cylindrical_total():
         "z": Q.build_component("z", Q.analytic_axial(-1.0, z_grid, CONSTANTS), 0.0, 0.0),
     }
     qn = Q.QuantumNumbers(m_phi=1, beta=-1.0, energy=1.0)
-    return Q.assemble_total(comps, Q.SymmetryClass.CYLINDRICAL, qn, {"rho": Q.ZeroPotential()})
+    return Q.assemble_total(comps, SYMMETRY_TABLE["cylindrical"], qn, {"rho": Q.ZeroPotential()})
 
 
 def cartesian_oscillator_case(rng=None, mixings=None):
@@ -175,4 +176,4 @@ def cartesian_oscillator_case(rng=None, mixings=None):
         comps[lab] = Q.build_component(lab, oscillator_axis_pair(grid, lab), mu, nu)
     qn = Q.QuantumNumbers(energy=1.5, axis_energies={"x": 0.5, "y": 0.5, "z": 0.5})
     pots = {lab: Q.HarmonicPotential(1.0) for lab in ("x", "y", "z")}
-    return Q.assemble_total(comps, Q.SymmetryClass.CARTESIAN, qn, pots)
+    return Q.assemble_total(comps, SYMMETRY_TABLE["cartesian"], qn, pots)

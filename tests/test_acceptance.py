@@ -193,7 +193,7 @@ def _assembly_bound_check(total, comp_equations):
     ix, nodes = total.lattice(idx)
     # per probe point: the largest component residual and inverse-metric weight
     eps = functools.reduce(np.maximum, (np.abs(res[lab][i]) for lab, i in zip(labels, ix)))
-    weights = [1.0 / g for g in SYMMETRY_TABLE[total.symmetry].metric(nodes)]
+    weights = [1.0 / g for g in total.symmetry.metric(nodes)]
     maxw = functools.reduce(np.maximum, weights)
     direct = np.abs(Q.assembled_residual(total, idx))
     ratio = direct / (3.0 * (eps + floor) * maxw)
@@ -264,7 +264,7 @@ def test_c10_spin_term_coefficient(hydrogen_total, cylindrical_total):
     exact = 0
     points = 0
     for total in (hydrogen_total, cylindrical_total):
-        spin = SYMMETRY_TABLE[total.symmetry].spin
+        spin = total.symmetry.spin
         idx = probe_axes(total, per_coordinate=5)
         t = spin(total.lattice(idx)[1], CONSTANTS)
         coeff = np.broadcast_to(t["normalized_coefficient"], tuple(len(i) for i in idx))
@@ -275,7 +275,7 @@ def test_c10_spin_term_coefficient(hydrogen_total, cylindrical_total):
     ter2_ok = True
     for theta in (np.pi / 2.0, np.pi / 4.0):
         for r in (0.5, 0.7, 2.0, 5.0, 11.0):
-            t = SYMMETRY_TABLE[Q.SymmetryClass.SPHERICAL].spin((r, theta), CONSTANTS)
+            t = SYMMETRY_TABLE["spherical"].spin((r, theta), CONSTANTS)
             direct = -h2 / (8.0 * m * r * r * np.sin(theta) ** 2)
             ter2_ok = ter2_ok and np.isclose(t["ter2"], direct, rtol=1e-14, atol=0.0)
 

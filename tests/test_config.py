@@ -6,6 +6,7 @@ import pytest
 import yaml
 
 import qshje as Q
+from qshje.residuals import SYMMETRY_TABLE
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
@@ -50,7 +51,7 @@ def test_shipped_configs_parse():
 
 def test_hydrogen_config_fields():
     cfg = Q.load_config(str(CONFIG_DIR / "spherical_hydrogen.yaml"))
-    assert cfg.symmetry is Q.SymmetryClass.SPHERICAL
+    assert cfg.symmetry is SYMMETRY_TABLE["spherical"]
     assert isinstance(cfg.potentials["r"], Q.CoulombPotential)
     assert cfg.quantum_numbers.ell == 1
     assert cfg.quantum_numbers.energy == -0.125

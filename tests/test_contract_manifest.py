@@ -70,6 +70,8 @@ ROWS = {
     "source-unknown": (2, "config error: components.r.source: expected 'numeric' or 'analytic'"),
     "substeps-0": (2, "config error: components.r.substeps: must be >= 1"),
     "symmetry-unknown": (2, "config error: config.symmetry: unknown symmetry"),
+    "symmetry-not-a-string": (
+        2, "config error: config.symmetry: unknown symmetry ['spherical']"),
     "potential-axis-unknown": (2, "config error: config.potentials.w: unknown axis"),
     "components-empty": (2, "config error: config.components: at least one component"),
     "component-not-a-coordinate": (

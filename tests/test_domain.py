@@ -3,6 +3,7 @@ import pytest
 
 import qshje as Q
 from qshje.domain import check_coordinates
+from qshje.residuals import SYMMETRY_TABLE
 
 
 def test_constants_defaults_and_validation():
@@ -44,9 +45,13 @@ def test_lambda_from_ell():
 
 
 def test_symmetry_labels():
-    assert Q.SymmetryClass.CARTESIAN.coordinate_labels == ("x", "y", "z")
-    assert Q.SymmetryClass.SPHERICAL.coordinate_labels == ("r", "theta", "phi")
-    assert Q.SymmetryClass.CYLINDRICAL.coordinate_labels == ("rho", "phi", "z")
+    labels = {name: row.coordinate_labels for name, row in SYMMETRY_TABLE.items()}
+    assert labels == {
+        "cartesian": ("x", "y", "z"),
+        "spherical": ("r", "theta", "phi"),
+        "cylindrical": ("rho", "phi", "z"),
+    }
+    assert all(row.value == name for name, row in SYMMETRY_TABLE.items())
 
 
 def test_quantum_numbers_validation():

@@ -3,6 +3,7 @@ import pytest
 from scipy.integrate import simpson
 
 import qshje as Q
+from qshje.residuals import SYMMETRY_TABLE
 
 from conftest import oscillator_axis_pair
 
@@ -104,7 +105,7 @@ def test_assemble_total_validates_labels(constants):
     pair = Q.analytic_azimuthal(1, grid, constants)
     comp = Q.build_component("phi", pair, 0.0, 0.0)
     with pytest.raises(ValueError, match="needs components"):
-        Q.assemble_total({"phi": comp}, Q.SymmetryClass.SPHERICAL, Q.QuantumNumbers(), {})
+        Q.assemble_total({"phi": comp}, SYMMETRY_TABLE["spherical"], Q.QuantumNumbers(), {})
 
     other = Q.build_component(
         "z", Q.analytic_axial(0.0, Q.Grid1D(-3.0, 3.0, 601),
@@ -117,7 +118,7 @@ def test_assemble_total_validates_labels(constants):
         "z": other,
     }
     with pytest.raises(ValueError, match="different physical constants"):
-        Q.assemble_total(comps, Q.SymmetryClass.CYLINDRICAL, Q.QuantumNumbers(), {})
+        Q.assemble_total(comps, SYMMETRY_TABLE["cylindrical"], Q.QuantumNumbers(), {})
 
 
 def test_total_action_lattice_and_metric(hydrogen_total):
@@ -149,7 +150,7 @@ def test_cartesian_gradient_is_plain_sum(constants):
     }
     qn = Q.QuantumNumbers(energy=1.5, axis_energies={"x": 0.5, "y": 0.5, "z": 0.5})
     pots = {lab: Q.HarmonicPotential(1.0) for lab in ("x", "y", "z")}
-    total = Q.assemble_total(comps, Q.SymmetryClass.CARTESIAN, qn, pots)
+    total = Q.assemble_total(comps, SYMMETRY_TABLE["cartesian"], qn, pots)
     idx = [np.array([100, 650]), np.array([500]), np.array([800, 900, 1000])]
     ix, _ = total.lattice(idx)
     by_hand = sum(comps[lab].ds[i] ** 2 for lab, i in zip(("x", "y", "z"), ix))

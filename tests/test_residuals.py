@@ -192,16 +192,16 @@ def test_assembled_equation_validation(constants):
     cartesian = {lab: comp for lab in ("x", "y", "z")}
     qn = Q.QuantumNumbers(energy=1.0)
     with pytest.raises(ValueError, match="radial potential"):
-        Q.assemble_total(spherical, Q.SymmetryClass.SPHERICAL, qn, {})
+        Q.assemble_total(spherical, SYMMETRY_TABLE["spherical"], qn, {})
     # a potential keyed by the cylindrical radius is not V(r)
     with pytest.raises(ValueError, match="radial potential"):
-        Q.assemble_total(spherical, Q.SymmetryClass.SPHERICAL, qn, {"rho": Q.ZeroPotential()})
+        Q.assemble_total(spherical, SYMMETRY_TABLE["spherical"], qn, {"rho": Q.ZeroPotential()})
     with pytest.raises(ValueError, match="needs potentials for x, y, z"):
-        Q.assemble_total(cartesian, Q.SymmetryClass.CARTESIAN, qn, {})
+        Q.assemble_total(cartesian, SYMMETRY_TABLE["cartesian"], qn, {})
     bad = Q.QuantumNumbers(energy=1.5, axis_energies={"x": 0.5, "y": 0.5, "z": 0.4})
     pots = {lab: Q.HarmonicPotential(1.0) for lab in ("x", "y", "z")}
     with pytest.raises(ValueError, match="axis energies"):
-        Q.assemble_total(cartesian, Q.SymmetryClass.CARTESIAN, bad, pots)
+        Q.assemble_total(cartesian, SYMMETRY_TABLE["cartesian"], bad, pots)
 
 
 def test_assembly_identity_two_routes(hydrogen_total, constants):
@@ -329,8 +329,8 @@ def test_probe_lattice_is_deterministic(hydrogen_total):
 
 
 def test_spin_terms_values(constants):
-    spherical = SYMMETRY_TABLE[Q.SymmetryClass.SPHERICAL].spin
-    cylindrical = SYMMETRY_TABLE[Q.SymmetryClass.CYLINDRICAL].spin
+    spherical = SYMMETRY_TABLE["spherical"].spin
+    cylindrical = SYMMETRY_TABLE["cylindrical"].spin
     s = spherical((1.0, np.pi / 2.0), constants)
     assert list(s) == ["ter1", "ter2", "normalized_coefficient"]
     assert s["ter1"] == -0.125
@@ -346,7 +346,7 @@ def test_spin_terms_values(constants):
     assert cyl["ter1"] == -1.0 / 32.0
     assert cyl["normalized_coefficient"] == 0.25
 
-    assert SYMMETRY_TABLE[Q.SymmetryClass.CARTESIAN].spin is None
+    assert SYMMETRY_TABLE["cartesian"].spin is None
     with pytest.raises(Q.GridDomainError):
         spherical((-1.0, 1.0), constants)
     with pytest.raises(Q.GridDomainError):
@@ -357,7 +357,7 @@ def test_spin_terms_values(constants):
 
 def test_spin_coefficient_scales_out_constants():
     heavy = Q.PhysConstants(hbar=0.7, mass=3.2)
-    s = SYMMETRY_TABLE[Q.SymmetryClass.SPHERICAL].spin((1.7, 0.9), heavy)
+    s = SYMMETRY_TABLE["spherical"].spin((1.7, 0.9), heavy)
     assert s["normalized_coefficient"] == 0.25
 
 

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import tracemalloc
 
 import numpy as np
@@ -36,6 +37,15 @@ def test_write_table_json(tmp_path):
     assert payload["columns"] == ["q", "v"]
     assert payload["rows"][0] == [0.5, None]  # non-finite floats become null
     assert payload["rows"][1] == [0.25, None]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_write_table_refuses_rows_that_do_not_fit_the_columns(tmp_path, fmt):
+    # flat rows, and a row of 3 cells under 2 columns, fail before the file opens
+    for rows, shape in (([0.5, 1.5], "(2,)"), ([(0.5, 1.5, 2.5)], "(1, 3)")):
+        with pytest.raises(ValueError, match=re.escape(f"rows of shape {shape} do not fit 2")):
+            write_table(str(tmp_path / "bad"), "eq", "f = 0", ["a", "b"], iter(rows), fmt=fmt)
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_write_summary_sorted_and_parseable(tmp_path):

@@ -173,6 +173,7 @@ EDGES = (
     ("source-unknown", "spherical_hydrogen", _set("components.r.source", "guess")),
     ("substeps-0", "spherical_hydrogen", _set("components.r.substeps", 0)),
     ("symmetry-unknown", "spherical_hydrogen", _set("symmetry", "polar")),
+    ("symmetry-not-a-string", "spherical_hydrogen", _set("symmetry", ["spherical"])),
     ("potential-axis-unknown", "cartesian_oscillator",
      _set("potentials.w", {"kind": "harmonic", "omega": 1.0})),
     ("components-empty", "spherical_hydrogen", _set("components", {})),
