@@ -5,13 +5,17 @@ with mu nu != 1, the reduced action of one coordinate is
 
     S(q) = hbar arctan( (mu y1 + y2) / (y1 + nu y2) ) + e hbar
 
-with the closed-form conjugate momentum
+(Milne, Phys. Rev. 35 (1930) 863; Korsch & Laurent, J. Phys. B 14 (1981)
+4213) with the closed-form conjugate momentum
 
     dS/dq = hbar (1 - mu nu) W / (a^2 + b^2),  a = mu y1 + y2,  b = y1 + nu y2.
 
-S is constructed by trapezoid integration of dS/dq anchored to the arctan value
-at the grid anchor node; the pointwise arctan is kept as a branch cross-check
-mod pi hbar. The continuity product amplitude^2 * dS/dq equals
+S is hbar times the unwrapped arctan2(a, b), exact at every node, on the branch
+that reads hbar arctan2(a, b) + e hbar at the grid anchor. Unwrapping takes
+each cell's phase step mod 2 pi, so each step is checked against the
+trapezoid of dS/dq / hbar: a cell that winds a whole turn or more misses it
+by about 2 pi k and is refused. `branch_residual` is the largest miss in rad,
+with bound pi/2. The continuity product amplitude^2 * dS/dq equals
 hbar (1 - mu nu) W by construction (amplitude = sqrt(D), dS = C/D), so it is
 not checked at run time.
 """
@@ -78,31 +82,23 @@ def build_component(
 
     q = pair.grid.points
     anchor = pair.grid.midpoint_index
-    cum = np.concatenate([[0.0], np.cumsum(0.5 * (ds[1:] + ds[:-1]) * np.diff(q))])
-    s = cum - cum[anchor] + hbar * np.arctan2(a[anchor], b[anchor])
-
-    # branch-insensitive cross-check of the unwrapped arctan, on the action
-    # before the phase: with theta = s/hbar, sin(theta) b - cos(theta) a = 0 mod pi.
-    theta = s / hbar
-    branch = float(np.max(np.abs(np.sin(theta) * b - np.cos(theta) * a) / np.sqrt(d)))
-    if branch > 0.05:
+    theta = np.unwrap(np.arctan2(a, b))
+    # each cell's phase step against the trapezoid of dS/dq: an aliased cell
+    # misses by about 2 pi k, a round-off step by far less than pi/2
+    k = ds / hbar
+    gap = np.abs(np.diff(theta) - 0.5 * (k[1:] + k[:-1]) * np.diff(q))
+    worst = int(np.argmax(gap))
+    branch = float(gap[worst])
+    if not branch < 0.5 * np.pi:
         raise QshjeError(
-            f"unwrapped action disagrees with arctan branch by {branch:.2e}; grid too coarse"
+            f"{label}: the phase step between {label} = {float(q[worst])!r} and "
+            f"{float(q[worst + 1])!r} misses dS/dq by {branch:.3g} rad; grid too coarse"
         )
     with np.errstate(over="ignore"):
-        s = s + phase_e * hbar
+        s = hbar * (theta - theta[anchor] + np.arctan2(a[anchor], b[anchor])) + phase_e * hbar
     if not np.all(np.isfinite(s)):
         raise QshjeError(f"{label}: the action S overflows with phase {phase_e!r}; reduce |phase|")
 
     return ReducedActionComponent(
-        pair=pair,
-        mu=float(mu),
-        nu=float(nu),
-        phase_e=float(phase_e),
-        s=s,
-        ds=ds,
-        amplitude=np.sqrt(d),
-        schwarzian=schwarzian,
-        branch_residual=branch,
+        pair, float(mu), float(nu), float(phase_e), s, ds, np.sqrt(d), schwarzian, branch
     )
-

@@ -16,7 +16,10 @@ def test_unmixed_azimuthal_action_is_linear(constants):
     comp = Q.build_component("phi", pair, 0.0, 0.0)
     hbar = constants.hbar
     np.testing.assert_allclose(comp.ds, -hbar)
-    np.testing.assert_allclose(comp.s, hbar * (np.pi / 2.0 - grid.points), atol=1e-12)
+    # exact to a few ulp of the largest |S|, with no quadrature error
+    expected = hbar * (np.pi / 2.0 - grid.points)
+    bound = 4.0 * np.finfo(float).eps * np.max(np.abs(expected))
+    np.testing.assert_allclose(comp.s, expected, rtol=0.0, atol=bound)
     np.testing.assert_allclose(comp.amplitude, 1.0, rtol=0.0, atol=1e-15)
     assert comp.branch_residual < 1e-12
 
@@ -48,11 +51,52 @@ def test_degenerate_mixing_rejected(constants):
 
 def test_branch_check_rejects_coarse_grid(constants):
     # unwrapping cannot follow the action across cells that wind more than
-    # half a turn; the arctan cross-check catches it
+    # half a turn; the phase step then misses the momentum's trapezoid
     grid = Q.Grid1D(0.0, 2.0 * np.pi, 9)
     pair = Q.analytic_azimuthal(3, grid, constants)
     with pytest.raises(Q.QshjeError, match="too coarse"):
         Q.build_component("phi", pair, 1.5, 0.3)
+
+
+@pytest.mark.parametrize("n", (13, 101, 721))
+@pytest.mark.parametrize("mu, nu", ((1.5, 0.3), (0.0, 0.0), (0.4, -0.3)))
+def test_every_accepted_azimuthal_action_winds_m_turns(constants, mu, nu, n):
+    # past m = n - 1 each m aliases onto a smaller one on the nodes; the cell
+    # guard refuses those instead of writing a winding short by whole turns
+    grid = Q.Grid1D(0.0, 2.0 * np.pi, n)
+    accepted = 0
+    for m in range(1, 2 * n):
+        pair = Q.analytic_azimuthal(m, grid, constants)
+        try:
+            comp = Q.build_component("phi", pair, mu, nu)
+        except Q.QshjeError as err:
+            assert "grid too coarse" in str(err)
+            continue
+        accepted += 1
+        winding = abs(comp.s[-1] - comp.s[0]) / (2.0 * np.pi * constants.hbar)
+        assert winding == pytest.approx(m, rel=0.0, abs=1e-9)
+    assert accepted > 0
+
+
+def test_aliased_unmixed_azimuthal_is_refused(constants):
+    # each cell advances by 2 pi + 0.35 rad, which unwrap reads as 0.35 rad
+    grid = Q.Grid1D(0.0, 2.0 * np.pi, 721)
+    pair = Q.analytic_azimuthal(760, grid, constants)
+    with pytest.raises(Q.QshjeError, match="misses dS/dq by 6.28 rad; grid too coarse"):
+        Q.build_component("phi", pair, 0.0, 0.0)
+
+
+def test_saturating_oscillator_axis_solves(constants):
+    # deep in the forbidden regions the phase saturates and arctan2 steps
+    # back by one ulp against the momentum's sign; the guard takes no notice
+    grid = Q.Grid1D(-6.0, 6.0, 1201)
+    problem = Q.cartesian_axis_problem("z", Q.HarmonicPotential(1.249773), 1.8746595, constants)
+    pair = Q.solve_pair(problem, grid, substeps=4)
+    a, b = Q.mixed_solutions(pair, -0.159603, -0.410335)[:2]
+    steps = np.diff(np.unwrap(np.arctan2(a, b)))
+    assert np.any(np.sign(steps) == -np.sign(pair.wronskian))
+    comp = Q.build_component("z", pair, -0.159603, -0.410335)
+    assert comp.branch_residual < 1e-4
 
 
 def test_axial_degenerate_pair_momentum(constants):

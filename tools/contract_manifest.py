@@ -202,6 +202,12 @@ EDGES = (
      _set("hbar_scan", [1.0, 1e-100, 1e-200, 1e-300]), "limit-scan"),
     ("ell-400-grid-too-coarse", "azimuthal_identity",
      _set("quantum_numbers", {"ell": 400, "m_ell": 400})),
+    # the phase is exact at every node, so no quadrature error refuses m = 60
+    ("m-60-spiky-resolved", "azimuthal_identity", _set("quantum_numbers", {"ell": 60, "m_ell": 60})),
+    # fewer than 2 nodes per period of cos(m phi): each cell winds 2 pi + 0.35 rad
+    ("m-760-unmixed-aliased", "azimuthal_identity", _sets(
+        _set("quantum_numbers", {"ell": 760, "m_ell": 760}),
+        _set("components.phi.mu", 0.0), _set("components.phi.nu", 0.0))),
     ("spin-r-max-1e160", "spherical_hydrogen", _set("components.r.grid.max", 1e160), "spin-report"),
     # m^2 hbar^2 / 2m overflows
     ("effective-energy-overflow", "azimuthal_identity", _sets(
