@@ -12,10 +12,12 @@ with mu nu != 1, the reduced action of one coordinate is
 
 S is hbar times the unwrapped arctan2(a, b), exact at every node, on the branch
 that reads hbar arctan2(a, b) + e hbar at the grid anchor. Unwrapping takes
-each cell's phase step mod 2 pi, so each step is checked against the
-trapezoid of dS/dq / hbar: a cell that winds a whole turn or more misses it
-by about 2 pi k and is refused. `branch_residual` is the largest miss in rad,
-with bound pi/2. The continuity product amplitude^2 * dS/dq equals
+each cell's phase step mod 2 pi, so it is exact only where the phase turns by
+less than pi across every cell. By Sturm comparison that holds for every pair
+at once where the node spacing times the local wavenumber sqrt(-c) of
+y'' = c y stays below pi; the mixing cannot change it. A grid that breaks
+this is refused as too coarse. `branch_residual` is that largest product in
+rad, with bound pi. The continuity product amplitude^2 * dS/dq equals
 hbar (1 - mu nu) W by construction (amplitude = sqrt(D), dS = C/D), so it is
 not checked at run time.
 """
@@ -58,7 +60,6 @@ def build_component(
     # names that instead of passing on inf and NaN samples
     with np.errstate(over="ignore", invalid="ignore"):
         mixed = mixed_solutions(pair, mu, nu)
-        # one curvature evaluation feeds D, the momentum and the Schwarzian
         d, dp, dpp = amplitude_derivatives(pair, *mixed)
         if np.any(d <= 0.0):
             raise QshjeError("mixed-basis amplitude vanishes on the grid; change (mu, nu)")
@@ -82,23 +83,24 @@ def build_component(
 
     q = pair.grid.points
     anchor = pair.grid.midpoint_index
-    theta = np.unwrap(np.arctan2(a, b))
-    # each cell's phase step against the trapezoid of dS/dq: an aliased cell
-    # misses by about 2 pi k, a round-off step by far less than pi/2
-    k = ds / hbar
-    gap = np.abs(np.diff(theta) - 0.5 * (k[1:] + k[:-1]) * np.diff(q))
-    worst = int(np.argmax(gap))
-    branch = float(gap[worst])
-    if not branch < 0.5 * np.pi:
+    # Sturm: no solution of y'' = c y has two zeros in a cell narrower than
+    # pi / sqrt(-c), read at its two nodes, so there every phase turns < pi
+    kappa = np.sqrt(np.maximum(-pair.problem.curvature(q), 0.0))
+    turn = np.diff(q) * np.maximum(kappa[1:], kappa[:-1])
+    worst = int(np.argmax(turn))
+    branch = float(turn[worst])
+    if not branch < np.pi:
         raise QshjeError(
-            f"{label}: the phase step between {label} = {float(q[worst])!r} and "
-            f"{float(q[worst + 1])!r} misses dS/dq by {branch:.3g} rad; grid too coarse"
+            f"{label}: between {label} = {float(q[worst])!r} and {float(q[worst + 1])!r} the phase "
+            f"can turn by pi or more (spacing times wavenumber {branch:.3g} rad); grid too coarse"
         )
+    theta = np.unwrap(np.arctan2(a, b))
     with np.errstate(over="ignore"):
         s = hbar * (theta - theta[anchor] + np.arctan2(a[anchor], b[anchor])) + phase_e * hbar
     if not np.all(np.isfinite(s)):
         raise QshjeError(f"{label}: the action S overflows with phase {phase_e!r}; reduce |phase|")
 
     return ReducedActionComponent(
-        pair, float(mu), float(nu), float(phase_e), s, ds, np.sqrt(d), schwarzian, branch
+        pair=pair, mu=float(mu), nu=float(nu), phase_e=float(phase_e), s=s, ds=ds,
+        amplitude=np.sqrt(d), schwarzian=schwarzian, branch_residual=branch,
     )

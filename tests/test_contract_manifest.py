@@ -95,12 +95,15 @@ ROWS = {
     "hbar-scan-underflow": (
         3, "solver failure: classical-limit fit: the quantum-term magnitude is 0.0"),
     "ell-400-grid-too-coarse": (
-        3, "solver failure: phi: the phase step between phi = 5.40179403492245 and "
-           "5.410520681182422 misses dS/dq by 11 rad; grid too coarse\n"),
+        3, "solver failure: phi: between phi = 2.0158552860534504 and 2.0245819323134224 the "
+           "phase can turn by pi or more (spacing times wavenumber 3.49 rad); grid too coarse\n"),
     "m-60-spiky-resolved": (0, ""),
     "m-760-unmixed-aliased": (
-        3, "solver failure: phi: the phase step between phi = 5.8643062867009474 and "
-           "5.8730329329609186 misses dS/dq by 6.28 rad; grid too coarse\n"),
+        3, "solver failure: phi: between phi = 2.0158552860534504 and 2.0245819323134224 the "
+           "phase can turn by pi or more (spacing times wavenumber 6.63 rad); grid too coarse\n"),
+    "m-720-mixed-aliased": (
+        3, "solver failure: phi: between phi = 2.0158552860534504 and 2.0245819323134224 the "
+           "phase can turn by pi or more (spacing times wavenumber 6.28 rad); grid too coarse\n"),
     "spin-r-max-1e160": (
         3, "solver failure: spin terms: hbar^2/(2m r^2) is below the smallest normal float"),
     "effective-energy-overflow": (

@@ -21,7 +21,8 @@ def test_unmixed_azimuthal_action_is_linear(constants):
     bound = 4.0 * np.finfo(float).eps * np.max(np.abs(expected))
     np.testing.assert_allclose(comp.s, expected, rtol=0.0, atol=bound)
     np.testing.assert_allclose(comp.amplitude, 1.0, rtol=0.0, atol=1e-15)
-    assert comp.branch_residual < 1e-12
+    # wavenumber m = 1, so a cell can turn the phase by at most its width
+    assert comp.branch_residual == pytest.approx(grid.spacing, rel=1e-12)
 
 
 def test_momentum_matches_derivative_of_action(constants):
@@ -50,45 +51,56 @@ def test_degenerate_mixing_rejected(constants):
 
 
 def test_branch_check_rejects_coarse_grid(constants):
-    # unwrapping cannot follow the action across cells that wind more than
-    # half a turn; the phase step then misses the momentum's trapezoid
+    # unwrapping cannot follow the action across cells that turn it by half a
+    # turn or more: m = 5 on cells of pi/4 turns the phase by 5 pi/4 per cell
     grid = Q.Grid1D(0.0, 2.0 * np.pi, 9)
-    pair = Q.analytic_azimuthal(3, grid, constants)
+    pair = Q.analytic_azimuthal(5, grid, constants)
     with pytest.raises(Q.QshjeError, match="too coarse"):
         Q.build_component("phi", pair, 1.5, 0.3)
 
 
-@pytest.mark.parametrize("n", (13, 101, 721))
-@pytest.mark.parametrize("mu, nu", ((1.5, 0.3), (0.0, 0.0), (0.4, -0.3)))
+@pytest.mark.parametrize("n", (9, 13, 101, 721))
+@pytest.mark.parametrize("mu, nu", ((1.5, 0.3), (0.0, 0.0), (0.4, -0.3), (0.0, 2.0)))
 def test_every_accepted_azimuthal_action_winds_m_turns(constants, mu, nu, n):
-    # past m = n - 1 each m aliases onto a smaller one on the nodes; the cell
-    # guard refuses those instead of writing a winding short by whole turns
+    # from m h = pi on (m = (n - 1)/2), the nodes cannot tell m from a smaller
+    # winding; the guard refuses exactly those, whatever the mixing, and
+    # every m below winds m whole turns
     grid = Q.Grid1D(0.0, 2.0 * np.pi, n)
-    accepted = 0
+    refused = []
     for m in range(1, 2 * n):
         pair = Q.analytic_azimuthal(m, grid, constants)
         try:
             comp = Q.build_component("phi", pair, mu, nu)
         except Q.QshjeError as err:
             assert "grid too coarse" in str(err)
+            refused.append(m)
             continue
-        accepted += 1
         winding = abs(comp.s[-1] - comp.s[0]) / (2.0 * np.pi * constants.hbar)
         assert winding == pytest.approx(m, rel=0.0, abs=1e-9)
-    assert accepted > 0
+    assert refused == list(range((n - 1) // 2, 2 * n))
 
 
 def test_aliased_unmixed_azimuthal_is_refused(constants):
     # each cell advances by 2 pi + 0.35 rad, which unwrap reads as 0.35 rad
     grid = Q.Grid1D(0.0, 2.0 * np.pi, 721)
     pair = Q.analytic_azimuthal(760, grid, constants)
-    with pytest.raises(Q.QshjeError, match="misses dS/dq by 6.28 rad; grid too coarse"):
+    with pytest.raises(Q.QshjeError, match=r"wavenumber 6.63 rad\); grid too coarse"):
         Q.build_component("phi", pair, 0.0, 0.0)
+
+
+def test_aliased_spiky_azimuthal_is_refused(constants):
+    # every node sees the same (a, b) = (1, 2), so unwrap reads no turn at
+    # all, and the trapezoid of dS/dq misses the true 2 pi per cell as well
+    grid = Q.Grid1D(0.0, 2.0 * np.pi, 721)
+    pair = Q.analytic_azimuthal(720, grid, constants)
+    with pytest.raises(Q.QshjeError, match=r"wavenumber 6.28 rad\); grid too coarse"):
+        Q.build_component("phi", pair, 0.0, 2.0)
 
 
 def test_saturating_oscillator_axis_solves(constants):
     # deep in the forbidden regions the phase saturates and arctan2 steps
-    # back by one ulp against the momentum's sign; the guard takes no notice
+    # back by one ulp against the momentum's sign; the guard reads the
+    # wavenumber, not the steps, and the action keeps each step as it is
     grid = Q.Grid1D(-6.0, 6.0, 1201)
     problem = Q.cartesian_axis_problem("z", Q.HarmonicPotential(1.249773), 1.8746595, constants)
     pair = Q.solve_pair(problem, grid, substeps=4)
@@ -96,7 +108,7 @@ def test_saturating_oscillator_axis_solves(constants):
     steps = np.diff(np.unwrap(np.arctan2(a, b)))
     assert np.any(np.sign(steps) == -np.sign(pair.wronskian))
     comp = Q.build_component("z", pair, -0.159603, -0.410335)
-    assert comp.branch_residual < 1e-4
+    np.testing.assert_allclose(np.diff(comp.s) / constants.hbar, steps, rtol=0.0, atol=1e-13)
 
 
 def test_axial_degenerate_pair_momentum(constants):

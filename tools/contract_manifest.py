@@ -203,11 +203,17 @@ EDGES = (
     ("ell-400-grid-too-coarse", "azimuthal_identity",
      _set("quantum_numbers", {"ell": 400, "m_ell": 400})),
     # the phase is exact at every node, so no quadrature error refuses m = 60
-    ("m-60-spiky-resolved", "azimuthal_identity", _set("quantum_numbers", {"ell": 60, "m_ell": 60})),
+    ("m-60-spiky-resolved", "azimuthal_identity",
+     _set("quantum_numbers", {"ell": 60, "m_ell": 60})),
     # fewer than 2 nodes per period of cos(m phi): each cell winds 2 pi + 0.35 rad
     ("m-760-unmixed-aliased", "azimuthal_identity", _sets(
         _set("quantum_numbers", {"ell": 760, "m_ell": 760}),
         _set("components.phi.mu", 0.0), _set("components.phi.nu", 0.0))),
+    # each cell winds exactly 2 pi, so every node reads (a, b) = (1, 2) and
+    # the momentum's trapezoid misses the turns as well
+    ("m-720-mixed-aliased", "azimuthal_identity", _sets(
+        _set("quantum_numbers", {"ell": 720, "m_ell": 720}),
+        _set("components.phi.mu", 0.0), _set("components.phi.nu", 2.0))),
     ("spin-r-max-1e160", "spherical_hydrogen", _set("components.r.grid.max", 1e160), "spin-report"),
     # m^2 hbar^2 / 2m overflows
     ("effective-energy-overflow", "azimuthal_identity", _sets(
