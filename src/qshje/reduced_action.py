@@ -11,15 +11,13 @@ with mu nu != 1, the reduced action of one coordinate is
     dS/dq = hbar (1 - mu nu) W / (a^2 + b^2),  a = mu y1 + y2,  b = y1 + nu y2.
 
 S is hbar times the unwrapped arctan2(a, b), exact at every node, on the branch
-that reads hbar arctan2(a, b) + e hbar at the grid anchor. Unwrapping takes
-each cell's phase step mod 2 pi, so it is exact only where the phase turns by
-less than pi across every cell. By Sturm comparison that holds for every pair
-at once where the node spacing times the local wavenumber sqrt(-c) of
-y'' = c y stays below pi; the mixing cannot change it. A grid that breaks
-this is refused as too coarse. `branch_residual` is that largest product in
-rad, with bound pi. The continuity product amplitude^2 * dS/dq equals
-hbar (1 - mu nu) W by construction (amplitude = sqrt(D), dS = C/D), so it is
-not checked at run time.
+that reads hbar arctan2(a, b) + e hbar at the grid anchor. Unwrapping is exact
+where the phase turns by less than pi in every cell. By Sturm comparison that
+holds for every pair, whatever the mixing, where the node spacing times the
+local wavenumber sqrt(-c) of y'' = c y stays below pi; a coarser grid is
+refused. `branch_residual` is the largest such product in rad (bound pi).
+The continuity product amplitude^2 * dS/dq equals hbar (1 - mu nu) W by
+construction (amplitude = sqrt(D), dS = C/D), so it is not checked at run time.
 """
 from __future__ import annotations
 
@@ -101,6 +99,13 @@ def build_component(
         raise QshjeError(f"{label}: the action S overflows with phase {phase_e!r}; reduce |phase|")
 
     return ReducedActionComponent(
-        pair=pair, mu=float(mu), nu=float(nu), phase_e=float(phase_e), s=s, ds=ds,
-        amplitude=np.sqrt(d), schwarzian=schwarzian, branch_residual=branch,
+        pair=pair,
+        mu=float(mu),
+        nu=float(nu),
+        phase_e=float(phase_e),
+        s=s,
+        ds=ds,
+        amplitude=np.sqrt(d),
+        schwarzian=schwarzian,
+        branch_residual=branch,
     )
