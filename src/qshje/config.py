@@ -3,11 +3,16 @@
 A run file names a symmetry class, the potential, the constants of motion,
 and one block per coordinate component with its mixing constants and grid.
 Validation errors carry the dotted path of the offending field.
+
+Run files are read by `_read_yaml`, a reader of the YAML subset they use:
+block mappings with plain keys, block sequences, one-line flow collections,
+comments, and plain or quoted scalars resolved as YAML 1.1 resolves them.
 """
 from __future__ import annotations
 
+import re
+
 import numpy as np
-import yaml
 
 from .domain import (
     CoulombPotential,
@@ -61,6 +66,123 @@ def _integer(value, path: str) -> int:
         raise ConfigError(f"{path}: expected an integer, got {value!r}")
     _number(value, path)  # every config number must be a finite float
     return value
+
+
+# A flow token: an indicator, a quoted scalar (double quotes without escapes)
+# or a plain scalar (no tab, `,[]{}`, `: `, `#` or `?`); else a comment, or
+# text that is none of these. Only spaces separate tokens, as in YAML.
+_TOKEN = re.compile(
+    r""" *(?:(?<![^ ])#.*|([\[\]{},]|:(?=[ \[\]{},]|$)|'(?:[^']|'')*'|"[^"\\]*"|"""
+    r"""-?[^ \t\[\]{},:#'"&*!|>%@`?-](?:[^\t\[\]{},:#?]|:(?=[^ \t\[\]{},]))*)|([^ ].*))"""
+)
+_KEY, _DASH = re.compile(r"([A-Za-z_]\w*) *:(?: +|$)"), re.compile(r"-(?: +|$)")
+_NUMBER = re.compile(  # an int (group 1) or a float
+    r"([-+]?(?:0|[1-9][0-9]*))|[-+]?[0-9]+\.[0-9]*(?:[eE][-+][0-9]+)?"
+    r"|\.[0-9]+(?:[eE][-+][0-9]+)?|[-+]?\.(?:inf|Inf|INF)|\.(?:nan|NaN|NAN)")
+# what YAML 1.1 reads as neither a string nor a decimal int or float: octal,
+# hex, binary, `_` separators, base 60, timestamps, merge and value keys
+_YAML11 = re.compile(r"[-+]?(?:0[0-9_bx]|\.?[0-9][0-9._]*[_:])|[0-9]{4}-[0-9]|<<$|=$")
+_WORDS = {word: value for value, words in (
+    (None, "~ null Null NULL"), (True, "yes Yes YES true True TRUE on On ON"),
+    (False, "no No NO false False FALSE off Off OFF")) for word in words.split()}
+
+
+def _plain(text: str):
+    number = _NUMBER.fullmatch(text)
+    if number:  # int() raises ValueError past the interpreter's digit limit
+        return int(text) if number[1] else float(re.sub(r"\.(?=[iInN])", "", text))
+    if _YAML11.match(text):
+        raise ValueError(f"{text!r} is a YAML 1.1 form outside the subset run files use")
+    return _WORDS.get(text, text)
+
+
+def _put(node: dict, key, value) -> None:
+    if key in node:  # TypeError for a list or mapping key
+        raise ValueError(f"duplicate key {key!r}")
+    node[key] = value
+
+
+def _node(tokens: list):
+    """Pop the flow node at the end of tokens, a reversed token list."""
+    token = tokens.pop()
+    if token in ("[", "{"):
+        node, close = ([], "]") if token == "[" else ({}, "}")
+        while tokens[-1] != close:
+            if node and tokens.pop() != ",":
+                raise ValueError(f"expected ',' or {close!r}")
+            item = _node(tokens)
+            if close == "]":
+                node.append(item)
+            elif tokens.pop() != ":":
+                raise ValueError(f"expected ':' after {item!r}")
+            else:
+                _put(node, item, _node(tokens))
+        tokens.pop()
+        return node
+    if token in ("]", "}", ",", ":"):
+        raise ValueError(f"unexpected {token!r}")
+    if token[0] in "'\"":
+        return token[1:-1].replace("''", "'") if token[0] == "'" else token[1:-1]
+    return _plain(token.rstrip())
+
+
+def _flow(text: str):
+    """The flow node that fills text."""
+    pairs = _TOKEN.findall(text)
+    if any(junk for _, junk in pairs):
+        raise ValueError(f"cannot read {''.join(junk for _, junk in pairs)!r}")
+    tokens = [token for token, _ in reversed(pairs) if token]
+    node = _node(tokens)
+    if tokens:
+        raise ValueError(f"text after the value: {tokens[-1]!r}")
+    return node
+
+
+def _block(lines: list):
+    """Pop the node that starts at the end of lines, a reversed list of
+    [number, indent, text] lines."""
+    number, indent, text = lines[-1]
+    entry = _DASH if _DASH.match(text) else _KEY if _KEY.match(text) else None
+    try:
+        if entry is None:
+            return _flow(lines.pop()[2])
+        node = [] if entry is _DASH else {}
+        while lines[-1][1] == indent and (m := entry.match(lines[-1][2])):
+            number, _, text = lines.pop()
+            rest, below = text[m.end():], lines[-1]
+            if rest[:1] in ("", "#"):  # the value is the block below, or null
+                nested = below[1] > indent or (
+                    entry is _KEY and below[1] == indent and _DASH.match(below[2]))
+                value = _block(lines) if nested else None
+            elif entry is _KEY:
+                value = _flow(rest)
+            else:  # `- - 1.0` or `- 1.0`: the item starts after the dash
+                lines.append([number, indent + m.end(), rest])
+                value = _block(lines)
+            if entry is _DASH:
+                node.append(value)
+            else:
+                _put(node, _plain(m[1]), value)
+        return node
+    except IndexError:
+        raise ConfigError(f"line {number}: unterminated flow collection") from None
+    except (RecursionError, TypeError, ValueError) as exc:
+        raise ConfigError(f"line {number}: {exc}") from None
+
+
+def _read_yaml(text: str):
+    """The data of a run file's text; a ConfigError names the line it cannot read."""
+    lines = []
+    for number, line in enumerate(text.splitlines(), 1):
+        if line.lstrip(" ")[:1] == "\t":
+            raise ConfigError(f"line {number}: tab in indentation")
+        if line.split("#")[0].strip(" "):  # not blank, not a comment line
+            lines.append([number, len(line) - len(line.lstrip(" ")), line.strip(" ")])
+    lines = [[0, -1, ""], *reversed(lines)]  # the first line closes every block
+    node = _block(lines) if len(lines) > 1 else None
+    if len(lines) > 1:
+        raise ConfigError(f"line {lines[-1][0]}: not inside the block above (check its indent)")
+    return node
 
 
 class ComponentConfig:
@@ -315,12 +437,11 @@ def parse_config(data: dict) -> RunConfig:
 
 def load_config(path: str) -> RunConfig:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = yaml.load(fh, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            data = _read_yaml(fh.read())
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
-    except (yaml.YAMLError, ValueError) as exc:
-        # ValueError: an integer past the interpreter's digit limit
+    except (ConfigError, ValueError) as exc:  # ValueError: a text that is not UTF-8
         raise ConfigError(f"config file {path!r} is not valid YAML: {exc}") from exc
     if data is None:
         raise ConfigError(f"config file {path!r} is empty")

@@ -1149,19 +1149,21 @@ def test_cold_entry_lets_an_escaping_exception_take_the_normal_exit():
     assert "Traceback" in done.stderr and done.stderr.endswith("RuntimeError: escaped\n")
 
 
-def test_importing_the_cli_loads_nothing_beyond_numpy_and_yaml(tmp_path):
-    # records are plain classes and argv is parsed by hand: no dataclasses,
-    # argparse, gettext or locale at import or while a command runs
+def test_importing_the_cli_loads_nothing_beyond_numpy(tmp_path):
+    # records are plain classes, argv is parsed by hand and run files by
+    # config's own reader: no dataclasses, argparse, gettext, locale or yaml
+    # at import or while a command runs
     config, out = CONFIG_DIR / "azimuthal_identity.yaml", tmp_path / "out"
     probe = (
         "import sys\n"
-        "import numpy, yaml\n"
+        "import numpy\n"
         "floor = set(sys.modules)\n"
         "import qshje.cli\n"
         "added = set(sys.modules) - floor\n"
         "print(*sorted(m for m in added if m != 'qshje' and not m.startswith('qshje.')))\n"
         f"qshje.cli.main(['verify', '--config', {str(config)!r}, '--out', {str(out)!r}])\n"
-        "print(*sorted({'dataclasses', 'argparse', 'gettext', 'locale'} & set(sys.modules)))\n"
+        "absent = {'dataclasses', 'argparse', 'gettext', 'locale', 'yaml'}\n"
+        "print(*sorted(absent & set(sys.modules)))\n"
     )
     assert _python("-c", probe).stdout.splitlines() == ["__future__", ""]
 

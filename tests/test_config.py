@@ -1,4 +1,5 @@
 import copy
+import importlib.util
 import pathlib
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 import yaml
 
 import qshje as Q
+from qshje.config import _read_yaml
 from qshje.residuals import SYMMETRY_TABLE
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
@@ -270,12 +272,105 @@ def test_load_config_file_errors(tmp_path):
         Q.load_config(str(scalar))
 
 
-@pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.yaml")), ids=lambda p: p.stem)
-def test_libyaml_loader_reads_shipped_configs_like_the_python_loader(path):
-    # load_config parses with libyaml when PyYAML was built with it
-    text = path.read_text()
-    fast = yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
-    assert fast == yaml.safe_load(text)
+def _tree(node):
+    """node with each scalar as (type, repr): equal trees hold equal types
+    and values, NaN and the sign of zero included."""
+    if isinstance(node, dict):
+        return "dict", [(_tree(k), _tree(v)) for k, v in node.items()]
+    if isinstance(node, list):
+        return "list", [_tree(v) for v in node]
+    return type(node).__name__, repr(node)
+
+
+def _texts(source: str):
+    """(name, text) of every run file of one source: the shipped configs, the
+    manifest's edge inputs, or one benchmark workload's inputs at seeds 0-24."""
+    if source == "shipped":
+        return [(p.stem, p.read_text()) for p in sorted(CONFIG_DIR.glob("*.yaml"))]
+    spec = importlib.util.spec_from_file_location(
+        "contract_manifest", CONFIG_DIR.parent / "tools" / "contract_manifest.py"
+    )
+    manifest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(manifest)  # puts the repository root on sys.path
+    if source == "edge":
+        return [(name, text) for name, text, *_ in manifest.edge_jobs()]
+    from bench.workloads import input_sets
+
+    return [
+        (f"{seed}:{k}:{job.name}", job.config_text())
+        for seed in range(25)
+        for k, cycle in enumerate(input_sets(source, seed))
+        for job in cycle
+    ]
+
+
+# the edge rows that hold text outside the subset; yaml reads the octal, the
+# repeated key, the anchor and the two flow mappings (as null values)
+OUTSIDE = ["yaml-invalid", "grid-count-octal", "duplicate-key", "tab-indent", "bad-indentation",
+           "yaml-anchor", "flow-missing-comma", "flow-key-without-colon", "flow-value-missing",
+           "text-after-value"]
+
+
+@pytest.mark.parametrize("source", ["shipped", "edge", "verify-numeric", "probe-dense",
+                                    "cold-analytic"])
+def test_reader_reads_every_run_file_as_yaml_safe_load_does(source):
+    texts = _texts(source)
+    assert texts
+    refused = []
+    for name, text in texts:
+        try:
+            data = _read_yaml(text)
+        except Q.ConfigError:
+            refused.append(name)
+            continue
+        assert _tree(data) == _tree(yaml.safe_load(text)), name
+    assert refused == ([f"edge:{name}" for name in OUTSIDE] if source == "edge" else [])
+
+
+@pytest.mark.parametrize("text, message", [
+    ("symmetry: spherical\ncomponents:\n\tphi: {}\n", "line 3: tab in indentation"),
+    ("tolerance:\t1.0e-06\n", "line 1: cannot read ':\\t1.0e-06'"),
+    ("symmetry: spherical\ncomponents: {phi: {mu: 1.5\n", "line 2: unterminated flow collection"),
+    ("symmetry: 'spherical' cylindrical\n", "line 1: text after the value: 'cylindrical'"),
+], ids=["tab", "tab-separator", "unterminated-flow", "text-after-scalar"])
+def test_text_outside_the_subset_is_a_config_error_naming_its_line(tmp_path, text, message):
+    with pytest.raises(yaml.YAMLError):
+        yaml.safe_load(text)
+    path = tmp_path / "bad.yaml"
+    path.write_text(text)
+    with pytest.raises(Q.ConfigError) as caught:
+        Q.load_config(str(path))
+    assert str(caught.value) == f"config file {str(path)!r} is not valid YAML: {message}"
+
+
+@pytest.mark.parametrize("text", [
+    "hbar_scan: " + "[" * 3000 + "]" * 3000 + "\n", "hbar_scan:\n" + "- " * 3000 + "1.0\n",
+], ids=["flow", "block"])
+def test_nesting_past_the_recursion_limit_is_a_config_error(text):
+    with pytest.raises(Q.ConfigError, match=r"^line [12]: maximum recursion depth exceeded"):
+        _read_yaml(text)
+
+
+@pytest.mark.parametrize("count", ["0721", "1_000", "1:30", "0x2d1", "0b1011010001"])
+def test_yaml_11_integer_forms_are_refused_not_read(tmp_path, count):
+    # YAML 1.1 reads each as an integer (0721 is octal 465), so the run
+    # silently used a grid count other than the one written
+    path = tmp_path / "count.yaml"
+    path.write_text((CONFIG_DIR / "azimuthal_identity.yaml").read_text().replace(
+        "count: 721", f"count: {count}"))
+    with pytest.raises(Q.ConfigError, match=rf"line 12: '{count}' is a YAML 1.1 form outside"):
+        Q.load_config(str(path))
+
+
+@pytest.mark.parametrize("text", [
+    "tolerance: 1.0e-09\ntolerance: 1.0e-3\n", "grid: {min: 0.0, min: 1.0}\n",
+], ids=["block", "flow"])
+def test_a_repeated_key_is_refused(tmp_path, text):
+    # yaml keeps the last value: a second tolerance loosened the first
+    path = tmp_path / "repeated.yaml"
+    path.write_text(text)
+    with pytest.raises(Q.ConfigError, match=r"not valid YAML: line \d: duplicate key"):
+        Q.load_config(str(path))
 
 
 def test_default_hbar_scan_spans_a_factor_32():

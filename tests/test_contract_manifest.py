@@ -53,13 +53,26 @@ def test_cold_child_lines_count_as_reached(tmp_path, monkeypatch):
     assert "qshje.cli.cold_entry" not in missed and "qshje.cli.<module>" not in missed
 
 
+YAML = "config error: config file 'config.yaml' is not valid YAML: "
+
 # (exit code, stderr prefix) of each edge row that names an error or runs a
 # branch no shipped config reaches
 ROWS = {
     "config-file-missing": (2, "config error: cannot read config file 'missing.yaml'"),
     "out-under-a-file": (2, "config error: cannot write outputs to"),
-    "yaml-invalid": (2, "config error: config file 'config.yaml' is not valid YAML"),
+    "yaml-invalid": (2, f"{YAML}line 1: unterminated flow collection\n"),
     "config-file-empty": (2, "config error: config file 'config.yaml' is empty"),
+    "grid-count-octal": (2, f"{YAML}line 12: '0721' is a YAML 1.1 form outside the subset"),
+    "duplicate-key": (2, f"{YAML}line 18: duplicate key 'tolerance'\n"),
+    "tab-indent": (2, f"{YAML}line 9: tab in indentation\n"),
+    "bad-indentation": (2, f"{YAML}line 14: not inside the block above"),
+    "yaml-anchor": (2, f"{YAML}line 4: cannot read '&s spherical'\n"),
+    "flow-missing-comma": (2, f"{YAML}line 12: expected ',' or '}}'\n"),
+    "flow-key-without-colon": (2, f"{YAML}line 12: expected ':' after 'min 0.0'\n"),
+    "flow-value-missing": (2, f"{YAML}line 12: unexpected ','\n"),
+    "text-after-value": (2, f"{YAML}line 12: text after the value: '}}'\n"),
+    "hbar-scan-flow": (0, ""),
+    "quoted-scalars": (0, ""),
     "constants-not-a-mapping": (2, "config error: config.constants: expected a mapping"),
     "grid-count-missing": (2, "config error: components.r.grid.count: missing required field"),
     "mu-not-a-number": (2, "config error: components.r.mu: expected a number"),

@@ -84,6 +84,14 @@ def _text(text: str):
     return lambda cfg: text
 
 
+def _retext(config: str, old: str, new: str):
+    """An edit that replaces the whole config file with the shipped config's
+    text, old (which it must hold) replaced by new."""
+    text = (ROOT / "configs" / f"{config}.yaml").read_text(encoding="utf-8")
+    assert old in text, old
+    return _text(text.replace(old, new))
+
+
 _R_TABLE = [0.5 + 11.5 * k / 199 for k in range(200)]
 # cylindrical_free's z component alone
 _Z_ONLY = {"mu": 0.0, "nu": 0.0, "grid": {"min": -3.0, "max": 3.0, "count": 601},
@@ -161,6 +169,28 @@ EDGES = (
      "verify", "--out", os.path.join(os.devnull, "out")),
     ("yaml-invalid", "spherical_hydrogen", _text("symmetry: [")),
     ("config-file-empty", "spherical_hydrogen", _text("")),
+    # run-file text outside the YAML subset the reader takes, then two inside
+    # it that no generated config writes: a flow sequence and quoted scalars
+    ("grid-count-octal", "azimuthal_identity",
+     _retext("azimuthal_identity", "count: 721", "count: 0721")),
+    ("duplicate-key", "azimuthal_identity",
+     _retext("azimuthal_identity", "format: csv\n", "format: csv\ntolerance: 1.0e-3\n")),
+    ("tab-indent", "azimuthal_identity", _retext("azimuthal_identity", "  phi:", "\tphi:")),
+    ("bad-indentation", "azimuthal_identity",
+     _retext("azimuthal_identity", "tolerance:", " tolerance:")),
+    ("yaml-anchor", "azimuthal_identity",
+     _retext("azimuthal_identity", "symmetry: spherical", "symmetry: &s spherical")),
+    ("flow-missing-comma", "azimuthal_identity",
+     _retext("azimuthal_identity", "6.283185307179586, count", "6.283185307179586 count")),
+    ("flow-key-without-colon", "azimuthal_identity",
+     _retext("azimuthal_identity", "min: 0.0", "min 0.0")),
+    ("flow-value-missing", "azimuthal_identity",
+     _retext("azimuthal_identity", "min: 0.0", "min: ")),
+    ("text-after-value", "azimuthal_identity", _retext("azimuthal_identity", "721}", "721}}")),
+    ("hbar-scan-flow", "azimuthal_identity", _retext(
+        "azimuthal_identity", "tolerance:", "hbar_scan: [1.0, 0.1, 0.01, 0.001]\ntolerance:")),
+    ("quoted-scalars", "azimuthal_identity", _retext(
+        "azimuthal_identity", "source: analytic\n", "source: 'analytic'  # quoted\n")),
     # one config error of each kind
     ("constants-not-a-mapping", "spherical_hydrogen", _set("constants", 5)),
     ("grid-count-missing", "spherical_hydrogen",
