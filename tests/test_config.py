@@ -272,6 +272,16 @@ def test_load_config_file_errors(tmp_path):
         Q.load_config(str(scalar))
 
 
+@pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.yaml")), ids=lambda p: p.stem)
+def test_libyaml_loader_reads_shipped_configs_like_the_python_loader(path):
+    # the differential test below compares the reader with the pure-Python
+    # yaml.safe_load; libyaml reads each shipped config the same, and so does the reader
+    text = path.read_text()
+    fast = yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+    assert fast == yaml.safe_load(text)
+    assert _tree(_read_yaml(text)) == _tree(fast)
+
+
 def _tree(node):
     """node with each scalar as (type, repr): equal trees hold equal types
     and values, NaN and the sign of zero included."""
