@@ -5,8 +5,8 @@ and one block per coordinate component with its mixing constants and grid.
 Validation errors carry the dotted path of the offending field.
 
 Run files are read by `_read_yaml`, a reader of the YAML subset they use:
-block mappings with plain keys, block sequences, one-line flow collections,
-comments, and plain or quoted scalars resolved as YAML 1.1 resolves them.
+block mappings and sequences, flow collections on one line, comments, and
+plain or quoted scalars, plain ones resolved as YAML 1.1 resolves them.
 """
 from __future__ import annotations
 
@@ -68,120 +68,129 @@ def _integer(value, path: str) -> int:
     return value
 
 
-# A flow token: an indicator, a quoted scalar (double quotes without escapes)
-# or a plain scalar (no tab, `,[]{}`, `: `, `#` or `?`); else a comment, or
-# text that is none of these. Only spaces separate tokens, as in YAML.
+# A token after spaces: a flow indicator, a `-` before a space or the line
+# end, or a scalar, with the `:` of a key when a space or the line end
+# follows. A scalar is quoted (double quotes take no escapes) or plain: word
+# characters and `.~/+-`, with single inner spaces. A `#` after a space
+# opens a comment, and the line end matches with no token.
 _TOKEN = re.compile(
-    r""" *(?:(?<![^ ])#.*|([\[\]{},]|:(?=[ \[\]{},]|$)|'(?:[^']|'')*'|"[^"\\]*"|"""
-    r"""-?[^ \t\[\]{},:#'"&*!|>%@`?-](?:[^\t\[\]{},:#?]|:(?=[^ \t\[\]{},]))*)|([^ ].*))"""
+    r""" *(?:(?<![^ ])#.*|$|([\[\]{},]|-(?= |$)|(?:'(?:[^']|'')*'|"[^"\\]*"|"""
+    r"""-?\.?[\w~/+][\w.~/+-]*(?: [\w.~/+-]+)*)(?::(?= |$))?))"""
 )
-_KEY, _DASH = re.compile(r"([A-Za-z_]\w*) *:(?: +|$)"), re.compile(r"-(?: +|$)")
-_NUMBER = re.compile(  # an int (group 1) or a float
-    r"([-+]?(?:0|[1-9][0-9]*))|[-+]?[0-9]+\.[0-9]*(?:[eE][-+][0-9]+)?"
-    r"|\.[0-9]+(?:[eE][-+][0-9]+)?|[-+]?\.(?:inf|Inf|INF)|\.(?:nan|NaN|NAN)")
-# what YAML 1.1 reads as neither a string nor a decimal int or float: octal,
-# hex, binary, `_` separators, base 60, timestamps, merge and value keys
-_YAML11 = re.compile(r"[-+]?(?:0[0-9_bx]|\.?[0-9][0-9._]*[_:])|[0-9]{4}-[0-9]|<<$|=$")
-_WORDS = {word: value for value, words in (
-    (None, "~ null Null NULL"), (True, "yes Yes YES true True TRUE on On ON"),
-    (False, "no No NO false False FALSE off Off OFF")) for word in words.split()}
+# a decimal int (group 1) or a float with a dot: digits before it, or one after it
+_NUMBER = re.compile(r"([-+]?(?:0|[1-9][0-9]*))|(?:[-+]?[0-9]+\.|\.[0-9])[0-9]*(?:[eE][-+][0-9]+)?")
+# the starts of YAML 1.1 octal, hex and binary ints, of numbers with `_`
+# separators and of timestamps, which read as what was not written
+_YAML11 = re.compile(r"[-+]?(?:0[0-9_bx]|\.?[0-9][0-9.]*_)|[0-9]{4}-[0-9]")
+# the other plain scalars that do not read as strings; an empty one is null
+_WORDS = dict.fromkeys(["", "~", "null", "Null", "NULL"])
+_WORDS.update(dict.fromkeys("yes Yes YES true True TRUE on On ON".split(), True))
+_WORDS.update(dict.fromkeys("no No NO false False FALSE off Off OFF".split(), False))
+_WORDS.update(dict.fromkeys(".inf .Inf .INF +.inf +.Inf +.INF".split(), float("inf")))
+_WORDS.update(dict.fromkeys("-.inf -.Inf -.INF".split(), float("-inf")))
+_WORDS.update(dict.fromkeys(".nan .NaN .NAN".split(), float("nan")))
 
 
-def _plain(text: str):
-    number = _NUMBER.fullmatch(text)
-    if number:  # int() raises ValueError past the interpreter's digit limit
-        return int(text) if number[1] else float(re.sub(r"\.(?=[iInN])", "", text))
-    if _YAML11.match(text):
-        raise ValueError(f"{text!r} is a YAML 1.1 form outside the subset run files use")
-    return _WORDS.get(text, text)
-
-
-def _put(node: dict, key, value) -> None:
-    if key in node:  # TypeError for a list or mapping key
-        raise ValueError(f"duplicate key {key!r}")
-    node[key] = value
-
-
-def _node(tokens: list):
-    """Pop the flow node at the end of tokens, a reversed token list."""
-    token = tokens.pop()
-    if token in ("[", "{"):
-        node, close = ([], "]") if token == "[" else ({}, "}")
-        while tokens[-1] != close:
-            if node and tokens.pop() != ",":
-                raise ValueError(f"expected ',' or {close!r}")
-            item = _node(tokens)
-            if close == "]":
-                node.append(item)
-            elif tokens.pop() != ":":
-                raise ValueError(f"expected ':' after {item!r}")
-            else:
-                _put(node, item, _node(tokens))
-        tokens.pop()
-        return node
-    if token in ("]", "}", ",", ":"):
+def _scalar(token: str):
+    """A scalar token's value; a plain one resolves as YAML 1.1 resolves it."""
+    if token in ("[", "]", "{", "}", ",", "-") or token.endswith(":"):
         raise ValueError(f"unexpected {token!r}")
-    if token[0] in "'\"":
-        return token[1:-1].replace("''", "'") if token[0] == "'" else token[1:-1]
-    return _plain(token.rstrip())
+    if token[:1] == "'":
+        return token[1:-1].replace("''", "'")
+    if token[:1] == '"':
+        return token[1:-1]
+    number = _NUMBER.fullmatch(token)
+    if number:  # int() raises a ValueError past the interpreter's digit limit
+        return int(token) if number[1] else float(token)
+    if _YAML11.match(token):
+        raise ValueError(f"{token!r} is a YAML 1.1 form outside the subset run files use")
+    return _WORDS.get(token, token)
 
 
-def _flow(text: str):
-    """The flow node that fills text."""
-    pairs = _TOKEN.findall(text)
-    if any(junk for _, junk in pairs):
-        raise ValueError(f"cannot read {''.join(junk for _, junk in pairs)!r}")
-    tokens = [token for token, _ in reversed(pairs) if token]
-    node = _node(tokens)
-    if tokens:
-        raise ValueError(f"text after the value: {tokens[-1]!r}")
+def _put(mapping: dict, key, value) -> None:
+    if key in mapping:  # a TypeError for a list or mapping key
+        raise ValueError(f"duplicate key {key!r}")
+    mapping[key] = value
+
+
+def _flow(tokens: list, line: int):
+    """Pop the flow collection or scalar at the end of tokens, which must
+    start on line and keep its entries there."""
+    number, _, token = tokens.pop()
+    if number != line:
+        raise ValueError("unterminated flow collection")
+    if token not in ("[", "{"):
+        return _scalar(token)
+    close = "]" if token == "[" else "}"
+    node = [] if token == "[" else {}
+    while tokens[-1][2] != close:
+        if node and tokens.pop()[2] != ",":
+            raise ValueError(f"expected ',' or {close!r}")
+        if token == "[":
+            node.append(_flow(tokens, line))
+        elif not tokens[-1][2].endswith(":"):
+            raise ValueError("expected a key and ':'")
+        else:
+            key = _scalar(tokens.pop()[2][:-1])
+            _put(node, key, _flow(tokens, line))
+    tokens.pop()
     return node
 
 
-def _block(lines: list):
-    """Pop the node that starts at the end of lines, a reversed list of
-    [number, indent, text] lines."""
-    number, indent, text = lines[-1]
-    entry = _DASH if _DASH.match(text) else _KEY if _KEY.match(text) else None
+def _block(tokens: list):
+    """Pop the block sequence or mapping at the end of tokens, or else the
+    flow node there, which its line holds. An error names the line of the
+    entry it arose in."""
+    number, column, token = tokens[-1]
     try:
-        if entry is None:
-            return _flow(lines.pop()[2])
-        node = [] if entry is _DASH else {}
-        while lines[-1][1] == indent and (m := entry.match(lines[-1][2])):
-            number, _, text = lines.pop()
-            rest, below = text[m.end():], lines[-1]
-            if rest[:1] in ("", "#"):  # the value is the block below, or null
-                nested = below[1] > indent or (
-                    entry is _KEY and below[1] == indent and _DASH.match(below[2]))
-                value = _block(lines) if nested else None
-            elif entry is _KEY:
-                value = _flow(rest)
-            else:  # `- - 1.0` or `- 1.0`: the item starts after the dash
-                lines.append([number, indent + m.end(), rest])
-                value = _block(lines)
-            if entry is _DASH:
-                node.append(value)
-            else:
-                _put(node, _plain(m[1]), value)
-        return node
-    except IndexError:
-        raise ConfigError(f"line {number}: unterminated flow collection") from None
+        if token == "-":
+            node = []
+            while tokens[-1][1:] == (column, "-"):
+                number = tokens.pop()[0]
+                node.append(_value(tokens, number, column, False))
+            return node
+        if token.endswith(":"):
+            node = {}
+            while tokens[-1][1] == column and tokens[-1][2].endswith(":"):
+                number, _, token = tokens.pop()
+                _put(node, _scalar(token[:-1]), _value(tokens, number, column, True))
+            return node
+        return _flow(tokens, number)
     except (RecursionError, TypeError, ValueError) as exc:
         raise ConfigError(f"line {number}: {exc}") from None
 
 
+def _value(tokens: list, number: int, column: int, after_key: bool):
+    """Pop the value of the `key:` (after_key) or `-` at line number and
+    column: the node after it on its line, where only a flow node may follow
+    a key, else the block below it, else null. A block sequence may fill a
+    key at the key's own column."""
+    line, col, token = tokens[-1]
+    if line == number:
+        return _flow(tokens, number) if after_key else _block(tokens)
+    if col > column or (after_key and col == column and token == "-"):
+        return _block(tokens)
+    return None
+
+
 def _read_yaml(text: str):
     """The data of a run file's text; a ConfigError names the line it cannot read."""
-    lines = []
-    for number, line in enumerate(text.splitlines(), 1):
-        if line.lstrip(" ")[:1] == "\t":
-            raise ConfigError(f"line {number}: tab in indentation")
-        if line.split("#")[0].strip(" "):  # not blank, not a comment line
-            lines.append([number, len(line) - len(line.lstrip(" ")), line.strip(" ")])
-    lines = [[0, -1, ""], *reversed(lines)]  # the first line closes every block
-    node = _block(lines) if len(lines) > 1 else None
-    if len(lines) > 1:
-        raise ConfigError(f"line {lines[-1][0]}: not inside the block above (check its indent)")
+    tokens = []
+    for number, line in enumerate(text.split("\n"), 1):
+        if not line.isprintable():
+            raise ConfigError(f"line {number}: a tab or another unprintable character")
+        junk = _TOKEN.sub("", line).strip(" ")
+        if junk:
+            raise ConfigError(f"line {number}: cannot read {junk!r}")
+        tokens += [(number, m.start(1), m[1]) for m in _TOKEN.finditer(line) if m[1]]
+    # popped last: an empty token at line 0 and column -1 ends every block
+    # and flow collection, and is the null of an empty text
+    tokens.append((0, -1, ""))
+    tokens.reverse()
+    node = _block(tokens)
+    if len(tokens) > 1:
+        number, _, token = tokens[-1]
+        raise ConfigError(f"line {number}: unexpected {token!r}")
     return node
 
 

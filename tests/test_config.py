@@ -338,11 +338,16 @@ def test_reader_reads_every_run_file_as_yaml_safe_load_does(source):
 
 
 @pytest.mark.parametrize("text, message", [
-    ("symmetry: spherical\ncomponents:\n\tphi: {}\n", "line 3: tab in indentation"),
-    ("tolerance:\t1.0e-06\n", "line 1: cannot read ':\\t1.0e-06'"),
-    ("symmetry: spherical\ncomponents: {phi: {mu: 1.5\n", "line 2: unterminated flow collection"),
-    ("symmetry: 'spherical' cylindrical\n", "line 1: text after the value: 'cylindrical'"),
-], ids=["tab", "tab-separator", "unterminated-flow", "text-after-scalar"])
+    ("symmetry: spherical\ncomponents:\n\tphi: {}\n",
+     "line 3: a tab or another unprintable character"),
+    ("tolerance:\t1.0e-06\n", "line 1: a tab or another unprintable character"),
+    ("symmetry: spherical\nhbar_scan: [1.0, 0.5]\f\n",
+     "line 2: a tab or another unprintable character"),
+    ("symmetry: spherical\ncomponents: {phi: {mu: 1.5\n", "line 2: expected ',' or '}'"),
+    ("symmetry: spherical\nhbar_scan: [1.0,\n", "line 2: unterminated flow collection"),
+    ("symmetry: 'spherical' cylindrical\n", "line 1: unexpected 'cylindrical'"),
+], ids=["tab", "tab-separator", "form-feed", "unclosed-flow", "unterminated-flow",
+        "text-after-scalar"])
 def test_text_outside_the_subset_is_a_config_error_naming_its_line(tmp_path, text, message):
     with pytest.raises(yaml.YAMLError):
         yaml.safe_load(text)
@@ -351,6 +356,19 @@ def test_text_outside_the_subset_is_a_config_error_naming_its_line(tmp_path, tex
     with pytest.raises(Q.ConfigError) as caught:
         Q.load_config(str(path))
     assert str(caught.value) == f"config file {str(path)!r} is not valid YAML: {message}"
+
+
+def test_a_no_break_space_after_a_number_is_refused(tmp_path):
+    # yaml reads `721\u00a0` as a string, which the run would refuse as a
+    # count; the reader refuses the character itself, as it does every space
+    # other than U+0020
+    path = tmp_path / "count.yaml"
+    path.write_text((CONFIG_DIR / "azimuthal_identity.yaml").read_text().replace(
+        "count: 721", "count: 721\u00a0"), encoding="utf-8")
+    assert yaml.safe_load(path.read_text(encoding="utf-8"))["components"]["phi"]["grid"] == {
+        "min": 0.0, "max": 6.283185307179586, "count": "721\u00a0"}
+    with pytest.raises(Q.ConfigError, match="line 12: a tab or another unprintable character"):
+        Q.load_config(str(path))
 
 
 @pytest.mark.parametrize("text", [
@@ -364,11 +382,13 @@ def test_nesting_past_the_recursion_limit_is_a_config_error(text):
 @pytest.mark.parametrize("count", ["0721", "1_000", "1:30", "0x2d1", "0b1011010001"])
 def test_yaml_11_integer_forms_are_refused_not_read(tmp_path, count):
     # YAML 1.1 reads each as an integer (0721 is octal 465), so the run
-    # silently used a grid count other than the one written
+    # silently used a grid count other than the one written; base 60 is
+    # refused for its `:`, which no plain scalar holds
     path = tmp_path / "count.yaml"
     path.write_text((CONFIG_DIR / "azimuthal_identity.yaml").read_text().replace(
         "count: 721", f"count: {count}"))
-    with pytest.raises(Q.ConfigError, match=rf"line 12: '{count}' is a YAML 1.1 form outside"):
+    reason = "cannot read ':'" if count == "1:30" else f"'{count}' is a YAML 1.1 form outside"
+    with pytest.raises(Q.ConfigError, match=f"line 12: {reason}"):
         Q.load_config(str(path))
 
 

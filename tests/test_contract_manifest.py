@@ -64,15 +64,16 @@ ROWS = {
     "config-file-empty": (2, "config error: config file 'config.yaml' is empty"),
     "grid-count-octal": (2, f"{YAML}line 12: '0721' is a YAML 1.1 form outside the subset"),
     "duplicate-key": (2, f"{YAML}line 18: duplicate key 'tolerance'\n"),
-    "tab-indent": (2, f"{YAML}line 9: tab in indentation\n"),
-    "bad-indentation": (2, f"{YAML}line 14: not inside the block above"),
-    "yaml-anchor": (2, f"{YAML}line 4: cannot read '&s spherical'\n"),
+    "tab-indent": (2, f"{YAML}line 9: a tab or another unprintable character\n"),
+    "bad-indentation": (2, f"{YAML}line 14: unexpected 'tolerance:'\n"),
+    "yaml-anchor": (2, f"{YAML}line 4: cannot read '&'\n"),
     "flow-missing-comma": (2, f"{YAML}line 12: expected ',' or '}}'\n"),
-    "flow-key-without-colon": (2, f"{YAML}line 12: expected ':' after 'min 0.0'\n"),
+    "flow-key-without-colon": (2, f"{YAML}line 12: expected a key and ':'\n"),
     "flow-value-missing": (2, f"{YAML}line 12: unexpected ','\n"),
-    "text-after-value": (2, f"{YAML}line 12: text after the value: '}}'\n"),
+    "text-after-value": (2, f"{YAML}line 12: unexpected '}}'\n"),
     "hbar-scan-flow": (0, ""),
     "quoted-scalars": (0, ""),
+    "block-null-value": (0, ""),
     "constants-not-a-mapping": (2, "config error: config.constants: expected a mapping"),
     "grid-count-missing": (2, "config error: components.r.grid.count: missing required field"),
     "mu-not-a-number": (2, "config error: components.r.mu: expected a number"),

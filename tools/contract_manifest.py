@@ -169,8 +169,9 @@ EDGES = (
      "verify", "--out", os.path.join(os.devnull, "out")),
     ("yaml-invalid", "spherical_hydrogen", _text("symmetry: [")),
     ("config-file-empty", "spherical_hydrogen", _text("")),
-    # run-file text outside the YAML subset the reader takes, then two inside
-    # it that no generated config writes: a flow sequence and quoted scalars
+    # run-file text outside the YAML subset the reader takes, then three
+    # inside it that no generated config writes: a flow sequence, quoted
+    # scalars and a key with no value
     ("grid-count-octal", "azimuthal_identity",
      _retext("azimuthal_identity", "count: 721", "count: 0721")),
     ("duplicate-key", "azimuthal_identity",
@@ -181,7 +182,7 @@ EDGES = (
     ("yaml-anchor", "azimuthal_identity",
      _retext("azimuthal_identity", "symmetry: spherical", "symmetry: &s spherical")),
     ("flow-missing-comma", "azimuthal_identity",
-     _retext("azimuthal_identity", "6.283185307179586, count", "6.283185307179586 count")),
+     _retext("azimuthal_identity", "6.283185307179586, count", "'6.283185307179586' count")),
     ("flow-key-without-colon", "azimuthal_identity",
      _retext("azimuthal_identity", "min: 0.0", "min 0.0")),
     ("flow-value-missing", "azimuthal_identity",
@@ -190,7 +191,10 @@ EDGES = (
     ("hbar-scan-flow", "azimuthal_identity", _retext(
         "azimuthal_identity", "tolerance:", "hbar_scan: [1.0, 0.1, 0.01, 0.001]\ntolerance:")),
     ("quoted-scalars", "azimuthal_identity", _retext(
-        "azimuthal_identity", "source: analytic\n", "source: 'analytic'  # quoted\n")),
+        "azimuthal_identity", "source: analytic\n",
+        "source: 'analytic'  # quoted\n    \"substeps\": 1\n")),
+    ("block-null-value", "azimuthal_identity", _retext(
+        "azimuthal_identity", "source: analytic\n", "source: analytic\n    solve_energy:\n")),
     # one config error of each kind
     ("constants-not-a-mapping", "spherical_hydrogen", _set("constants", 5)),
     ("grid-count-missing", "spherical_hydrogen",
