@@ -2,6 +2,7 @@
 
 Exit codes: 0 success (and within tolerance) or `-h`/`--help`, 1 tolerance
 breach, 2 config error or an argv outside the usage line, 3 solver failure.
+`limit-scan --wrong-order-demo` outside spherical symmetry is a config error.
 `main()` returns the code and `cold_entry()` exits with it.
 """
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .residuals import (
     probe_axes,
     probe_indices,
     probe_lattice,
+    wrong_order_gap,
 )
 from .tables import write_summary, write_table
 
@@ -173,7 +175,7 @@ def cmd_verify(cfg: RunConfig, out_dir: str, fmt: str) -> int:
         idx = probe_axes(total, cfg.probe_per_coordinate)
         points = probe_lattice(total, idx)
         with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN fail the gate
-            direct = assembled_residual(total, idx, mode="quantum").ravel()
+            direct = assembled_residual(total, idx).ravel()
             summed = component_weighted_sum(total, residuals, idx).ravel()
             gap = np.abs(direct - summed)
         coords = dict(zip(cfg.symmetry.coordinate_labels, points.T))
@@ -191,21 +193,22 @@ def cmd_verify(cfg: RunConfig, out_dir: str, fmt: str) -> int:
 
 
 def cmd_limit_scan(cfg: RunConfig, out_dir: str, fmt: str, wrong_order: bool) -> int:
+    row = cfg.symmetry
     if not cfg.has_full_set:
         raise ConfigError(
-            "limit-scan needs all three coordinate components configured "
-            f"for {cfg.symmetry.value}"
+            f"limit-scan needs all three coordinate components configured for {row.value}"
         )
+    if wrong_order and not row.wrong_order_axes:
+        raise ConfigError(f"--wrong-order-demo is defined for spherical symmetry, not {row.value}")
     _, _, total = build_case(cfg)
     assert total is not None
-    scan = classical_limit_scan(
-        total, cfg.hbar_scan, cfg.probe_per_coordinate, wrong_order=wrong_order
-    )
+    scan = classical_limit_scan(total, cfg.hbar_scan, cfg.probe_per_coordinate)
+    gap = wrong_order_gap(total, cfg.probe_per_coordinate) if wrong_order else None
 
     os.makedirs(out_dir, exist_ok=True)
     columns = {"hbar": scan.hbar_values, "quantum_term_magnitude": scan.magnitudes}
-    if scan.wrong_order_gap is not None:
-        columns["wrong_order_gap"] = [scan.wrong_order_gap] * len(scan.hbar_values)
+    if wrong_order:
+        columns["wrong_order_gap"] = [gap] * len(scan.hbar_values)
     _table(
         os.path.join(out_dir, "limit_scan"),
         "classical-limit-scan",
@@ -223,9 +226,9 @@ def cmd_limit_scan(cfg: RunConfig, out_dir: str, fmt: str, wrong_order: bool) ->
         "within_tolerance": ok,
         "probe_points": len(scan.points),
     }
-    if scan.wrong_order_gap is not None:
+    if wrong_order:
         payload["wrong_order"] = {
-            "gap": scan.wrong_order_gap,
+            "gap": gap,
             "note": (
                 "zeroing the angular gradients before shrinking hbar leaves the "
                 "angular kinetic energy behind; the classical equation is not "
@@ -299,7 +302,7 @@ options:
   --out DIR            output directory (default: from config)
   --format {{csv,json}}  table format (default: from config)
   --parallel N         verify and limit-scan: accepted for compatibility; has no effect
-  --wrong-order-demo   limit-scan: also report the wrong-order limit gap
+  --wrong-order-demo   limit-scan, spherical only: also report the wrong-order limit gap
   -h, --help           show this help and exit
 """
 

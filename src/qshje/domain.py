@@ -33,21 +33,17 @@ class PhysConstants:
         return (self.hbar, self.mass) == (other.hbar, other.mass) if same else NotImplemented
 
 
-# Open interval and reduction weight w of each coordinate whose separated
-# solution is reduced to Schroedinger form as w(q) times itself: X = r R,
-# T = sin^(1/2)(theta) T0, H = sqrt(rho) G. Every other label spans the real
-# line with w = 1.
-COORDINATES: dict[str, tuple[float, float, Callable]] = {
-    "r": (0.0, np.inf, lambda q: q),
-    "theta": (0.0, np.pi, lambda q: np.sqrt(np.sin(q))),
-    "rho": (0.0, np.inf, np.sqrt),
+# Open interval of each coordinate that does not span the real line.
+COORDINATES: dict[str, tuple[float, float]] = {
+    "r": (0.0, np.inf),
+    "theta": (0.0, np.pi),
+    "rho": (0.0, np.inf),
 }
-_REAL_LINE = (-np.inf, np.inf, np.ones_like)
 
 
 def check_coordinates(label: str, q) -> None:
     """Raise GridDomainError unless every value q lies strictly inside the label's interval."""
-    lo, hi, _ = COORDINATES.get(label, _REAL_LINE)
+    lo, hi = COORDINATES.get(label, (-np.inf, np.inf))
     q = np.asarray(q, dtype=float)
     if np.any(q <= lo) or np.any(q >= hi):
         raise GridDomainError(f"coordinate {label!r} must lie strictly inside ({lo}, {hi})")

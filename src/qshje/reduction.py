@@ -1,9 +1,9 @@
 """Finite-difference check of a pair against its reduced equation.
 
-Each separated solution times the weight w(q) of its coordinate label, from
-`domain.COORDINATES`, solves a Schroedinger-form equation y'' = c(q) y:
-X = r R(r), T = sin^(1/2)(theta) T0 and H = sqrt(rho) G(rho). Cartesian axes,
-phi and z keep w = 1. A solution pair holds such reduced solutions.
+Each separated solution times the weight w(q) of its coordinate, X = r R(r),
+T = sin^(1/2)(theta) T0 and H = sqrt(rho) G(rho), solves a Schroedinger-form
+equation y'' = c(q) y; Cartesian axes, phi and z keep w = 1. A solution pair
+holds such reduced solutions.
 """
 from __future__ import annotations
 

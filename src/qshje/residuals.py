@@ -108,7 +108,8 @@ class SymmetryRow:
     spin: (q, constants) -> the residual quantum terms by name (_radial_spin),
         None where none survive; spin-report tabulates them over spin_labels
         under spin_formula.
-    wrong_order_axes: coordinates whose gradients the wrong-order limit zeroes.
+    wrong_order_axes: coordinates whose gradients the wrong-order limit zeroes
+        (wrong_order_gap); empty, so --wrong-order-demo is refused, but spherical.
     """
 
     def __init__(
@@ -264,28 +265,28 @@ def assemble_total(
     )
 
 
-def assembled_residual(total: TotalReducedAction, idx, mode: str = "quantum") -> np.ndarray:
-    """Full 3-D equation on the lattice of the index axes idx, from nodal
-    component data.
-
-    mode "quantum" is the complete equation; "quantum-terms" returns only the
-    hbar-carrying corrections.
-    """
-    if mode not in ("quantum", "quantum-terms"):
-        raise ValueError(f"unknown mode {mode!r}")
+def quantum_terms(total: TotalReducedAction, idx) -> np.ndarray:
+    """The hbar-carrying terms of the 3-D equation on the lattice of the index
+    axes idx: (hbar^2/4m) times the metric-weighted Schwarzian sum, plus the
+    spin terms."""
     c = total.constants
     spin = total.symmetry.spin
-    _, nodes = total.lattice(idx)
-
     quantum = (c.hbar * c.hbar / (4.0 * c.mass)) * total.metric_sum("schwarzian", idx)
     if spin is not None:
+        _, nodes = total.lattice(idx)
         terms = spin(nodes, c)
         # the spin terms are summed before they join: that order fixes the rounding
         quantum = quantum + (terms["ter1"] + terms.get("ter2", 0.0))
-    if mode == "quantum-terms":
-        return quantum
+    return quantum
 
+
+def assembled_residual(total: TotalReducedAction, idx) -> np.ndarray:
+    """Full 3-D equation on the lattice of the index axes idx, from nodal
+    component data: the kinetic term, plus quantum_terms, plus V, minus E."""
+    c = total.constants
+    quantum = quantum_terms(total, idx)
     kinetic = total.metric_sum("ds", idx, 2) / (2.0 * c.mass)
+    _, nodes = total.lattice(idx)
     v = sum(
         total.potentials[lab].evaluate(q, c)
         for lab, q in zip(total.symmetry.coordinate_labels, nodes)
@@ -298,8 +299,8 @@ def component_weighted_sum(total: TotalReducedAction, residuals: dict[str, np.nd
     """Metric-weighted sum of per-component residuals on the lattice of the
     index axes idx.
 
-    Algebraically identical to assembled_residual in quantum mode when each
-    residual came from the matching component equation; exposing both routes
+    Algebraically identical to assembled_residual when each residual came
+    from the matching component equation; exposing both routes
     keeps the assembly identity testable instead of tautological.
     """
     ix, nodes = total.lattice(idx)
@@ -345,10 +346,10 @@ class LimitScanResult:
 
     def __init__(
         self, hbar_values: tuple[float, ...], magnitudes: tuple[float, ...], slope: float,
-        intercept: float, points: np.ndarray, wrong_order_gap: float | None = None,
+        intercept: float, points: np.ndarray,
     ) -> None:
         self.hbar_values, self.magnitudes, self.slope = hbar_values, magnitudes, slope
-        self.intercept, self.points, self.wrong_order_gap = intercept, points, wrong_order_gap
+        self.intercept, self.points = intercept, points
 
 
 def hbar_scan_values(hbar_values) -> np.ndarray:
@@ -365,19 +366,13 @@ def hbar_scan_values(hbar_values) -> np.ndarray:
 
 
 def classical_limit_scan(
-    total: TotalReducedAction,
-    hbar_values,
-    per_coordinate: int,
-    wrong_order: bool = False,
+    total: TotalReducedAction, hbar_values, per_coordinate: int
 ) -> LimitScanResult:
     """Magnitude of the hbar-carrying corrections versus hbar, data fixed, as
     the maximum over the probe lattice with per_coordinate values per axis.
 
     The corrections are evaluated once, at the run's hbar, and rescaled to
-    each scan value, so the fitted log-log slope is 2 by construction. With
-    wrong_order=True the scan also reports the gap left by zeroing the
-    angular gradients before deleting the corrections: the angular kinetic
-    energy, which does not depend on hbar.
+    each scan value, so the fitted log-log slope is 2 by construction.
     """
     hv = hbar_scan_values(hbar_values)
     idx = probe_axes(total, per_coordinate)
@@ -385,7 +380,7 @@ def classical_limit_scan(
 
     # every correction, (hbar^2/4m){S;q} and -hbar^2/8mr^2 alike, carries an
     # explicit hbar^2, so at fixed dS and Schwarzian data it scales as hbar^2
-    peak = np.max(np.abs(assembled_residual(total, idx, mode="quantum-terms")))
+    peak = np.max(np.abs(quantum_terms(total, idx)))
     with np.errstate(over="ignore", invalid="ignore"):
         mags = (hv / total.constants.hbar) ** 2 * peak
     # a NaN or zero peak, or a scan value whose magnitude leaves the normal
@@ -399,27 +394,29 @@ def classical_limit_scan(
             f"hbar = {float(hv[k])!r}, not a positive normal float"
         )
     slope, intercept = np.polyfit(np.log(hv), np.log(mags), 1).tolist()
-
-    gap = None
-    if wrong_order:
-        row = total.symmetry
-        if not row.wrong_order_axes:
-            raise QshjeError("the wrong-order comparison is defined for spherical symmetry")
-        ix, nodes = total.lattice(idx)
-        metric = row.metric(nodes)
-        ds = [total.components[lab].ds[i] for lab, i in zip(row.coordinate_labels, ix)]
-        # zeroing the angular momenta first removes these gradient terms
-        # from the would-be classical equation; the gap survives hbar -> 0
-        gaps = sum(ds[k] * ds[k] / metric[k] for k in row.wrong_order_axes)
-        gap = float(np.max(gaps / (2.0 * total.constants.mass)))
-        if np.isnan(gap):
-            raise QshjeError("wrong-order gap is NaN at a probe point")
-
     return LimitScanResult(
         hbar_values=tuple(float(h) for h in hv),
         magnitudes=tuple(float(v) for v in mags),
         slope=slope,
         intercept=intercept,
         points=points,
-        wrong_order_gap=gap,
     )
+
+
+def wrong_order_gap(total: TotalReducedAction, per_coordinate: int) -> float:
+    """The gap left by zeroing the angular gradients before deleting the
+    quantum corrections: the angular kinetic energy, maximised over the probe
+    lattice with per_coordinate values per axis. It does not depend on hbar."""
+    row = total.symmetry
+    if not row.wrong_order_axes:
+        raise QshjeError("the wrong-order comparison is defined for spherical symmetry")
+    ix, nodes = total.lattice(probe_axes(total, per_coordinate))
+    metric = row.metric(nodes)
+    ds = [total.components[lab].ds[i] for lab, i in zip(row.coordinate_labels, ix)]
+    # zeroing the angular momenta first removes these gradient terms
+    # from the would-be classical equation; the gap survives hbar -> 0
+    gaps = sum(ds[k] * ds[k] / metric[k] for k in row.wrong_order_axes)
+    gap = float(np.max(gaps / (2.0 * total.constants.mass)))
+    if np.isnan(gap):
+        raise QshjeError("wrong-order gap is NaN at a probe point")
+    return gap

@@ -13,7 +13,7 @@ import numpy as np
 
 import qshje as Q
 from qshje.cli import main as cli_main
-from qshje.residuals import SYMMETRY_TABLE, probe_axes
+from qshje.residuals import SYMMETRY_TABLE, probe_axes, wrong_order_gap
 from qshje.schwarzian import schwarzian_from_amplitude
 
 from conftest import (
@@ -242,10 +242,8 @@ def test_c09_classical_limit_scaling(hydrogen_total):
     # hbar = 1 .. 1/32); zeroing the angular momenta before taking the limit
     # leaves a gap that carries no hbar, so that order never reaches the
     # classical equation
-    scan = Q.classical_limit_scan(
-        hydrogen_total, Q.DEFAULT_HBAR_SCAN, per_coordinate=3, wrong_order=True
-    )
-    gap = scan.wrong_order_gap
+    scan = Q.classical_limit_scan(hydrogen_total, Q.DEFAULT_HBAR_SCAN, per_coordinate=3)
+    gap = wrong_order_gap(hydrogen_total, per_coordinate=3)
     slope_ok = abs(scan.slope - 2.0) <= 0.05
     correct_order_shrinks = scan.magnitudes[-1] < 1e-3 * scan.magnitudes[0]
     wrong_order_stuck = gap > 1.0 and gap > 100.0 * scan.magnitudes[-1]

@@ -870,6 +870,26 @@ def test_limit_scan_nan_wrong_order_gap_fails(tmp_path, monkeypatch, capsys):
     assert "NaN" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("config, symmetry", [
+    ("cylindrical_free", "cylindrical"), ("cartesian_oscillator", "cartesian"),
+])
+def test_wrong_order_demo_outside_spherical_is_refused_before_solving(
+    tmp_path, monkeypatch, capsys, config, symmetry
+):
+    def never(cfg):
+        pytest.fail("build_case ran although --wrong-order-demo is refused")
+
+    monkeypatch.setattr(cli, "build_case", never)
+    out = tmp_path / "scan"
+    code = run(
+        "limit-scan", "--config", CONFIG_DIR / f"{config}.yaml", "--out", out, "--wrong-order-demo",
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and symmetry in err
+    assert not out.exists()
+
+
 def test_limit_scan_exit_matches_summary(tmp_path):
     code = run(
         "limit-scan", "--config", CONFIG_DIR / "cylindrical_free.yaml",

@@ -9,7 +9,7 @@ import qshje as Q
 
 from conftest import cartesian_oscillator_case, hydrogen_ground_radial_pair, polar_pair
 from qshje.cli import build_case
-from qshje.residuals import SYMMETRY_TABLE, probe_axes
+from qshje.residuals import SYMMETRY_TABLE, probe_axes, quantum_terms, wrong_order_gap
 from qshje.schwarzian import amplitude_derivatives, schwarzian_from_amplitude
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
@@ -293,7 +293,7 @@ def test_classical_mode_drops_corrections(hydrogen_total):
     total = hydrogen_total
     idx = probe_axes(total, per_coordinate=3)
     full = Q.assembled_residual(total, idx)
-    terms = Q.assembled_residual(total, idx, mode="quantum-terms")
+    terms = quantum_terms(total, idx)
     # the classical equation (1/2m)(grad S)^2 + V - E, built independently
     c = total.constants
     _, (r, _, _) = total.lattice(idx)
@@ -305,9 +305,6 @@ def test_classical_mode_drops_corrections(hydrogen_total):
     assert full.shape == classical.shape == terms.shape
     np.testing.assert_allclose(full - terms, classical, rtol=0.0, atol=1e-14)
     assert np.max(np.abs(terms)) > 1e-3  # the corrections are not zero here
-    for mode in ("bogus", "classical"):
-        with pytest.raises(ValueError, match="mode"):
-            Q.assembled_residual(total, idx, mode=mode)
 
 
 def test_probe_lattice_is_deterministic(hydrogen_total):
@@ -368,7 +365,6 @@ def test_classical_limit_scan_slope(hydrogen_total):
     assert result.slope == pytest.approx(2.0, abs=0.05)
     assert result.hbar_values == hv
     assert len(result.magnitudes) == 6
-    assert result.wrong_order_gap is None
 
 
 def test_classical_limit_scan_refuses_a_zero_peak():
@@ -400,9 +396,9 @@ def test_classical_limit_scan_refuses_magnitudes_off_the_float_range(hydrogen_to
 def test_classical_limit_scan_wrong_order(hydrogen_total):
     total = hydrogen_total
     hv = (1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125)
-    result = Q.classical_limit_scan(total, hv, per_coordinate=3, wrong_order=True)
+    result = Q.classical_limit_scan(total, hv, per_coordinate=3)
     # the angular kinetic gap ignores hbar entirely: one value for the scan
-    gap = result.wrong_order_gap
+    gap = wrong_order_gap(total, per_coordinate=3)
     assert gap > 1.0
     assert gap > 100.0 * min(result.magnitudes)
 
@@ -424,7 +420,7 @@ def test_classical_limit_scan_rescales_one_evaluation(config):
                 total.symmetry, total.components, constants, total.quantum_numbers,
                 total.potentials,
             )
-            mags.append(np.max(np.abs(Q.assembled_residual(at_h, idx, mode="quantum-terms"))))
+            mags.append(np.max(np.abs(quantum_terms(at_h, idx))))
         return mags
 
     # scaling by a power of two is exact, so the two routes agree bitwise
@@ -444,6 +440,4 @@ def test_classical_limit_scan_preconditions(hydrogen_total, cylindrical_total):
     with pytest.raises(Q.QshjeError, match="positive"):
         Q.classical_limit_scan(total, (1.0, 0.5, 0.25, -0.1), per_coordinate=3)
     with pytest.raises(Q.QshjeError, match="spherical"):
-        Q.classical_limit_scan(
-            cylindrical_total, (1.0, 0.5, 0.25, 0.125, 0.0625), per_coordinate=3, wrong_order=True
-        )
+        wrong_order_gap(cylindrical_total, per_coordinate=3)

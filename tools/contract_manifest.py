@@ -18,6 +18,10 @@ line per file it wrote; a job whose exception escapes the CLI prints
 `raised-<type>` as its exit code. Every config and output path is
 relative to a scratch directory, so the output depends only on the program.
 
+Then one `size: src <N> lines, qshje.__all__ <K> names` line gives the
+newline count of the `.py` files under `src/` (what `wc -l` totals) and the
+number of names the package exports.
+
 The reach block follows: `sys.settrace` records the `src/` lines that the
 jobs execute, `import qshje` included, and the manifest prints
 `reach: <module>.<function> <count>` for every function that holds
@@ -36,6 +40,7 @@ from __future__ import annotations
 import contextlib
 import dis
 import hashlib
+import importlib
 import io
 import math
 import os
@@ -477,6 +482,10 @@ def main() -> int:
                     print(f"  {path.relative_to(out)} {_sha256(path.read_bytes())}")
         finally:
             os.chdir(start)
+    # qshje was imported by the first job, under reach; this import only looks it up
+    names = importlib.import_module("qshje").__all__
+    lines = sum(p.read_bytes().count(b"\n") for p in (ROOT / "src").rglob("*.py"))
+    print(f"size: src {lines} lines, qshje.__all__ {len(names)} names")
     missed, total = reach.unreached()
     for name, count in sorted(missed.items()):
         print(f"reach: {name} {count}")
