@@ -365,6 +365,15 @@ def hbar_scan_values(hbar_values) -> np.ndarray:
     return hv
 
 
+def least_squares_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """Slope and intercept of the unweighted least-squares line through the
+    points (x, y), in closed form: elementwise products and sums, with no
+    BLAS or LAPACK call."""
+    dx = x - x.mean()
+    slope = float(np.sum(dx * (y - y.mean())) / np.sum(dx * dx))
+    return slope, float(y.mean() - slope * x.mean())
+
+
 def classical_limit_scan(
     total: TotalReducedAction, hbar_values, per_coordinate: int
 ) -> LimitScanResult:
@@ -393,7 +402,7 @@ def classical_limit_scan(
             f"classical-limit fit: the quantum-term magnitude is {what} at "
             f"hbar = {float(hv[k])!r}, not a positive normal float"
         )
-    slope, intercept = np.polyfit(np.log(hv), np.log(mags), 1).tolist()
+    slope, intercept = least_squares_line(np.log(hv), np.log(mags))
     return LimitScanResult(
         hbar_values=tuple(float(h) for h in hv),
         magnitudes=tuple(float(v) for v in mags),

@@ -851,6 +851,22 @@ def test_limit_scan_hydrogen(tmp_path):
     assert gaps == {gap}  # the gap column never shrinks with hbar
 
 
+def test_limit_scan_makes_no_lapack_call(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("limit-scan called a LAPACK least-squares routine")
+
+    monkeypatch.setattr(np.linalg, "lstsq", refuse)
+    monkeypatch.setattr(np, "polyfit", refuse)
+    out = tmp_path / "scan"
+    code = run(
+        "limit-scan", "--config", CONFIG_DIR / "spherical_hydrogen.yaml",
+        "--out", out, "--wrong-order-demo",
+    )
+    assert code == 0
+    summary = read_summary(out / "limit_scan_summary.json")
+    assert abs(summary["slope"] - 2.0) <= summary["slope_tolerance"]
+
+
 def test_limit_scan_nan_wrong_order_gap_fails(tmp_path, monkeypatch, capsys):
     # a NaN momentum at a theta probe node must not pass as a zero gap
     build_case = cli.build_case

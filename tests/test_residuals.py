@@ -9,7 +9,9 @@ import qshje as Q
 
 from conftest import cartesian_oscillator_case, hydrogen_ground_radial_pair, polar_pair
 from qshje.cli import build_case
-from qshje.residuals import SYMMETRY_TABLE, probe_axes, quantum_terms, wrong_order_gap
+from qshje.residuals import (
+    SYMMETRY_TABLE, least_squares_line, probe_axes, quantum_terms, wrong_order_gap,
+)
 from qshje.schwarzian import amplitude_derivatives, schwarzian_from_amplitude
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
@@ -365,6 +367,23 @@ def test_classical_limit_scan_slope(hydrogen_total):
     assert result.slope == pytest.approx(2.0, abs=0.05)
     assert result.hbar_values == hv
     assert len(result.magnitudes) == 6
+
+
+def test_classical_limit_scan_fit_is_least_squares(hydrogen_total):
+    # the closed form against numpy's least-squares polynomial fit
+    # (np.polyfit, a LAPACK call) of the same data
+    def polyfit_reference(x, y):
+        return tuple(np.polyfit(x, y, 1).tolist())
+
+    scan = Q.classical_limit_scan(hydrogen_total, Q.DEFAULT_HBAR_SCAN, per_coordinate=3)
+    expected = polyfit_reference(np.log(scan.hbar_values), np.log(scan.magnitudes))
+    assert (scan.slope, scan.intercept) == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+    rng = np.random.default_rng(11)
+    x = np.log(np.geomspace(1.0, 1e-3, 12))
+    y = -1.7 * x + 0.4 + rng.normal(scale=0.3, size=x.size)
+    expected = polyfit_reference(x, y)
+    assert least_squares_line(x, y) == pytest.approx(expected, rel=1e-14, abs=0.0)
 
 
 def test_classical_limit_scan_refuses_a_zero_peak():

@@ -200,3 +200,36 @@ def test_write_table_holds_less_than_the_file_it_writes(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < os.path.getsize(out)
+
+
+def _write_peak(path, columns, table, fmt):
+    tracemalloc.start()
+    try:
+        out = write_table(str(path), "eq", "f", columns, table, fmt=fmt)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak, os.path.getsize(out)
+
+
+def test_write_table_peak_stays_below_a_quarter_of_its_file(tmp_path):
+    """Bytes rendered in short blocks keep the writer's peak allocation a
+    small share of its output: on a wide CSV table, and on a JSON probe
+    lattice whose coordinates repeat and whose two values are near-distinct."""
+    rng = np.random.default_rng(3)
+    n = 20000
+    wide = rng.normal(size=(n, 8))
+    wide[:, 0] = np.repeat(np.linspace(0.1, 2.0, 20), n // 20)  # a probe axis
+    wide[:, 1] = rng.choice(rng.normal(size=100), size=n)  # a repetitive value
+    peak, size = _write_peak(tmp_path / "wide", list("abcdefgh"), wide, "csv")
+    assert peak < size / 4
+
+    axes = np.linspace(0.5, 12.0, 20), np.linspace(0.2, 2.9, 20), np.linspace(0.0, 6.0, 19)
+    lattice = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+    residual = rng.normal(scale=1e-9, size=len(lattice))
+    summed = residual + rng.normal(scale=1e-16, size=len(lattice))
+    gap = rng.choice([0.0, 1e-16, -1e-16, 2e-16], size=len(lattice))
+    probe = np.column_stack([lattice, residual, summed, gap])
+    columns = ["r", "theta", "phi", "residual", "component_weighted_sum", "assembly_gap"]
+    peak, size = _write_peak(tmp_path / "probe", columns, probe, "json")
+    assert peak < size / 4
