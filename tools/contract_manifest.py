@@ -8,7 +8,10 @@ The jobs are the five commands (solve, verify, limit-scan, limit-scan
 then every job of the verify-numeric, cold-analytic and probe-dense benchmark
 workloads at seed 5, then one command (`verify` unless the row names another)
 on each edge input of EDGES: an edited copy of a shipped config, an invalid
-config file, or flags that override the config or output path. Last comes
+config file, or flags that override the config or output path. Then come
+`solve` and `verify` on `tabulated-oscillator`, cartesian_oscillator with the
+x potential as a 60-point table, whose jobs are named
+`tabulated-oscillator:<command>`. Last comes
 `verify` on every shipped config again as a cold `python -m qshje.cli`
 process, whose jobs are named `cold:<config>` (the path users run, through
 `cli.cold_entry`). Each job prints one line
@@ -98,6 +101,7 @@ def _retext(config: str, old: str, new: str):
 
 
 _R_TABLE = [0.5 + 11.5 * k / 199 for k in range(200)]
+_X_TABLE = [-6.5 + 13.0 * k / 59 for k in range(60)]
 # cylindrical_free's z component alone
 _Z_ONLY = {"mu": 0.0, "nu": 0.0, "grid": {"min": -3.0, "max": 3.0, "count": 601},
            "source": "analytic"}
@@ -296,6 +300,10 @@ EDGES = (
         _set("components", {"z": {**_Z_ONLY, "mu": 1.0e8, "grid": {
             "min": -5.0e7, "max": 5.0e7, "count": 601}}}),
         _set("quantum_numbers.beta", 0.0), _set("constants", {"hbar": 1.0e-100, "mass": 5.0e107}))),
+    # neighbouring values 2e308 apart: the spline's slopes overflow
+    ("tabulated-values-overflow", "cartesian_oscillator", _set(
+        "potentials.x", {"kind": "tabulated", "points": [-6.5, -2.0, 2.0, 6.5],
+                         "values": [1e308, -1e308, 1e308, -1e308]})),
 )
 
 
@@ -436,10 +444,15 @@ def job_argv(command: str | None, flags: list[str], config: str, out: str) -> li
     return [command, "--config", config, "--out", out, *flags]
 
 
+def _load(config: str) -> dict:
+    """A shipped config, loaded."""
+    return yaml.safe_load((ROOT / "configs" / f"{config}.yaml").read_text(encoding="utf-8"))
+
+
 def edge_jobs():
     """(name, config text, command, flags) of each EDGES row."""
     for name, config, edit, *argv in EDGES:
-        cfg = yaml.safe_load((ROOT / "configs" / f"{config}.yaml").read_text(encoding="utf-8"))
+        cfg = _load(config)
         text = edit(cfg) if edit else None
         command, *flags = argv or ("verify",)
         yield f"edge:{name}", yaml.safe_dump(cfg) if text is None else text, command, flags
@@ -461,6 +474,12 @@ def _jobs():
                        list(job.flags), _in_process)
     for job in edge_jobs():
         yield *job, _in_process
+    # cartesian_oscillator with x's potential 1/2 m omega^2 x^2 as a table
+    cfg = _load("cartesian_oscillator")
+    _set("potentials.x", {"kind": "tabulated", "points": _X_TABLE,
+                          "values": [0.5 * x * x for x in _X_TABLE]})(cfg)
+    for command in ("solve", "verify"):
+        yield f"tabulated-oscillator:{command}", yaml.safe_dump(cfg), command, [], _in_process
     for config in sorted((ROOT / "configs").glob("*.yaml")):
         yield f"cold:{config.stem}", config.read_text(encoding="utf-8"), "verify", [], _cold
 
