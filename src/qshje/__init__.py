@@ -4,9 +4,8 @@ verification of every component and assembled equation."""
 
 import os
 
-# qshje makes no BLAS or LAPACK call of its own (scipy's CubicSpline makes one
-# for tabulated potentials), and OpenBLAS's worker pool costs about 80 ms per
-# process; this must run before numpy is first imported.
+# qshje makes no BLAS or LAPACK call, and OpenBLAS's worker pool costs about
+# 80 ms per process; this must run before numpy is first imported.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .domain import (

@@ -145,8 +145,40 @@ class PowerLawPotential(PotentialSpec):
         return v
 
 
+def _not_a_knot_spline(x, y):
+    """Coefficients, highest power first, of the not-a-knot cubic spline
+    through (x, y): row k, column i multiplies (q - x[i])**(3 - k) on
+    [x[i], x[i + 1]].
+
+    The knot slopes s solve the tridiagonal system of continuity of y'' at
+    the inner knots, with not-a-knot end rows (de Boor, A Practical Guide to
+    Splines, ch. IV), by the Thomas algorithm; the coefficients are those of
+    the cubic Hermite interpolant of (x, y, s)."""
+    h, n = np.diff(x), x.size
+    m = np.diff(y) / h
+    # row i reads lower[i] s[i-1] + diag[i] s[i] + upper[i] s[i+1] = rhs[i]
+    lower, diag, upper, rhs = np.empty((4, n))
+    lower[1:-1], diag[1:-1], upper[1:-1] = h[1:], 2.0 * (h[:-1] + h[1:]), h[:-1]
+    rhs[1:-1] = 3.0 * (h[1:] * m[:-1] + h[:-1] * m[1:])
+    d0, d1 = x[2] - x[0], x[-1] - x[-3]
+    diag[0], upper[0] = h[1], d0
+    rhs[0] = ((h[0] + 2.0 * d0) * h[1] * m[0] + h[0] ** 2 * m[1]) / d0
+    lower[-1], diag[-1] = d1, h[-2]
+    rhs[-1] = (h[-1] ** 2 * m[-2] + (2.0 * d1 + h[-1]) * h[-2] * m[-1]) / d1
+    for i in range(1, n):
+        w = lower[i] / diag[i - 1]
+        diag[i] -= w * upper[i - 1]
+        rhs[i] -= w * rhs[i - 1]
+    s = np.empty(n)
+    s[-1] = rhs[-1] / diag[-1]
+    for i in range(n - 2, -1, -1):
+        s[i] = (rhs[i] - upper[i] * s[i + 1]) / diag[i]
+    t = (s[:-1] + s[1:] - 2.0 * m) / h
+    return np.array([t / h, (m - s[:-1]) / h - t, s[:-1], y[:-1]])
+
+
 class TabulatedPotential(PotentialSpec):
-    """Cubic-spline interpolant of sampled values; evaluation outside the table is an error."""
+    """Not-a-knot cubic spline through sampled values; evaluation outside the table is an error."""
 
     def __init__(self, points, values):
         try:
@@ -160,17 +192,25 @@ class TabulatedPotential(PotentialSpec):
             raise ValueError("tabulated potential points and values must be finite")
         if np.any(np.diff(points) <= 0):
             raise ValueError("tabulated potential abscissae must be strictly increasing")
-        from scipy.interpolate import CubicSpline  # lazy: keeps scipy out of `import qshje`
-
         self.points = points
         self.values = values
-        self._spline = CubicSpline(points, values)
+        with np.errstate(all="ignore"):
+            self._coefficients = _not_a_knot_spline(points, values)
+        if not np.all(np.isfinite(self._coefficients)):
+            raise ValueError(
+                "tabulated potential's cubic spline is not finite: its slopes or "
+                "coefficients overflow; scale the values or spread the points"
+            )
 
     def evaluate(self, q, constants: PhysConstants):
         q = np.asarray(q, dtype=float)
         if np.any(q < self.points[0]) or np.any(q > self.points[-1]):
             raise GridDomainError("tabulated potential evaluated outside its table")
-        return self._spline(q)
+        i = np.searchsorted(self.points, q, side="right") - 1
+        i = np.minimum(i, self.points.size - 2)
+        dq = q - self.points[i]
+        c3, c2, c1, c0 = self._coefficients[:, i]
+        return ((c3 * dq + c2) * dq + c1) * dq + c0
 
 
 class Effective1DProblem:

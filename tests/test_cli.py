@@ -1118,15 +1118,26 @@ def _fresh_interpreter(probe, **env):
     return _python("-c", probe, **env).stdout.split()
 
 
-def test_importing_the_cli_leaves_scipy_unloaded():
-    # scipy is only needed for tabulated potentials
-    probe = "import sys, qshje.cli; print(sorted(m for m in sys.modules if 'scipy' in m))"
-    assert _fresh_interpreter(probe) == ["[]"]
+def test_importing_the_cli_leaves_scipy_unloaded(tmp_path):
+    # nor does a verify job load it, tabulated potentials included
+    x = [-6.5 + 13.0 * k / 59 for k in range(60)]
+    table = {"kind": "tabulated", "points": x, "values": [0.5 * q * q for q in x]}
+    config = _edited_config(
+        tmp_path, "cartesian_oscillator", lambda cfg: cfg["potentials"].update(x=table)
+    )
+    probe = (
+        "import sys, qshje.cli\n"
+        "scipy = lambda: sorted(m for m in sys.modules if 'scipy' in m)\n"
+        "print(scipy(), qshje.cli.main(sys.argv[1:]), scipy())"
+    )
+    argv = ("verify", "--config", str(config), "--out", str(tmp_path / "out"))
+    assert _python("-c", probe, *argv).stdout.split() == ["[]", "0", "[]"]
 
 
 @pytest.mark.parametrize("then", ["", "import scipy.interpolate"])
 def test_importing_qshje_starts_no_blas_worker_pool(then):
-    # numpy's OpenBLAS, and scipy's for tabulated potentials, stay on one thread
+    # numpy's OpenBLAS stays on one thread, and so does scipy's when a caller
+    # loads scipy after qshje
     tasks = "/proc/self/task"
     if not os.path.isdir(tasks):
         pytest.skip(f"{tasks} is not available to count threads")

@@ -148,6 +148,8 @@ ROWS = {
     "argv-help": (0, ""),
     "residual-scale-zero": (
         3, "solver failure: axial: the residual scale max(|e_eff|, hbar^2/(2m L^2)) underflows"),
+    "tabulated-values-overflow": (
+        2, "config error: potentials.x: tabulated potential's cubic spline is not finite"),
 }
 
 EDGE_JOBS = {name.removeprefix("edge:"): job for name, *job in manifest.edge_jobs()}

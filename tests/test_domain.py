@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
 import qshje as Q
 from qshje.domain import check_coordinates
@@ -96,6 +97,36 @@ def test_tabulated_potential_matches_samples(constants):
         Q.TabulatedPotential([0.0, 1.0, 1.0, 2.0], [0.0, 1.0, 1.0, 4.0])
     with pytest.raises(ValueError):
         Q.TabulatedPotential([0.0, 1.0], [0.0, 1.0])
+
+
+_SPACINGS = {
+    "uniform": lambda n, rng: np.linspace(0.0, 1.0, n),
+    # each node moved by under a third of the spacing, ends kept
+    "jittered": lambda n, rng: np.linspace(0.0, 1.0, n)
+    + np.r_[0.0, rng.uniform(-0.3, 0.3, n - 2), 0.0] / (n - 1),
+    "geometric": lambda n, rng: (np.geomspace(1.0, 50.0, n) - 1.0) / 49.0,
+}
+
+
+@pytest.mark.parametrize("spacing", sorted(_SPACINGS))
+@pytest.mark.parametrize("n", [4, 5, 20, 200, 1000])
+def test_tabulated_potential_is_the_not_a_knot_spline(constants, n, spacing):
+    # scipy's CubicSpline (not-a-knot by default) is the reference
+    rng = np.random.default_rng(n)
+    x = -3.0 + 7.0 * _SPACINGS[spacing](n, rng)
+    v = np.sin(1.3 * x) + 0.2 * x * x
+    tab = Q.TabulatedPotential(x, v)
+    q = np.r_[np.linspace(x[0], x[-1], 4001), x]
+    gap = np.abs(tab.evaluate(q, constants) - CubicSpline(x, v)(q))
+    assert np.max(gap) <= 1e-14 * np.max(np.abs(v))
+    # each knot but the last starts its own interval, where the spline is the value
+    assert np.array_equal(tab.evaluate(x[:-1], constants), v[:-1])
+    # the curvature is evaluated on a (cells, substeps, 3) array of RK4 stage nodes
+    stages = rng.uniform(x[0], x[-1], (n, 4, 3))
+    assert tab.evaluate(stages, constants).shape == (n, 4, 3)
+    assert np.array_equal(
+        tab.evaluate(stages, constants).ravel(), tab.evaluate(stages.ravel(), constants)
+    )
 
 
 def test_effective_problem_energies(constants):
