@@ -109,16 +109,18 @@ def cmd_solve(cfg: RunConfig, out_dir: str, fmt: str) -> int:
 
 
 def _check(
-    out_dir: str, name: str, formula: str, coords: dict, values: dict, tolerance: float, fmt: str
+    out_dir: str, name: str, formula: str, coords: dict, residual: np.ndarray, tolerance: float,
+    fmt: str,
 ) -> dict:
-    """Write one residual table and return its verdict.
+    """Write one residual table, its coordinates and `residual`, and return
+    its verdict.
 
-    The first of `values` is the residual. Its max |residual| propagates NaN
-    and inf, so a non-finite residual fails the tolerance; the first NaN, or
-    else the first infinite value, is named on stderr.
+    Its max |residual| propagates NaN and inf, so a non-finite residual fails
+    the tolerance; the first NaN, or else the first infinite value, is named
+    on stderr.
     """
-    _table(os.path.join(out_dir, f"residual_{name}"), name, formula, coords | values, fmt)
-    residual = next(iter(values.values()))
+    table = coords | {"residual": residual}
+    _table(os.path.join(out_dir, f"residual_{name}"), name, formula, table, fmt)
     bad, kind = np.isnan(residual), "NaN"
     if not bad.any():
         bad, kind = np.isinf(residual), "infinite"
@@ -154,8 +156,7 @@ def cmd_verify(cfg: RunConfig, out_dir: str, fmt: str) -> int:
                 f"{eq.name}: the residual scale max(|e_eff|, hbar^2/(2m L^2)) underflows to 0 "
                 f"(e_eff = {eq.e_eff!r}, L = {float(span)!r}); rescale hbar, the mass or the grid"
             )
-        values = {"residual": residual, "normalized_residual": residual / scale_ref}
-        entry = _check(out_dir, eq.name, eq.formula, {label: q}, values, cfg.tolerance, fmt)
+        entry = _check(out_dir, eq.name, eq.formula, {label: q}, residual, cfg.tolerance, fmt)
         peak = entry["max_abs"]
         with np.errstate(over="ignore"):
             rms = float(np.sqrt(np.mean(residual * residual)))
@@ -176,12 +177,10 @@ def cmd_verify(cfg: RunConfig, out_dir: str, fmt: str) -> int:
         points = probe_lattice(total, idx)
         with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN fail the gate
             direct = assembled_residual(total, idx).ravel()
-            summed = component_weighted_sum(total, residuals, idx).ravel()
-            gap = np.abs(direct - summed)
+            gap = np.abs(direct - component_weighted_sum(total, residuals, idx).ravel())
         coords = dict(zip(cfg.symmetry.coordinate_labels, points.T))
-        values = {"residual": direct, "component_weighted_sum": summed, "assembly_gap": gap}
         entries[name] = {
-            **_check(out_dir, name, cfg.symmetry.formula, coords, values, cfg.tolerance, fmt),
+            **_check(out_dir, name, cfg.symmetry.formula, coords, direct, cfg.tolerance, fmt),
             "max_assembly_gap": float(np.max(gap)),
             "probe_points": len(points),
         }
@@ -206,15 +205,12 @@ def cmd_limit_scan(cfg: RunConfig, out_dir: str, fmt: str, wrong_order: bool) ->
     gap = wrong_order_gap(total, cfg.probe_per_coordinate) if wrong_order else None
 
     os.makedirs(out_dir, exist_ok=True)
-    columns = {"hbar": scan.hbar_values, "quantum_term_magnitude": scan.magnitudes}
-    if wrong_order:
-        columns["wrong_order_gap"] = [gap] * len(scan.hbar_values)
     _table(
         os.path.join(out_dir, "limit_scan"),
         "classical-limit-scan",
         "max over probe points of |(hbar^2/(4m)) * weighted Schwarzian sum + "
         "residual quantum terms| at fixed dS data",
-        columns,
+        {"hbar": scan.hbar_values, "quantum_term_magnitude": scan.magnitudes},
         fmt,
     )
     ok = abs(scan.slope - 2.0) <= SLOPE_TOLERANCE

@@ -10,8 +10,10 @@ infinities read ``nan``, ``inf`` and ``-inf`` in CSV and ``null`` in JSON.
 Tables are rendered as UTF-8 bytes in blocks of rows and written to a binary
 file, so no block is copied again by a text encoder. At 512 rows a block, the
 writer's peak allocation is a fifth of the 0.93 MB it writes for a 7600 x 6
-JSON probe table. Within a block, a column with at most half as many distinct
-values as rows formats each distinct value once and reuses the text.
+JSON table, and a sixth of the 0.65 MB of the 7600 x 4 JSON probe table that
+a probe-dense verify job writes. Within a block, a column with at most half as
+many distinct values as rows formats each distinct value once and reuses the
+text.
 Summaries are nested dicts of strings, bools, ints and floats.
 """
 from __future__ import annotations
@@ -25,9 +27,10 @@ import numpy as np
 
 # rows rendered and written per write call; bounds the bytes held in memory.
 # The writer's tracemalloc peak is 0.34 MB on a 20000 x 8 CSV table (3.1 MB)
-# and 0.20 MB on a 7600 x 6 JSON probe table (0.93 MB); 2048-row text blocks
-# peaked at 1.27 and 0.79 MB and set the peak RSS of a cold probe-dense
-# verify job (about 31.0 MB, against about 30.1 MB at 512-row byte blocks).
+# and 0.20 MB on a 7600 x 6 JSON table (0.93 MB); 2048-row text blocks
+# peaked at 1.27 and 0.79 MB. On the 7600 x 4 JSON probe table of a cold
+# probe-dense verify job (0.65 MB) it peaks at 0.11 MB, against 0.41 MB at
+# 2048-row byte blocks, and the job's peak RSS is about 30.0 MB, 0.1 MB lower.
 _BLOCK_ROWS = 512
 
 

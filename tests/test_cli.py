@@ -74,10 +74,11 @@ def test_verify_summary_scale_reference(tmp_path):
     assert entry["normalized_max"] == entry["max_abs"] / entry["scale_ref"]
     assert entry["rms"] <= entry["max_abs"]
     table = (out / "residual_azimuthal.csv").read_text().splitlines()
-    assert table[1] == "phi,residual,normalized_residual"
+    assert table[1] == "phi,residual"
     rows = [[float(v) for v in line.split(",")] for line in table[2:]]
     assert len(rows) == 721
-    assert all(normalized == residual / 4.0 for _, residual, normalized in rows)
+    # the table holds the residual alone; its normalized peak is in the summary
+    assert max(abs(residual) for _, residual in rows) == entry["max_abs"]
 
 
 def test_build_case_orders_components_by_coordinate_label(tmp_path):
@@ -124,9 +125,7 @@ def test_verify_cartesian_oscillator(tmp_path):
     assert code == 0
     table = (out / "residual_assembled-cartesian.csv").read_text().splitlines()
     assert table[0].startswith("# equation: assembled-cartesian | ")
-    assert table[1].split(",") == [
-        "x", "y", "z", "residual", "component_weighted_sum", "assembly_gap",
-    ]
+    assert table[1].split(",") == ["x", "y", "z", "residual"]
     assert len(table) == 2 + 125
     summary = read_summary(out / "verify_summary.json")
     assert summary["equations"]["assembled-cartesian"]["probe_points"] == 125
@@ -845,10 +844,8 @@ def test_limit_scan_hydrogen(tmp_path):
     assert gap > 1.0
     assert "slope" not in summary["wrong_order"]
     table = (out / "limit_scan.csv").read_text().splitlines()
-    assert table[1].split(",") == ["hbar", "quantum_term_magnitude", "wrong_order_gap"]
+    assert table[1].split(",") == ["hbar", "quantum_term_magnitude"]
     assert len(table) == 2 + 6
-    gaps = {float(line.split(",")[2]) for line in table[2:]}
-    assert gaps == {gap}  # the gap column never shrinks with hbar
 
 
 def test_limit_scan_makes_no_lapack_call(tmp_path, monkeypatch):
@@ -1012,6 +1009,48 @@ def test_csv_and_json_tables_agree(tmp_path, config):
             assert payload["rows"] == expected
         compared += len(tables)
     assert compared >= 2  # solve and verify write at least one table each
+
+
+def _read_table(path):
+    """(columns, rows) of a CSV or JSON table the CLI wrote."""
+    if path.suffix == ".json":
+        payload = json.loads(path.read_text())
+        return payload["columns"], payload["rows"]
+    return _read_csv_table(path)[2:]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "config", ["spherical_hydrogen", "cartesian_oscillator", "cylindrical_free"]
+)
+def test_verify_tables_hold_each_number_once(tmp_path, config, fmt):
+    # a residual table holds its coordinates and the residual; every other
+    # figure of the check (scale_ref, normalized_max, max_assembly_gap) is in
+    # the summary alone
+    path = CONFIG_DIR / f"{config}.yaml"
+    out = tmp_path / "v"
+    assert run("verify", "--config", path, "--out", out, "--format", fmt) == 0
+    labels = list(load_config(str(path)).symmetry.coordinate_labels)
+    equations = read_summary(out / "verify_summary.json")["equations"]
+    tables = sorted(p.name for p in out.glob(f"residual_*.{fmt}"))
+    assert tables == sorted(f"residual_{name}.{fmt}" for name in equations)
+    for name, entry in equations.items():
+        columns, rows = _read_table(out / f"residual_{name}.{fmt}")
+        coords = [entry["component"]] if "component" in entry else labels
+        assert columns == [*coords, "residual"], name
+        # %.17g round-trips, so the table's peak is the summary's to the bit
+        assert max(abs(row[-1]) for row in rows) == entry["max_abs"], name
+
+
+def test_limit_scan_table_does_not_depend_on_the_wrong_order_demo(tmp_path):
+    # the gap is one number, and the summary holds it
+    path = CONFIG_DIR / "spherical_hydrogen.yaml"
+    plain, demo = tmp_path / "plain", tmp_path / "demo"
+    assert run("limit-scan", "--config", path, "--out", plain) == 0
+    assert run("limit-scan", "--config", path, "--out", demo, "--wrong-order-demo") == 0
+    assert (plain / "limit_scan.csv").read_bytes() == (demo / "limit_scan.csv").read_bytes()
+    assert "wrong_order" not in read_summary(plain / "limit_scan_summary.json")
+    assert read_summary(demo / "limit_scan_summary.json")["wrong_order"]["gap"] > 1.0
 
 
 def test_table_refuses_columns_of_unequal_length(tmp_path):
