@@ -25,7 +25,6 @@ from .residuals import (
     component_residual,
     component_weighted_sum,
     probe_axes,
-    probe_indices,
     probe_lattice,
     wrong_order_gap,
 )
@@ -58,9 +57,7 @@ def build_case(cfg: RunConfig) -> tuple[dict, dict, TotalReducedAction | None]:
         comp_cfg = cfg.components[label]
         eq = cfg.symmetry.equations[label](cfg, cfg.quantum_numbers, cfg.constants)
         pair = build_pair(cfg, comp_cfg, eq)
-        components[label] = build_component(
-            label, pair, comp_cfg.mu, comp_cfg.nu, comp_cfg.phase
-        )
+        components[label] = build_component(label, pair, comp_cfg.mu, comp_cfg.nu)
         equations[label] = eq
 
     total = None
@@ -73,7 +70,6 @@ def _component_meta(comp: ReducedActionComponent, cfg: ComponentConfig) -> dict:
     return {
         "mu": comp.mu,
         "nu": comp.nu,
-        "phase": comp.phase_e,
         "source": cfg.source,
         "provenance": comp.pair.provenance,
         "wronskian": comp.pair.wronskian,
@@ -141,6 +137,8 @@ def _check(
 
 def cmd_verify(cfg: RunConfig, out_dir: str, fmt: str) -> int:
     components, equations, total = build_case(cfg)
+    # an oversized probe lattice is refused before any table is written
+    idx = None if total is None else probe_axes(total.grids, cfg.probe_per_coordinate)
     os.makedirs(out_dir, exist_ok=True)
     entries: dict = {}
     residuals = {}
@@ -173,7 +171,6 @@ def cmd_verify(cfg: RunConfig, out_dir: str, fmt: str) -> int:
 
     if total is not None:
         name = f"assembled-{cfg.symmetry.value}"
-        idx = probe_axes(total, cfg.probe_per_coordinate)
         points = probe_lattice(total, idx)
         with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN fail the gate
             direct = assembled_residual(total, idx).ravel()
@@ -243,7 +240,7 @@ def cmd_spin_report(cfg: RunConfig, out_dir: str, fmt: str) -> int:
     if any(lab not in cfg.components for lab in needed):
         raise ConfigError(f"spin-report needs grids for components {list(needed)}")
     grids = [cfg.components[lab].grid.points for lab in needed]
-    axes = [q[probe_indices(q, cfg.probe_per_coordinate)] for q in grids]
+    axes = [q[i] for q, i in zip(grids, probe_axes(grids, cfg.probe_per_coordinate))]
     coords = np.ix_(*axes)
     terms = row.spin(coords, cfg.constants)
     os.makedirs(out_dir, exist_ok=True)

@@ -27,7 +27,7 @@ from .domain import (
 )
 from .errors import ConfigError, GridDomainError, QshjeError
 from .ode_engine import Grid1D
-from .residuals import SYMMETRY_TABLE, SymmetryRow, hbar_scan_values
+from .residuals import MAX_PROBE_POINTS, SYMMETRY_TABLE, SymmetryRow, hbar_scan_values
 
 DEFAULT_HBAR_SCAN = (1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125)
 
@@ -196,10 +196,10 @@ def _read_yaml(text: str):
 
 class ComponentConfig:
     def __init__(
-        self, label: str, mu: float, nu: float, phase: float, grid: Grid1D, source: str,
-        substeps: int, solve_energy: float | None,
+        self, label: str, mu: float, nu: float, grid: Grid1D, source: str, substeps: int,
+        solve_energy: float | None,
     ) -> None:
-        self.label, self.mu, self.nu, self.phase, self.grid = label, mu, nu, phase, grid
+        self.label, self.mu, self.nu, self.grid = label, mu, nu, grid
         self.source, self.substeps, self.solve_energy = source, substeps, solve_energy
 
 
@@ -262,13 +262,12 @@ def _grid_spec(mapping, path: str, label: str) -> Grid1D:
 
 
 def _component_config(label: str, mapping, path: str) -> ComponentConfig:
-    fields = ("mu", "nu", "phase", "grid", "source", "substeps", "solve_energy")
+    fields = ("mu", "nu", "grid", "source", "substeps", "solve_energy")
     m = _expect_mapping(mapping, path, fields)
     mu = _number(_get(m, "mu", path), f"{path}.mu")
     nu = _number(_get(m, "nu", path), f"{path}.nu")
     if mu * nu == 1.0:
         raise ConfigError(f"{path}: mu*nu = 1 is a degenerate mixing")
-    phase = _number(m.get("phase", 0.0), f"{path}.phase")
     grid = _grid_spec(_get(m, "grid", path), f"{path}.grid", label)
     source = m.get("source", "numeric")
     if source not in ("numeric", "analytic"):
@@ -283,7 +282,6 @@ def _component_config(label: str, mapping, path: str) -> ComponentConfig:
         label=label,
         mu=mu,
         nu=nu,
-        phase=phase,
         grid=grid,
         source=source,
         substeps=substeps,
@@ -407,8 +405,9 @@ def parse_config(data: dict) -> RunConfig:
     probe = _integer(
         root.get("probe_points_per_coordinate", 5), "config.probe_points_per_coordinate"
     )
-    if probe < 2:
-        raise ConfigError(f"config.probe_points_per_coordinate: must be >= 2, got {probe}")
+    if not 2 <= probe <= MAX_PROBE_POINTS:
+        bound = ">= 2" if probe < 2 else f"<= {MAX_PROBE_POINTS}"
+        raise ConfigError(f"config.probe_points_per_coordinate: must be {bound}, got {probe}")
 
     omap = _expect_mapping(root.get("output", {}), "config.output", ("directory", "format"))
     fmt = omap.get("format", "csv")

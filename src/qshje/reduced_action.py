@@ -3,7 +3,7 @@
 For a pair (y1, y2) with constant Wronskian W and mixing constants (mu, nu)
 with mu nu != 1, the reduced action of one coordinate is
 
-    S(q) = hbar arctan( (mu y1 + y2) / (y1 + nu y2) ) + e hbar
+    S(q) = hbar arctan( (mu y1 + y2) / (y1 + nu y2) )
 
 (Milne, Phys. Rev. 35 (1930) 863; Korsch & Laurent, J. Phys. B 14 (1981)
 4213) with the closed-form conjugate momentum
@@ -11,11 +11,12 @@ with mu nu != 1, the reduced action of one coordinate is
     dS/dq = hbar (1 - mu nu) W / (a^2 + b^2),  a = mu y1 + y2,  b = y1 + nu y2.
 
 S is hbar times the unwrapped arctan2(a, b), exact at every node, on the branch
-that reads hbar arctan2(a, b) + e hbar at the grid anchor. Unwrapping is exact
+that reads hbar arctan2(a, b) at the grid anchor. Unwrapping is exact
 where the phase turns by less than pi in every cell. By Sturm comparison that
 holds for every pair, whatever the mixing, where the node spacing times the
 local wavenumber sqrt(-c) of y'' = c y stays below pi; a coarser grid is
 refused. `branch_residual` is the largest such product in rad (bound pi).
+So |S| < pi hbar count, which cannot overflow: hbar^2 is a normal float.
 The continuity product amplitude^2 * dS/dq equals hbar (1 - mu nu) W by
 construction (amplitude = sqrt(D), dS = C/D), so it is not checked at run time.
 """
@@ -33,10 +34,10 @@ class ReducedActionComponent:
     """One coordinate's reduced action and its derived samples."""
 
     def __init__(
-        self, pair: SolutionPair, mu: float, nu: float, phase_e: float, s: np.ndarray,
-        ds: np.ndarray, amplitude: np.ndarray, schwarzian: np.ndarray, branch_residual: float,
+        self, pair: SolutionPair, mu: float, nu: float, s: np.ndarray, ds: np.ndarray,
+        amplitude: np.ndarray, schwarzian: np.ndarray, branch_residual: float,
     ) -> None:
-        self.pair, self.mu, self.nu, self.phase_e = pair, mu, nu, phase_e
+        self.pair, self.mu, self.nu = pair, mu, nu
         self.s, self.ds, self.amplitude, self.schwarzian = s, ds, amplitude, schwarzian
         self.branch_residual = branch_residual
 
@@ -49,22 +50,22 @@ class ReducedActionComponent:
         return self.pair.problem.constants
 
 
-def build_component(
-    label: str, pair: SolutionPair, mu: float, nu: float, phase_e: float = 0.0
-) -> ReducedActionComponent:
+def build_component(label: str, pair: SolutionPair, mu: float, nu: float) -> ReducedActionComponent:
     """Construct the reduced action of one coordinate from a solution pair."""
     hbar = pair.problem.constants.hbar
+    q = pair.grid.points
+    c = np.asarray(pair.problem.curvature(q), dtype=float)
     # a large enough mixing overflows D or the Schwarzian; the check below
     # names that instead of passing on inf and NaN samples
     with np.errstate(over="ignore", invalid="ignore"):
         mixed = mixed_solutions(pair, mu, nu)
-        d, dp, dpp = amplitude_derivatives(pair, *mixed)
+        d, dp, dpp = amplitude_derivatives(*mixed, c)
         if np.any(d <= 0.0):
             raise QshjeError("mixed-basis amplitude vanishes on the grid; change (mu, nu)")
         schwarzian = schwarzian_from_amplitude(d, dp, dpp)
     bad = ~np.isfinite(schwarzian)
     if bad.any():
-        at = float(pair.grid.points[np.argmax(bad)])
+        at = float(q[np.argmax(bad)])
         raise QshjeError(
             f"{label}: the Schwarzian of the mixed basis overflows at {label} = {at!r}; "
             "reduce |mu| and |nu|"
@@ -79,11 +80,10 @@ def build_component(
             "on the grid; it underflows, or the pair data are inconsistent"
         )
 
-    q = pair.grid.points
     anchor = pair.grid.midpoint_index
     # Sturm: no solution of y'' = c y has two zeros in a cell narrower than
     # pi / sqrt(-c), read at its two nodes, so there every phase turns < pi
-    kappa = np.sqrt(np.maximum(-pair.problem.curvature(q), 0.0))
+    kappa = np.sqrt(np.maximum(-c, 0.0))
     turn = np.diff(q) * np.maximum(kappa[1:], kappa[:-1])
     worst = int(np.argmax(turn))
     branch = float(turn[worst])
@@ -93,16 +93,12 @@ def build_component(
             f"can turn by pi or more (spacing times wavenumber {branch:.3g} rad); grid too coarse"
         )
     theta = np.unwrap(np.arctan2(a, b))
-    with np.errstate(over="ignore"):
-        s = hbar * (theta - theta[anchor] + np.arctan2(a[anchor], b[anchor])) + phase_e * hbar
-    if not np.all(np.isfinite(s)):
-        raise QshjeError(f"{label}: the action S overflows with phase {phase_e!r}; reduce |phase|")
+    s = hbar * (theta - theta[anchor] + np.arctan2(a[anchor], b[anchor]))
 
     return ReducedActionComponent(
         pair=pair,
         mu=float(mu),
         nu=float(nu),
-        phase_e=float(phase_e),
         s=s,
         ds=ds,
         amplitude=np.sqrt(d),

@@ -18,6 +18,7 @@ fact that differs between the three classes, one SymmetryRow per config name.
 """
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
@@ -35,9 +36,17 @@ from .domain import (
     spherical_polar_problem,
     spherical_radial_problem,
 )
-from .errors import QshjeError
+from .errors import ConfigError, QshjeError
 from .ode_engine import analytic_axial, analytic_azimuthal
 from .reduced_action import ReducedActionComponent
+
+# The most points a probe lattice may hold, and so the most probe values per
+# coordinate: 125 times the largest lattice the benchmark runs (8000). A
+# verify holds several float64 arrays of one value per point. A cold verify
+# of cartesian_oscillator peaked at 38 MB RSS with 97 336 probe points and at
+# 114 MB with 10^6, about 84 bytes a point over 30 MB, so 1000 values per
+# coordinate on spherical_hydrogen (239 376 456 points) would need about 20 GB.
+MAX_PROBE_POINTS = 10**6
 
 
 def component_residual(
@@ -219,11 +228,14 @@ class TotalReducedAction:
         self.symmetry, self.components, self.constants = symmetry, components, constants
         self.quantum_numbers, self.potentials = quantum_numbers, potentials
 
+    @property
+    def grids(self) -> list[np.ndarray]:
+        """The grid nodes of each coordinate, in symmetry label order."""
+        return [self.components[lab].grid.points for lab in self.symmetry.coordinate_labels]
+
     def lattice(self, idx) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
         """The np.ix_ broadcast (indices, node values) of the index axes idx."""
-        labels = self.symmetry.coordinate_labels
-        nodes = (self.components[lab].grid.points[i] for lab, i in zip(labels, idx))
-        return np.ix_(*idx), np.ix_(*nodes)
+        return np.ix_(*idx), np.ix_(*(q[i] for q, i in zip(self.grids, idx)))
 
     def metric_sum(self, attr: str, idx, power: int = 1) -> np.ndarray:
         """sum_k f_k^power / h_k^2 on the lattice of idx, f_k the nodal samples
@@ -327,12 +339,19 @@ def probe_indices(points: np.ndarray, per_coordinate: int) -> np.ndarray:
     return np.array(sorted(idx))
 
 
-def probe_axes(total: TotalReducedAction, per_coordinate: int) -> list[np.ndarray]:
-    """The probe index axes of each coordinate, in symmetry label order."""
-    return [
-        probe_indices(total.components[label].grid.points, per_coordinate)
-        for label in total.symmetry.coordinate_labels
-    ]
+def probe_axes(grids, per_coordinate: int) -> list[np.ndarray]:
+    """The probe index axes of the node arrays grids, in their order.
+    ConfigError, before any lattice array exists, if the lattice they span
+    would hold more than MAX_PROBE_POINTS points."""
+    idx = [probe_indices(q, per_coordinate) for q in grids]
+    size = math.prod(len(i) for i in idx)
+    if size > MAX_PROBE_POINTS:
+        raise ConfigError(
+            f"config.probe_points_per_coordinate: {per_coordinate} values per coordinate give "
+            f"a probe lattice of {' x '.join(str(len(i)) for i in idx)} = {size} points, "
+            f"more than {MAX_PROBE_POINTS}"
+        )
+    return idx
 
 
 def probe_lattice(total: TotalReducedAction, idx) -> np.ndarray:
@@ -384,16 +403,16 @@ def classical_limit_scan(
     each scan value, so the fitted log-log slope is 2 by construction.
     """
     hv = hbar_scan_values(hbar_values)
-    idx = probe_axes(total, per_coordinate)
+    idx = probe_axes(total.grids, per_coordinate)
     points = probe_lattice(total, idx)
 
     # every correction, (hbar^2/4m){S;q} and -hbar^2/8mr^2 alike, carries an
     # explicit hbar^2, so at fixed dS and Schwarzian data it scales as hbar^2
-    peak = np.max(np.abs(quantum_terms(total, idx)))
     with np.errstate(over="ignore", invalid="ignore"):
+        peak = np.max(np.abs(quantum_terms(total, idx)))
         mags = (hv / total.constants.hbar) ** 2 * peak
-    # a NaN or zero peak, or a scan value whose magnitude leaves the normal
-    # float range, puts a point off the log-log line
+    # a NaN, infinite or zero peak, or a scan value whose magnitude leaves the
+    # normal float range, puts a point off the log-log line
     normal = (mags >= np.finfo(float).tiny) & (mags < np.inf)
     if not normal.all():
         k = np.argmin(normal)
@@ -419,13 +438,23 @@ def wrong_order_gap(total: TotalReducedAction, per_coordinate: int) -> float:
     row = total.symmetry
     if not row.wrong_order_axes:
         raise QshjeError("the wrong-order comparison is defined for spherical symmetry")
-    ix, nodes = total.lattice(probe_axes(total, per_coordinate))
+    idx = probe_axes(total.grids, per_coordinate)
+    ix, nodes = total.lattice(idx)
     metric = row.metric(nodes)
     ds = [total.components[lab].ds[i] for lab, i in zip(row.coordinate_labels, ix)]
     # zeroing the angular momenta first removes these gradient terms
     # from the would-be classical equation; the gap survives hbar -> 0
-    gaps = sum(ds[k] * ds[k] / metric[k] for k in row.wrong_order_axes)
-    gap = float(np.max(gaps / (2.0 * total.constants.mass)))
-    if np.isnan(gap):
-        raise QshjeError("wrong-order gap is NaN at a probe point")
-    return gap
+    with np.errstate(over="ignore", invalid="ignore"):  # named below
+        gaps = sum(ds[k] * ds[k] / metric[k] for k in row.wrong_order_axes)
+        gaps = gaps / (2.0 * total.constants.mass)
+    # the 1/sin^2 theta term spans all three axes, so gaps ravels in lattice order
+    bad = ~np.isfinite(gaps).ravel()
+    if bad.any():
+        k = int(np.argmax(bad))
+        what = "NaN" if np.isnan(gaps.flat[k]) else repr(float(gaps.flat[k]))
+        at = ", ".join(repr(float(v)) for v in probe_lattice(total, idx)[k])
+        raise QshjeError(
+            f"wrong-order gap is {what} at ({', '.join(row.coordinate_labels)}) = ({at}), "
+            f"the first of {int(bad.sum())} probe points where it is not finite"
+        )
+    return float(np.max(gaps))

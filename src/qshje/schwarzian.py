@@ -47,15 +47,14 @@ def mixed_solutions(pair: SolutionPair, mu: float, nu: float):
     return a, b, da, db
 
 
-def amplitude_derivatives(pair: SolutionPair, a, b, da, db):
+def amplitude_derivatives(a, b, da, db, c):
     """(D, D', D'') on the full grid, D = a^2 + b^2 the amplitude-squared of
     the mixed basis (a, b, a', b') given by mixed_solutions.
 
-    D'' = 2(a'^2 + b'^2) + 2 c(q) D uses the pair's own curvature c(q),
-    y'' = c y (a and b solve the same equation as y1, y2).
+    D'' = 2(a'^2 + b'^2) + 2 c D uses the samples c of the pair's own
+    curvature, y'' = c y (a and b solve the same equation as y1, y2).
     """
     d = a * a + b * b
-    c = np.asarray(pair.problem.curvature(pair.grid.points), dtype=float)
     return d, 2.0 * (a * da + b * db), 2.0 * (da * da + db * db) + 2.0 * c * d
 
 

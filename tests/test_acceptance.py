@@ -189,7 +189,7 @@ def _assembly_bound_check(total, comp_equations):
     # eps floor: at rounding-level component residuals the assembled route's
     # own float rounding would exceed the pure propagation bound
     floor = EPS * max(1.0, abs(total.quantum_numbers.energy))
-    idx = probe_axes(total, per_coordinate=5)
+    idx = probe_axes(total.grids, per_coordinate=5)
     ix, nodes = total.lattice(idx)
     # per probe point: the largest component residual and inverse-metric weight
     eps = functools.reduce(np.maximum, (np.abs(res[lab][i]) for lab, i in zip(labels, ix)))
@@ -226,7 +226,7 @@ def test_c07_assembly_error_propagation(hydrogen_total, cylindrical_total):
 def test_c08_cartesian_oscillator_assembly():
     # random per-axis mixings, E = sum of axis energies, 5^3 probe lattice
     total = cartesian_oscillator_case(rng=np.random.default_rng(8))
-    idx = probe_axes(total, per_coordinate=5)
+    idx = probe_axes(total.grids, per_coordinate=5)
     points = Q.probe_lattice(total, idx)
     worst = np.max(np.abs(Q.assembled_residual(total, idx)))
     bound = 1e-7 * abs(total.quantum_numbers.energy)
@@ -263,7 +263,7 @@ def test_c10_spin_term_coefficient(hydrogen_total, cylindrical_total):
     points = 0
     for total in (hydrogen_total, cylindrical_total):
         spin = total.symmetry.spin
-        idx = probe_axes(total, per_coordinate=5)
+        idx = probe_axes(total.grids, per_coordinate=5)
         t = spin(total.lattice(idx)[1], CONSTANTS)
         coeff = np.broadcast_to(t["normalized_coefficient"], tuple(len(i) for i in idx))
         points += coeff.size

@@ -150,6 +150,14 @@ ROWS = {
         3, "solver failure: axial: the residual scale max(|e_eff|, hbar^2/(2m L^2)) underflows"),
     "tabulated-values-overflow": (
         2, "config error: potentials.x: tabulated potential's cubic spline is not finite"),
+    "wrong-order-gap-overflow": (
+        3, "solver failure: wrong-order gap is inf at (r, theta, phi) = ("),
+    "scan-quantum-terms-overflow": (
+        3, "solver failure: classical-limit fit: the quantum-term magnitude is inf at hbar = 1.0, "
+           "not a positive normal float\n"),
+    "probe-points-1000": (
+        2, "config error: config.probe_points_per_coordinate: 1000 values per coordinate give a "
+           "probe lattice of 773 x 748 x 414 = 239376456 points, more than 1000000\n"),
 }
 
 EDGE_JOBS = {name.removeprefix("edge:"): job for name, *job in manifest.edge_jobs()}

@@ -8,7 +8,6 @@ import qshje as Q
 from qshje.reduction import reduced_equation_check
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_grid_validation():
     with pytest.raises(ValueError, match="need at least 9 grid points, got 8"):
         Q.Grid1D(0.0, 1.0, 8)

@@ -143,19 +143,6 @@ def test_action_increment_equals_quadrature(constants):
     assert comp.s[-1] - comp.s[0] == pytest.approx(total, abs=1e-6)
 
 
-def test_additive_phase_never_enters_momentum(constants):
-    grid = Q.Grid1D(0.0, 2.0 * np.pi, 721)
-    pair = Q.analytic_azimuthal(2, grid, constants)
-    plain = Q.build_component("phi", pair, 0.4, -0.3)
-    shifted = Q.build_component("phi", pair, 0.4, -0.3, phase_e=0.7)
-    np.testing.assert_array_equal(plain.ds, shifted.ds)
-    np.testing.assert_array_equal(plain.amplitude, shifted.amplitude)
-    np.testing.assert_array_equal(plain.schwarzian, shifted.schwarzian)
-    np.testing.assert_allclose(
-        shifted.s - plain.s, 0.7 * constants.hbar, rtol=0, atol=1e-12
-    )
-
-
 def test_assemble_total_validates_labels(constants):
     grid = Q.Grid1D(0.0, 2.0 * np.pi, 721)
     pair = Q.analytic_azimuthal(1, grid, constants)

@@ -164,9 +164,6 @@ EDGES = (
     ("omega-1.4e154", "cartesian_oscillator", _set("potentials.x.omega", 1.4e154)),
     ("ell-1e155", "spherical_hydrogen", _set("quantum_numbers.ell", 10**155)),
     ("m-phi-1e155", "cylindrical_free", _set("quantum_numbers.m_phi", 10**155)),
-    # phase * hbar = 1e309 overflows every action sample
-    ("phase-overflow", "azimuthal_identity", _sets(
-        _set("constants", {"hbar": 10.0}), _set("components.phi.phase", 1e308))),
     # a curvature that divides by zero or overflows
     ("r-min-1e-200", "spherical_hydrogen", _set("components.r.grid.min", 1e-200)),
     ("theta-min-1e-200", "spherical_hydrogen", _set("components.theta.grid.min", 1e-200)),
@@ -304,6 +301,14 @@ EDGES = (
     ("tabulated-values-overflow", "cartesian_oscillator", _set(
         "potentials.x", {"kind": "tabulated", "points": [-6.5, -2.0, 2.0, 6.5],
                          "values": [1e308, -1e308, 1e308, -1e308]})),
+    # ds_phi^2 / (2m r^2 sin^2 theta) overflows at hbar 1.5e153, the quantum
+    # terms at hbar 2e153
+    ("wrong-order-gap-overflow", "spherical_hydrogen",
+     _set("constants", {"hbar": 1.5e153, "mass": 1.0}), "limit-scan", "--wrong-order-demo"),
+    ("scan-quantum-terms-overflow", "spherical_hydrogen",
+     _set("constants", {"hbar": 2e153, "mass": 1.0}), "limit-scan"),
+    # a probe lattice of 773 x 748 x 414 points, 1.9 GB per float64 array
+    ("probe-points-1000", "spherical_hydrogen", _set("probe_points_per_coordinate", 1000)),
 )
 
 
