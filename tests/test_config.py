@@ -103,7 +103,6 @@ def test_wrong_energy_config_override():
         ("hbar_scan", 0.5, "expected a list"),
         ("hbar_scan", [1.0, 0.5, -0.25], "positive"),
         ("probe_points_per_coordinate", 1, "must be >= 2"),
-        ("probe_points_per_coordinate", 10**6 + 1, r"must be <= 1000000, got 1000001$"),
         ("output.format", "xml", "expected 'csv' or 'json'"),
         ("potential", {"kind": "magnetic"}, "unknown potential kind"),
         # every mapping rejects a key the parser does not read
@@ -118,6 +117,7 @@ def test_wrong_energy_config_override():
          r"^potential.omega: unknown field \(expected kind, strength\)$"),
         ("potential", {"kind": "zero", "strength": 1.0},
          r"^potential.strength: unknown field \(expected kind\)$"),
+        ("probe_points_per_coordinate", 10**6 + 1, r"must be <= 1000000, got 1000001$"),
     ],
 )
 def test_invalid_fields(path, value, message):
