@@ -158,6 +158,7 @@ ROWS = {
     "probe-points-1000": (
         2, "config error: config.probe_points_per_coordinate: 1000 values per coordinate give a "
            "probe lattice of 773 x 748 x 414 = 239376456 points, more than 1000000\n"),
+    "spin-report-probe-points-100000": (0, ""),
 }
 
 EDGE_JOBS = {name.removeprefix("edge:"): job for name, *job in manifest.edge_jobs()}

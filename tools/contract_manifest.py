@@ -309,6 +309,9 @@ EDGES = (
      _set("constants", {"hbar": 2e153, "mass": 1.0}), "limit-scan"),
     # a probe lattice of 773 x 748 x 414 points, 1.9 GB per float64 array
     ("probe-points-1000", "spherical_hydrogen", _set("probe_points_per_coordinate", 1000)),
+    # a 1-D lattice the cap admits: 10^5 values on the 1601-node rho grid
+    ("spin-report-probe-points-100000", "cylindrical_free",
+     _set("probe_points_per_coordinate", 100000), "spin-report"),
 )
 
 
