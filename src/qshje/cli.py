@@ -66,6 +66,13 @@ def build_case(cfg: RunConfig) -> tuple[dict, dict, TotalReducedAction | None]:
     return components, equations, total
 
 
+def _probe_axes(cfg: RunConfig, labels) -> list[np.ndarray]:
+    """The probe index axes over the configured grids of labels: an oversized
+    lattice is a ConfigError before any pair is solved."""
+    grids = [cfg.components[lab].grid.points for lab in labels]
+    return probe_axes(grids, cfg.probe_per_coordinate)
+
+
 def _component_meta(comp: ReducedActionComponent, cfg: ComponentConfig) -> dict:
     return {
         "mu": comp.mu,
@@ -136,9 +143,8 @@ def _check(
 
 
 def cmd_verify(cfg: RunConfig, out_dir: str, fmt: str) -> int:
+    idx = _probe_axes(cfg, cfg.symmetry.coordinate_labels) if cfg.has_full_set else None
     components, equations, total = build_case(cfg)
-    # an oversized probe lattice is refused before any table is written
-    idx = None if total is None else probe_axes(total.grids, cfg.probe_per_coordinate)
     os.makedirs(out_dir, exist_ok=True)
     entries: dict = {}
     residuals = {}
@@ -196,10 +202,11 @@ def cmd_limit_scan(cfg: RunConfig, out_dir: str, fmt: str, wrong_order: bool) ->
         )
     if wrong_order and not row.wrong_order_axes:
         raise ConfigError(f"--wrong-order-demo is defined for spherical symmetry, not {row.value}")
+    idx = _probe_axes(cfg, row.coordinate_labels)
     _, _, total = build_case(cfg)
     assert total is not None
-    scan = classical_limit_scan(total, cfg.hbar_scan, cfg.probe_per_coordinate)
-    gap = wrong_order_gap(total, cfg.probe_per_coordinate) if wrong_order else None
+    scan = classical_limit_scan(total, cfg.hbar_scan, idx)
+    gap = wrong_order_gap(total, idx) if wrong_order else None
 
     os.makedirs(out_dir, exist_ok=True)
     _table(
@@ -239,9 +246,8 @@ def cmd_spin_report(cfg: RunConfig, out_dir: str, fmt: str) -> int:
     needed = row.spin_labels
     if any(lab not in cfg.components for lab in needed):
         raise ConfigError(f"spin-report needs grids for components {list(needed)}")
-    grids = [cfg.components[lab].grid.points for lab in needed]
-    axes = [q[i] for q, i in zip(grids, probe_axes(grids, cfg.probe_per_coordinate))]
-    coords = np.ix_(*axes)
+    idx = _probe_axes(cfg, needed)
+    coords = np.ix_(*(cfg.components[lab].grid.points[i] for lab, i in zip(needed, idx)))
     terms = row.spin(coords, cfg.constants)
     os.makedirs(out_dir, exist_ok=True)
     columns = {

@@ -326,17 +326,25 @@ def component_weighted_sum(total: TotalReducedAction, residuals: dict[str, np.nd
 
 def probe_indices(points: np.ndarray, per_coordinate: int) -> np.ndarray:
     """Sorted node indices nearest to log-placed values inside the
-    stencil-valid interior of one grid, deduplicated."""
+    stencil-valid interior of one grid, deduplicated. Nodes and values both
+    increase, so one walk over the interior finds them all; it advances only
+    to a strictly nearer node, so of two equally near nodes the first wins,
+    as in argmin."""
     if per_coordinate < 2:
         raise ValueError("need at least 2 probe values per coordinate")
-    pts = np.asarray(points, dtype=float)
-    lo, hi = pts[2], pts[-3]
+    nodes = np.asarray(points, dtype=float).tolist()
+    lo, hi, top = nodes[2], nodes[-3], len(nodes) - 3
     if lo > 0.0:
         raw = np.geomspace(lo, hi, per_coordinate)
     else:
         raw = lo + (hi - lo) * (np.geomspace(1.0, 10.0, per_coordinate) - 1.0) / 9.0
-    idx = {int(np.clip(np.argmin(np.abs(pts - v)), 2, pts.size - 3)) for v in raw}
-    return np.array(sorted(idx))
+    j, idx = 2, []
+    for v in map(float, raw):
+        while j < top and abs(nodes[j + 1] - v) < abs(nodes[j] - v):
+            j += 1
+        if not idx or j != idx[-1]:
+            idx.append(j)
+    return np.array(idx)
 
 
 def probe_axes(grids, per_coordinate: int) -> list[np.ndarray]:
@@ -393,17 +401,14 @@ def least_squares_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     return slope, float(y.mean() - slope * x.mean())
 
 
-def classical_limit_scan(
-    total: TotalReducedAction, hbar_values, per_coordinate: int
-) -> LimitScanResult:
+def classical_limit_scan(total: TotalReducedAction, hbar_values, idx) -> LimitScanResult:
     """Magnitude of the hbar-carrying corrections versus hbar, data fixed, as
-    the maximum over the probe lattice with per_coordinate values per axis.
+    the maximum over the lattice of the index axes idx.
 
     The corrections are evaluated once, at the run's hbar, and rescaled to
     each scan value, so the fitted log-log slope is 2 by construction.
     """
     hv = hbar_scan_values(hbar_values)
-    idx = probe_axes(total.grids, per_coordinate)
     points = probe_lattice(total, idx)
 
     # every correction, (hbar^2/4m){S;q} and -hbar^2/8mr^2 alike, carries an
@@ -431,14 +436,13 @@ def classical_limit_scan(
     )
 
 
-def wrong_order_gap(total: TotalReducedAction, per_coordinate: int) -> float:
+def wrong_order_gap(total: TotalReducedAction, idx) -> float:
     """The gap left by zeroing the angular gradients before deleting the
-    quantum corrections: the angular kinetic energy, maximised over the probe
-    lattice with per_coordinate values per axis. It does not depend on hbar."""
+    quantum corrections: the angular kinetic energy, maximised over the
+    lattice of the index axes idx. It does not depend on hbar."""
     row = total.symmetry
     if not row.wrong_order_axes:
         raise QshjeError("the wrong-order comparison is defined for spherical symmetry")
-    idx = probe_axes(total.grids, per_coordinate)
     ix, nodes = total.lattice(idx)
     metric = row.metric(nodes)
     ds = [total.components[lab].ds[i] for lab, i in zip(row.coordinate_labels, ix)]

@@ -242,8 +242,9 @@ def test_c09_classical_limit_scaling(hydrogen_total):
     # hbar = 1 .. 1/32); zeroing the angular momenta before taking the limit
     # leaves a gap that carries no hbar, so that order never reaches the
     # classical equation
-    scan = Q.classical_limit_scan(hydrogen_total, Q.DEFAULT_HBAR_SCAN, per_coordinate=3)
-    gap = wrong_order_gap(hydrogen_total, per_coordinate=3)
+    idx = probe_axes(hydrogen_total.grids, 3)
+    scan = Q.classical_limit_scan(hydrogen_total, Q.DEFAULT_HBAR_SCAN, idx)
+    gap = wrong_order_gap(hydrogen_total, idx)
     slope_ok = abs(scan.slope - 2.0) <= 0.05
     correct_order_shrinks = scan.magnitudes[-1] < 1e-3 * scan.magnitudes[0]
     wrong_order_stuck = gap > 1.0 and gap > 100.0 * scan.magnitudes[-1]

@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 import yaml
 
-from qshje import Grid1D, GridDomainError, cli, load_config, probe_indices
+from qshje import Grid1D, GridDomainError, cli, load_config, probe_indices, residuals
 from qshje.cli import main
 from qshje.domain import check_coordinates
-from qshje.residuals import SYMMETRY_TABLE, SymmetryRow
+from qshje.residuals import SYMMETRY_TABLE, SymmetryRow, probe_axes
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
@@ -341,18 +341,49 @@ def test_unread_config_key_is_a_config_error(tmp_path, capsys, config, edit, mes
     ("verify", 1000, "773 x 748 x 414 = 239376456"),
     ("limit-scan", 1000, "773 x 748 x 414 = 239376456"),
     ("spin-report", 3000, "1415 x 1187 = 1679605"),
+    ("limit-scan --wrong-order-demo", 1000, "773 x 748 x 414 = 239376456"),
 ])
-def test_probe_lattice_past_the_cap_is_refused_before_it_exists(tmp_path, capsys, command,
-                                                                 count, lattice):
+def test_probe_lattice_past_the_cap_is_refused_before_it_exists(tmp_path, monkeypatch, capsys,
+                                                                 command, count, lattice):
+    def never(cfg):
+        pytest.fail("build_case ran although the probe lattice is refused")
+
+    monkeypatch.setattr(cli, "build_case", never)
     path = _edited_config(
         tmp_path, "spherical_hydrogen", lambda cfg: cfg.update(probe_points_per_coordinate=count)
     )
-    assert run(command, "--config", path, "--out", tmp_path / "o") == 2
+    assert run(*command.split(), "--config", path, "--out", tmp_path / "o") == 2
     assert capsys.readouterr().err == (
         f"config error: config.probe_points_per_coordinate: {count} values per coordinate give "
         f"a probe lattice of {lattice} points, more than 1000000\n"
     )
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("config, argv, axes", [
+    ("spherical_hydrogen", ("verify",), [3]),
+    ("spherical_hydrogen", ("limit-scan",), [3]),
+    ("spherical_hydrogen", ("limit-scan", "--wrong-order-demo"), [3]),
+    ("spherical_hydrogen", ("spin-report",), [2]),
+    ("cylindrical_free", ("spin-report",), [1]),
+    ("azimuthal_identity", ("verify",), []),
+], ids=["verify", "limit-scan", "limit-scan-wrong-order-demo", "spin-report-spherical",
+        "spin-report-cylindrical", "verify-without-a-full-set"])
+def test_probe_axes_are_taken_once_per_run(tmp_path, monkeypatch, config, argv, axes):
+    # [number of grids] per probe_axes call, through cli's name and the one
+    # residuals' own functions read
+    calls = []
+
+    def counting(grids, per_coordinate):
+        calls.append(len(grids))
+        return probe_axes(grids, per_coordinate)
+
+    monkeypatch.setattr(cli, "probe_axes", counting)
+    monkeypatch.setattr(residuals, "probe_axes", counting)
+    command, *flags = argv
+    out = tmp_path / "o"
+    assert run(command, "--config", CONFIG_DIR / f"{config}.yaml", "--out", out, *flags) == 0
+    assert calls == axes
 
 
 def _edited_config(tmp_path, config, edit):

@@ -365,7 +365,7 @@ def test_spin_coefficient_scales_out_constants():
 def test_classical_limit_scan_slope(hydrogen_total):
     total = hydrogen_total
     hv = (1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125)
-    result = Q.classical_limit_scan(total, hv, per_coordinate=3)
+    result = Q.classical_limit_scan(total, hv, probe_axes(total.grids, 3))
     assert result.slope == pytest.approx(2.0, abs=0.05)
     assert result.hbar_values == hv
     assert len(result.magnitudes) == 6
@@ -377,7 +377,8 @@ def test_classical_limit_scan_fit_is_least_squares(hydrogen_total):
     def polyfit_reference(x, y):
         return tuple(np.polyfit(x, y, 1).tolist())
 
-    scan = Q.classical_limit_scan(hydrogen_total, Q.DEFAULT_HBAR_SCAN, per_coordinate=3)
+    idx = probe_axes(hydrogen_total.grids, 3)
+    scan = Q.classical_limit_scan(hydrogen_total, Q.DEFAULT_HBAR_SCAN, idx)
     expected = polyfit_reference(np.log(scan.hbar_values), np.log(scan.magnitudes))
     assert (scan.slope, scan.intercept) == pytest.approx(expected, rel=1e-14, abs=0.0)
 
@@ -386,6 +387,42 @@ def test_classical_limit_scan_fit_is_least_squares(hydrogen_total):
     y = -1.7 * x + 0.4 + rng.normal(scale=0.3, size=x.size)
     expected = polyfit_reference(x, y)
     assert least_squares_line(x, y) == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+
+def _probe_indices_by_argmin(points, per_coordinate):
+    """The per-value nearest-node search that probe_indices replaces: one
+    np.argmin per log-placed value, clipped, through a set."""
+    pts = np.asarray(points, dtype=float)
+    lo, hi = pts[2], pts[-3]
+    if lo > 0.0:
+        raw = np.geomspace(lo, hi, per_coordinate)
+    else:
+        raw = lo + (hi - lo) * (np.geomspace(1.0, 10.0, per_coordinate) - 1.0) / 9.0
+    idx = {int(np.clip(np.argmin(np.abs(pts - v)), 2, pts.size - 3)) for v in raw}
+    return np.array(sorted(idx))
+
+
+@pytest.mark.parametrize("grid", [
+    (0.5, 12.0, 1601), (0.2, 2.94, 1201), (0.0, 2.0 * np.pi, 721), (-6.0, 6.0, 401),
+    (-6.0, 6.0, 1201), (0.3, 12.0, 1601), (0.5, 10.0, 2000), (1.0, 5.0, 9),
+], ids=lambda g: f"{g[0]:g}-{g[1]:g}x{g[2]}")
+@pytest.mark.parametrize("count", [2, 3, 5, 10, 12, 20, 40, 1000, 5000, 10**4])
+def test_probe_indices_walk_matches_the_argmin_search(grid, count):
+    points = Q.Grid1D(*grid).points
+    expected = _probe_indices_by_argmin(points, count)
+    got = Q.probe_indices(points, count)
+    assert got.dtype == expected.dtype
+    assert got.tolist() == expected.tolist()
+
+
+def test_probe_indices_take_the_lower_of_two_equally_near_nodes():
+    # log-placed values 1, v, 4 with v = 2 up to rounding; nodes 3 and 4 sit
+    # exactly 0.5 below and above v
+    v = float(np.geomspace(1.0, 4.0, 3)[1])
+    points = np.array([0.25, 0.5, 1.0, v - 0.5, v + 0.5, 4.0, 5.0, 6.0])
+    assert v - points[3] == points[4] - v == 0.5
+    assert _probe_indices_by_argmin(points, 3).tolist() == [2, 3, 5]
+    assert Q.probe_indices(points, 3).tolist() == [2, 3, 5]
 
 
 def test_probe_axes_take_a_lattice_of_exactly_the_cap():
@@ -407,8 +444,8 @@ def test_classical_limit_scan_refuses_a_zero_peak():
         for lab, c in total.components.items()
     }, total.constants, total.quantum_numbers, total.potentials)
     with pytest.raises(Q.QshjeError, match=r"magnitude is 0\.0 at hbar = 1\.0, not a positive"):
-        Q.classical_limit_scan(flat, Q.DEFAULT_HBAR_SCAN, per_coordinate=3)
-    scan = Q.classical_limit_scan(total, Q.DEFAULT_HBAR_SCAN, per_coordinate=3)
+        Q.classical_limit_scan(flat, Q.DEFAULT_HBAR_SCAN, probe_axes(flat.grids, 3))
+    scan = Q.classical_limit_scan(total, Q.DEFAULT_HBAR_SCAN, probe_axes(total.grids, 3))
     assert scan.slope == pytest.approx(2.0)
 
 
@@ -418,15 +455,15 @@ def test_classical_limit_scan_refuses_a_zero_peak():
 def test_classical_limit_scan_refuses_magnitudes_off_the_float_range(hydrogen_total, scan, hbar):
     # (h/hbar)^2 underflows or overflows; log of 0 or inf has no place in the fit
     with pytest.raises(Q.QshjeError, match=re.escape(f"at hbar = {hbar}, not a positive normal")):
-        Q.classical_limit_scan(hydrogen_total, scan, per_coordinate=3)
+        Q.classical_limit_scan(hydrogen_total, scan, probe_axes(hydrogen_total.grids, 3))
 
 
 def test_classical_limit_scan_wrong_order(hydrogen_total):
     total = hydrogen_total
     hv = (1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125)
-    result = Q.classical_limit_scan(total, hv, per_coordinate=3)
+    result = Q.classical_limit_scan(total, hv, probe_axes(total.grids, 3))
     # the angular kinetic gap ignores hbar entirely: one value for the scan
-    gap = wrong_order_gap(total, per_coordinate=3)
+    gap = wrong_order_gap(total, probe_axes(total.grids, 3))
     assert gap > 1.0
     assert gap > 100.0 * min(result.magnitudes)
 
@@ -452,20 +489,20 @@ def test_classical_limit_scan_rescales_one_evaluation(config):
         return mags
 
     # scaling by a power of two is exact, so the two routes agree bitwise
-    scan = Q.classical_limit_scan(total, Q.DEFAULT_HBAR_SCAN, per_coordinate=3)
+    scan = Q.classical_limit_scan(total, Q.DEFAULT_HBAR_SCAN, idx)
     assert scan.magnitudes == tuple(per_hbar(Q.DEFAULT_HBAR_SCAN))
     hv = (1.0, 0.7, 0.3, 0.09, 0.05)
-    scan = Q.classical_limit_scan(total, hv, per_coordinate=3)
+    scan = Q.classical_limit_scan(total, hv, idx)
     np.testing.assert_allclose(scan.magnitudes, per_hbar(hv), rtol=1e-15, atol=0.0)
 
 
 def test_classical_limit_scan_preconditions(hydrogen_total, cylindrical_total):
     total = hydrogen_total
     with pytest.raises(Q.QshjeError, match="4 distinct"):
-        Q.classical_limit_scan(total, (1.0, 0.5, 0.25), per_coordinate=3)
+        Q.classical_limit_scan(total, (1.0, 0.5, 0.25), probe_axes(total.grids, 3))
     with pytest.raises(Q.QshjeError, match="factor of 10"):
-        Q.classical_limit_scan(total, (1.0, 0.8, 0.6, 0.4), per_coordinate=3)
+        Q.classical_limit_scan(total, (1.0, 0.8, 0.6, 0.4), probe_axes(total.grids, 3))
     with pytest.raises(Q.QshjeError, match="positive"):
-        Q.classical_limit_scan(total, (1.0, 0.5, 0.25, -0.1), per_coordinate=3)
+        Q.classical_limit_scan(total, (1.0, 0.5, 0.25, -0.1), probe_axes(total.grids, 3))
     with pytest.raises(Q.QshjeError, match="spherical"):
-        wrong_order_gap(cylindrical_total, per_coordinate=3)
+        wrong_order_gap(cylindrical_total, probe_axes(cylindrical_total.grids, 3))
