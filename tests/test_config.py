@@ -8,6 +8,7 @@ import yaml
 
 import qshje as Q
 from qshje.config import _read_yaml
+from qshje.ode_engine import MAX_GRID_POINTS, MAX_RK4_STEPS
 from qshje.residuals import SYMMETRY_TABLE
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
@@ -118,11 +119,35 @@ def test_wrong_energy_config_override():
         ("potential", {"kind": "zero", "strength": 1.0},
          r"^potential.strength: unknown field \(expected kind\)$"),
         ("probe_points_per_coordinate", 10**6 + 1, r"must be <= 1000000, got 1000001$"),
+        ("components.phi.grid.count", 10**6 + 1,
+         r"^components.phi.grid: need at most 1000000 grid points, got 1000001$"),
+        ("components.phi.substeps", 5556, r"^components.phi.substeps: 5556 substeps on 720 "
+                                          r"grid cells make 4000320 RK4 steps, more than 4000000$"),
     ],
 )
 def test_invalid_fields(path, value, message):
     with pytest.raises(Q.ConfigError, match=message):
         Q.parse_config(mutate(minimal_spherical(), path, value))
+
+
+def test_grid_count_past_the_bound_is_refused_before_any_node_array(monkeypatch):
+    def linspace(*args, **kwargs):
+        pytest.fail("np.linspace ran for a grid count past the bound")
+
+    monkeypatch.setattr(np, "linspace", linspace)
+    for count in (MAX_GRID_POINTS + 1, 10**18):
+        with pytest.raises(Q.ConfigError, match=f"need at most 1000000 grid points, got {count}$"):
+            Q.parse_config(mutate(minimal_spherical(), "components.phi.grid.count", count))
+
+
+def test_grid_and_rk4_work_at_their_bounds_are_accepted():
+    assert (MAX_GRID_POINTS, MAX_RK4_STEPS) == (10**6, 4 * 10**6)
+    cfg = Q.parse_config(mutate(minimal_spherical(), "components.phi.grid.count", 10**6))
+    assert cfg.components["phi"].grid.n == 10**6
+    # 1600 cells at 2500 substeps are exactly MAX_RK4_STEPS RK4 steps
+    base = mutate(minimal_spherical(), "components.phi.grid.count", 1601)
+    cfg = Q.parse_config(mutate(base, "components.phi.substeps", 2500))
+    assert cfg.components["phi"].substeps == 2500
 
 
 def test_degenerate_mixing_rejected():

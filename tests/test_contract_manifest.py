@@ -159,6 +159,11 @@ ROWS = {
         2, "config error: config.probe_points_per_coordinate: 1000 values per coordinate give a "
            "probe lattice of 773 x 748 x 414 = 239376456 points, more than 1000000\n"),
     "spin-report-probe-points-100000": (0, ""),
+    "rho-count-1000001": (
+        2, "config error: components.rho.grid: need at most 1000000 grid points, got 1000001\n"),
+    "rho-substeps-2501": (
+        2, "config error: components.rho.substeps: 2501 substeps on 1600 grid cells make "
+           "4001600 RK4 steps, more than 4000000\n"),
 }
 
 EDGE_JOBS = {name.removeprefix("edge:"): job for name, *job in manifest.edge_jobs()}

@@ -390,25 +390,32 @@ def test_classical_limit_scan_fit_is_least_squares(hydrogen_total):
 
 
 def _probe_indices_by_argmin(points, per_coordinate):
-    """The per-value nearest-node search that probe_indices replaces: one
-    np.argmin per log-placed value, clipped, through a set."""
+    """The nearest-node search by brute force: np.argmin of the distance from
+    each log-placed value to every node, 1000 values a block, clipped to the
+    interior, through a set."""
     pts = np.asarray(points, dtype=float)
     lo, hi = pts[2], pts[-3]
     if lo > 0.0:
         raw = np.geomspace(lo, hi, per_coordinate)
     else:
         raw = lo + (hi - lo) * (np.geomspace(1.0, 10.0, per_coordinate) - 1.0) / 9.0
-    idx = {int(np.clip(np.argmin(np.abs(pts - v)), 2, pts.size - 3)) for v in raw}
-    return np.array(sorted(idx))
+    blocks = np.split(raw, range(1000, raw.size, 1000))
+    nearest = np.concatenate([np.abs(pts - v[:, None]).argmin(axis=1) for v in blocks])
+    return np.array(sorted(set(np.clip(nearest, 2, pts.size - 3).tolist())))
 
 
+# the shipped and benchmark grids, a 9-node grid, then the benchmark's
+# probe-dense 401-node r, theta and phi and 601-node z, and 5- and 6-node
+# arrays whose interior holds one and two nodes
 @pytest.mark.parametrize("grid", [
     (0.5, 12.0, 1601), (0.2, 2.94, 1201), (0.0, 2.0 * np.pi, 721), (-6.0, 6.0, 401),
     (-6.0, 6.0, 1201), (0.3, 12.0, 1601), (0.5, 10.0, 2000), (1.0, 5.0, 9),
+    (0.5, 12.0, 401), (0.2, 2.9415926535897931, 401), (0.0, 2.0 * np.pi, 401),
+    (-3.0, 3.0, 601), (-1.0, 1.0, 5), (1.0, 2.0, 6),
 ], ids=lambda g: f"{g[0]:g}-{g[1]:g}x{g[2]}")
-@pytest.mark.parametrize("count", [2, 3, 5, 10, 12, 20, 40, 1000, 5000, 10**4])
+@pytest.mark.parametrize("count", [2, 3, 5, 10, 12, 20, 40, 1000, 5000, 10**4, 10**5])
 def test_probe_indices_walk_matches_the_argmin_search(grid, count):
-    points = Q.Grid1D(*grid).points
+    points = np.linspace(*grid)
     expected = _probe_indices_by_argmin(points, count)
     got = Q.probe_indices(points, count)
     assert got.dtype == expected.dtype

@@ -312,6 +312,10 @@ EDGES = (
     # a 1-D lattice the cap admits: 10^5 values on the 1601-node rho grid
     ("spin-report-probe-points-100000", "cylindrical_free",
      _set("probe_points_per_coordinate", 100000), "spin-report"),
+    # one past each work bound: 10^6 + 1 rho nodes, and 1600 rho cells at
+    # 2501 substeps, 4 001 600 RK4 steps; both refused before any pair is solved
+    ("rho-count-1000001", "cylindrical_free", _set("components.rho.grid.count", 10**6 + 1)),
+    ("rho-substeps-2501", "cylindrical_free", _set("components.rho.substeps", 2501)),
 )
 
 
