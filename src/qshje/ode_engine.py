@@ -5,9 +5,9 @@ solutions (y1, y2) of y'' = c(q) y sampled on a shared grid, together with
 their first derivatives and the (constant) Wronskian W = y1 y2' - y2 y1'.
 Analytic constructors cover the azimuthal and axial equations; everything else
 goes through a fixed-step RK4 propagator seeded at the grid midpoint. The
-equation is linear, so each RK4 substep is a 2x2 matrix on (y, y'): a sweep
-builds all of them in one vectorised pass, multiplies them into one transfer
-matrix per grid cell, and folds the cells in order over both solutions.
+equation is linear, so each RK4 substep is a 2x2 matrix on (y, y'). A sweep
+evaluates the curvature once on all stage nodes, multiplies every cell's
+substep matrices in one loop over substeps, and folds the cells in order.
 """
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ from .errors import SolverFailure
 _OVERFLOW_LIMIT = 1e160
 # Work bounds per component: 500 times the benchmark's largest grid (2000
 # nodes at 4 RK4 substeps a cell). A cold cylindrical_free verify with 10^6
-# rho nodes at 4 substeps peaked at 636 MB RSS (2-vCPU host, 3.1 s).
+# rho nodes at 4 substeps peaked at 375 MB RSS (2-vCPU Xeon host, 3.0-3.3 s).
 MAX_GRID_POINTS = 10**6
 MAX_RK4_STEPS = 4 * 10**6
 
@@ -160,25 +160,24 @@ def _rk4_sweep(curvature, q_nodes: np.ndarray, state0: np.ndarray, substeps: int
                 f"q = {float(nodes.flat[k])!r}, not a finite float; move the grid off any "
                 "singular point of v_eff, or rescale hbar, the mass or the potential"
             )
-        c1, c2, c4 = c[..., 0, None], c[..., 1, None], c[..., 2, None]
-        h = h[..., None]
         half, sixth = 0.5 * h, h / 6.0
         y, dy = np.eye(2)
-        k1y, k1d = dy, c1 * y
-        k2y, k2d = dy + half * k1d, c2 * (y + half * k1y)
-        k3y, k3d = dy + half * k2d, c2 * (y + half * k2y)
-        k4y, k4d = dy + h * k3d, c4 * (y + h * k3y)
-        ty = y + sixth * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
-        td = dy + sixth * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
         # cell matrix [[a, b], [e, d]]: the substep matrices in order, later on the left
-        a, b, e, d = ty[:, 0, 0], ty[:, 0, 1], td[:, 0, 0], td[:, 0, 1]
-        for k in range(1, substeps):
-            ka, kb, ke, kd = ty[:, k, 0], ty[:, k, 1], td[:, k, 0], td[:, k, 1]
-            a, b, e, d = ka * a + kb * e, ka * b + kb * d, ke * a + kd * e, ke * b + kd * d
+        for k, (c1, c2, c4) in enumerate(c.transpose(1, 2, 0)[..., None]):
+            k1y, k1d = dy, c1 * y
+            k2y, k2d = dy + half * k1d, c2 * (y + half * k1y)
+            k3y, k3d = dy + half * k2d, c2 * (y + half * k2y)
+            k4y, k4d = dy + h * k3d, c4 * (y + h * k3y)
+            ka, kb = (y + sixth * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)).T
+            ke, kd = (dy + sixth * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)).T
+            if k == 0:
+                a, b, e, d = ka, kb, ke, kd
+            else:
+                a, b, e, d = ka * a + kb * e, ka * b + kb * d, ke * a + kd * e, ke * b + kd * d
     # the cells in order, both solutions at once, on Python floats
     (y1, y2), (d1, d2) = state0.tolist()
     out = [y1, y2, d1, d2]
-    for ma, mb, me, md in zip(a.tolist(), b.tolist(), e.tolist(), d.tolist()):
+    for ma, mb, me, md in zip(*map(memoryview, (a, b, e, d))):
         y1, d1, y2, d2 = ma * y1 + mb * d1, me * y1 + md * d1, ma * y2 + mb * d2, me * y2 + md * d2
         out += (y1, y2, d1, d2)
     out = np.array(out, dtype=float).reshape(-1, 4)
@@ -203,8 +202,8 @@ def solve_pair(
     """Integrate two solutions of the effective equation outward from the grid midpoint.
 
     Each sweep (midpoint to either end) evaluates the curvature once, on every
-    RK4 stage node, builds each cell's transfer matrix from its substeps in
-    one vectorised pass, and applies the cells in order to both solutions.
+    RK4 stage node, multiplies each substep's matrix into every cell's in one
+    loop over substeps, and applies the cells in order to both solutions.
 
     Parameters
     ----------

@@ -164,6 +164,11 @@ ROWS = {
     "rho-substeps-2501": (
         2, "config error: components.rho.substeps: 2501 substeps on 1600 grid cells make "
            "4001600 RK4 steps, more than 4000000\n"),
+    "theta-1e-3-4801-m-ell-0": (1, ""),
+    "theta-1e-3-4801-m-ell-1": (0, ""),
+    "theta-0.01-1201": (0, ""),
+    "r-min-0.01-6401": (0, ""),
+    "r-min-0.05-1601": (0, ""),
 }
 
 EDGE_JOBS = {name.removeprefix("edge:"): job for name, *job in manifest.edge_jobs()}

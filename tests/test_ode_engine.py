@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -300,7 +301,8 @@ def _oracle_cases(constants):
 def test_solve_pair_matches_per_point_loop_bit_for_bit(constants, name):
     problem, grid = _oracle_cases(constants)[name]
     seeds = ((0.3, 1.1), (0.9, -0.2))
-    for substeps in (1, 3):
+    # 1 takes only the first substep's matrix; 4 is what the shipped configs use
+    for substeps in (1, 3, 4):
         pair = Q.solve_pair(problem, grid, seeds=seeds, substeps=substeps, wronskian_tol=1.0)
         expected = _per_point_pair(problem, grid, seeds, grid.midpoint_index, substeps)
         for got, want in zip((pair.y1, pair.y2, pair.dy1, pair.dy2), expected):
@@ -335,6 +337,21 @@ def test_solve_pair_evaluates_curvature_once_per_sweep(constants):
     Q.solve_pair(problem, Q.Grid1D(-3.0, 3.0, 101), substeps=3)
     # (cells, substeps, stage nodes q, q + h/2, q + h) for each of the two sweeps
     assert shapes == [(50, 3, 3), (50, 3, 3)]
+
+
+def test_solve_pair_memory_stays_near_the_curvature_array(constants):
+    # 5000 cells x 50 substeps per sweep: the stage nodes and their curvature
+    # take 6 MB each, and every (cells, substeps, 2) array 4 MB more, so RK4
+    # stages kept over all substeps at once would pass the bound
+    problem = Q.cartesian_axis_problem("x", Q.HarmonicPotential(1.0), 0.5, constants)
+    grid = Q.Grid1D(-4.0, 4.0, 10001)
+    tracemalloc.start()
+    try:
+        Q.solve_pair(problem, grid, substeps=50)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 30e6, peak
 
 
 def test_stage_nodes_stay_inside_the_grid(constants):

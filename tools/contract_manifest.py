@@ -316,6 +316,20 @@ EDGES = (
     # 2501 substeps, 4 001 600 RK4 steps; both refused before any pair is solved
     ("rho-count-1000001", "cylindrical_free", _set("components.rho.grid.count", 10**6 + 1)),
     ("rho-substeps-2501", "cylindrical_free", _set("components.rho.substeps", 2501)),
+    # grids close to the polar axis or the origin, for a component check that
+    # judges the residual near a singular end; at m_ell 0 the correct polar
+    # pair's residual reads 1.5e-5, past the tolerance 1e-6: exit 1
+    ("theta-1e-3-4801-m-ell-0", "spherical_hydrogen", _sets(
+        _set("components.theta.grid", {"min": 1e-3, "max": math.pi - 1e-3, "count": 4801}),
+        _set("quantum_numbers.m_ell", 0))),
+    ("theta-1e-3-4801-m-ell-1", "spherical_hydrogen",
+     _set("components.theta.grid", {"min": 1e-3, "max": math.pi - 1e-3, "count": 4801})),
+    ("theta-0.01-1201", "spherical_hydrogen",
+     _set("components.theta.grid", {"min": 0.01, "max": math.pi - 0.01, "count": 1201})),
+    ("r-min-0.01-6401", "spherical_hydrogen",
+     _set("components.r.grid", {"min": 0.01, "max": 12.0, "count": 6401})),
+    ("r-min-0.05-1601", "spherical_hydrogen",
+     _set("components.r.grid", {"min": 0.05, "max": 12.0, "count": 1601})),
 )
 
 
