@@ -243,110 +243,89 @@ class Effective1DProblem:
         return 2.0 * c.mass / c.hbar**2 * (np.asarray(self.v_eff(q), dtype=float) - self.e_eff)
 
 
-def cartesian_axis_problem(
-    label: str, spec: PotentialSpec, axis_energy: float, constants: PhysConstants
+def _problem(
+    label: str, name: str, formula: str, e_eff: float, c: PhysConstants,
+    spec: PotentialSpec = ZeroPotential(), a: float = 0.0, width: Callable | None = None,
+    beta: float = 0.0, scale: float = 1.0,
 ) -> Effective1DProblem:
-    return Effective1DProblem(
-        label=label,
-        name=f"cartesian-axis-{label}",
-        formula=(
-            f"(dS_{label})^2/(2m) + (hbar^2/(4m))*{{S_{label};{label}}}"
-            f" + V_{label}({label}) - E_{label}"
-        ),
-        v_eff=lambda q, _s=spec, _c=constants: _s.evaluate(q, _c),
-        e_eff=float(axis_energy),
-        constants=constants,
-    )
-
-
-def _radial_problem(
-    label: str, name: str, formula: str, spec: PotentialSpec, a: float, beta: float,
-    energy: float, c: PhysConstants,
-) -> Effective1DProblem:
-    """The reduced radial equation of X = r R (a = l(l+1), beta = 0) or of
-    H = sqrt(rho) G (a = m_phi^2 - 1/4): V(q) + a hbar^2/(2m q^2) - beta hbar^2/(2m)."""
+    """One separated equation in Schroedinger form, reduced by X = r R,
+    T = sin^(1/2)(theta) T0 or H = sqrt(rho) G where it has a barrier:
+    v_eff = V(q) + a hbar^2/(2m w(q)^2) - beta hbar^2/(2m). The barrier a/w^2 is
+    l(l+1)/r^2, (m_ell^2 - 1/4)/sin^2(theta) or (m_phi^2 - 1/4)/rho^2; without
+    a width w there is none."""
 
     def v_eff(q):
         q = np.asarray(q, dtype=float)
         check_coordinates(label, q)
-        centrifugal = a * c.hbar**2 / (2.0 * c.mass * q * q)
-        return spec.evaluate(q, c) + centrifugal - beta * c.hbar**2 / (2.0 * c.mass)
+        v = spec.evaluate(q, c)
+        if width is not None:
+            w = width(q)
+            v = v + a * c.hbar**2 / (2.0 * c.mass * w * w)
+        return v - beta * c.hbar**2 / (2.0 * c.mass)
 
-    return Effective1DProblem(label, name, formula, v_eff, float(energy), c)
+    return Effective1DProblem(label, name, formula, v_eff, e_eff, c, scale)
+
+
+def cartesian_axis_problem(
+    label: str, spec: PotentialSpec, axis_energy: float, constants: PhysConstants
+) -> Effective1DProblem:
+    return _problem(
+        label, f"cartesian-axis-{label}",
+        f"(dS_{label})^2/(2m) + (hbar^2/(4m))*{{S_{label};{label}}}"
+        f" + V_{label}({label}) - E_{label}",
+        float(axis_energy), constants, spec,
+    )
 
 
 def spherical_radial_problem(
     spec: PotentialSpec, ell: int, energy: float, constants: PhysConstants
 ) -> Effective1DProblem:
-    return _radial_problem(
+    return _problem(
         "r", "radial-spherical",
         "(dS_r)^2/(2m) + (hbar^2/(4m))*{S_r;r} + V(r) + l(l+1)*hbar^2/(2m r^2) - E",
-        spec, lambda_from_ell(ell), 0.0, energy, constants,
+        float(energy), constants, spec, a=lambda_from_ell(ell), width=lambda r: r,
     )
 
 
 def spherical_polar_problem(ell: int, m_ell: int, constants: PhysConstants) -> Effective1DProblem:
+    """Barrier (hbar^2/2m) (m_ell^2 - 1/4) / sin^2(theta) seen by T = sin^(1/2)(theta) T0."""
     if abs(m_ell) > ell:
         raise ValueError(f"|m_ell| must be <= ell, got m_ell={m_ell}, ell={ell}")
-    lam = lambda_from_ell(ell)
     c = constants
-
-    def v_eff(theta):
-        """(hbar^2/2m) (m_ell^2 - 1/4) / sin^2(theta) seen by T = sin^(1/2)(theta) T0."""
-        theta = np.asarray(theta, dtype=float)
-        check_coordinates("theta", theta)
-        s = np.sin(theta)
-        return c.hbar**2 * (m_ell**2 - 0.25) / (2.0 * c.mass * s * s)
-
-    return Effective1DProblem(
-        label="theta",
-        name="polar-spherical",
-        formula=(
-            "(dS_theta)^2 + (hbar^2/2)*{S_theta;theta}"
-            " + (m_l^2 - 1/4)*hbar^2/sin^2(theta) - (l(l+1) + 1/4)*hbar^2"
-        ),
-        v_eff=v_eff,
+    return _problem(
+        "theta", "polar-spherical",
+        "(dS_theta)^2 + (hbar^2/2)*{S_theta;theta}"
+        " + (m_l^2 - 1/4)*hbar^2/sin^2(theta) - (l(l+1) + 1/4)*hbar^2",
         # the reduced polar equation's energy (lambda + 1/4) hbar^2 / (2m)
-        e_eff=(lam + 0.25) * c.hbar**2 / (2.0 * c.mass),
-        constants=constants,
-        scale=2.0 * constants.mass,
-    )
-
-
-def _free_problem(
-    label: str, name: str, formula: str, e_eff: float, c: PhysConstants
-) -> Effective1DProblem:
-    """A zero-potential equation in the mass-free form (scale 2m)."""
-    return Effective1DProblem(
-        label, name, formula, lambda q: np.zeros_like(np.asarray(q, dtype=float)), e_eff, c,
-        scale=2.0 * c.mass,
+        (lambda_from_ell(ell) + 0.25) * c.hbar**2 / (2.0 * c.mass), c,
+        a=m_ell**2 - 0.25, width=np.sin, scale=2.0 * c.mass,
     )
 
 
 def azimuthal_problem(m: int, constants: PhysConstants) -> Effective1DProblem:
     """Azimuthal equation F'' + m^2 F = 0 as a zero-potential problem."""
     c = constants
-    return _free_problem(
+    return _problem(
         "phi", "azimuthal", "(dS_phi)^2 + (hbar^2/2)*{S_phi;phi} - m^2*hbar^2",
-        m**2 * c.hbar**2 / (2.0 * c.mass), c,
+        m**2 * c.hbar**2 / (2.0 * c.mass), c, scale=2.0 * c.mass,
     )
 
 
 def cylindrical_radial_problem(
     spec: PotentialSpec, m_phi: int, beta: float, energy: float, constants: PhysConstants
 ) -> Effective1DProblem:
-    return _radial_problem(
+    return _problem(
         "rho", "radial-cylindrical",
         "(dS_rho)^2/(2m) + (hbar^2/(4m))*{S_rho;rho} + V(rho)"
         " + (m_phi^2 - 1/4)*hbar^2/(2m rho^2) - beta*hbar^2/(2m) - E",
-        spec, m_phi**2 - 0.25, beta, energy, constants,
+        float(energy), constants, spec, a=m_phi**2 - 0.25, width=lambda rho: rho, beta=beta,
     )
 
 
 def axial_problem(beta: float, constants: PhysConstants) -> Effective1DProblem:
     """Axial equation U'' - beta U = 0 as a zero-potential problem."""
     c = constants
-    return _free_problem(
+    return _problem(
         "z", "axial", "(dS_z)^2 + (hbar^2/2)*{S_z;z} + beta*hbar^2",
-        -float(beta) * c.hbar**2 / (2.0 * c.mass), c,
+        -float(beta) * c.hbar**2 / (2.0 * c.mass), c, scale=2.0 * c.mass,
     )

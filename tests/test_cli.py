@@ -9,7 +9,10 @@ import numpy as np
 import pytest
 import yaml
 
-from qshje import Grid1D, GridDomainError, cli, load_config, probe_indices, residuals
+from qshje import (
+    Grid1D, GridDomainError, SolutionPair, assemble_total, build_component, cli, load_config,
+    probe_indices, residuals,
+)
 from qshje.cli import main
 from qshje.domain import check_coordinates
 from qshje.residuals import SYMMETRY_TABLE, SymmetryRow, probe_axes
@@ -237,6 +240,32 @@ def test_verify_names_an_infinite_residual(tmp_path, monkeypatch, capsys, inject
     )
     summary = read_summary(out / "verify_summary.json")
     assert summary["equations"]["polar-spherical"]["within_tolerance"] is False
+
+
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="ROADMAP item 1b: every data check in verify reduces to 'W is constant'",
+)
+def test_verify_fails_a_pair_that_does_not_solve_its_equation(tmp_path, monkeypatch):
+    # cos(kr) and sin(kr)/k solve y'' = -k^2 y with W = 1, not the radial
+    # hydrogen equation they are declared to solve
+    build_case = cli.build_case
+
+    def wrong_pair(cfg):
+        components, equations, _ = build_case(cfg)
+        comp, k = components["r"], 0.7
+        r = comp.grid.points
+        pair = SolutionPair(
+            comp.grid, np.cos(k * r), np.sin(k * r) / k, -k * np.sin(k * r), np.cos(k * r),
+            1.0, "numerical", equations["r"],
+        )
+        components["r"] = build_component("r", pair, comp.mu, comp.nu)
+        total = assemble_total(components, cfg.symmetry, cfg.quantum_numbers, cfg.potentials)
+        return components, equations, total
+
+    monkeypatch.setattr(cli, "build_case", wrong_pair)
+    out = tmp_path / "wrong-pair"
+    assert run("verify", "--config", CONFIG_DIR / "spherical_hydrogen.yaml", "--out", out) == 1
 
 
 def test_verify_hydrogen_full_set(tmp_path):

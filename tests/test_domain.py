@@ -172,6 +172,25 @@ def test_domain_guards():
         pol.v_eff(np.array([np.pi]))
     with pytest.raises(ValueError):
         Q.spherical_polar_problem(0, 1, c)
+    # every constructor's v_eff checks its coordinate's interval
+    oscillator = Q.HarmonicPotential(1.0)
+    refused = {
+        prob: [0.0, -1.0],
+        pol: [0.0, -0.5, np.pi, 4.0],
+        Q.cylindrical_radial_problem(oscillator, 1, 0.5, 1.0, c): [0.0, -2.0],
+    }
+    for problem, points in refused.items():
+        for q in points:
+            with pytest.raises(Q.GridDomainError, match=f"coordinate '{problem.label}'"):
+                problem.v_eff(np.array([1.0, q]))
+    real_line = [
+        *(Q.cartesian_axis_problem(label, oscillator, 0.5, c) for label in ("x", "y", "z")),
+        Q.azimuthal_problem(2, c), Q.axial_problem(-1.0, c),
+    ]
+    for problem in real_line:
+        assert np.all(np.isfinite(problem.v_eff(np.array([-3.0, -0.5, 0.0, 2.0]))))
+        with pytest.raises(Q.GridDomainError, match=f"coordinate '{problem.label}'"):
+            problem.v_eff(np.array([-np.inf, 1.0]))
 
 
 def test_fictive_potentials(constants):
@@ -183,3 +202,70 @@ def test_fictive_potentials(constants):
     assert polar.e_eff == pytest.approx((6.0 + 0.25) / 2.0)
     cyl = Q.cylindrical_radial_problem(Q.ZeroPotential(), 1, -1.0, 0.0, constants)
     assert cyl.v_eff(np.array([2.0]))[0] == pytest.approx((1.0 - 0.25) / 8.0 + 0.5)
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+C_ODD = Q.PhysConstants(hbar=0.7, mass=1.3)
+_R = np.linspace(0.05, 9.0, 17)
+_THETA = np.linspace(0.01, np.pi - 0.01, 17)
+_LINE = np.linspace(-2.0, 2.0, 17)  # node 8 is exactly 0.0
+_H2, _TWO_M = C_ODD.hbar**2, 2.0 * C_ODD.mass
+_COULOMB, _OSCILLATOR = Q.CoulombPotential(1.1), Q.HarmonicPotential(0.9)
+_QUARTIC = Q.PowerLawPotential(-1.7, 4.0)  # -1.7 * 0.0**4 is -0.0
+
+# (problem, points, v_eff, e_eff), v_eff and e_eff written out in the
+# operation order each equation keeps: the manifest sees only the shipped grids
+_FORMS = {
+    "radial-ell-0": (
+        Q.spherical_radial_problem(_COULOMB, 0, -0.3, C_ODD), _R,
+        _COULOMB.evaluate(_R, C_ODD) + 0 * _H2 / (_TWO_M * _R * _R) - 0.0 * _H2 / _TWO_M, -0.3,
+    ),
+    "radial-ell-2": (
+        Q.spherical_radial_problem(_COULOMB, 2, -0.1, C_ODD), _R,
+        _COULOMB.evaluate(_R, C_ODD) + 6 * _H2 / (_TWO_M * _R * _R) - 0.0 * _H2 / _TWO_M, -0.1,
+    ),
+    "polar-m-0": (
+        Q.spherical_polar_problem(3, 0, C_ODD), _THETA,
+        _H2 * (0**2 - 0.25) / (_TWO_M * np.sin(_THETA) * np.sin(_THETA)),
+        (12 + 0.25) * _H2 / _TWO_M,
+    ),
+    "polar-m-2": (
+        Q.spherical_polar_problem(3, -2, C_ODD), _THETA,
+        _H2 * ((-2) ** 2 - 0.25) / (_TWO_M * np.sin(_THETA) * np.sin(_THETA)),
+        (12 + 0.25) * _H2 / _TWO_M,
+    ),
+    "azimuthal": (
+        Q.azimuthal_problem(3, C_ODD), _LINE, np.zeros_like(_LINE), 3**2 * _H2 / _TWO_M,
+    ),
+    "cylindrical-beta-0": (
+        Q.cylindrical_radial_problem(_OSCILLATOR, 1, 0.0, 2.1, C_ODD), _R,
+        _OSCILLATOR.evaluate(_R, C_ODD) + (1**2 - 0.25) * _H2 / (_TWO_M * _R * _R)
+        - 0.0 * _H2 / _TWO_M, 2.1,
+    ),
+    "cylindrical-beta": (
+        Q.cylindrical_radial_problem(_OSCILLATOR, 0, -0.6, 2.1, C_ODD), _R,
+        _OSCILLATOR.evaluate(_R, C_ODD) + (0**2 - 0.25) * _H2 / (_TWO_M * _R * _R)
+        - -0.6 * _H2 / _TWO_M, 2.1,
+    ),
+    "axial": (
+        Q.axial_problem(-0.6, C_ODD), _LINE, np.zeros_like(_LINE), -float(-0.6) * _H2 / _TWO_M,
+    ),
+    "cartesian-quartic": (
+        Q.cartesian_axis_problem("x", _QUARTIC, 0.4, C_ODD), _LINE,
+        _QUARTIC.evaluate(_LINE, C_ODD), 0.4,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FORMS))
+def test_effective_problems_keep_their_arithmetic_bit_for_bit(case):
+    # each equation's v_eff and e_eff at non-unit constants, sign of zero included
+    problem, q, v_eff, e_eff = _FORMS[case]
+    assert _same_bits(problem.v_eff(q), v_eff)
+    assert _same_bits(problem.e_eff, e_eff)
+    if case == "cartesian-quartic":
+        assert q[8] == 0.0 and np.signbit(problem.v_eff(q)[8])
